@@ -48,8 +48,8 @@ from . import __version__
 from .asymptotics import (buhmann_U, classify_regime, halfspace_S,
                           nonretarded_shift, nonretarded_thin_shift,
                           retarded_thin_shift)
-from .core import (AtomSpec, ReducedParams, Slab, Transition, reduce,
-                   static_polarizability)
+from .core import (AtomSpec, ReducedParams, Slab, Transition, assemble_shift,
+                   reduce, static_polarizability)
 from .errors import ConvergenceError
 from .quadrature import QuadratureSpec
 from .reflection import Polarization
@@ -263,11 +263,11 @@ def _rows_to_json(command: str, inputs: dict[str, object],
 
 def cmd_shift(args: argparse.Namespace) -> int:
     run = build_run_input(_config_from_args(args))
-    shift = energy_shift(run.atom, run.slab, run.Z, run.quad)
+    params = [reduce(run.slab, tr, run.Z) for tr in run.atom.transitions]
+    pairs = [w_pair(p, run.quad) for p in params]
+    shift = assemble_shift(run.atom, run.slab, run.Z, pairs)
     rows = []
-    for i, tr in enumerate(run.atom.transitions):
-        p = reduce(run.slab, tr, run.Z)
-        wp = w_pair(p, run.quad)
+    for i, (tr, p, wp) in enumerate(zip(run.atom.transitions, params, pairs)):
         regime = classify_regime(p)
         rows.append({
             "transition": i,
@@ -349,18 +349,28 @@ def _sweep_grid(lo: float, hi: float, points: int, scale: str) -> list[float]:
         raise ConfigError(f"need lo < hi, got [{lo}, {hi}]")
     if scale == "linear":
         step = (hi - lo) / (points - 1)
-        return [lo + i * step for i in range(points)]
-    if scale == "log":
+        inner = [lo + i * step for i in range(1, points - 1)]
+    elif scale == "log":
         if lo <= 0.0:
             raise ConfigError("log scale needs lo > 0")
         ratio = (hi / lo) ** (1.0 / (points - 1))
-        return [lo * ratio ** i for i in range(points)]
-    raise ConfigError(f"scale must be 'linear' or 'log', got {scale!r}")
+        inner = [lo * ratio ** i for i in range(1, points - 1)]
+    else:
+        raise ConfigError(f"scale must be 'linear' or 'log', got {scale!r}")
+    # the endpoints are the given bounds: lo*ratio**(points-1) can miss hi
+    # by a few ulp
+    return [lo] + inner + [hi]
 
 
-def _sweep_point(task: tuple[float, str, float, float, float, tuple]) -> dict:
-    """Evaluate one sweep grid point (top level so worker pools can pickle it)."""
-    value, axis, zeta, lam, n, quad_tuple = task
+def _sweep_point(task: tuple[float, str, float, float, float, tuple,
+                              tuple[float, float] | Exception | None]) -> dict:
+    """Evaluate one sweep grid point (top level so worker pools can pickle it).
+
+    The last task field is the half-space pair ``halfspace_S(zeta, n)``
+    when the sweep computed it once for every point, or the exception that
+    computing it raised; ``None`` means this point computes its own.
+    """
+    value, axis, zeta, lam, n, quad_tuple, hs = task
     quad = QuadratureSpec(*quad_tuple)
     if axis == "zeta":
         zeta = value
@@ -372,7 +382,11 @@ def _sweep_point(task: tuple[float, str, float, float, float, tuple]) -> dict:
     try:
         p = ReducedParams(zeta=zeta, lam=lam, n=n)
         wp = w_pair(p, quad)
-        hs_par, hs_perp = halfspace_S(zeta, n, quad)
+        if hs is None:
+            hs = halfspace_S(zeta, n, quad)
+        elif isinstance(hs, Exception):
+            raise hs
+        hs_par, hs_perp = hs
         scale = W_SCALE * zeta ** 4
         row.update(w_par=wp.w_par, w_z=wp.w_z,
                    w_par_halfspace=scale * hs_par,
@@ -407,7 +421,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
     quad_tuple = (quad.rel_tol, quad.abs_tol, quad.s_cutoff_decades,
                   quad.max_subdivisions)
-    tasks = [(v, args.axis, float(zeta), lam, n, quad_tuple) for v in grid]
+    hs = None
+    if args.axis == "lambda":
+        # the half-space column depends on zeta and n only
+        try:
+            hs = halfspace_S(float(zeta), n, quad)
+        except Exception as exc:  # reported in every row, as per point
+            hs = exc
+    tasks = [(v, args.axis, float(zeta), lam, n, quad_tuple, hs) for v in grid]
 
     jobs = args.jobs
     if jobs > 1:

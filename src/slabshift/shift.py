@@ -19,10 +19,16 @@ perfect mirror, and the physical shift follows from
 
 Numerically, the inner t integral (smooth, bounded) is evaluated first and
 the outer s integral carries the exponential weight; both axes use the
-adaptive bisection rule from :mod:`slabshift.quadrature`.  The outer
-integral is truncated at s_max where the weight has fallen
-``s_cutoff_decades`` decades below its peak; past that the integrand is
-negligible at the default tolerances.
+adaptive bisection rule from :mod:`slabshift.quadrature`.  The outer rule
+asks for its nodes a panel pair at a time (24 geometrically seeded panels
+on the first pass).  The inner integrals of those s nodes run as batched
+rows, blocks of 44 s nodes (one outer bisection's worth) at a time: each
+refinement round bisects the worst panel of every unconverged row and
+evaluates all the new t nodes of the block, about 1k, in one reflection
+coefficient call.  Each row gets exactly the panels a lone inner
+quadrature would use.  The outer integral is truncated at s_max where the
+weight has fallen ``s_cutoff_decades`` decades below its peak; past that
+the integrand is negligible at the default tolerances.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 
 from .core import (AtomSpec, EnergyShift, ReducedParams, Slab, WPair,
                    assemble_shift, reduce)
-from .quadrature import QuadratureSpec, adaptive_quad
+from .quadrature import QuadratureSpec, adaptive_quad, adaptive_quad_rows
 from .reflection import Polarization, rtilde
 
 __all__ = [
@@ -61,6 +67,10 @@ _ZETA_WARN = 1e-6
 _OUTER_SHARE = 0.85
 _INNER_SHARE = 0.1
 
+# s nodes per batched inner quadrature: one outer bisection's worth (two
+# panels of 22 nodes), so one refinement round evaluates about 1k t nodes
+_S_BLOCK = 44
+
 
 @dataclass(frozen=True)
 class SDetail:
@@ -72,7 +82,7 @@ class SDetail:
     inner_panels_max: int
 
 
-def _inner_integrand(kind: str, s: float, t: np.ndarray, lam: float,
+def _inner_integrand(kind: str, s: np.ndarray, t: np.ndarray, lam: float,
                      n: float) -> np.ndarray:
     if kind == "par":
         combo = (rtilde(Polarization.TM, s, t, lam, n)
@@ -97,14 +107,18 @@ def _s_detail(kind: str, p: ReducedParams, q: QuadratureSpec) -> SDetail:
     abs_in = _INNER_SHARE * q.abs_tol / max(1.0, s_max)
     stats = {"inner_max": 0}
 
+    def inner(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _inner_integrand(kind, s, t, p.lam, p.n)
+
     def outer_integrand(s_values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(s_values)
-        for i, s in enumerate(s_values):
-            res = adaptive_quad(
-                lambda t: _inner_integrand(kind, float(s), t, p.lam, p.n),
-                0.0, 1.0, rel_in, abs_in, q.max_subdivisions)
-            stats["inner_max"] = max(stats["inner_max"], res.panels)
-            out[i] = res.value
+        rows = []
+        for start in range(0, s_values.size, _S_BLOCK):
+            rows += adaptive_quad_rows(inner, s_values[start:start + _S_BLOCK],
+                                       0.0, 1.0, rel_in, abs_in,
+                                       q.max_subdivisions)
+        stats["inner_max"] = max(stats["inner_max"],
+                                 max(r.panels for r in rows))
+        out = np.array([r.value for r in rows])
         return s_values ** 3 * np.exp(-2.0 * p.zeta * s_values) * out
 
     # seed panels geometrically so a narrow exponential peak inside a wide

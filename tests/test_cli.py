@@ -6,8 +6,10 @@ import pytest
 
 from slabshift import (AtomSpec, HBARC_EV_NM, ReducedParams, Slab,
                        Transition, energy_shift, reduce, w_pair)
-from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, main,
-                           parse_config_text)
+import slabshift.cli
+import slabshift.shift
+from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, _sweep_grid,
+                           main, parse_config_text)
 
 CONFIG = """\
 units = natural
@@ -69,6 +71,15 @@ def test_shift_matches_library_bit_for_bit(config_path, capsys):
     assert f"W_par={wp.w_par:.16e}" in out
     assert f"W_z={wp.w_z:.16e}" in out
     assert "regime=retarded" in out
+
+
+def test_shift_computes_each_w_pair_once(config_path, monkeypatch):
+    calls = []
+    for module in (slabshift.cli, slabshift.shift):
+        monkeypatch.setattr(module, "w_pair",
+                            lambda p, q: calls.append(p) or w_pair(p, q))
+    assert main(["shift", "--config", config_path]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_shift_ev_nm_units(config_path, capsys):
@@ -148,6 +159,26 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
                          if not ln.startswith("# timestamp"))
 
     assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
+
+
+def test_lambda_sweep_computes_halfspace_once(monkeypatch, tmp_path):
+    calls = []
+    halfspace_S = slabshift.cli.halfspace_S
+    monkeypatch.setattr(slabshift.cli, "halfspace_S",
+                        lambda *a: calls.append(a) or halfspace_S(*a))
+    assert main(["sweep", "--axis", "lambda", "--lo", "0.5", "--hi", "2",
+                 "--points", "3", "--zeta", "1", "--n", "2", "--rel-tol",
+                 "1e-6", "--output", str(tmp_path / "s.csv")]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_sweep_grid_endpoints_are_exact(scale):
+    for lo, hi, points in ((0.1, 10.0, 20), (0.3, 0.7, 7), (1e-2, 1e2, 12)):
+        grid = _sweep_grid(lo, hi, points, scale)
+        assert len(grid) == points
+        assert grid[0] == lo and grid[-1] == hi
+        assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def test_sweep_json_format(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slabshift import ConvergenceError, QuadratureSpec, adaptive_quad
+from slabshift.quadrature import adaptive_quad_rows
 
 
 def test_polynomial_exact():
@@ -60,3 +61,45 @@ def test_spec_validation():
 def test_bad_interval():
     with pytest.raises(ValueError):
         adaptive_quad(lambda x: x, 1.0, 1.0, 1e-8, 1e-14, 10)
+    with pytest.raises(ValueError):
+        adaptive_quad_rows(lambda p, x: x, np.ones(1), 1.0, 1.0, 1e-8, 1e-14,
+                           10)
+
+
+# (integrand f(p, x), one row per p, a, b): each family has rows that
+# converge in different refinement rounds
+ROW_FAMILIES = {
+    "polynomial": (lambda p, x: x ** p, [0.0, 2.0, 9.0, 29.0, 60.0], 0.0, 1.0),
+    "cos": (lambda p, x: np.cos(p * x), [0.5, 3.0, 20.0, 80.0], 0.0, 2.0),
+    "narrow-peak": (lambda p, x: np.exp(-x / p), [1e-4, 1e-3, 0.1, 1.0],
+                    0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
+def test_rows_match_adaptive_quad_row_by_row(family):
+    f, params, a, b = ROW_FAMILIES[family]
+    rows = adaptive_quad_rows(f, np.array(params), a, b, 1e-12, 1e-16, 2000)
+    assert len(rows) == len(params)
+    for p, row in zip(params, rows):
+        ref = adaptive_quad(lambda x: f(p, x), a, b, 1e-12, 1e-16, 2000)
+        assert row.panels == ref.panels
+        assert row.value == pytest.approx(ref.value, rel=1e-15, abs=0.0)
+        assert row.err_est == pytest.approx(ref.err_est, rel=1e-15, abs=0.0)
+    assert len({row.panels for row in rows}) > 1
+
+
+def test_rows_budget_exhaustion_reports_first_failing_row():
+    # row 0 converges, rows 1 and 2 run out of panels in the same round;
+    # the error is row 1's, as adaptive_quad reports it
+    def f(p, x):
+        return np.sin(p * x)
+
+    with pytest.raises(ConvergenceError) as ref:
+        adaptive_quad(lambda x: f(50.0, x), 0.0, 20.0, 1e-14, 1e-16, 4)
+    with pytest.raises(ConvergenceError) as err:
+        adaptive_quad_rows(f, np.array([0.01, 50.0, 70.0]), 0.0, 20.0, 1e-14,
+                           1e-16, 4)
+    assert err.value.estimate == pytest.approx(ref.value.estimate, rel=1e-15)
+    assert err.value.err_est == pytest.approx(ref.value.err_est, rel=1e-15)
+    assert err.value.err_est > 0.0

@@ -7,6 +7,7 @@ from helpers import brute_force_s
 from slabshift import (AtomSpec, QuadratureSpec, ReducedParams, Slab,
                        Transition, energy_shift, halfspace_S, s_parallel,
                        s_perp, w_pair)
+import slabshift.shift
 from slabshift.shift import W_SCALE, s_parallel_detailed
 
 # frozen via the brute-force tensor-product oracle at 10x the adaptive
@@ -44,6 +45,24 @@ def test_s_against_live_brute_force():
     brute = brute_force_s("par", 1.0, 1.0, 2.0, s_max,
                           4 * d.outer_panels, 4 * max(d.inner_panels_max, 2))
     assert d.value == pytest.approx(brute, rel=1e-9)
+
+
+def test_inner_quadrature_is_batched(monkeypatch):
+    # machine-independent guard against a return to one inner quadrature
+    # per s node (2,717 rtilde calls for the same 84,700 nodes)
+    counts = {"calls": 0, "nodes": 0}
+    rtilde = slabshift.shift.rtilde
+
+    def counting(*args):
+        out = rtilde(*args)
+        counts["calls"] += 1
+        counts["nodes"] += np.size(out)
+        return out
+
+    monkeypatch.setattr(slabshift.shift, "rtilde", counting)
+    w_pair(P112)
+    assert counts["nodes"] == 84_700
+    assert counts["calls"] <= 150
 
 
 def test_err_est_respects_tolerance_contract():
