@@ -368,7 +368,8 @@ def _sweep_point(task: tuple[float, str, float, float, float, tuple,
 
     The last task field is the half-space pair ``halfspace_S(zeta, n)``
     when the sweep computed it once for every point, or the exception that
-    computing it raised; ``None`` means this point computes its own.
+    computing it raised; ``None`` means this point computes its own.  At
+    ``lam = inf`` the point's own W pair is the half-space column.
     """
     value, axis, zeta, lam, n, quad_tuple, hs = task
     quad = QuadratureSpec(*quad_tuple)
@@ -382,16 +383,16 @@ def _sweep_point(task: tuple[float, str, float, float, float, tuple,
     try:
         p = ReducedParams(zeta=zeta, lam=lam, n=n)
         wp = w_pair(p, quad)
-        if hs is None:
-            hs = halfspace_S(zeta, n, quad)
-        elif isinstance(hs, Exception):
+        if isinstance(hs, Exception):
             raise hs
-        hs_par, hs_perp = hs
-        scale = W_SCALE * zeta ** 4
-        row.update(w_par=wp.w_par, w_z=wp.w_z,
-                   w_par_halfspace=scale * hs_par,
-                   w_z_halfspace=scale * hs_perp,
-                   err_est=wp.err_est, status="ok")
+        if math.isinf(lam):
+            hs_w = (wp.w_par, wp.w_z)
+        else:
+            scale = W_SCALE * zeta ** 4
+            hs_par, hs_perp = hs or halfspace_S(zeta, n, quad)
+            hs_w = (scale * hs_par, scale * hs_perp)
+        row.update(w_par=wp.w_par, w_z=wp.w_z, w_par_halfspace=hs_w[0],
+                   w_z_halfspace=hs_w[1], err_est=wp.err_est, status="ok")
     except Exception as exc:  # per-point failures stay in-row
         row.update(w_par=math.nan, w_z=math.nan,
                    w_par_halfspace=math.nan, w_z_halfspace=math.nan,

@@ -1,12 +1,14 @@
-"""Adaptive 1D quadrature with an embedded Gauss-Legendre error estimate.
+"""Adaptive 1D quadrature with an embedded Gauss-Kronrod error estimate.
 
-Each panel is integrated with a 15-point Gauss-Legendre rule; the
-difference from the embedded 7-point rule serves as a (conservative) local
-error estimate.  Panels are bisected worst-first until the summed estimate
-meets the requested tolerance.  The contract is the tolerance, not the
-rule: callers rely on ``err_est <= max(rel_tol*|value|, abs_tol)`` of the
-returned result, and on :class:`ConvergenceError` carrying the best
-estimate when the panel budget runs out.
+Each panel is integrated with the 15-point Gauss-Kronrod rule (QUADPACK
+``qk15``), whose nodes include the 7 of the Gauss-Legendre rule: a panel
+costs 15 integrand nodes, and the difference of the two sums serves as a
+(conservative) local error estimate.  Panels are bisected worst-first
+until the summed estimate meets the requested tolerance.  The contract is
+the tolerance, not the rule: callers rely on ``err_est <= max(rel_tol *
+|value|, abs_tol)`` of the returned result, and on
+:class:`ConvergenceError` carrying the best estimate when the panel budget
+runs out.
 
 Integrands must accept and return 1D numpy arrays; every panel evaluated
 in one step (both halves of a bisection, or all the initial panels) goes
@@ -24,6 +26,7 @@ so the call count follows the deepest row instead of the number of rows.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,9 +38,22 @@ from .errors import ConvergenceError
 __all__ = ["QuadratureSpec", "QuadResult", "adaptive_quad",
            "adaptive_quad_rows"]
 
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-_PANEL_NODES = _NODES_HI.size + _NODES_LO.size
+# Gauss-Kronrod 15 (QUADPACK qk15, Piessens et al. 1983): the nodes x >= 0
+# on [-1, 1], their Kronrod weights, and the Gauss-7 weights of _XGK[1::2]
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# mirrored to ascending order, where the Gauss-7 nodes are _NODES[1::2]
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_WEIGHTS_KRONROD = np.array(_WGK + _WGK[-2::-1])
+_WEIGHTS_GAUSS = np.array(_WG + _WG[-2::-1])
 
 
 @dataclass(frozen=True)
@@ -73,17 +89,15 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(value, error) of every panel ``[lo[i], hi[i]]`` from one integrand call.
 
-    The integrand sees the 15 + 7 nodes of each panel in turn, panel by
-    panel.  Each panel's weighted sum runs over its own contiguous row, so
-    a panel's value does not depend on how many panels share the call.
+    The integrand sees the 15 Kronrod nodes of each panel in turn, panel
+    by panel.  Each panel's weighted sums run over its own contiguous row,
+    so a panel's value does not depend on how many panels share the call.
     """
-    mid = (0.5 * (lo + hi))[:, None]
     half = 0.5 * (hi - lo)
-    x = np.concatenate((mid + half[:, None] * _NODES_HI,
-                        mid + half[:, None] * _NODES_LO), axis=1)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    v_hi = half * (y[:, :_NODES_HI.size] * _WEIGHTS_HI).sum(axis=1)
-    v_lo = half * (y[:, _NODES_HI.size:] * _WEIGHTS_LO).sum(axis=1)
+    v_hi = half * (y * _WEIGHTS_KRONROD).sum(axis=1)
+    v_lo = half * (y[:, 1::2] * _WEIGHTS_GAUSS).sum(axis=1)
     return v_hi, np.abs(v_hi - v_lo)
 
 
@@ -104,31 +118,46 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     else:
         edges = sorted(set([a, b] + [x for x in initial_edges if a < x < b]))
 
-    vals, errs = _eval_panels(f, np.array(edges[:-1]), np.array(edges[1:]))
-
     # heap of (-err, counter, lo, hi, value, err); counter breaks ties
-    # deterministically
-    heap = []
-    counter = 0
-    for lo, hi, val, err in zip(edges[:-1], edges[1:], vals.tolist(),
-                                errs.tolist()):
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
+    # deterministically.  The panel sums are kept exactly, as partials, so
+    # their fsum is the fsum over the heap without re-summing it.
+    heap, counter = [], itertools.count()
+    val_sum, err_sum = [], []
 
+    def push(lo: list[float], hi: list[float]) -> None:
+        vals, errs = _eval_panels(f, np.array(lo), np.array(hi))
+        for plo, phi, val, err in zip(lo, hi, vals.tolist(), errs.tolist()):
+            heapq.heappush(heap, (-err, next(counter), plo, phi, val, err))
+            _add_exact(val_sum, val)
+            _add_exact(err_sum, err)
+
+    push(edges[:-1], edges[1:])
     while True:
-        value = math.fsum(item[4] for item in heap)
-        err_total = math.fsum(item[5] for item in heap)
+        value, err_total = math.fsum(val_sum), math.fsum(err_sum)
         if err_total <= max(rel_tol * abs(value), abs_tol):
             return QuadResult(value=value, err_est=err_total, panels=len(heap))
         if len(heap) >= max_subdivisions:
             raise _budget_error(max_subdivisions, value, err_total)
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        vals, errs = _eval_panels(f, np.array([lo, mid]), np.array([mid, hi]))
-        for plo, phi, val, err in zip((lo, mid), (mid, hi), vals.tolist(),
-                                      errs.tolist()):
-            heapq.heappush(heap, (-err, counter, plo, phi, val, err))
-            counter += 1
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        _add_exact(val_sum, -val)
+        _add_exact(err_sum, -err)
+        push([lo, 0.5 * (lo + hi)], [0.5 * (lo + hi), hi])
+
+
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to a sum kept exactly as non-overlapping partials (as in
+    ``math.fsum``), so ``math.fsum(partials)`` is the fsum of the terms."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -166,7 +195,7 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     val = np.zeros((row.size, 8))
     err = np.zeros((row.size, 8))
     val[:, 0], err[:, 0] = _eval_panels(
-        lambda x: f(np.repeat(params, _PANEL_NODES), x), lo[:, 0], hi[:, 0])
+        lambda x: f(np.repeat(params, _NODES.size), x), lo[:, 0], hi[:, 0])
 
     while True:
         panels = (width + 1) // 2
@@ -212,7 +241,7 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         err[active, worst] = 0.0
         new_lo = np.stack((plo, pmid), axis=1)
         new_hi = np.stack((pmid, phi), axis=1)
-        p_nodes = np.repeat(params[row], 2 * _PANEL_NODES)
+        p_nodes = np.repeat(params[row], 2 * _NODES.size)
         vals, errs = _eval_panels(lambda x: f(p_nodes, x), new_lo.ravel(),
                                   new_hi.ravel())
         lo[:, width:width + 2] = new_lo

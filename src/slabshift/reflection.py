@@ -24,9 +24,9 @@ real:
             / [n^4+1+(n^2-1) t^2 + 2 n^2 g coth(Lam)],
 
 with g = sqrt(1 + (n^2-1) t^2) and Lam = lam * s * g.  ``lam = inf``
-selects coth = 1, the half-space limit.  coth is evaluated in three
-regimes so the quadrature can visit both Lam -> 0 and Lam -> inf without
-loss of accuracy or overflow.
+selects coth = 1, the half-space limit.  For finite lam, coth(Lam) is
+written as (2 - e)/e with e = -expm1(-2 Lam), one form that keeps its
+accuracy from Lam = 0 to Lam -> inf (see :func:`rtilde`).
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ __all__ = [
     "slab_T",
     "rtilde",
 ]
-
-# coth evaluation thresholds: Laurent form below, exponential form above
-_COTH_SMALL = 1e-4
-_COTH_LARGE = 20.0
 
 # |denominator| below this (relative to its terms) counts as a pole hit
 _POLE_TOL = 1e-12
@@ -184,26 +180,13 @@ def slab_T(pol: Polarization, k_z: complex, k_par: float, L: float,
     return _as_wave_component(_slab_amplitudes(pol, k_z, k_par, L, n)[1])
 
 
-def _coth(lam_arg: np.ndarray) -> np.ndarray:
-    """coth on [0, inf], stable at both ends (inf at 0, exactly 1 at inf)."""
-    out = np.empty_like(lam_arg)
-    small = lam_arg < _COTH_SMALL
-    large = lam_arg > _COTH_LARGE
-    mid = ~(small | large)
-    with np.errstate(divide="ignore"):
-        out[small] = 1.0 / lam_arg[small] + lam_arg[small] / 3.0
-    e = np.exp(-2.0 * lam_arg[large])
-    out[large] = 1.0 + 2.0 * e / (1.0 - e)
-    out[mid] = 1.0 / np.tanh(lam_arg[mid])
-    return out
-
-
 def rtilde(pol: Polarization, s, t, lam: float, n: float):
     """Contour reflection coefficient in the quadrature variables (s, t).
 
-    Vectorized over ``s`` and ``t`` (broadcast together).  Returns exact 0
-    where Lam = lam*s*g vanishes; ``lam = math.inf`` gives the half-space
-    coefficient (coth = 1).
+    Vectorized over ``s`` and ``t`` (broadcast together).  Finite ``lam``
+    gives ``num*e / (a*e + b*(2 - e)) = num / (a + b*coth(Lam))`` with
+    ``e = -expm1(-2*Lam)`` in [0, 1]: an exact 0 at Lam = 0, and once e
+    rounds to 1 the half-space value, which ``lam = math.inf`` selects.
     """
     if not n >= 1.0:
         raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
@@ -235,15 +218,8 @@ def rtilde(pol: Polarization, s, t, lam: float, n: float):
     elif math.isinf(lam):
         out = num / (a + b)
     else:
-        lam_arg = lam * s_arr * g
-        small = lam_arg < _COTH_SMALL
-        out = np.empty_like(g)
-        # Laurent form of coth folded into the denominator: exact 0 at Lam = 0
-        la = lam_arg[small]
-        out[small] = (num[small] * la
-                      / (a[small] * la + b[small] * (1.0 + la * la / 3.0)))
-        big = ~small
-        out[big] = num[big] / (a[big] + b[big] * _coth(lam_arg[big]))
+        e = -np.expm1(-2.0 * lam * s_arr * g)
+        out = num * e / (a * e + b * (2.0 - e))
 
     if scalar:
         return float(out)

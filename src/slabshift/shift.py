@@ -20,15 +20,15 @@ perfect mirror, and the physical shift follows from
 Numerically, the inner t integral (smooth, bounded) is evaluated first and
 the outer s integral carries the exponential weight; both axes use the
 adaptive bisection rule from :mod:`slabshift.quadrature`.  The outer rule
-asks for its nodes a panel pair at a time (24 geometrically seeded panels
-on the first pass).  The inner integrals of those s nodes run as batched
-rows, blocks of 44 s nodes (one outer bisection's worth) at a time: each
-refinement round bisects the worst panel of every unconverged row and
-evaluates all the new t nodes of the block, about 1k, in one reflection
-coefficient call.  Each row gets exactly the panels a lone inner
-quadrature would use.  The outer integral is truncated at s_max where the
-weight has fallen ``s_cutoff_decades`` decades below its peak; past that
-the integrand is negligible at the default tolerances.
+asks for its nodes a panel pair at a time (24 geometrically seeded panels,
+360 s nodes, on the first pass).  The inner integrals of all the s nodes
+of one outer call run as one batch of rows, not in blocks: each round
+bisects the worst panel of every unconverged row and evaluates all the new
+t nodes (at most about 10.8k) in one reflection coefficient call, and each
+row gets exactly the panels a lone inner quadrature would use.  The outer
+integral is truncated at s_max where the weight has fallen
+``s_cutoff_decades`` decades below its peak; past that the integrand is
+negligible at the default tolerances.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ _ZETA_WARN = 1e-6
 # shares of the total tolerance budget taken by the outer and inner rules
 _OUTER_SHARE = 0.85
 _INNER_SHARE = 0.1
-
-# s nodes per batched inner quadrature: one outer bisection's worth (two
-# panels of 22 nodes), so one refinement round evaluates about 1k t nodes
-_S_BLOCK = 44
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,8 @@ def _s_detail(kind: str, p: ReducedParams, q: QuadratureSpec) -> SDetail:
         return _inner_integrand(kind, s, t, p.lam, p.n)
 
     def outer_integrand(s_values: np.ndarray) -> np.ndarray:
-        rows = []
-        for start in range(0, s_values.size, _S_BLOCK):
-            rows += adaptive_quad_rows(inner, s_values[start:start + _S_BLOCK],
-                                       0.0, 1.0, rel_in, abs_in,
-                                       q.max_subdivisions)
+        rows = adaptive_quad_rows(inner, s_values, 0.0, 1.0, rel_in, abs_in,
+                                  q.max_subdivisions)
         stats["inner_max"] = max(stats["inner_max"],
                                  max(r.panels for r in rows))
         out = np.array([r.value for r in rows])

@@ -1,15 +1,18 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from slabshift import (AtomSpec, HBARC_EV_NM, ReducedParams, Slab,
-                       Transition, energy_shift, reduce, w_pair)
+from slabshift import (AtomSpec, HBARC_EV_NM, QuadratureSpec, ReducedParams,
+                       Slab, Transition, energy_shift, halfspace_S, reduce,
+                       w_pair)
 import slabshift.cli
 import slabshift.shift
-from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, _sweep_grid,
-                           main, parse_config_text)
+from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, _fmt,
+                           _sweep_grid, main, parse_config_text)
+from slabshift.shift import W_SCALE
 
 CONFIG = """\
 units = natural
@@ -170,6 +173,36 @@ def test_lambda_sweep_computes_halfspace_once(monkeypatch, tmp_path):
                  "--points", "3", "--zeta", "1", "--n", "2", "--rel-tol",
                  "1e-6", "--output", str(tmp_path / "s.csv")]) == EXIT_OK
     assert len(calls) == 1
+
+
+def test_halfspace_sweep_computes_each_s_integral_once(monkeypatch,
+                                                       tmp_path):
+    # at lam = inf the W pair is the half-space column: 2 S integrals per
+    # point, not 4
+    calls = []
+    s_detail = slabshift.shift._s_detail
+    monkeypatch.setattr(slabshift.shift, "_s_detail",
+                        lambda *a: calls.append(a) or s_detail(*a))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--axis", "zeta", "--lo", "0.5", "--hi", "2",
+                 "--points", "3", "--lam", "inf", "--n", "2", "--rel-tol",
+                 "1e-6", "--jobs", "1", "--output", str(out)]) == EXIT_OK
+    assert len(calls) == 6
+    monkeypatch.undo()
+
+    # the table is the one the separate half-space route gives, bit for bit
+    q = QuadratureSpec(rel_tol=1e-6)
+    rows = []
+    for zeta in _sweep_grid(0.5, 2.0, 3, "linear"):
+        wp = w_pair(ReducedParams(zeta=zeta, lam=math.inf, n=2.0), q)
+        hs_par, hs_perp = halfspace_S(zeta, 2.0, q)
+        scale = W_SCALE * zeta ** 4
+        rows.append(",".join(
+            [_fmt(x) for x in (zeta, wp.w_par, wp.w_z, scale * hs_par,
+                               scale * hs_perp, wp.err_est)] + ["ok"]))
+    table = [ln for ln in out.read_text().splitlines()
+             if not ln.startswith("#")]
+    assert table[1:] == rows
 
 
 @pytest.mark.parametrize("scale", ["linear", "log"])

@@ -1,10 +1,25 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from slabshift import ConvergenceError, QuadratureSpec, adaptive_quad
-from slabshift.quadrature import adaptive_quad_rows
+from slabshift.quadrature import _eval_panels, adaptive_quad_rows
+
+
+def test_gauss_kronrod_degrees_of_exactness():
+    # one panel on [0, 1]: the 15-node Kronrod sum integrates x**k exactly
+    # up to k = 22 and the embedded 7-node Gauss sum up to k = 13, so their
+    # difference (the error estimate) vanishes there and not at k = 14
+    for k in range(23):
+        value, err = _eval_panels(lambda x: x ** k, np.array([0.0]),
+                                  np.array([1.0]))
+        assert value[0] == pytest.approx(1.0 / (k + 1), rel=4e-15, abs=0.0)
+        if k <= 13:
+            assert err[0] <= 4e-16
+        else:
+            assert err[0] > 1e-9
 
 
 def test_polynomial_exact():
@@ -103,3 +118,41 @@ def test_rows_budget_exhaustion_reports_first_failing_row():
     assert err.value.estimate == pytest.approx(ref.value.estimate, rel=1e-15)
     assert err.value.err_est == pytest.approx(ref.value.err_est, rel=1e-15)
     assert err.value.err_est > 0.0
+
+
+def _heap_fsum_quad(f, a, b, rel_tol, abs_tol, edges=None):
+    """The bisection loop written plainly: re-sum the whole heap each round."""
+    edges = sorted(set([a, b] + [x for x in (edges or []) if a < x < b]))
+    vals, errs = _eval_panels(f, np.array(edges[:-1]), np.array(edges[1:]))
+    heap = [(-err, i, lo, hi, val, err) for i, (lo, hi, val, err) in
+            enumerate(zip(edges[:-1], edges[1:], vals.tolist(),
+                          errs.tolist()))]
+    heapq.heapify(heap)
+    counter = len(heap)
+    while True:
+        value = math.fsum(item[4] for item in heap)
+        err_total = math.fsum(item[5] for item in heap)
+        if err_total <= max(rel_tol * abs(value), abs_tol):
+            return value, err_total, len(heap)
+        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        vals, errs = _eval_panels(f, np.array([lo, mid]), np.array([mid, hi]))
+        for plo, phi, val, err in zip((lo, mid), (mid, hi), vals.tolist(),
+                                      errs.tolist()):
+            heapq.heappush(heap, (-err, counter, plo, phi, val, err))
+            counter += 1
+
+
+def test_running_sums_match_heap_fsum_bit_for_bit():
+    cases = [(lambda x: np.sin(50.0 * x), 0.0, 20.0, 1e-9, 1e-16, None),
+             (lambda x: np.exp(-x / 1e-4), 0.0, 1.0, 1e-10, 1e-16,
+              [0.5 ** k for k in range(1, 24)])]
+    for fam, params, a, b in ROW_FAMILIES.values():
+        cases += [(lambda x, fam=fam, p=p: fam(p, x), a, b, 1e-12, 1e-16,
+                   None) for p in params]
+    for f, a, b, rel_tol, abs_tol, edges in cases:
+        res = adaptive_quad(f, a, b, rel_tol, abs_tol, 2000,
+                            initial_edges=edges)
+        assert (res.value, res.err_est, res.panels) == \
+            _heap_fsum_quad(f, a, b, rel_tol, abs_tol, edges)
+    assert adaptive_quad(*cases[0][:5], 2000).panels > 300

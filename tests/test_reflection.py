@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from helpers import transfer_matrix_slab
+from helpers import rt_te, rt_tm, transfer_matrix_slab
 from slabshift import (Polarization, PoleError, Slab, WaveVectors, fresnel_r,
                        rtilde, slab_R, slab_T, snell_kz, snell_kzd)
 from slabshift.modes import find_trapped_modes
@@ -152,6 +153,61 @@ def test_rtilde_branch_continuity():
         lo = rtilde(TM, s0 * (1.0 - 1e-9), 0.0, lam, 2.0)
         hi = rtilde(TM, s0 * (1.0 + 1e-9), 0.0, lam, 2.0)
         assert lo == pytest.approx(hi, rel=1e-7)
+
+
+# Lam = lam*s*g from deep in the thin-slab limit to far past the point where
+# coth rounds to 1, at t values that put g near 1 and near n
+RTILDE_LAMS = np.logspace(-12.0, 3.0, 16)
+RTILDE_TS = (0.0, 1e-3, 0.3, 0.77, 1.0)
+
+
+def _rtilde_at_lam(pol, big_lam, t, n):
+    # lam = 1, with s chosen so that Lam = big_lam
+    s = big_lam / math.sqrt(1.0 + (n * n - 1.0) * t * t)
+    return s, rtilde(pol, s, t, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [1.0001, 1.5, 2.0, 10.0, 1e2, 1e4])
+def test_rtilde_matches_longhand_coth_form(n):
+    for big_lam in RTILDE_LAMS:
+        for t in RTILDE_TS:
+            for pol, longhand in ((TE, rt_te), (TM, rt_tm)):
+                s, got = _rtilde_at_lam(pol, big_lam, t, n)
+                assert got == pytest.approx(float(longhand(s, t, 1.0, n)),
+                                            rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, 10.0, 1e2, 1e4])
+def test_rtilde_matches_40_digit_coth_form(n):
+    # n**2 - 1 cancels near n = 1, so the 40-digit form starts at n = 1.5
+    mpmath.mp.dps = 40
+    try:
+        for big_lam in RTILDE_LAMS:
+            for t in RTILDE_TS:
+                for pol in (TE, TM):
+                    s, got = _rtilde_at_lam(pol, big_lam, t, n)
+                    nn, tt = mpmath.mpf(n), mpmath.mpf(t)
+                    k = (nn * nn - 1) * tt * tt
+                    g = mpmath.sqrt(1 + k)
+                    coth = mpmath.coth(mpmath.mpf(s) * g)
+                    if pol is TE:
+                        exact = -k / (2 + k + 2 * g * coth)
+                    else:
+                        exact = ((nn ** 4 - 1 - k)
+                                 / (nn ** 4 + 1 + k + 2 * nn * nn * g * coth))
+                    assert got == pytest.approx(float(exact), rel=1e-14,
+                                                abs=0.0)
+    finally:
+        mpmath.mp.dps = 15
+
+
+def test_rtilde_reaches_halfspace_value_exactly():
+    # once 1 - exp(-2 Lam) rounds to 1 the finite-lam form is the
+    # half-space one, bit for bit
+    t = np.linspace(0.0, 1.0, 9)
+    for pol in (TE, TM):
+        assert np.array_equal(rtilde(pol, 50.0, t, 1.0, 2.0),
+                              rtilde(pol, 50.0, t, math.inf, 2.0))
 
 
 def test_rtilde_domain_errors():
