@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AtomSpec, EnergyShift, ReducedParams, Slab
-from .electrostatics import ImageSeriesSpec, image_series_shift
+from .electrostatics import (ImageSeriesSpec, image_series_converges,
+                             image_series_shift)
 from .quadrature import QuadratureSpec, adaptive_quad
 from .shift import s_parallel, s_perp
 
@@ -123,18 +124,25 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
     with beta = (n^2-1)/(n^2+1).  ``method="series"`` (default) evaluates
     the exact closed-form image series; ``method="quadrature"`` integrates
     the k integral adaptively.  Both routes are exposed so they can check
-    each other.
+    each other.  Near a perfect mirror, where :func:`image_series_converges`
+    finds that ``spec.max_terms`` terms cannot suffice, ``method="series"``
+    takes the k integral with ``q`` instead and logs that at DEBUG level.
     """
-    if method == "series":
-        return image_series_shift(atom, slab, Z, spec)
-    if method != "quadrature":
+    if method not in ("series", "quadrature"):
         raise ValueError(f"method must be 'series' or 'quadrature', got {method!r}")
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
+    spec = spec or ImageSeriesSpec()
+    if method == "series" and image_series_converges(slab, Z, spec):
+        return image_series_shift(atom, slab, Z, spec)
     q = q or QuadratureSpec()
     if slab.n == 1.0:
         return EnergyShift.from_contributions([0.0] * len(atom.transitions))
     beta = (slab.n ** 2 - 1.0) / (slab.n ** 2 + 1.0)
+    import logging  # not at package load: that raised the CLI's peak RSS 1%
+    logging.getLogger(__name__).debug(
+        "nonretarded_shift: k integral (method=%s), beta^2=%r, max_terms=%d",
+        method, beta * beta, spec.max_terms)
     L = slab.L
     k_max = q.s_cutoff_decades * math.log(10.0) / (2.0 * Z)
 

@@ -606,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"slabshift: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:
-        print(f"slabshift: quadrature did not converge: {exc}", file=sys.stderr)
+        print(f"slabshift: did not converge: {exc}", file=sys.stderr)
         if exc.estimate is not None:
             print(f"slabshift: best estimate {_fmt(exc.estimate)} "
                   f"(error bound {_fmt(exc.err_est or math.nan)})",

@@ -22,7 +22,8 @@ suite only.
 
 Truncation uses the exact geometric-tail majorant
 beta^{2(M+1)} * b_{M+1} / (1 - beta^2), valid because the bracketed terms
-b_m decrease with m.
+b_m decrease with m.  It is the ``err_est`` of a series that runs out of
+terms, and :func:`image_series_converges` predicts that failure from it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 from .core import AtomSpec, EnergyShift, Slab
 from .errors import ConvergenceError
 
-__all__ = ["ImageSeriesSpec", "phi_H", "image_series_shift"]
+__all__ = ["ImageSeriesSpec", "phi_H", "image_series_shift",
+           "image_series_converges"]
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,8 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab,
             return -beta / (4.0 * math.pi) * total
     raise ConvergenceError(
         f"image series for phi_H did not converge within {spec.max_terms} terms",
-        estimate=-beta / (4.0 * math.pi) * total)
+        estimate=-beta / (4.0 * math.pi) * total,
+        err_est=beta / (4.0 * math.pi) * tail)
 
 
 def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
@@ -101,12 +104,39 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
     try:
         series = _distance_series(Z, slab.L, beta, spec)
     except ConvergenceError as exc:
-        partial = -beta / (64.0 * math.pi) * (exc.estimate or 0.0) * dipole_sum
-        raise ConvergenceError(str(exc), estimate=partial) from None
+        scale = beta / (64.0 * math.pi) * dipole_sum
+        raise ConvergenceError(str(exc), estimate=-scale * exc.estimate,
+                               err_est=scale * exc.err_est) from None
     pref = -beta / (64.0 * math.pi) * series
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
                 for tr in atom.transitions]
     return EnergyShift.from_contributions(contribs)
+
+
+def image_series_converges(slab: Slab, Z: float,
+                           spec: ImageSeriesSpec | None = None) -> bool:
+    """False only if the distance series surely cannot meet ``tail_tol``.
+
+    Partial sums stay below 1/Z^3 (Z > 0) and the majorant falls with m, so
+    a majorant above tail_tol/Z^3 at the last allowed term means the loop
+    exhausts ``max_terms``; the 1e-6 margin covers its rounding.
+    """
+    spec = spec or ImageSeriesSpec()
+    beta = _beta(slab.n)
+    beta2 = beta * beta
+    last = _tail_majorant(beta2 ** spec.max_terms,
+                          _bracket(Z, slab.L, spec.max_terms),
+                          beta2) if beta2 < 1.0 else math.inf
+    return last <= (1.0 + 1e-6) * spec.tail_tol / Z ** 3
+
+
+def _bracket(Z: float, L: float, m: int) -> float:
+    return 1.0 / (Z + m * L) ** 3 - 1.0 / (Z + (m + 1) * L) ** 3
+
+
+def _tail_majorant(weight: float, bracket: float, beta2: float) -> float:
+    """Bound on the terms after m, given beta^(2(m+1)) and b_(m+1)."""
+    return weight * bracket / (1.0 - beta2)
 
 
 def _distance_series(Z: float, L: float, beta: float,
@@ -119,14 +149,14 @@ def _distance_series(Z: float, L: float, beta: float,
     beta2 = beta * beta
     total = 0.0
     weight = 1.0
+    bracket = _bracket(Z, L, 0)
     for m in range(spec.max_terms):
-        total += weight * (1.0 / (Z + m * L) ** 3 - 1.0 / (Z + (m + 1) * L) ** 3)
+        total += weight * bracket
         weight *= beta2
-        next_bracket = (1.0 / (Z + (m + 1) * L) ** 3
-                        - 1.0 / (Z + (m + 2) * L) ** 3)
-        tail = weight * next_bracket / (1.0 - beta2)
+        bracket = _bracket(Z, L, m + 1)
+        tail = _tail_majorant(weight, bracket, beta2)
         if tail <= spec.tail_tol * abs(total):
             return total
     raise ConvergenceError(
         f"image series did not converge within {spec.max_terms} terms",
-        estimate=total)
+        estimate=total, err_est=tail)

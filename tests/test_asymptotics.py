@@ -1,6 +1,8 @@
+import logging
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -113,6 +115,56 @@ def test_nonretarded_series_equals_quadrature():
     s = nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), 1.0, method="series")
     q = nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), 1.0, method="quadrature")
     assert q.value == pytest.approx(s.value, rel=1e-10)
+
+
+def _lerch_nonretarded(n, L, Z):
+    # sum_m beta^2m [1/(Z+mL)^3 - 1/(Z+(m+1)L)^3]
+    #   = 1/Z^3 - (1 - beta^2) Phi(beta^2, 3, Z/L + 1) / L^3
+    with mpmath.workdps(30):
+        n2 = mpmath.mpf(n) ** 2
+        beta = (n2 - 1) / (n2 + 1)
+        L, Z = mpmath.mpf(L), mpmath.mpf(Z)
+        series = (1 / Z ** 3 - (1 - beta ** 2)
+                  * mpmath.lerchphi(beta ** 2, 3, Z / L + 1) / L ** 3)
+        dipole_sum = 2 * 1.0 + 2.0  # 2 mu_perp^2 + mu_par^2 of ATOM
+        return float(-beta / (64 * mpmath.pi) * series * dipole_sum)
+
+
+def test_nonretarded_near_mirror_matches_lerch_closed_form():
+    # near a perfect mirror the default route switches to the k integral
+    # where the series would run out of terms; either way it must hold
+    Z = 1.0
+    for n in (1e3, 1e4):
+        for ratio in (0.01, 0.1):
+            got = nonretarded_shift(ATOM, Slab(n=n, L=ratio * Z), Z).value
+            want = _lerch_nonretarded(n, ratio * Z, Z)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, ratio)
+
+
+def test_nonretarded_where_beta_rounds_to_one():
+    # n >= 1e8: beta^2 == 1.0 in floating point, the series' tail bound
+    # divides by zero, and every slab reflects like a perfect mirror
+    Z = 1.3
+    expected = -(2.0 * 1.0 + 2.0) / (64.0 * math.pi * Z ** 3)
+    got = nonretarded_shift(ATOM, Slab(n=1e9, L=0.01), Z).value
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_nonretarded_k_integral_route_is_logged_silently(caplog, capfd):
+    # unconfigured, the DEBUG record reaches neither stream
+    nonretarded_shift(ATOM, Slab(n=1e4, L=0.01), 1.0)
+    assert capfd.readouterr() == ("", "")
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="slabshift"):
+        nonretarded_shift(ATOM, Slab(n=2.0, L=0.5), 1.0)
+        assert caplog.records == []
+        nonretarded_shift(ATOM, Slab(n=1e4, L=0.01), 1.0)
+    first = caplog.records[0]
+    assert first.levelno == logging.DEBUG and first.name.startswith("slabshift")
+    text = first.getMessage()
+    beta = (1e8 - 1.0) / (1e8 + 1.0)
+    assert "k integral" in text and f"beta^2={beta * beta!r}" in text
+    assert "max_terms=1000000" in text
 
 
 def test_nonretarded_rejects_unknown_method():

@@ -1,27 +1,41 @@
-"""The benchmark's traced replay still finds every layer it reports.
+"""The benchmark's traced replay and correctness gate, run as tests.
 
 ``perfbench/run.py --trace 1`` wraps named layer boundaries of the library
 (see ``perfbench/tracing.py``) and reports the metrics listed in
 ``run.PER_LAYER``.  A change that routes the hot path around one of those
 names leaves its metric ``None``, and the benchmark's JSON line malformed.
 This replays one ``wfun`` and one small lambda sweep through the same
-tracer and checks that every reported layer saw its calls.
+tracer and checks that every reported layer saw its calls.  It also passes
+every ``asympt`` pool entry of ``point-queries`` through ``perfbench/gate.py``
+against ``perfbench/reference.json``, and counts which of them still run
+the image series.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
+import gate  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+import slabshift.asymptotics  # noqa: E402
 import slabshift.cli  # noqa: E402
+from slabshift import (AtomSpec, Slab, Transition,  # noqa: E402
+                       image_series_shift, nonretarded_shift)
+
+ASYMPT_STRATA = ("asympt", "asympt-mirror")
+ASYMPT_ENTRIES = [(stratum, entry) for stratum in ASYMPT_STRATA
+                  for entry in workloads.POINT_POOL[stratum][0]]
 
 OPS = [
     workloads.Op("wfun", "wfun", ("wfun", "--zeta", "1", "--lam", "1",
@@ -51,3 +65,37 @@ def test_traced_replay_reports_every_layer():
     assert missing == []
     assert metrics["reflection.rtilde.calls"] > 0
     assert metrics["shift.w_pair.calls"] == 4
+
+
+def test_asympt_pool_passes_the_benchmark_gate():
+    refs = json.loads((PERFBENCH / "reference.json").read_text(
+        encoding="utf-8"))["ops"]
+    for stratum, entry in ASYMPT_ENTRIES:
+        op = workloads.point_op(stratum, entry)
+        replay = tracing.call_main(slabshift.cli.main, op.argv)
+        outcome = gate.check(op.kind, replay.rc, replay.stdout, refs[op.key])
+        assert (outcome.failed, outcome.wrong) == (0, 0), (
+            op.key, outcome.notes, replay.stderr)
+
+
+@pytest.mark.parametrize("stratum, entry", ASYMPT_ENTRIES)
+def test_image_series_runs_only_where_it_can_converge(stratum, entry,
+                                                      monkeypatch):
+    n, L, Z, e_ji, mu_par_sq, mu_perp_sq = entry
+    atom = AtomSpec([Transition(E_ji=e_ji, mu_par_sq=mu_par_sq,
+                                mu_perp_sq=mu_perp_sq)])
+    slab = Slab(n=n, L=L)
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(image_series_shift(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(slabshift.asymptotics, "image_series_shift", counted)
+    got = nonretarded_shift(atom, slab, Z)
+    if stratum == "asympt-mirror":
+        assert seen == []
+    else:
+        direct = image_series_shift(atom, slab, Z)
+        assert len(seen) == 1
+        assert (got.value, got.per_transition) == (direct.value,
+                                                  direct.per_transition)

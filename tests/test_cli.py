@@ -9,6 +9,7 @@ from slabshift import (AtomSpec, HBARC_EV_NM, QuadratureSpec, ReducedParams,
                        Slab, Transition, energy_shift, halfspace_S, reduce,
                        w_pair)
 import slabshift.cli
+import slabshift.electrostatics
 import slabshift.shift
 from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, _fmt,
                            _sweep_grid, main, parse_config_text)
@@ -280,6 +281,23 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "best estimate" in err
+
+
+def test_series_failure_reports_a_finite_bound(monkeypatch, capsys):
+    # an image series that runs out of terms names no quadrature and
+    # prints its tail majorant as the error bound
+    def short_series(atom, slab, Z):
+        return slabshift.electrostatics.image_series_shift(
+            atom, slab, Z, slabshift.electrostatics.ImageSeriesSpec(max_terms=3))
+    monkeypatch.setattr(slabshift.cli, "nonretarded_shift", short_series)
+    code = main(["asympt", "--n", "2", "--thickness", "0.2", "--distance", "5",
+                 "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("slabshift: did not converge: image series did not "
+                          "converge within 3 terms\n")
+    bound = float(err.split("error bound ")[1].rstrip(")\n"))
+    assert math.isfinite(bound) and bound > 0.0
 
 
 def test_jobs_default_from_environment(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from helpers import dipole_energy_finite_difference, phi_hankel
 from slabshift import (AtomSpec, ConvergenceError, ImageSeriesSpec, Slab,
                        Transition, image_series_shift, nonretarded_shift,
                        phi_H)
+from slabshift.electrostatics import image_series_converges
 
 ATOM = AtomSpec([Transition(E_ji=1.0, mu_par_sq=2.0, mu_perp_sq=1.0)])
 
@@ -103,6 +105,48 @@ def test_phi_budget_exhaustion():
         phi_H(0.1, 0.6, 0.6, Slab(n=3.0, L=1.0),
               ImageSeriesSpec(tail_tol=1e-14, max_terms=2))
     assert err.value.estimate is not None
+
+
+def test_truncated_series_err_est_bounds_the_error():
+    # a series cut off by max_terms reports its tail majorant as err_est;
+    # the converged default run serves as the exact value
+    cases = [
+        lambda spec: phi_H(0.1, 0.6, 0.6, Slab(n=3.0, L=1.0), spec),
+        lambda spec: image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.3,
+                                        spec).value,
+        lambda spec: image_series_shift(ATOM, Slab(n=10.0, L=0.1), 1.0,
+                                        spec).value,
+    ]
+    for fn in cases:
+        exact = fn(None)
+        for max_terms in range(1, 7):
+            with pytest.raises(ConvergenceError) as err:
+                fn(ImageSeriesSpec(tail_tol=1e-14, max_terms=max_terms))
+            est, bound = err.value.estimate, err.value.err_est
+            assert 0.0 < abs(exact - est) <= bound
+            assert math.isfinite(bound)
+
+
+def test_series_predictor_declines_only_certain_failures():
+    # wherever the predictor says the series cannot meet tail_tol within
+    # max_terms, running it must indeed exhaust its terms
+    rng = random.Random(1)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    declined = accepted = 0
+    for _ in range(3000):
+        n, Z = log_uniform(1.001, 1e5), log_uniform(1e-2, 1e2)
+        slab = Slab(n=n, L=Z * log_uniform(1e-3, 10.0))
+        spec = ImageSeriesSpec(max_terms=int(log_uniform(1.0, 1e3)))
+        if image_series_converges(slab, Z, spec):
+            accepted += 1
+            continue
+        declined += 1
+        with pytest.raises(ConvergenceError):
+            image_series_shift(ATOM, slab, Z, spec)
+    assert declined > 1000 and accepted > 100
 
 
 def test_image_series_domain():
