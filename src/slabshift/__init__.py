@@ -27,35 +27,32 @@ __version__ = "0.1.0"
 from .core import (AtomSpec, EnergyShift, ReducedParams, Slab, Transition,
                    WPair, assemble_shift, dipole_sq_from_momentum, reduce,
                    static_polarizability)
-from .errors import ConvergenceError, PoleError, SlabshiftError
-from .quadrature import QuadratureSpec, QuadResult, adaptive_quad
+from .errors import ConvergenceError, PoleError
+from .quadrature import QuadratureSpec, adaptive_quad
 from .reflection import (Polarization, WaveVectors, fresnel_r, rtilde,
                          slab_R, slab_T, slab_denominator, snell_kz,
                          snell_kzd)
 from .shift import (W_SCALE, energy_shift, s_parallel, s_perp, w_pair)
-from .asymptotics import (RegimeReport, buhmann_U, classify_regime,
-                          halfspace_S, nonretarded_shift,
-                          nonretarded_thin_shift, retarded_thin_shift)
+from .asymptotics import (buhmann_U, classify_regime, halfspace_S,
+                          nonretarded_shift, nonretarded_thin_shift,
+                          retarded_thin_shift)
 from .electrostatics import ImageSeriesSpec, image_series_shift, phi_H
-from .modes import (ModeField, TrappedMode, dispersion_mismatch,
-                    find_trapped_modes, pole_alignment_check, trapped_mode,
-                    travelling_mode)
-from .units import (FINE_STRUCTURE, HBARC_EV_NM, ev_to_inv_nm, inv_nm_to_ev)
+from .modes import (dispersion_mismatch, find_trapped_modes,
+                    pole_alignment_check, trapped_mode, travelling_mode)
+from .units import HBARC_EV_NM, inv_nm_to_ev
 
 __all__ = [
     "__version__",
     "AtomSpec", "EnergyShift", "ReducedParams", "Slab", "Transition", "WPair",
     "assemble_shift", "dipole_sq_from_momentum", "reduce",
     "static_polarizability",
-    "ConvergenceError", "PoleError", "SlabshiftError",
-    "QuadratureSpec", "QuadResult", "adaptive_quad",
+    "ConvergenceError", "PoleError", "QuadratureSpec", "adaptive_quad",
     "Polarization", "WaveVectors", "fresnel_r", "rtilde", "slab_R", "slab_T",
     "slab_denominator", "snell_kz", "snell_kzd",
     "W_SCALE", "energy_shift", "s_parallel", "s_perp", "w_pair",
-    "RegimeReport", "buhmann_U", "classify_regime", "halfspace_S",
-    "nonretarded_shift", "nonretarded_thin_shift", "retarded_thin_shift",
+    "buhmann_U", "classify_regime", "halfspace_S", "nonretarded_shift",
+    "nonretarded_thin_shift", "retarded_thin_shift",
     "ImageSeriesSpec", "image_series_shift", "phi_H",
-    "ModeField", "TrappedMode", "dispersion_mismatch", "find_trapped_modes",
-    "pole_alignment_check", "trapped_mode", "travelling_mode",
-    "FINE_STRUCTURE", "HBARC_EV_NM", "ev_to_inv_nm", "inv_nm_to_ev",
+    "dispersion_mismatch", "find_trapped_modes", "pole_alignment_check",
+    "trapped_mode", "travelling_mode", "HBARC_EV_NM", "inv_nm_to_ev",
 ]

@@ -1,15 +1,21 @@
 """Command-line interface.
 
-Subcommands::
+Subcommands, with the flags each takes besides ``--output FILE`` and
+``--jobs N`` (every subcommand accepts those two; only ``sweep`` uses the
+worker count)::
 
-    slabshift shift   --config cfg.txt            single-point energy shift
-    slabshift wfun    --zeta 8 --lam 1 --n 2      dimensionless W functions
-    slabshift sweep   --axis zeta --lo .1 --hi 10 --points 50 ...
-    slabshift modes   --k-par 3 --n 2 --thickness 1
-    slabshift asympt  --config cfg.txt            full vs asymptotic values
+    shift   single-point energy shift: --config --units --n --thickness
+            --distance --e-ji --mu-par-sq --mu-perp-sq --rel-tol --format
+    wfun    dimensionless W functions: --zeta --lam --n --rel-tol --format
+    sweep   W over a parameter grid: --axis --lo --hi --points --scale
+            --zeta --lam --n --rel-tol --format
+    modes   trapped-mode table: --k-par --n --thickness --format
+    asympt  full integral against every asymptotic form: the flags of
+            ``shift`` except --format
 
-Exit codes: 0 ok, 2 input error, 3 quadrature non-convergence, 4 partial
-sweep failure.  ``SLABSHIFT_JOBS`` sets the default worker count.
+Any other flag is an input error.  Exit codes: 0 ok, 2 input error, 3 a
+quadrature or the image series did not converge, 4 partial sweep failure.
+``SLABSHIFT_JOBS`` sets the default worker count.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment::
 
@@ -41,7 +47,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -114,13 +120,8 @@ class RunInput:
 
 
 def _transition_indices(cfg: dict[str, str]) -> list[int]:
-    idx = set()
     pat = re.compile(r"^atom\.transitions\[(\d+)\]\.")
-    for key in cfg:
-        m = pat.match(key)
-        if m:
-            idx.add(int(m.group(1)))
-    return sorted(idx)
+    return sorted({int(m.group(1)) for m in map(pat.match, cfg) if m})
 
 
 def build_run_input(cfg: dict[str, str]) -> RunInput:
@@ -128,10 +129,7 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
     if units not in ("natural", "eV-nm"):
         raise ConfigError(f"units must be 'natural' or 'eV-nm', got {units!r}")
     n = _get_float(cfg, "slab.n")
-    L_raw = cfg.get("slab.L")
-    if L_raw is None:
-        raise ConfigError("missing required field: slab.L")
-    L = math.inf if L_raw.strip() == "inf" else _get_float(cfg, "slab.L")
+    L = _get_float(cfg, "slab.L")
     Z = _get_float(cfg, "geometry.Z")
     indices = _transition_indices(cfg)
     if not indices:
@@ -151,15 +149,15 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
                                           mu_perp_sq=mu_perp))
         except ValueError as exc:
             raise ConfigError(f"{base}: {exc}") from None
-    quad = QuadratureSpec(
-        rel_tol=float(cfg.get("quad.rel_tol", QuadratureSpec.rel_tol)),
-        abs_tol=float(cfg.get("quad.abs_tol", QuadratureSpec.abs_tol)),
-        s_cutoff_decades=float(cfg.get("quad.s_cutoff_decades",
-                                       QuadratureSpec.s_cutoff_decades)),
-        max_subdivisions=int(cfg.get("quad.max_subdivisions",
-                                     QuadratureSpec.max_subdivisions)),
-    )
     try:
+        quad = QuadratureSpec(
+            rel_tol=float(cfg.get("quad.rel_tol", QuadratureSpec.rel_tol)),
+            abs_tol=float(cfg.get("quad.abs_tol", QuadratureSpec.abs_tol)),
+            s_cutoff_decades=float(cfg.get("quad.s_cutoff_decades",
+                                           QuadratureSpec.s_cutoff_decades)),
+            max_subdivisions=int(cfg.get("quad.max_subdivisions",
+                                         QuadratureSpec.max_subdivisions)),
+        )
         slab = Slab(n=n, L=L)
         if not Z > 0.0:
             raise ValueError(f"geometry.Z must be positive, got {Z}")
@@ -197,71 +195,42 @@ def _config_from_args(args: argparse.Namespace) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# the report document
 
-def _manifest_lines(command: str, inputs: dict[str, object],
-                    quad: QuadratureSpec) -> list[str]:
-    lines = [f"# slabshift {command}",
-             f"# version = {__version__}",
-             f"# timestamp = {datetime.now(timezone.utc).isoformat()}"]
-    for key in sorted(inputs):
-        lines.append(f"# {key} = {inputs[key]}")
-    lines.append(f"# quad.rel_tol = {quad.rel_tol:g}")
-    lines.append(f"# quad.abs_tol = {quad.abs_tol:g}")
-    lines.append(f"# quad.s_cutoff_decades = {quad.s_cutoff_decades:g}")
-    lines.append(f"# quad.max_subdivisions = {quad.max_subdivisions}")
-    return lines
+def _report(fmt: str, command: str, inputs: dict[str, object],
+            quad: QuadratureSpec, header: list[str],
+            rows: list[dict[str, object]]) -> str:
+    """One table as a CSV or JSON document under one manifest.
 
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _rows_to_csv(manifest: list[str], header: list[str],
-                 rows: list[dict[str, object]]) -> str:
-    lines = list(manifest)
+    The manifest holds the command, version, timestamp, sorted inputs and
+    quadrature spec.  CSV prints it as ``#`` lines, then the ``header``
+    columns of each row; JSON adds the rows whole, with NaN as null.
+    """
+    manifest = {"command": command, "version": __version__,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "inputs": {k: str(inputs[k]) for k in sorted(inputs)},
+                "quad": asdict(quad)}
+    if fmt == "json":
+        manifest["rows"] = [
+            {k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in row.items()} for row in rows]
+        return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    lines = [f"# slabshift {command}", f"# version = {__version__}",
+             f"# timestamp = {manifest['timestamp']}"]
+    lines += [f"# {k} = {v}" for k, v in manifest["inputs"].items()]
+    lines += [f"# quad.{k} = {v:g}" if isinstance(v, float)
+              else f"# quad.{k} = {v}" for k, v in manifest["quad"].items()]
     lines.append(",".join(header))
     for row in rows:
-        cells = []
-        for col in header:
-            val = row[col]
-            cells.append(_fmt(val) if isinstance(val, float) else str(val))
-        lines.append(",".join(cells))
+        lines.append(",".join(_fmt(row[col]) if isinstance(row[col], float)
+                              else str(row[col]) for col in header))
     return "\n".join(lines) + "\n"
 
 
-def _json_safe(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    safe = []
-    for row in rows:
-        safe.append({k: (None if isinstance(v, float) and math.isnan(v) else v)
-                     for k, v in row.items()})
-    return safe
-
-
-def _rows_to_json(command: str, inputs: dict[str, object],
-                  quad: QuadratureSpec, rows: list[dict[str, object]]) -> str:
-    rows = _json_safe(rows)
-    doc = {
-        "command": command,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "inputs": {k: str(v) for k, v in sorted(inputs.items())},
-        "quad": {"rel_tol": quad.rel_tol, "abs_tol": quad.abs_tol,
-                 "s_cutoff_decades": quad.s_cutoff_decades,
-                 "max_subdivisions": quad.max_subdivisions},
-        "rows": rows,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report text and exit code
 
-def cmd_shift(args: argparse.Namespace) -> int:
+def cmd_shift(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
     params = [reduce(run.slab, tr, run.Z) for tr in run.atom.transitions]
     pairs = [w_pair(p, run.quad) for p in params]
@@ -283,14 +252,11 @@ def cmd_shift(args: argparse.Namespace) -> int:
         })
 
     if args.format == "json":
-        doc_rows = rows + [{"total_shift": shift.value}]
-        _emit(_rows_to_json("shift", _input_echo(run), run.quad, doc_rows),
-              args.output)
-        return EXIT_OK
+        return _report("json", "shift", _input_echo(run), run.quad, [],
+                       rows + [{"total_shift": shift.value}]), EXIT_OK
 
-    out = []
-    out.append(f"energy shift: {_fmt(shift.value)}"
-               + (" (1/nm)" if run.units == "eV-nm" else " (natural units)"))
+    out = [f"energy shift: {_fmt(shift.value)}"
+           + (" (1/nm)" if run.units == "eV-nm" else " (natural units)")]
     if run.units == "eV-nm":
         out.append(f"energy shift: {_fmt(inv_nm_to_ev(shift.value))} (eV)")
     for row in rows:
@@ -303,8 +269,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
         out.append(
             f"  contribution={_fmt(row['contribution'])} "
             f"regime={row['regime']} (2*zeta={_fmt(row['two_zeta'])})")
-    _emit("\n".join(out) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(out) + "\n", EXIT_OK
 
 
 def _input_echo(run: RunInput) -> dict[str, object]:
@@ -321,25 +286,19 @@ def _input_echo(run: RunInput) -> dict[str, object]:
     return echo
 
 
-def cmd_wfun(args: argparse.Namespace) -> int:
-    lam = math.inf if args.lam == "inf" else float(args.lam)
+def cmd_wfun(args: argparse.Namespace) -> tuple[str, int]:
     quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
     try:
-        p = ReducedParams(zeta=args.zeta, lam=lam, n=args.n)
+        p = ReducedParams(zeta=args.zeta, lam=args.lam, n=args.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     wp = w_pair(p, quad)
-    row = {"zeta": p.zeta, "lam": p.lam, "n": p.n,
-           "w_par": wp.w_par, "w_z": wp.w_z, "err_est": wp.err_est}
     if args.format == "json":
-        _emit(_rows_to_json("wfun", {}, quad, [row]), args.output)
-    else:
-        _emit(f"W_par={_fmt(wp.w_par)} W_z={_fmt(wp.w_z)} "
-              f"err_est={_fmt(wp.err_est)}\n", args.output)
-    return EXIT_OK
-
-
-_SWEEP_AXES = ("zeta", "lambda", "n")
+        row = {"zeta": p.zeta, "lam": p.lam, "n": p.n,
+               "w_par": wp.w_par, "w_z": wp.w_z, "err_est": wp.err_est}
+        return _report("json", "wfun", {}, quad, [], [row]), EXIT_OK
+    return (f"W_par={_fmt(wp.w_par)} W_z={_fmt(wp.w_z)} "
+            f"err_est={_fmt(wp.err_est)}\n"), EXIT_OK
 
 
 def _sweep_grid(lo: float, hi: float, points: int, scale: str) -> list[float]:
@@ -350,46 +309,38 @@ def _sweep_grid(lo: float, hi: float, points: int, scale: str) -> list[float]:
     if scale == "linear":
         step = (hi - lo) / (points - 1)
         inner = [lo + i * step for i in range(1, points - 1)]
-    elif scale == "log":
+    else:
         if lo <= 0.0:
             raise ConfigError("log scale needs lo > 0")
         ratio = (hi / lo) ** (1.0 / (points - 1))
         inner = [lo * ratio ** i for i in range(1, points - 1)]
-    else:
-        raise ConfigError(f"scale must be 'linear' or 'log', got {scale!r}")
     # the endpoints are the given bounds: lo*ratio**(points-1) can miss hi
     # by a few ulp
     return [lo] + inner + [hi]
 
 
-def _sweep_point(task: tuple[float, str, float, float, float, tuple,
-                              tuple[float, float] | Exception | None]) -> dict:
+def _sweep_point(task: tuple[float, dict[str, float], QuadratureSpec,
+                             tuple[float, float] | Exception | None]) -> dict:
     """Evaluate one sweep grid point (top level so worker pools can pickle it).
 
-    The last task field is the half-space pair ``halfspace_S(zeta, n)``
-    when the sweep computed it once for every point, or the exception that
-    computing it raised; ``None`` means this point computes its own.  At
-    ``lam = inf`` the point's own W pair is the half-space column.
+    The task is the grid value, the point's ``ReducedParams`` fields, the
+    spec, and the half-space pair ``halfspace_S(zeta, n)`` when the sweep
+    computed it once for every point, or the exception that computing it
+    raised; ``None`` means this point computes its own.  At ``lam = inf``
+    the point's own W pair is the half-space column.
     """
-    value, axis, zeta, lam, n, quad_tuple, hs = task
-    quad = QuadratureSpec(*quad_tuple)
-    if axis == "zeta":
-        zeta = value
-    elif axis == "lambda":
-        lam = value
-    else:
-        n = value
+    value, point, quad, hs = task
     row: dict[str, object] = {"value": value}
     try:
-        p = ReducedParams(zeta=zeta, lam=lam, n=n)
+        p = ReducedParams(**point)
         wp = w_pair(p, quad)
         if isinstance(hs, Exception):
             raise hs
-        if math.isinf(lam):
+        if math.isinf(p.lam):
             hs_w = (wp.w_par, wp.w_z)
         else:
-            scale = W_SCALE * zeta ** 4
-            hs_par, hs_perp = hs or halfspace_S(zeta, n, quad)
+            scale = W_SCALE * p.zeta ** 4
+            hs_par, hs_perp = hs or halfspace_S(p.zeta, p.n, quad)
             hs_w = (scale * hs_par, scale * hs_perp)
         row.update(w_par=wp.w_par, w_z=wp.w_z, w_par_halfspace=hs_w[0],
                    w_z_halfspace=hs_w[1], err_est=wp.err_est, status="ok")
@@ -401,63 +352,50 @@ def _sweep_point(task: tuple[float, str, float, float, float, tuple,
     return row
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.axis not in _SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {_SWEEP_AXES}, got {args.axis!r}")
+def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     fixed = {"zeta": args.zeta, "lambda": args.lam, "n": args.n}
-    if fixed[args.axis] is not None:
-        raise ConfigError(f"--{'lam' if args.axis == 'lambda' else args.axis} "
+    flag = {"zeta": "--zeta", "lambda": "--lam", "n": "--n"}
+    if fixed.pop(args.axis) is not None:
+        raise ConfigError(f"{flag[args.axis]} "
                           "must not be given when it is the sweep axis")
-    for name in _SWEEP_AXES:
-        if name != args.axis and fixed[name] is None:
-            flag = "lam" if name == "lambda" else name
-            raise ConfigError(f"missing fixed value: --{flag}")
-    zeta = fixed["zeta"] if fixed["zeta"] is not None else 1.0
-    lam_raw = fixed["lambda"]
-    lam = (math.inf if lam_raw == "inf" else float(lam_raw)) \
-        if lam_raw is not None else 1.0
-    n = float(fixed["n"]) if fixed["n"] is not None else 1.0
+    missing = [flag[name] for name, value in fixed.items() if value is None]
+    if missing:
+        raise ConfigError(f"missing fixed value: {missing[0]}")
+    inputs: dict[str, object] = {
+        "axis": args.axis, "lo": args.lo, "hi": args.hi,
+        "points": args.points, "scale": args.scale,
+        **{f"fixed.{name}": value for name, value in fixed.items()},
+    }
 
     grid = _sweep_grid(args.lo, args.hi, args.points, args.scale)
     quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
-    quad_tuple = (quad.rel_tol, quad.abs_tol, quad.s_cutoff_decades,
-                  quad.max_subdivisions)
     hs = None
     if args.axis == "lambda":
         # the half-space column depends on zeta and n only
         try:
-            hs = halfspace_S(float(zeta), n, quad)
+            hs = halfspace_S(args.zeta, args.n, quad)
         except Exception as exc:  # reported in every row, as per point
             hs = exc
-    tasks = [(v, args.axis, float(zeta), lam, n, quad_tuple, hs) for v in grid]
+    field = "lam" if args.axis == "lambda" else args.axis
+    point = {"zeta": args.zeta, "lam": args.lam, "n": args.n}
+    tasks = [(v, {**point, field: v}, quad, hs) for v in grid]
 
-    jobs = args.jobs
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
 
-    inputs: dict[str, object] = {
-        "axis": args.axis, "lo": args.lo, "hi": args.hi,
-        "points": args.points, "scale": args.scale,
-    }
-    for name in _SWEEP_AXES:
-        if name != args.axis:
-            inputs[f"fixed.{name}"] = {"zeta": zeta, "lambda": lam, "n": n}[name]
     header = ["value", "w_par", "w_z", "w_par_halfspace", "w_z_halfspace",
               "err_est", "status"]
-    if args.format == "json":
-        _emit(_rows_to_json("sweep", inputs, quad, rows), args.output)
-    else:
-        _emit(_rows_to_csv(_manifest_lines("sweep", inputs, quad), header, rows),
-              args.output)
     failed = any(row["status"] != "ok" for row in rows)
-    return EXIT_PARTIAL if failed else EXIT_OK
+    return (_report(args.format, "sweep", inputs, quad, header, rows),
+            EXIT_PARTIAL if failed else EXIT_OK)
 
 
-def cmd_modes(args: argparse.Namespace) -> int:
-    if args.k_par is None or not args.k_par > 0.0:
+def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
+    if not args.k_par > 0.0:
         raise ConfigError(f"k_par must be positive, got {args.k_par}")
     try:
         slab = Slab(n=args.n, L=args.thickness)
@@ -471,17 +409,12 @@ def cmd_modes(args: argparse.Namespace) -> int:
                              "k_zd": mode.k_zd, "kappa": mode.kappa,
                              "residual": mode.residual})
     inputs = {"k_par": args.k_par, "slab.n": args.n, "slab.L": args.thickness}
-    quad = QuadratureSpec()
     header = ["pol", "parity", "k_zd", "kappa", "residual"]
-    if args.format == "json":
-        _emit(_rows_to_json("modes", inputs, quad, rows), args.output)
-    else:
-        _emit(_rows_to_csv(_manifest_lines("modes", inputs, quad), header, rows),
-              args.output)
-    return EXIT_OK
+    return (_report(args.format, "modes", inputs, QuadratureSpec(), header,
+                    rows), EXIT_OK)
 
 
-def cmd_asympt(args: argparse.Namespace) -> int:
+def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
     full = energy_shift(run.atom, run.slab, run.Z, run.quad)
 
@@ -514,27 +447,45 @@ def cmd_asympt(args: argparse.Namespace) -> int:
             f"transition {i}: regime={regime.regime} "
             f"2*zeta={_fmt(regime.two_zeta)} L/Z={_fmt(regime.lambda_over_zeta)}"
             + (" (no validity claim)" if regime.regime == "intermediate" else ""))
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: each subcommand registers only the flags it reads
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a key=value config file")
+def _positive(kind: type):
+    """An argparse type: ``kind(text)``, which must be positive."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"need a positive {kind.__name__}, got {text!r}")
+        return value
+    return parse
+
+
+def _add_common(parser: argparse.ArgumentParser, *, fmt: bool = True,
+                rel_tol: bool = True) -> None:
     parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("SLABSHIFT_JOBS", "1")),
+    if fmt:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    # only sweep reads --jobs, yet every subcommand accepts it:
+    # perfbench/workloads.draw appends --jobs 1 to every command it runs
+    parser.add_argument("--jobs", type=_positive(int),
+                        default=os.environ.get("SLABSHIFT_JOBS", "1"),
                         help="worker processes for sweeps "
                              "(default: SLABSHIFT_JOBS or 1)")
-    parser.add_argument("--rel-tol", type=float, default=None,
-                        help="quadrature relative tolerance override")
-    parser.add_argument("--units", choices=("natural", "eV-nm"), default=None)
+    if rel_tol:
+        parser.add_argument("--rel-tol", type=_positive(float), default=None,
+                            help="quadrature relative tolerance override")
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="path to a key=value config file")
+    parser.add_argument("--units", choices=("natural", "eV-nm"), default=None)
     parser.add_argument("--n", type=float, default=None, help="refractive index")
     parser.add_argument("--thickness", type=float, default=None,
                         help="slab thickness L")
@@ -561,28 +512,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_wfun = sub.add_parser("wfun", help="dimensionless W functions at one point")
     _add_common(p_wfun)
     p_wfun.add_argument("--zeta", type=float, required=True)
-    p_wfun.add_argument("--lam", required=True,
+    p_wfun.add_argument("--lam", type=float, required=True,
                         help="L*E_ji, or 'inf' for the half-space")
     p_wfun.add_argument("--n", type=float, required=True)
     p_wfun.set_defaults(func=cmd_wfun)
 
     p_sweep = sub.add_parser("sweep", help="tabulate W over a parameter grid")
     _add_common(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=_SWEEP_AXES)
+    p_sweep.add_argument("--axis", required=True,
+                         choices=("zeta", "lambda", "n"))
     p_sweep.add_argument("--lo", type=float, required=True)
     p_sweep.add_argument("--hi", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
     p_sweep.add_argument("--zeta", type=float, default=None,
                          help="fixed zeta (when not the axis)")
-    p_sweep.add_argument("--lam", default=None,
+    p_sweep.add_argument("--lam", type=float, default=None,
                          help="fixed L*E_ji, or 'inf' (when not the axis)")
     p_sweep.add_argument("--n", type=float, default=None,
                          help="fixed refractive index (when not the axis)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_modes = sub.add_parser("modes", help="trapped-mode table at fixed k_par")
-    _add_common(p_modes)
+    _add_common(p_modes, rel_tol=False)
     p_modes.add_argument("--k-par", type=float, required=True)
     p_modes.add_argument("--n", type=float, required=True)
     p_modes.add_argument("--thickness", type=float, required=True)
@@ -590,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_asympt = sub.add_parser("asympt",
                               help="full integral against every asymptotic form")
-    _add_common(p_asympt)
+    _add_common(p_asympt, fmt=False)
     _add_problem_flags(p_asympt)
     p_asympt.set_defaults(func=cmd_asympt)
 
@@ -598,10 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
     except ConfigError as exc:
         print(f"slabshift: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -612,6 +563,12 @@ def main(argv: list[str] | None = None) -> int:
                   f"(error bound {_fmt(exc.err_est or math.nan)})",
                   file=sys.stderr)
         return EXIT_CONVERGENCE
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -20,10 +20,14 @@ The derivatives are carried out analytically term by term (each term is an
 inverse distance); the finite-difference evaluation is kept in the test
 suite only.
 
-Truncation uses the exact geometric-tail majorant
-beta^{2(M+1)} * b_{M+1} / (1 - beta^2), valid because the bracketed terms
-b_m decrease with m.  It is the ``err_est`` of a series that runs out of
-terms, and :func:`image_series_converges` predicts that failure from it.
+Truncation uses the geometric-tail majorant beta^{2(M+1)} * B / (1 - beta^2),
+where B bounds every bracket b_m with m > M.  The brackets 1/|(rho, d)| -
+1/|(rho, d + 2L)| fall with the image distance d once d >= rho/sqrt(2);
+before that turn they may rise, up to at most 2L * 2/(3 sqrt(3) rho^2),
+the peak slope of 1/|(rho, d)| times the step 2L.  So B is b_{M+1} past
+the turn (always, for rho = 0) and that peak value before it.  The
+majorant is the ``err_est`` of a series that runs out of terms, and
+:func:`image_series_converges` predicts that failure from it.
 """
 
 from __future__ import annotations
@@ -71,17 +75,21 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab,
     beta2 = beta * beta
     a0 = z + z_prime - slab.L
     L = slab.L
+
+    def bracket(m: int) -> float:
+        return (1.0 / math.hypot(rho, a0 + 2.0 * m * L)
+                - 1.0 / math.hypot(rho, a0 + 2.0 * (m + 1) * L))
+
     total = 0.0
     weight = 1.0  # beta^(2m)
     for m in range(spec.max_terms):
-        d_near = a0 + 2.0 * m * L
-        d_far = a0 + 2.0 * (m + 1) * L
-        total += weight * (1.0 / math.hypot(rho, d_near)
-                           - 1.0 / math.hypot(rho, d_far))
+        total += weight * bracket(m)
         weight *= beta2
-        next_bracket = (1.0 / math.hypot(rho, a0 + 2.0 * (m + 1) * L)
-                        - 1.0 / math.hypot(rho, a0 + 2.0 * (m + 2) * L))
-        tail = weight * next_bracket / (1.0 - beta2)
+        # the brackets after m fall from b_(m+1) only past the turn
+        past_turn = math.sqrt(2.0) * (a0 + 2.0 * (m + 1) * L) >= rho
+        tail = _tail_majorant(weight, bracket(m + 1) if past_turn else
+                              4.0 * L / (3.0 * math.sqrt(3.0) * rho * rho),
+                              beta2)
         if tail <= spec.tail_tol * abs(total):
             return -beta / (4.0 * math.pi) * total
     raise ConvergenceError(

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -12,7 +13,8 @@ import slabshift.cli
 import slabshift.electrostatics
 import slabshift.shift
 from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, _fmt,
-                           _sweep_grid, main, parse_config_text)
+                           _sweep_grid, build_parser, main,
+                           parse_config_text)
 from slabshift.shift import W_SCALE
 
 CONFIG = """\
@@ -37,6 +39,19 @@ def _csv_rows(text):
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def _manifest(text):
+    return dict(ln[2:].split(" = ", 1) for ln in text.splitlines()
+                if ln.startswith("# ") and " = " in ln)
+
+
+def _exit_code(argv):
+    # argparse rejects a flag by raising SystemExit(2)
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_config_parser_roundtrip():
@@ -301,7 +316,6 @@ def test_series_failure_reports_a_finite_bound(monkeypatch, capsys):
 
 
 def test_jobs_default_from_environment(monkeypatch):
-    from slabshift.cli import build_parser
     monkeypatch.setenv("SLABSHIFT_JOBS", "7")
     args = build_parser().parse_args(
         ["sweep", "--axis", "zeta", "--lo", "1", "--hi", "2", "--points", "2",
@@ -316,3 +330,128 @@ def test_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert "W_par=" in proc.stdout
+
+
+WFUN = ["wfun", "--zeta", "8", "--lam", "1", "--n", "2"]
+SWEEP = ["sweep", "--axis", "zeta", "--lo", "1", "--hi", "2", "--points", "2",
+         "--lam", "1", "--n", "2"]
+MODES = ["modes", "--k-par", "4", "--n", "2", "--thickness", "1"]
+ASYMPT = ["asympt", "--n", "2", "--thickness", "1", "--distance", "8",
+          "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"]
+
+
+@pytest.mark.parametrize("argv, env, flag", [
+    (["wfun", "--zeta", "8", "--lam", "abc", "--n", "2"], None, "--lam"),
+    (SWEEP[:-4] + ["--n", "2", "--lam", "abc"], None, "--lam"),
+    (WFUN, "abc", "--jobs"),
+    (MODES, "2.5", "--jobs"),
+    (SWEEP + ["--jobs", "0"], None, "--jobs"),
+    (SWEEP + ["--jobs", "-3"], None, "--jobs"),
+    (WFUN + ["--rel-tol", "0"], None, "--rel-tol"),
+    (WFUN + ["--rel-tol", "-0.001"], None, "--rel-tol"),
+    (ASYMPT + ["--rel-tol", "nan"], None, "--rel-tol"),
+])
+def test_outside_input_is_an_input_error(argv, env, flag, monkeypatch,
+                                         capsys):
+    if env is not None:
+        monkeypatch.setenv("SLABSHIFT_JOBS", env)
+    assert _exit_code(argv) == EXIT_INPUT
+    assert f"error: argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["quad.rel_tol = abc",
+                                  "quad.max_subdivisions = 0"])
+def test_bad_quadrature_config_is_an_input_error(line, tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text(CONFIG + line + "\n")
+    assert main(["shift", "--config", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("slabshift: input error: ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (WFUN, ["--config", "cfg.txt"]), (WFUN, ["--units", "natural"]),
+    (SWEEP, ["--config", "cfg.txt"]), (SWEEP, ["--units", "eV-nm"]),
+    (MODES, ["--config", "cfg.txt"]), (MODES, ["--units", "natural"]),
+    (MODES, ["--rel-tol", "1e-6"]), (ASYMPT, ["--format", "json"]),
+])
+def test_flags_a_subcommand_ignores_are_rejected(argv, flag, capsys):
+    assert _exit_code(argv + flag) == EXIT_INPUT
+    assert "unrecognized arguments: " + " ".join(flag) in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "zeta", "--lo", "-1", "--hi", "1", "--points", "3",
+     "--lam", "1", "--n", "2", "--rel-tol", "1e-6"],
+    ["sweep", "--axis", "lambda", "--lo", "0.5", "--hi", "2", "--points", "2",
+     "--zeta", "1", "--n", "2", "--rel-tol", "1e-6", "--scale", "log"],
+    MODES,
+])
+def test_csv_and_json_carry_one_document(argv, tmp_path):
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    code = main(argv + ["--output", str(csv_out)])
+    assert main(argv + ["--format", "json", "--output", str(json_out)]) == code
+    text, doc = csv_out.read_text(), json.loads(json_out.read_text())
+    manifest = _manifest(text)
+    assert text.startswith(f"# slabshift {doc['command']}\n")
+    assert doc["command"] == argv[0]
+    assert manifest["version"] == doc["version"]
+    assert set(manifest) == {"version", "timestamp", *doc["inputs"],
+                             *(f"quad.{k}" for k in doc["quad"])}
+    assert {k: manifest[k] for k in doc["inputs"]} == doc["inputs"]
+    assert {k: float(manifest[f"quad.{k}"]) for k in doc["quad"]} == \
+        doc["quad"]
+    rows = _csv_rows(text)
+    assert len(rows) == len(doc["rows"]) > 0
+    for row, jrow in zip(rows, doc["rows"]):
+        assert set(row) == set(jrow)
+        for key, value in jrow.items():
+            if value is None:
+                assert math.isnan(float(row[key]))
+            elif isinstance(value, float):
+                assert float(row[key]) == value
+            else:
+                assert row[key] == str(value)
+
+
+def test_shift_json_document_matches_library(config_path, tmp_path):
+    out = tmp_path / "shift.json"
+    assert main(["shift", "--config", config_path, "--format", "json",
+                 "--output", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    atom = AtomSpec([Transition(1.0, 2.0, 1.0)])
+    slab = Slab(n=2.0, L=1.0)
+    lib = energy_shift(atom, slab, 8.0)
+    p = reduce(slab, atom.transitions[0], 8.0)
+    wp = w_pair(p)
+    assert doc["command"] == "shift"
+    assert doc["inputs"] == {
+        "slab.n": "2.0", "slab.L": "1.0", "geometry.Z": "8.0",
+        "units": "natural", "atom.transitions[0].E_ji": "1.0",
+        "atom.transitions[0].mu_par_sq": "2.0",
+        "atom.transitions[0].mu_perp_sq": "1.0"}
+    assert doc["quad"] == asdict(QuadratureSpec())
+    row, total = doc["rows"]
+    assert total == {"total_shift": lib.value}
+    assert (row["zeta"], row["lam"], row["w_par"], row["w_z"],
+            row["err_est"], row["contribution"]) == \
+        (p.zeta, p.lam, wp.w_par, wp.w_z, wp.err_est, lib.per_transition[0])
+
+
+def test_wfun_json_document_matches_library(capsys):
+    argv = ["wfun", "--zeta", "2", "--lam", "inf", "--n", "2",
+            "--rel-tol", "1e-6", "--format", "json"]
+    # the subcommand returns its report; only main writes it
+    args = build_parser().parse_args(argv)
+    text, code = args.func(args)
+    assert code == EXIT_OK and capsys.readouterr().out == ""
+    assert main(argv) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert json.loads(text)["rows"] == doc["rows"]
+    q = QuadratureSpec(rel_tol=1e-6)
+    wp = w_pair(ReducedParams(2.0, math.inf, 2.0), q)
+    assert (doc["command"], doc["inputs"], doc["quad"]) == \
+        ("wfun", {}, asdict(q))
+    assert doc["rows"] == [{"zeta": 2.0, "lam": math.inf, "n": 2.0,
+                            "w_par": wp.w_par, "w_z": wp.w_z,
+                            "err_est": wp.err_est}]

@@ -112,6 +112,9 @@ def test_truncated_series_err_est_bounds_the_error():
     # the converged default run serves as the exact value
     cases = [
         lambda spec: phi_H(0.1, 0.6, 0.6, Slab(n=3.0, L=1.0), spec),
+        # far off axis the brackets rise before they fall
+        lambda spec: phi_H(10.0, 0.75, 0.75, Slab(n=3.0, L=1.0), spec),
+        lambda spec: phi_H(30.0, 0.75, 0.75, Slab(n=3.0, L=1.0), spec),
         lambda spec: image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.3,
                                         spec).value,
         lambda spec: image_series_shift(ATOM, Slab(n=10.0, L=0.1), 1.0,
