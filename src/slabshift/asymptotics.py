@@ -47,14 +47,12 @@ class RegimeReport:
     regime: str  # "retarded" | "non-retarded" | "intermediate"
 
 
-def classify_regime(p: ReducedParams,
-                    retarded_min: float = RETARDED_TWO_ZETA,
-                    nonretarded_max: float = NONRETARDED_TWO_ZETA) -> RegimeReport:
+def classify_regime(p: ReducedParams) -> RegimeReport:
     """Tag a parameter point by the 2*zeta retardation criterion."""
     two_zeta = 2.0 * p.zeta
-    if two_zeta >= retarded_min:
+    if two_zeta >= RETARDED_TWO_ZETA:
         regime = "retarded"
-    elif two_zeta <= nonretarded_max:
+    elif two_zeta <= NONRETARDED_TWO_ZETA:
         regime = "non-retarded"
     else:
         regime = "intermediate"

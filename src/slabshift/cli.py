@@ -41,7 +41,6 @@ timestamp varies between identical runs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -198,18 +197,20 @@ def _config_from_args(args: argparse.Namespace) -> dict[str, str]:
 # the report document
 
 def _report(fmt: str, command: str, inputs: dict[str, object],
-            quad: QuadratureSpec, header: list[str],
+            quad: QuadratureSpec | None, header: list[str],
             rows: list[dict[str, object]]) -> str:
     """One table as a CSV or JSON document under one manifest.
 
-    The manifest holds the command, version, timestamp, sorted inputs and
-    quadrature spec.  CSV prints it as ``#`` lines, then the ``header``
-    columns of each row; JSON adds the rows whole, with NaN as null.
+    The manifest holds the command, version, timestamp, sorted inputs and,
+    for a command that integrates, the quadrature spec.  CSV prints it as
+    ``#`` lines, then the ``header`` columns of each row; JSON adds the
+    rows whole, with NaN as null.
     """
     manifest = {"command": command, "version": __version__,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
-                "inputs": {k: str(inputs[k]) for k in sorted(inputs)},
-                "quad": asdict(quad)}
+                "inputs": {k: str(inputs[k]) for k in sorted(inputs)}}
+    if quad is not None:
+        manifest["quad"] = asdict(quad)
     if fmt == "json":
         manifest["rows"] = [
             {k: None if isinstance(v, float) and math.isnan(v) else v
@@ -219,7 +220,8 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
              f"# timestamp = {manifest['timestamp']}"]
     lines += [f"# {k} = {v}" for k, v in manifest["inputs"].items()]
     lines += [f"# quad.{k} = {v:g}" if isinstance(v, float)
-              else f"# quad.{k} = {v}" for k, v in manifest["quad"].items()]
+              else f"# quad.{k} = {v}"
+              for k, v in manifest.get("quad", {}).items()]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(row[col]) if isinstance(row[col], float)
@@ -381,6 +383,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     tasks = [(v, {**point, field: v}, quad, hs) for v in grid]
 
     if args.jobs > 1:
+        import concurrent.futures  # pulls in logging; only pools need it
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, tasks))
@@ -395,8 +398,9 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
-    if not args.k_par > 0.0:
-        raise ConfigError(f"k_par must be positive, got {args.k_par}")
+    if not 0.0 < args.k_par < math.inf:
+        raise ConfigError(
+            f"k_par must be positive and finite, got {args.k_par}")
     try:
         slab = Slab(n=args.n, L=args.thickness)
     except ValueError as exc:
@@ -410,8 +414,7 @@ def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
                              "residual": mode.residual})
     inputs = {"k_par": args.k_par, "slab.n": args.n, "slab.L": args.thickness}
     header = ["pol", "parity", "k_zd", "kappa", "residual"]
-    return (_report(args.format, "modes", inputs, QuadratureSpec(), header,
-                    rows), EXIT_OK)
+    return _report(args.format, "modes", inputs, None, header, rows), EXIT_OK
 
 
 def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
@@ -564,8 +567,12 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         return EXIT_CONVERGENCE
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"slabshift: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return code

@@ -28,6 +28,7 @@ S/A label refers to the parity of the scalar part under z -> -z).  The
 left side of each relation decreases and the right side increases along
 every tan/cot branch, so each branch holds at most one root and plain
 bisection between branch edges is complete and unconditionally robust.
+The solver bisects the brackets of all branches together, as arrays.
 
 Wave vectors are taken in the x-z plane (k_par along x); fields for any
 other azimuth follow by rotation.
@@ -74,30 +75,9 @@ class TrappedMode:
     residual: float
 
 
-def _kappa_of_kzd(k_zd: float, k_par: float, n: float) -> float:
-    arg = (n * n - 1.0) * k_par * k_par - k_zd * k_zd
-    return math.sqrt(max(arg, 0.0)) / n
-
-
-def _dispersion_rhs(pol: Polarization, parity: str, k_zd: float, L: float,
-                    n: float) -> float:
-    theta = 0.5 * k_zd * L
-    if parity == "S":
-        rhs = k_zd * math.tan(theta)
-    else:
-        rhs = -k_zd / math.tan(theta)
-    if pol is Polarization.TM:
-        rhs /= n * n
-    return rhs
-
-
-def dispersion_mismatch(pol: Polarization, parity: str, k_zd, k_par: float,
-                        slab: Slab):
-    """kappa(k_zd) - rhs(k_zd); zero exactly on a trapped mode.
-
-    Vectorized over ``k_zd`` for scanning.
-    """
-    k_zd = np.asarray(k_zd, dtype=float)
+def _dispersion_sides(pol: Polarization, parity: str, k_zd: np.ndarray,
+                      k_par: float, slab: Slab) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa(k_zd), rhs(k_zd)) of one dispersion relation, elementwise."""
     n = slab.n
     kappa = np.sqrt(np.maximum((n * n - 1.0) * k_par * k_par - k_zd ** 2,
                                0.0)) / n
@@ -110,20 +90,18 @@ def dispersion_mismatch(pol: Polarization, parity: str, k_zd, k_par: float,
         raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
     if pol is Polarization.TM:
         rhs = rhs / (n * n)
+    return kappa, rhs
+
+
+def dispersion_mismatch(pol: Polarization, parity: str, k_zd, k_par: float,
+                        slab: Slab):
+    """kappa(k_zd) - rhs(k_zd); zero exactly on a trapped mode.
+
+    Vectorized over ``k_zd`` for scanning.
+    """
+    kappa, rhs = _dispersion_sides(pol, parity, np.asarray(k_zd, dtype=float),
+                                   k_par, slab)
     return kappa - rhs
-
-
-def _branch_starts(parity: str, theta_max: float) -> list[float]:
-    """Branch-opening angles below theta_max (tan branches for S, cot for A)."""
-    starts = []
-    offset = 0.0 if parity == "S" else 0.5 * math.pi
-    m = 0
-    while True:
-        theta = offset + m * math.pi
-        if theta >= theta_max:
-            return starts
-        starts.append(theta)
-        m += 1
 
 
 def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
@@ -131,12 +109,14 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
     """All trapped modes of one polarization/parity at fixed k_par.
 
     Returns the complete, ascending-in-k_zd list of roots in
-    (0, sqrt(n^2-1) k_par); the list is empty below cutoff.
+    (0, sqrt(n^2-1) k_par); the list is empty below cutoff.  Every branch
+    is bracketed by its edges, and all the brackets are bisected together,
+    one ``dispersion_mismatch`` call per step.
     """
     if parity not in ("S", "A"):
         raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
-    if not k_par > 0.0:
-        raise ValueError(f"k_par must be positive, got {k_par}")
+    if not 0.0 < k_par < math.inf:
+        raise ValueError(f"k_par must be positive and finite, got {k_par}")
     n, L = slab.n, slab.L
     if n == 1.0 or L == 0.0 or math.isinf(L):
         return []
@@ -144,44 +124,44 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
     theta_max = 0.5 * k_zd_max * L
     kappa0 = k_zd_max / n
 
-    modes = []
-    for theta_start in _branch_starts(parity, theta_max):
-        theta_end = min(theta_start + 0.5 * math.pi, theta_max)
-        lo = (2.0 * theta_start / L) if theta_start > 0.0 else 0.0
-        hi = 2.0 * theta_end / L
-        # nudge off the branch edges where tan/cot are singular or zero
-        eps = 1e-12 * (hi - lo) + 1e-300
-        lo += eps
-        hi -= eps if theta_end < theta_max else 0.0
-        hi = min(hi, k_zd_max)
-        if not hi > lo:
-            continue
+    # branch-opening angles below theta_max: tan branches for S, cot for A
+    offset = 0.0 if parity == "S" else 0.5 * math.pi
+    theta_start = offset + math.pi * np.arange(
+        math.ceil((theta_max - offset) / math.pi) + 1)
+    theta_start = theta_start[theta_start < theta_max]
+    theta_end = np.minimum(theta_start + 0.5 * math.pi, theta_max)
+    lo = 2.0 * theta_start / L
+    hi = 2.0 * theta_end / L
+    # nudge off the branch edges where tan/cot are singular or zero
+    eps = 1e-12 * (hi - lo) + 1e-300
+    lo = lo + eps
+    hi = np.minimum(np.where(theta_end < theta_max, hi - eps, hi), k_zd_max)
+    lo, hi = lo[hi > lo], hi[hi > lo]
 
-        def g(x: float) -> float:
-            return _kappa_of_kzd(x, k_par, n) - _dispersion_rhs(pol, parity,
-                                                                x, L, n)
+    def g(x: np.ndarray) -> np.ndarray:
+        return dispersion_mismatch(pol, parity, x, k_par, slab)
 
-        g_lo, g_hi = g(lo), g(hi)
-        if not (g_lo > 0.0 and g_hi < 0.0):
-            # no crossing on this branch (root lies beyond cutoff)
-            continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        root = 0.5 * (lo + hi)
-        kappa = _kappa_of_kzd(root, k_par, n)
-        rhs = _dispersion_rhs(pol, parity, root, L, n)
-        residual = abs(kappa - rhs) / max(kappa, abs(rhs), kappa0)
-        modes.append(TrappedMode(pol=pol, parity=parity, k_par=k_par,
-                                 k_zd=root, kappa=kappa, residual=residual))
-    return modes
+    # no sign change on a branch means its root lies beyond cutoff
+    crossing = (g(lo) > 0.0) & (g(hi) < 0.0)
+    lo, hi = lo[crossing], hi[crossing]
+    live = np.ones(lo.size, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        live &= (mid != lo) & (mid != hi)
+        if not live.any():
+            break
+        up = g(mid) > 0.0
+        lo = np.where(live & up, mid, lo)
+        hi = np.where(live & ~up, mid, hi)
+        live &= hi - lo > 1e-15 * hi
+    root = 0.5 * (lo + hi)
+    kappa, rhs = _dispersion_sides(pol, parity, root, k_par, slab)
+    residual = np.abs(kappa - rhs) / np.maximum(np.maximum(kappa, np.abs(rhs)),
+                                                kappa0)
+    return [TrappedMode(pol=pol, parity=parity, k_par=k_par, k_zd=k, kappa=q,
+                        residual=r)
+            for k, q, r in zip(root.tolist(), kappa.tolist(),
+                               residual.tolist())]
 
 
 def pole_alignment_check(mode: TrappedMode, slab: Slab) -> float:

@@ -15,18 +15,17 @@ in one step (both halves of a bisection, or all the initial panels) goes
 to the integrand in a single call, so vectorized integrands keep the
 Python overhead per panel constant.
 
-:func:`adaptive_quad_rows` runs the same algorithm on many independent
-integrands ``x -> f(p, x)`` at once, one row per parameter ``p``, over a
-shared interval.  Every row gets the panels, value and error bound that
-:func:`adaptive_quad` would give it alone, but a refinement round
+:func:`adaptive_quad_rows` is the one implementation of the rule.  It
+integrates many independent integrands ``x -> f(p, x)`` at once, one row
+per parameter ``p``, over a shared interval.  A row's panels, value and
+error bound depend on its own integrand only, but a refinement round
 evaluates the new panels of all unconverged rows with one integrand call,
 so the call count follows the deepest row instead of the number of rows.
+:func:`adaptive_quad` is its single row.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -106,74 +105,31 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                   initial_edges: Sequence[float] | None = None) -> QuadResult:
     """Integrate a vectorized integrand over [a, b] to the given tolerance.
 
+    This is the single row ``adaptive_quad_rows(lambda p, x: f(x), ...)``.
     ``initial_edges`` optionally seeds the panel set (useful when the
     integrand lives on a scale much smaller than the interval).  Raises
     :class:`ConvergenceError` when ``max_subdivisions`` panels are not
     enough; the exception carries the best estimate and its error bound.
     """
-    if not b > a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
-    if initial_edges is None:
-        edges = [a, b]
-    else:
-        edges = sorted(set([a, b] + [x for x in initial_edges if a < x < b]))
-
-    # heap of (-err, counter, lo, hi, value, err); counter breaks ties
-    # deterministically.  The panel sums are kept exactly, as partials, so
-    # their fsum is the fsum over the heap without re-summing it.
-    heap, counter = [], itertools.count()
-    val_sum, err_sum = [], []
-
-    def push(lo: list[float], hi: list[float]) -> None:
-        vals, errs = _eval_panels(f, np.array(lo), np.array(hi))
-        for plo, phi, val, err in zip(lo, hi, vals.tolist(), errs.tolist()):
-            heapq.heappush(heap, (-err, next(counter), plo, phi, val, err))
-            _add_exact(val_sum, val)
-            _add_exact(err_sum, err)
-
-    push(edges[:-1], edges[1:])
-    while True:
-        value, err_total = math.fsum(val_sum), math.fsum(err_sum)
-        if err_total <= max(rel_tol * abs(value), abs_tol):
-            return QuadResult(value=value, err_est=err_total, panels=len(heap))
-        if len(heap) >= max_subdivisions:
-            raise _budget_error(max_subdivisions, value, err_total)
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        _add_exact(val_sum, -val)
-        _add_exact(err_sum, -err)
-        push([lo, 0.5 * (lo + hi)], [0.5 * (lo + hi), hi])
-
-
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add ``x`` to a sum kept exactly as non-overlapping partials (as in
-    ``math.fsum``), so ``math.fsum(partials)`` is the fsum of the terms."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+    return adaptive_quad_rows(lambda p, x: f(x), np.zeros(1), a, b, rel_tol,
+                              abs_tol, max_subdivisions, initial_edges)[0]
 
 
 def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        params: np.ndarray, a: float, b: float, rel_tol: float,
-                       abs_tol: float,
-                       max_subdivisions: int) -> list[QuadResult]:
+                       abs_tol: float, max_subdivisions: int,
+                       initial_edges: Sequence[float] | None = None
+                       ) -> list[QuadResult]:
     """Integrate ``x -> f(p, x)`` over [a, b] for every ``p`` in ``params``.
 
-    Row ``i`` (``p = params[i]``) gets exactly the result of
-    ``adaptive_quad(lambda x: f(p, x), a, b, rel_tol, abs_tol,
-    max_subdivisions)``: the same rule, the same worst-first bisection
-    with ties going to the panel created first, the same stopping test and
-    the same panel budget.  The rows are refined together: each round
-    bisects the worst panel of every unconverged row and evaluates all the
-    new panels with one call ``f(p, x)``, where ``p`` and ``x`` are equal
-    length arrays holding each node's row parameter and abscissa.
+    Every row starts from the panels between ``a``, ``b`` and the
+    ``initial_edges`` inside (a, b), and bisects its worst panel, ties
+    going to the panel created first, until the ``math.fsum`` of its panel
+    errors is at most ``max(rel_tol * |value|, abs_tol)``.  A row depends
+    only on its own ``p``: the rows are refined together, but each round
+    evaluates the new panels of all unconverged rows with one call
+    ``f(p, x)``, where ``p`` and ``x`` are equal length arrays holding each
+    node's row parameter and abscissa.
 
     Raises :class:`ConvergenceError` for the first row, in ``params``
     order, that runs out of panels; it carries that row's best estimate
@@ -181,30 +137,38 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
+    if initial_edges is None:
+        edges = [a, b]
+    else:
+        edges = sorted(set([a, b] + [x for x in initial_edges if a < x < b]))
     params = np.asarray(params, dtype=float)
     results: list[QuadResult | None] = [None] * params.size
     row = np.arange(params.size)  # index into params of each active row
 
     # panel table of the active rows: column j holds the j-th panel
-    # created, so argmax breaks ties towards the older panel as the heap
-    # counter of adaptive_quad does; a bisected panel keeps its column
-    # with zero value and error
-    width = 1
-    lo = np.full((row.size, 8), float(a))
-    hi = np.full((row.size, 8), float(b))
-    val = np.zeros((row.size, 8))
-    err = np.zeros((row.size, 8))
-    val[:, 0], err[:, 0] = _eval_panels(
-        lambda x: f(np.repeat(params, _NODES.size), x), lo[:, 0], hi[:, 0])
+    # created, so argmax breaks ties towards the older panel; a bisected
+    # panel keeps its column with zero value and error
+    seeds = len(edges) - 1
+    width = seeds
+    lo = np.zeros((row.size, seeds + 8))
+    hi = np.zeros_like(lo)
+    val = np.zeros_like(lo)
+    err = np.zeros_like(lo)
+    lo[:, :seeds] = edges[:-1]
+    hi[:, :seeds] = edges[1:]
+    vals, errs = _eval_panels(
+        lambda x: f(np.repeat(params, seeds * _NODES.size), x),
+        lo[:, :seeds].ravel(), hi[:, :seeds].ravel())
+    val[:, :seeds] = vals.reshape(-1, seeds)
+    err[:, :seeds] = errs.reshape(-1, seeds)
 
     while True:
-        panels = (width + 1) // 2
+        panels = seeds + (width - seeds) // 2
         v, e = val[:, :width], err[:, :width]
-        # The stopping test is adaptive_quad's, on math.fsum sums.  A row
-        # whose numpy sums fail it by more than ``slack`` (a bound on their
-        # rounding error relative to the summed magnitudes) would fail it
-        # with fsum too, so it skips the exact test until the budget is
-        # spent.
+        # The stopping test is on math.fsum sums.  A row whose numpy sums
+        # fail it by more than ``slack`` (a bound on their rounding error
+        # relative to the summed magnitudes) would fail it with fsum too,
+        # so it skips the exact test until the budget is spent.
         slack = width * 2.0 ** -48
         bound = rel_tol * (1.0 + slack) * (np.abs(v.sum(axis=1))
                                            + slack * np.abs(v).sum(axis=1))

@@ -34,7 +34,6 @@ negligible at the default tolerances.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +57,6 @@ __all__ = [
 # W = W_SCALE * zeta^4 * S; fixed by W -> 1 for a perfect mirror in the
 # retarded limit
 W_SCALE = 8.0
-
-# below this zeta the integral still converges but s_max becomes enormous;
-# the electrostatic route is the better tool
-_ZETA_WARN = 1e-6
 
 # shares of the total tolerance budget taken by the outer and inner rules
 _OUTER_SHARE = 0.85
@@ -89,11 +84,6 @@ def _inner_integrand(kind: str, s: np.ndarray, t: np.ndarray, lam: float,
 
 
 def _s_detail(kind: str, p: ReducedParams, q: QuadratureSpec) -> SDetail:
-    if p.zeta < _ZETA_WARN:
-        warnings.warn(
-            f"zeta = {p.zeta:g} is deep in the non-retarded regime; the "
-            "electrostatic image series is faster and better conditioned "
-            "there", stacklevel=3)
     if p.n == 1.0 or p.lam == 0.0:
         # transparent slab: the integrand vanishes identically
         return SDetail(0.0, 0.0, 0, 0)

@@ -125,6 +125,40 @@ def sign_scan_root_count(pol, parity: str, k_par: float, slab,
     return count
 
 
+def bisect_roots_longhand(pol, parity: str, k_par: float, slab) -> list[float]:
+    """Dispersion roots k_zd, one scalar bisection per tan/cot branch.
+
+    The relations are written out with ``math`` from the module formulas;
+    each branch (theta in (m pi, m pi + pi/2) for S, shifted by pi/2 for A)
+    is bisected to adjacent floats when its ends differ in sign.
+    """
+    n, L = slab.n, slab.L
+    k_zd_max = math.sqrt(n * n - 1.0) * k_par
+    theta_max = 0.5 * k_zd_max * L
+    scale = n * n if pol.value == "TM" else 1.0
+
+    def g(k_zd):
+        kappa = math.sqrt(max((n * n - 1.0) * k_par ** 2 - k_zd ** 2, 0.0)) / n
+        theta = 0.5 * k_zd * L
+        rhs = (k_zd * math.tan(theta) if parity == "S"
+               else -k_zd / math.tan(theta))
+        return kappa - rhs / scale
+
+    roots = []
+    start = 0.0 if parity == "S" else 0.5 * math.pi
+    while start < theta_max:
+        end = min(start + 0.5 * math.pi, theta_max)
+        pad = 1e-12 * (end - start)
+        lo, hi = 2.0 * (start + pad) / L, 2.0 * (end - pad) / L
+        if g(lo) > 0.0 > g(hi):
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
+            roots.append(0.5 * (lo + hi))
+        start += math.pi
+    return roots
+
+
 # ---------------------------------------------------------------------------
 # Hankel-transform evaluation of the image potential
 

@@ -256,9 +256,10 @@ def test_modes_table(tmp_path):
 
 
 def test_modes_rejects_bad_kpar(capsys):
-    assert main(["modes", "--k-par", "-1", "--n", "2", "--thickness", "1"]) \
-        == EXIT_INPUT
-    assert "k_par" in capsys.readouterr().err
+    for k_par in ("-1", "inf"):
+        assert main(["modes", "--k-par", k_par, "--n", "2", "--thickness",
+                     "1"]) == EXIT_INPUT
+        assert "k_par" in capsys.readouterr().err
 
 
 def test_asympt_intermediate_regime(config_path, capsys):
@@ -359,6 +360,13 @@ def test_outside_input_is_an_input_error(argv, env, flag, monkeypatch,
     assert f"error: argument {flag}" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.txt"
+    assert main(WFUN + ["--output", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("slabshift: cannot write output: ")
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("line", ["quad.rel_tol = abc",
                                   "quad.max_subdivisions = 0"])
 def test_bad_quadrature_config_is_an_input_error(line, tmp_path, capsys):
@@ -396,11 +404,13 @@ def test_csv_and_json_carry_one_document(argv, tmp_path):
     assert text.startswith(f"# slabshift {doc['command']}\n")
     assert doc["command"] == argv[0]
     assert manifest["version"] == doc["version"]
+    # the mode solver reads no quadrature spec, so its manifest has none
+    assert ("quad" in doc) == (argv[0] != "modes")
+    quad = doc.get("quad", {})
     assert set(manifest) == {"version", "timestamp", *doc["inputs"],
-                             *(f"quad.{k}" for k in doc["quad"])}
+                             *(f"quad.{k}" for k in quad)}
     assert {k: manifest[k] for k in doc["inputs"]} == doc["inputs"]
-    assert {k: float(manifest[f"quad.{k}"]) for k in doc["quad"]} == \
-        doc["quad"]
+    assert {k: float(manifest[f"quad.{k}"]) for k in quad} == quad
     rows = _csv_rows(text)
     assert len(rows) == len(doc["rows"]) > 0
     for row, jrow in zip(rows, doc["rows"]):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import sign_scan_root_count
+from helpers import bisect_roots_longhand, sign_scan_root_count
 from slabshift import Polarization, Slab, WaveVectors, slab_R, slab_T
 from slabshift.modes import (find_trapped_modes, pole_alignment_check,
                              trapped_mode, travelling_mode)
@@ -51,9 +51,12 @@ def test_find_validates_input():
         find_trapped_modes(TE, "X", 1.0, SLAB)
     with pytest.raises(ValueError):
         find_trapped_modes(TE, "S", 0.0, SLAB)
+    with pytest.raises(ValueError):
+        find_trapped_modes(TE, "S", math.inf, SLAB)
 
 
 def test_roots_match_sign_scan():
+    # counts against a sign scan, values against a scalar bisection
     rng = np.random.default_rng(31)
     for _ in range(25):
         slab = Slab(n=rng.uniform(1.1, 3.5), L=rng.uniform(0.2, 3.0))
@@ -63,6 +66,8 @@ def test_roots_match_sign_scan():
                 found = find_trapped_modes(pol, parity, k_par, slab)
                 assert len(found) == sign_scan_root_count(pol, parity, k_par,
                                                           slab, 4000)
+                ref = bisect_roots_longhand(pol, parity, k_par, slab)
+                assert [m.k_zd for m in found] == pytest.approx(ref, rel=1e-12)
 
 
 def test_root_quality():
@@ -84,6 +89,20 @@ def test_roots_sorted_ascending():
     assert len(modes) >= 2
     k = [m.k_zd for m in modes]
     assert k == sorted(k)
+
+
+def test_many_branches_at_large_k_par():
+    # 551 branches per (pol, parity): every root, ascending, refined to the
+    # same level as at small k_par
+    lists = [find_trapped_modes(pol, parity, 2000.0, SLAB)
+             for pol in (TE, TM) for parity in ("S", "A")]
+    assert sum(map(len, lists)) == 2206
+    for modes in lists:
+        k = [m.k_zd for m in modes]
+        assert k == sorted(k)
+        for m in modes:
+            assert m.residual < 1e-10
+            assert pole_alignment_check(m, SLAB) < 1e-8
 
 
 def test_pole_alignment():

@@ -119,11 +119,6 @@ def test_w_pair_below_halfspace_at_zeta8():
     assert 0.0 < wp.w_par < 1.0 and 0.0 < wp.w_z < 1.0
 
 
-def test_small_zeta_warns():
-    with pytest.warns(UserWarning):
-        s_parallel(ReducedParams(zeta=1e-7, lam=0.0, n=2.0))
-
-
 def test_energy_shift_transparent():
     atom = AtomSpec([Transition(1.0, 1.0, 1.0)])
     s = energy_shift(atom, Slab(n=1.0, L=1.0), 1.0)
