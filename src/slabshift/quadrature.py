@@ -21,7 +21,11 @@ per parameter ``p``, over a shared interval.  A row's panels, value and
 error bound depend on its own integrand only, but a refinement round
 evaluates the new panels of all unconverged rows with one integrand call,
 so the call count follows the deepest row instead of the number of rows.
-:func:`adaptive_quad` is its single row.
+The stopping test is decided round by round: the ``math.fsum`` sums of all
+candidate rows come from one ``tolist`` of their block, and the
+comparison, the dropping of converged rows and the results are numpy
+arrays.  Each row may carry its own absolute floor.  :func:`adaptive_quad`
+is its single row.
 """
 
 from __future__ import annotations
@@ -111,25 +115,31 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     :class:`ConvergenceError` when ``max_subdivisions`` panels are not
     enough; the exception carries the best estimate and its error bound.
     """
-    return adaptive_quad_rows(lambda p, x: f(x), np.zeros(1), a, b, rel_tol,
-                              abs_tol, max_subdivisions, initial_edges)[0]
+    value, err_est, panels = adaptive_quad_rows(
+        lambda p, x: f(x), np.zeros(1), a, b, rel_tol, abs_tol,
+        max_subdivisions, initial_edges)
+    return QuadResult(value=float(value[0]), err_est=float(err_est[0]),
+                      panels=int(panels[0]))
 
 
 def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        params: np.ndarray, a: float, b: float, rel_tol: float,
-                       abs_tol: float, max_subdivisions: int,
+                       abs_tol: float | np.ndarray, max_subdivisions: int,
                        initial_edges: Sequence[float] | None = None
-                       ) -> list[QuadResult]:
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate ``x -> f(p, x)`` over [a, b] for every ``p`` in ``params``.
 
+    Returns the arrays ``(value, err_est, panels)``, one entry per row.
     Every row starts from the panels between ``a``, ``b`` and the
     ``initial_edges`` inside (a, b), and bisects its worst panel, ties
     going to the panel created first, until the ``math.fsum`` of its panel
-    errors is at most ``max(rel_tol * |value|, abs_tol)``.  A row depends
-    only on its own ``p``: the rows are refined together, but each round
-    evaluates the new panels of all unconverged rows with one call
-    ``f(p, x)``, where ``p`` and ``x`` are equal length arrays holding each
-    node's row parameter and abscissa.
+    errors is at most ``max(rel_tol * |value|, abs_tol)``.  ``abs_tol`` is
+    one floor for every row or an array of one floor per row.  A row
+    depends only on its own ``p`` and floor: the rows are refined
+    together, but each round evaluates the new panels of all unconverged
+    rows with one call ``f(p, x)``, where ``p`` and ``x`` are equal length
+    arrays holding each node's row parameter and abscissa, and decides the
+    stopping test of all candidate rows at once.
 
     Raises :class:`ConvergenceError` for the first row, in ``params``
     order, that runs out of panels; it carries that row's best estimate
@@ -142,7 +152,10 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     else:
         edges = sorted(set([a, b] + [x for x in initial_edges if a < x < b]))
     params = np.asarray(params, dtype=float)
-    results: list[QuadResult | None] = [None] * params.size
+    floor = np.broadcast_to(np.asarray(abs_tol, dtype=float), params.shape)
+    value = np.empty(params.size)
+    err_est = np.empty(params.size)
+    panels = np.empty(params.size, dtype=int)
     row = np.arange(params.size)  # index into params of each active row
 
     # panel table of the active rows: column j holds the j-th panel
@@ -163,35 +176,44 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     err[:, :seeds] = errs.reshape(-1, seeds)
 
     while True:
-        panels = seeds + (width - seeds) // 2
+        used = seeds + (width - seeds) // 2
+        spent = used >= max_subdivisions
         v, e = val[:, :width], err[:, :width]
-        # The stopping test is on math.fsum sums.  A row whose numpy sums
-        # fail it by more than ``slack`` (a bound on their rounding error
-        # relative to the summed magnitudes) would fail it with fsum too,
-        # so it skips the exact test until the budget is spent.
-        slack = width * 2.0 ** -48
-        bound = rel_tol * (1.0 + slack) * (np.abs(v.sum(axis=1))
-                                           + slack * np.abs(v).sum(axis=1))
-        fails = e.sum(axis=1) * (1.0 - slack) > np.maximum(bound, abs_tol)
-        if panels >= max_subdivisions:
-            check = range(row.size)
+        tol = floor[row]
+        if spent:
+            check = np.arange(row.size)
         else:
-            check = np.flatnonzero(~fails).tolist()
-        done = np.zeros(row.size, dtype=bool)
-        for i in check:
-            value = math.fsum(v[i].tolist())
-            err_total = math.fsum(e[i].tolist())
-            if err_total <= max(rel_tol * abs(value), abs_tol):
-                results[row[i]] = QuadResult(value=value, err_est=err_total,
-                                             panels=panels)
-                done[i] = True
-            elif panels >= max_subdivisions:
-                raise _budget_error(max_subdivisions, value, err_total)
-        if done.all():
-            return results
-        if done.any():
-            keep = ~done
-            row, lo, hi, val, err = (t[keep] for t in (row, lo, hi, val, err))
+            # The stopping test is on math.fsum sums.  A row whose numpy
+            # sums fail it by more than ``slack`` (a bound on their
+            # rounding error relative to the summed magnitudes) would fail
+            # it with fsum too, so it skips the exact test until the
+            # budget is spent.
+            slack = width * 2.0 ** -48
+            bound = rel_tol * (1.0 + slack) * (np.abs(v.sum(axis=1))
+                                               + slack * np.abs(v).sum(axis=1))
+            check = np.flatnonzero(~(e.sum(axis=1) * (1.0 - slack)
+                                     > np.maximum(bound, tol)))
+        if check.size:
+            sums = [math.fsum(r) for r in
+                    np.concatenate((v[check], e[check])).tolist()]
+            v_sum = np.array(sums[:check.size])
+            e_sum = np.array(sums[check.size:])
+            ok = e_sum <= np.maximum(rel_tol * np.abs(v_sum), tol[check])
+            if spent and not ok.all():
+                i = int(np.argmin(ok))
+                raise _budget_error(max_subdivisions, sums[i],
+                                    sums[check.size + i])
+            hit = row[check[ok]]
+            value[hit] = v_sum[ok]
+            err_est[hit] = e_sum[ok]
+            panels[hit] = used
+            if hit.size == row.size:
+                return value, err_est, panels
+            if hit.size:
+                keep = np.ones(row.size, dtype=bool)
+                keep[check[ok]] = False
+                row, lo, hi, val, err = (t[keep]
+                                         for t in (row, lo, hi, val, err))
 
         if width + 2 > lo.shape[1]:
             lo, hi, val, err = (np.concatenate((t, np.zeros_like(t)), axis=1)

@@ -96,14 +96,31 @@ def test_rows_match_adaptive_quad_row_by_row(family):
     # each row against the plain heap loop below, run on that row alone
     f, params, a, b = ROW_FAMILIES[family]
     rows = adaptive_quad_rows(f, np.array(params), a, b, 1e-12, 1e-16, 2000)
-    assert len(rows) == len(params)
-    for p, row in zip(params, rows):
-        value, err_est, panels = _heap_fsum_quad(lambda x: f(p, x), a, b,
-                                                 1e-12, 1e-16)
-        assert row.panels == panels
-        assert row.value == pytest.approx(value, rel=1e-15, abs=0.0)
-        assert row.err_est == pytest.approx(err_est, rel=1e-15, abs=0.0)
-    assert len({row.panels for row in rows}) > 1
+    assert all(len(r) == len(params) for r in rows)
+    for p, value, err_est, panels in zip(params, *rows):
+        assert (value, err_est, panels) == _heap_fsum_quad(
+            lambda x: f(p, x), a, b, 1e-12, 1e-16)
+    assert len(set(rows[2].tolist())) > 1
+
+
+@pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
+def test_per_row_floor_stops_only_its_row(family):
+    # a huge floor on one row stops it at its seed panel; every other row
+    # gets exactly what the scalar floor gives it
+    f, params, a, b = ROW_FAMILIES[family]
+    params = np.array(params)
+    scalar = adaptive_quad_rows(f, params, a, b, 1e-12, 1e-16, 2000)
+    deep = int(np.argmax(scalar[2]))
+    floors = np.full(params.size, 1e-16)
+    floors[deep] = 1e300
+    rows = adaptive_quad_rows(f, params, a, b, 1e-12, floors, 2000)
+    assert scalar[2][deep] > 1 and rows[2][deep] == 1
+    seed_value, seed_err = _eval_panels(lambda x: f(params[deep], x),
+                                        np.array([a]), np.array([b]))
+    assert (rows[0][deep], rows[1][deep]) == (seed_value[0], seed_err[0])
+    others = np.arange(params.size) != deep
+    for got, want in zip(rows, scalar):
+        assert np.array_equal(got[others], want[others])
 
 
 def test_rows_budget_exhaustion_reports_first_failing_row():
