@@ -18,41 +18,47 @@ refractive index (non-dispersive, non-absorbing).  The package provides
 
 Natural units hbar = c = epsilon_0 = 1 throughout; see
 :mod:`slabshift.units` for the eV-nm boundary conversions.
+
+The namespace is lazy: ``import slabshift`` loads no numpy, and each name
+in ``__all__`` imports its home module on first access.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .core import (AtomSpec, EnergyShift, ReducedParams, Slab, Transition,
-                   WPair, assemble_shift, dipole_sq_from_momentum, reduce,
-                   static_polarizability)
-from .errors import ConvergenceError, PoleError
-from .quadrature import QuadratureSpec, adaptive_quad
-from .reflection import (Polarization, WaveVectors, fresnel_r, rtilde,
-                         slab_R, slab_T, slab_denominator, snell_kz,
-                         snell_kzd)
-from .shift import (W_SCALE, energy_shift, s_parallel, s_perp, w_pair)
-from .asymptotics import (buhmann_U, classify_regime, halfspace_S,
-                          nonretarded_shift, nonretarded_thin_shift,
-                          retarded_thin_shift)
-from .electrostatics import ImageSeriesSpec, image_series_shift, phi_H
-from .modes import (dispersion_mismatch, find_trapped_modes,
-                    pole_alignment_check, trapped_mode, travelling_mode)
-from .units import HBARC_EV_NM, inv_nm_to_ev
+# home module of every public name
+_EXPORTS = {
+    "core": ("AtomSpec", "EnergyShift", "ReducedParams", "Slab", "Transition",
+             "WPair", "assemble_shift", "dipole_sq_from_momentum", "reduce",
+             "static_polarizability", "classify_regime"),
+    "errors": ("ConvergenceError", "PoleError"),
+    "quadrature": ("QuadratureSpec", "adaptive_quad"),
+    "reflection": ("Polarization", "WaveVectors", "fresnel_r", "rtilde",
+                   "slab_R", "slab_T", "slab_denominator", "snell_kz",
+                   "snell_kzd"),
+    "shift": ("W_SCALE", "energy_shift", "s_parallel", "s_perp", "w_pair"),
+    "asymptotics": ("buhmann_U", "halfspace_S", "nonretarded_shift",
+                    "nonretarded_thin_shift", "retarded_thin_shift"),
+    "electrostatics": ("ImageSeriesSpec", "image_series_shift", "phi_H"),
+    "modes": ("dispersion_mismatch", "find_trapped_modes",
+              "pole_alignment_check", "trapped_mode", "travelling_mode"),
+    "units": ("HBARC_EV_NM", "inv_nm_to_ev"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AtomSpec", "EnergyShift", "ReducedParams", "Slab", "Transition", "WPair",
-    "assemble_shift", "dipole_sq_from_momentum", "reduce",
-    "static_polarizability",
-    "ConvergenceError", "PoleError", "QuadratureSpec", "adaptive_quad",
-    "Polarization", "WaveVectors", "fresnel_r", "rtilde", "slab_R", "slab_T",
-    "slab_denominator", "snell_kz", "snell_kzd",
-    "W_SCALE", "energy_shift", "s_parallel", "s_perp", "w_pair",
-    "buhmann_U", "classify_regime", "halfspace_S", "nonretarded_shift",
-    "nonretarded_thin_shift", "retarded_thin_shift",
-    "ImageSeriesSpec", "image_series_shift", "phi_H",
-    "dispersion_mismatch", "find_trapped_modes", "pole_alignment_check",
-    "trapped_mode", "travelling_mode", "HBARC_EV_NM", "inv_nm_to_ev",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,20 +3,20 @@
 These serve two purposes: quick estimates in their regimes of validity,
 and independent oracles for the exact double integral.
 
-Retardation is classified by the photon round-trip criterion 2*Z*E_ji
-against the atom's internal time scale.  The sharp thresholds used for the
-regime tags (retarded above 10, non-retarded below 0.1) are tool policy;
-the physics only distinguishes "much greater" from "much less" than one.
+The retardation classification (:func:`classify_regime`, its
+:class:`RegimeReport` and thresholds) lives in :mod:`slabshift.core`, which
+loads no numpy, and is re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomSpec, EnergyShift, ReducedParams, Slab
+from .core import (NONRETARDED_TWO_ZETA, RETARDED_TWO_ZETA, AtomSpec,
+                   EnergyShift, ReducedParams, RegimeReport, Slab,
+                   classify_regime)
 from .electrostatics import (ImageSeriesSpec, image_series_converges,
                              image_series_shift)
 from .quadrature import QuadratureSpec, adaptive_quad
@@ -33,32 +33,6 @@ __all__ = [
     "nonretarded_shift",
     "nonretarded_thin_shift",
 ]
-
-RETARDED_TWO_ZETA = 10.0
-NONRETARDED_TWO_ZETA = 0.1
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Retardation classification of one (zeta, lam) point."""
-
-    two_zeta: float
-    lambda_over_zeta: float
-    regime: str  # "retarded" | "non-retarded" | "intermediate"
-
-
-def classify_regime(p: ReducedParams) -> RegimeReport:
-    """Tag a parameter point by the 2*zeta retardation criterion."""
-    two_zeta = 2.0 * p.zeta
-    if two_zeta >= RETARDED_TWO_ZETA:
-        regime = "retarded"
-    elif two_zeta <= NONRETARDED_TWO_ZETA:
-        regime = "non-retarded"
-    else:
-        regime = "intermediate"
-    return RegimeReport(two_zeta=two_zeta, lambda_over_zeta=p.lam / p.zeta,
-                        regime=regime)
-
 
 def halfspace_S(zeta: float, n: float,
                 q: QuadratureSpec | None = None) -> tuple[float, float]:

@@ -41,26 +41,44 @@ timestamp varies between identical runs.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import math
 import os
 import re
 import sys
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 
 from . import __version__
-from .asymptotics import (buhmann_U, classify_regime, halfspace_S,
-                          nonretarded_shift, nonretarded_thin_shift,
-                          retarded_thin_shift)
 from .core import (AtomSpec, ReducedParams, Slab, Transition, assemble_shift,
-                   reduce, static_polarizability)
+                   classify_regime, reduce, static_polarizability)
 from .errors import ConvergenceError
-from .quadrature import QuadratureSpec
-from .reflection import Polarization
-from .modes import find_trapped_modes
-from .shift import W_SCALE, energy_shift, w_pair
 from .units import ev_to_inv_nm, inv_nm_to_ev
+
+# compute names by home module: each command binds the ones it runs, so
+# --help and input errors load no numpy; a name already set here is kept
+_LAZY = {"quadrature": ("QuadratureSpec",), "reflection": ("Polarization",),
+         "shift": ("W_SCALE", "energy_shift", "w_pair"),
+         "asymptotics": ("buhmann_U", "halfspace_S", "nonretarded_shift",
+                         "nonretarded_thin_shift", "retarded_thin_shift"),
+         "modes": ("find_trapped_modes",)}
+
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind their compute names where still unset."""
+    for module in modules:
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """A compute name read as a module attribute binds its module."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -149,6 +167,11 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
         except ValueError as exc:
             raise ConfigError(f"{base}: {exc}") from None
     try:
+        slab = Slab(n=n, L=L)
+        if not Z > 0.0:
+            raise ValueError(f"geometry.Z must be positive, got {Z}")
+        atom = AtomSpec(transitions)
+        _bind("quadrature")
         quad = QuadratureSpec(
             rel_tol=float(cfg.get("quad.rel_tol", QuadratureSpec.rel_tol)),
             abs_tol=float(cfg.get("quad.abs_tol", QuadratureSpec.abs_tol)),
@@ -157,10 +180,6 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
             max_subdivisions=int(cfg.get("quad.max_subdivisions",
                                          QuadratureSpec.max_subdivisions)),
         )
-        slab = Slab(n=n, L=L)
-        if not Z > 0.0:
-            raise ValueError(f"geometry.Z must be positive, got {Z}")
-        atom = AtomSpec(transitions)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunInput(atom=atom, slab=slab, Z=Z, quad=quad, units=units)
@@ -206,12 +225,16 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
     ``#`` lines, then the ``header`` columns of each row; JSON adds the
     rows whole, with NaN as null.
     """
+    from datetime import datetime, timezone
+
     manifest = {"command": command, "version": __version__,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "inputs": {k: str(inputs[k]) for k in sorted(inputs)}}
     if quad is not None:
         manifest["quad"] = asdict(quad)
     if fmt == "json":
+        import json
+
         manifest["rows"] = [
             {k: None if isinstance(v, float) and math.isnan(v) else v
              for k, v in row.items()} for row in rows]
@@ -234,8 +257,12 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
 
 def cmd_shift(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
-    params = [reduce(run.slab, tr, run.Z) for tr in run.atom.transitions]
-    pairs = [w_pair(p, run.quad) for p in params]
+    _bind("shift")
+    try:
+        params = [reduce(run.slab, tr, run.Z) for tr in run.atom.transitions]
+        pairs = [w_pair(p, run.quad) for p in params]
+    except ValueError as exc:  # a point outside the range W can be taken at
+        raise ConfigError(str(exc)) from None
     shift = assemble_shift(run.atom, run.slab, run.Z, pairs)
     rows = []
     for i, (tr, p, wp) in enumerate(zip(run.atom.transitions, params, pairs)):
@@ -289,12 +316,13 @@ def _input_echo(run: RunInput) -> dict[str, object]:
 
 
 def cmd_wfun(args: argparse.Namespace) -> tuple[str, int]:
-    quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
     try:
         p = ReducedParams(zeta=args.zeta, lam=args.lam, n=args.n)
+        _bind("quadrature", "shift")
+        quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
+        wp = w_pair(p, quad)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    wp = w_pair(p, quad)
     if args.format == "json":
         row = {"zeta": p.zeta, "lam": p.lam, "n": p.n,
                "w_par": wp.w_par, "w_z": wp.w_z, "err_est": wp.err_est}
@@ -331,6 +359,7 @@ def _sweep_point(task: tuple[float, dict[str, float], QuadratureSpec,
     raised; ``None`` means this point computes its own.  At ``lam = inf``
     the point's own W pair is the half-space column.
     """
+    _bind("shift", "asymptotics")
     value, point, quad, hs = task
     row: dict[str, object] = {"value": value}
     try:
@@ -370,6 +399,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     }
 
     grid = _sweep_grid(args.lo, args.hi, args.points, args.scale)
+    _bind("quadrature", "shift", "asymptotics")
     quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
     hs = None
     if args.axis == "lambda":
@@ -405,6 +435,7 @@ def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
         slab = Slab(n=args.n, L=args.thickness)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    _bind("reflection", "modes")
     rows = []
     for pol in (Polarization.TE, Polarization.TM):
         for parity in ("S", "A"):
@@ -419,7 +450,11 @@ def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
-    full = energy_shift(run.atom, run.slab, run.Z, run.quad)
+    _bind("shift", "asymptotics")
+    try:
+        full = energy_shift(run.atom, run.slab, run.Z, run.quad)
+    except ValueError as exc:  # a point outside the range W can be taken at
+        raise ConfigError(str(exc)) from None
 
     def rel_dev(approx: float) -> float:
         if full.value == 0.0:

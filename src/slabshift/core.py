@@ -42,6 +42,10 @@ __all__ = [
     "assemble_shift",
     "dipole_sq_from_momentum",
     "static_polarizability",
+    "RETARDED_TWO_ZETA",
+    "NONRETARDED_TWO_ZETA",
+    "RegimeReport",
+    "classify_regime",
 ]
 
 
@@ -111,12 +115,42 @@ class ReducedParams:
     n: float
 
     def __post_init__(self):
-        if not self.zeta > 0.0:
-            raise ValueError(f"zeta must be positive, got {self.zeta}")
+        if not 0.0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
         if not self.lam >= 0.0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if not self.n >= 1.0:
             raise ValueError(f"refractive index must satisfy n >= 1, got {self.n}")
+
+
+# Retardation is classified by the photon round-trip criterion 2*Z*E_ji
+# against the atom's internal time scale.  The sharp thresholds of the regime
+# tags are tool policy; the physics only distinguishes "much greater" from
+# "much less" than one.
+RETARDED_TWO_ZETA = 10.0
+NONRETARDED_TWO_ZETA = 0.1
+
+
+@dataclass(frozen=True)
+class RegimeReport:
+    """Retardation classification of one (zeta, lam) point."""
+
+    two_zeta: float
+    lambda_over_zeta: float
+    regime: str  # "retarded" | "non-retarded" | "intermediate"
+
+
+def classify_regime(p: ReducedParams) -> RegimeReport:
+    """Tag a parameter point by the 2*zeta retardation criterion."""
+    two_zeta = 2.0 * p.zeta
+    if two_zeta >= RETARDED_TWO_ZETA:
+        regime = "retarded"
+    elif two_zeta <= NONRETARDED_TWO_ZETA:
+        regime = "non-retarded"
+    else:
+        regime = "intermediate"
+    return RegimeReport(two_zeta=two_zeta, lambda_over_zeta=p.lam / p.zeta,
+                        regime=regime)
 
 
 @dataclass(frozen=True)

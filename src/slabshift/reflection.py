@@ -192,6 +192,13 @@ def rtilde(pol: Polarization, s, t, lam: float, n: float):
         raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
     if not lam >= 0.0:
         raise ValueError(f"lam must be non-negative, got {lam}")
+    try:
+        n4 = n ** 4
+    except OverflowError:
+        n4 = math.inf
+    if not math.isfinite(n4):
+        raise ValueError(f"n = {n!r} is out of range: n**4 must be a finite "
+                         "double")
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     scalar = s_arr.ndim == 0 and t_arr.ndim == 0
@@ -209,8 +216,8 @@ def rtilde(pol: Polarization, s, t, lam: float, n: float):
         a = 2.0 + n2m1 * t_arr * t_arr
         b = 2.0 * g
     else:
-        num = n ** 4 - 1.0 - n2m1 * t_arr * t_arr
-        a = n ** 4 + 1.0 + n2m1 * t_arr * t_arr
+        num = n4 - 1.0 - n2m1 * t_arr * t_arr
+        a = n4 + 1.0 + n2m1 * t_arr * t_arr
         b = 2.0 * n * n * g
 
     if lam == 0.0:

@@ -41,6 +41,7 @@ outer call, and ``err_est`` carries their weighted sum.  One
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,12 +101,29 @@ def _inner_integrand(kind: str, s: np.ndarray, t: np.ndarray, lam: float,
     return combo / (s * s * t * t + 1.0)
 
 
+def _check_zeta(zeta: float, s_max: float) -> None:
+    """Raise ValueError unless the powers of zeta that W takes are doubles.
+
+    ``W = 8 zeta^4 S`` needs ``zeta^4`` finite and normal, and the outer
+    weight needs ``s_max^3`` finite; past either end the float powers
+    overflow or lose their precision.
+    """
+    try:
+        ok = sys.float_info.min <= zeta ** 4 and math.isfinite(s_max ** 3)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"zeta = {zeta!r} is out of range: zeta**4 and "
+                         "s_max**3 must be finite normal doubles")
+
+
 def _s_detail(kind: str, p: ReducedParams, q: QuadratureSpec) -> SDetail:
+    s_max = q.s_cutoff_decades * math.log(10.0) / (2.0 * p.zeta)
+    _check_zeta(p.zeta, s_max)
     if p.n == 1.0 or p.lam == 0.0:
         # transparent slab: the integrand vanishes identically
         return SDetail(0.0, 0.0, 0, 0)
 
-    s_max = q.s_cutoff_decades * math.log(10.0) / (2.0 * p.zeta)
     rel_in = _INNER_SHARE * q.rel_tol
     abs_in = _INNER_SHARE * q.abs_tol / max(1.0, s_max)
     stats = {"inner_max": 0, "floor": None}

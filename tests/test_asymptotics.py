@@ -8,7 +8,7 @@ import pytest
 from slabshift import (AtomSpec, QuadratureSpec, ReducedParams, Slab,
                        Transition, buhmann_U, classify_regime, energy_shift,
                        halfspace_S, nonretarded_shift, nonretarded_thin_shift,
-                       retarded_thin_shift, static_polarizability)
+                       retarded_thin_shift, static_polarizability, w_pair)
 
 ATOM = AtomSpec([Transition(E_ji=1.0, mu_par_sq=2.0, mu_perp_sq=1.0)])
 
@@ -43,6 +43,43 @@ def test_halfspace_agrees_with_thick_slab():
     thick_perp = s_perp(ReducedParams(1.0, 200.0, 2.0), q)[0]
     assert thick_par == pytest.approx(hs_par, rel=1e-6)
     assert thick_perp == pytest.approx(hs_perp, rel=1e-6)
+
+
+def _retarded_halfspace_limit(n):
+    """W(zeta -> inf, inf, n) from the Fresnel coefficients, with mpmath.
+
+    For large zeta only s ~ 1/zeta counts, where 1/(1 + s^2 t^2) -> 1 and
+    Int s^3 e^{-2 zeta s} ds = 3/(8 zeta^4), so
+    W_par -> 3/4 Int_0^1 (r_TM - t^2 r_TE) dt and
+    W_z -> 3/2 Int_0^1 (1 - t^2) r_TM dt, with r_TE = (1 - g)/(1 + g),
+    r_TM = (n^2 - g)/(n^2 + g) and g = sqrt(1 + (n^2 - 1) t^2).
+    """
+    with mpmath.workdps(30):
+        n2 = mpmath.mpf(n) ** 2
+
+        def fresnel(t):
+            g = mpmath.sqrt(1 + (n2 - 1) * t * t)
+            return (1 - g) / (1 + g), (n2 - g) / (n2 + g)
+
+        w_par = 0.75 * mpmath.quad(
+            lambda t: fresnel(t)[1] - t * t * fresnel(t)[0], [0, 1])
+        w_z = 1.5 * mpmath.quad(lambda t: (1 - t * t) * fresnel(t)[1], [0, 1])
+        return float(w_par), float(w_z)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, 3.0])
+def test_halfspace_w_approaches_the_retarded_limit_from_below(n):
+    # 1/(1 + s^2 t^2) < 1 keeps W below the limit, and its next order,
+    # -s^2 t^2, makes zeta^2 (W - W_inf) tend to a constant per component
+    limit = _retarded_halfspace_limit(n)
+    scaled = []
+    for zeta in (50.0, 100.0, 200.0):
+        wp = w_pair(ReducedParams(zeta, math.inf, n))
+        assert wp.w_par < limit[0] and wp.w_z < limit[1]
+        scaled.append((zeta ** 2 * (wp.w_par - limit[0]),
+                       zeta ** 2 * (wp.w_z - limit[1])))
+    for component in zip(*scaled):
+        assert max(component) - min(component) < 0.01 * abs(component[-1])
 
 
 def test_retarded_thin_transparent_and_linear_in_L():

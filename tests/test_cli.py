@@ -367,6 +367,28 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["wfun", "--zeta", "1e200", "--lam", "1", "--n", "2"],
+    ["wfun", "--zeta", "1e-200", "--lam", "1", "--n", "2"],
+    ["wfun", "--zeta", "inf", "--lam", "1", "--n", "2"],
+    ["wfun", "--zeta", "1", "--lam", "1", "--n", "1e78"],
+    ["shift", "--n", "2", "--thickness", "1", "--distance", "1e80",
+     "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+    ["asympt", "--n", "2", "--thickness", "1", "--distance", "inf",
+     "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+])
+def test_extreme_input_is_an_input_error(argv):
+    # where the float powers of zeta or n leave the doubles: every warning
+    # is an error, and the command still ends in a typed input error
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "slabshift.cli", *argv],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("slabshift: input error: ")
+    assert proc.stderr.count("\n") == 1 and "nan" not in proc.stderr
+
+
 @pytest.mark.parametrize("line", ["quad.rel_tol = abc",
                                   "quad.max_subdivisions = 0"])
 def test_bad_quadrature_config_is_an_input_error(line, tmp_path, capsys):

@@ -142,3 +142,9 @@ def test_static_polarizability_rejects_anisotropic():
     atom = AtomSpec([Transition(1.0, 1.0, 1.0)])
     with pytest.raises(ValueError):
         static_polarizability(atom)
+
+
+@pytest.mark.parametrize("zeta", [math.inf, math.nan, 0.0, -1.0])
+def test_reduced_params_rejects_zeta_outside_the_positive_doubles(zeta):
+    with pytest.raises(ValueError, match="zeta must be positive and finite"):
+        ReducedParams(zeta=zeta, lam=1.0, n=2.0)

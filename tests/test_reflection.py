@@ -132,6 +132,13 @@ def test_rtilde_bounds():
             assert np.all((r_te <= 0.0) & (r_te > -1.0))
 
 
+@pytest.mark.parametrize("n", [1e78, math.inf])
+def test_rtilde_rejects_n_whose_fourth_power_is_not_a_double(n):
+    for pol in (TE, TM):
+        with pytest.raises(ValueError, match="n\\*\\*4 must be a finite double"):
+            rtilde(pol, 1.0, 0.5, 1.0, n)
+
+
 def test_rtilde_monotone_in_lam():
     s = np.linspace(0.05, 5.0, 40)
     t = np.full_like(s, 0.4)

@@ -142,6 +142,26 @@ def test_w_pair_below_halfspace_at_zeta8():
     assert 0.0 < wp.w_par < 1.0 and 0.0 < wp.w_z < 1.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("zeta, lam, n", [
+    (1e200, 1.0, 2.0), (1e-200, 1.0, 2.0), (1e200, 0.0, 2.0),
+    (1e-200, 1.0, 1.0), (1.0, 1.0, 1e78), (1.0, math.inf, 1e78),
+])
+def test_w_pair_rejects_powers_outside_the_doubles(zeta, lam, n):
+    # zeta^4 (the W scale) and s_max^3 (the outer weight) for zeta, n^4
+    # (the TM coefficient) for n
+    with pytest.raises(ValueError, match="out of range"):
+        w_pair(ReducedParams(zeta, lam, n))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("zeta, n", [(1e76, 2.0), (1.0, 1e77)])
+def test_w_pair_is_finite_below_the_upper_ends(zeta, n):
+    wp = w_pair(ReducedParams(zeta, 1.0, n))
+    assert all(math.isfinite(v) and v >= 0.0
+               for v in (wp.w_par, wp.w_z, wp.err_est))
+
+
 def test_energy_shift_transparent():
     atom = AtomSpec([Transition(1.0, 1.0, 1.0)])
     s = energy_shift(atom, Slab(n=1.0, L=1.0), 1.0)
