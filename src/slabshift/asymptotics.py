@@ -11,6 +11,7 @@ loads no numpy, and is re-exported here.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -34,6 +35,19 @@ __all__ = [
     "nonretarded_thin_shift",
 ]
 
+
+def _z_power(Z: float, k: int) -> float:
+    """``Z ** k`` of a positive distance, which must be a finite normal double."""
+    try:
+        power = Z ** k
+    except OverflowError:
+        power = math.inf
+    if not sys.float_info.min <= power < math.inf:
+        raise ValueError(f"atom-surface distance Z = {Z!r} is out of range: "
+                         f"Z**{k} must be a finite normal double")
+    return power
+
+
 def halfspace_S(zeta: float, n: float,
                 q: QuadratureSpec | None = None) -> tuple[float, float]:
     """(S_par, S_perp) for a dielectric half-space (coth -> 1 in the
@@ -55,7 +69,8 @@ def retarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
     n2 = slab.n * slab.n
-    pref = -(n2 - 1.0) * slab.L / (160.0 * math.pi ** 2 * n2 * Z ** 5)
+    pref = -(n2 - 1.0) * slab.L / (160.0 * math.pi ** 2 * n2
+                                  * _z_power(Z, 5))
     contribs = [
         pref * ((5.0 + 9.0 * n2) * tr.mu_par_sq
                 + 2.0 * (4.0 + 5.0 * n2) * tr.mu_perp_sq) / tr.E_ji
@@ -81,7 +96,7 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
         raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
     eps = n * n
     bracket = (14.0 * eps * eps - 9.0) / eps - 5.0
-    return -alpha0 * L * bracket / (160.0 * math.pi ** 2 * Z ** 5)
+    return -alpha0 * L * bracket / (160.0 * math.pi ** 2 * _z_power(Z, 5))
 
 
 def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
@@ -144,7 +159,8 @@ def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
     n2 = slab.n * slab.n
-    pref = -3.0 * (n2 * n2 - 1.0) * slab.L / (256.0 * math.pi * n2 * Z ** 4)
+    pref = -3.0 * (n2 * n2 - 1.0) * slab.L / (256.0 * math.pi * n2
+                                           * _z_power(Z, 4))
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
                 for tr in atom.transitions]
     return EnergyShift.from_contributions(contribs)

@@ -15,7 +15,8 @@ worker count)::
 
 Any other flag is an input error.  Exit codes: 0 ok, 2 input error, 3 a
 quadrature or the image series did not converge, 4 partial sweep failure.
-``SLABSHIFT_JOBS`` sets the default worker count.
+``SLABSHIFT_JOBS`` sets the default worker count.  :func:`main` runs numpy's
+OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment::
 
@@ -452,6 +453,23 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
     _bind("shift", "asymptotics")
     try:
+        alpha0 = static_polarizability(run.atom)
+    except ValueError:  # the thin-plate form takes isotropic atoms only
+        alpha0 = None
+    try:
+        # the closed forms first: a distance whose powers leave the doubles
+        # is an input error before the full integral runs
+        comparisons = [
+            ("retarded thin slab",
+             retarded_thin_shift(run.atom, run.slab, run.Z).value),
+            ("non-retarded (image series)",
+             nonretarded_shift(run.atom, run.slab, run.Z).value),
+            ("non-retarded thin slab",
+             nonretarded_thin_shift(run.atom, run.slab, run.Z).value)]
+        if alpha0 is not None:
+            comparisons.append(("thin-plate polarizability form",
+                                buhmann_U(alpha0, run.slab.n, run.slab.L,
+                                          run.Z)))
         full = energy_shift(run.atom, run.slab, run.Z, run.quad)
     except ValueError as exc:  # a point outside the range W can be taken at
         raise ConfigError(str(exc)) from None
@@ -462,18 +480,7 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
         return abs(approx - full.value) / abs(full.value)
 
     lines = [f"full integral: {_fmt(full.value)}"]
-    comparisons: list[tuple[str, float]] = []
-    comparisons.append(("retarded thin slab",
-                        retarded_thin_shift(run.atom, run.slab, run.Z).value))
-    comparisons.append(("non-retarded (image series)",
-                        nonretarded_shift(run.atom, run.slab, run.Z).value))
-    comparisons.append(("non-retarded thin slab",
-                        nonretarded_thin_shift(run.atom, run.slab, run.Z).value))
-    try:
-        alpha0 = static_polarizability(run.atom)
-        comparisons.append(("thin-plate polarizability form",
-                            buhmann_U(alpha0, run.slab.n, run.slab.L, run.Z)))
-    except ValueError:
+    if alpha0 is None:
         lines.append("thin-plate polarizability form: skipped "
                      "(anisotropic atom)")
     for label, value in comparisons:
@@ -588,6 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # one BLAS thread per CLI process (the --jobs workers inherit it):
+        # numpy's OpenBLAS otherwise starts a worker at import that burns
+        # CPU and that slabshift's 3-term dot products never use
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         text, code = args.func(args)

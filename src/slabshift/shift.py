@@ -189,11 +189,17 @@ def _row_floors(s_values: np.ndarray, weight: np.ndarray, c: float,
     there: its floor is ``max(abs_in, c / (s_max w_j))``.  That floor is
     only as good as the row's error estimate, which a single panel gives
     honestly only while it resolves the ``1 / (1 + s^2 t^2)`` peak, that is
-    ``s * t_1 <= 1`` for its first node ``t_1``.  A row past that keeps
-    ``abs_in``, unless the whole row is negligible: both the row and its
-    seed-panel value lie in ``[0, 2 max(atan(s) / s, 1 / (1 + (s t_1)^2))]``
-    (the reflection combination lies in [0, 2)), and a row whose weight
-    times that bound is within ``c / s_max`` may stop at its seed panel.
+    ``s * t_1 <= 1`` for its first node ``t_1``.  A row past that is
+    guarded: its floor is zero, so it meets the relative test alone,
+    unless the whole row is negligible: both the row and its seed-panel
+    value lie in ``[0, 2 max(atan(s) / s, 1 / (1 + (s t_1)^2))]`` (the
+    reflection combination lies in [0, 2)), and a row whose weight times
+    that bound is within ``c / s_max`` may stop at its seed panel.  A
+    guarded row may not keep ``abs_in`` either: a seed panel that misses
+    the peak sees only its ``1 / (s t)^2`` tail, and at small zeta or
+    small ``n^2 - 1`` that panel's error estimate falls below ``abs_in``
+    while the row's value, near ``pi / (2 s)`` times the reflection
+    combination at ``t = 0``, is orders of magnitude larger.
     """
     budget = c / s_max
     bound = 2.0 * np.maximum(np.arctan(s_values) / s_values,
@@ -201,9 +207,10 @@ def _row_floors(s_values: np.ndarray, weight: np.ndarray, c: float,
     with np.errstate(over="ignore"):
         floor = np.divide(budget, weight, out=np.full_like(weight, np.inf),
                           where=weight > 0.0)
+    floor = np.maximum(abs_in, floor)
     floor[s_values * _T_FIRST > 1.0] = 0.0
     floor[weight * bound <= budget] = np.inf
-    return np.maximum(abs_in, floor)
+    return floor
 
 
 def s_parallel_detailed(p: ReducedParams,

@@ -45,39 +45,57 @@ def test_halfspace_agrees_with_thick_slab():
     assert thick_perp == pytest.approx(hs_perp, rel=1e-6)
 
 
-def _retarded_halfspace_limit(n):
-    """W(zeta -> inf, inf, n) from the Fresnel coefficients, with mpmath.
+def _retarded_halfspace_series(n):
+    """W(zeta, inf, n) = W_inf + c2 / zeta^2 + c4 / zeta^4 + ..., with mpmath.
 
-    For large zeta only s ~ 1/zeta counts, where 1/(1 + s^2 t^2) -> 1 and
-    Int s^3 e^{-2 zeta s} ds = 3/(8 zeta^4), so
-    W_par -> 3/4 Int_0^1 (r_TM - t^2 r_TE) dt and
-    W_z -> 3/2 Int_0^1 (1 - t^2) r_TM dt, with r_TE = (1 - g)/(1 + g),
-    r_TM = (n^2 - g)/(n^2 + g) and g = sqrt(1 + (n^2 - 1) t^2).
+    With 1/(1 + s^2 t^2) = 1 - s^2 t^2 + s^4 t^4 - ... and
+    Int_0^inf s^(3+2k) e^{-2 zeta s} ds = (3+2k)! / (2 zeta)^(4+2k), the
+    term k of W_par = 2 zeta^4 Int Int s^3 e^{-2 zeta s} A / (1 + s^2 t^2)
+    is (-1)^k 2 (3+2k)! / 2^(4+2k) zeta^(-2k) Int_0^1 t^(2k) A dt, where
+    A = r_TM - t^2 r_TE; W_z has twice that with B = (1 - t^2) r_TM.
+    So W_inf = (3/4 Int A, 3/2 Int B), c2 = (-15/4 Int t^2 A,
+    -15/2 Int t^2 B) and c4 = (315/8 Int t^4 A, 315/4 Int t^4 B), with
+    r_TE = (1 - g)/(1 + g), r_TM = (n^2 - g)/(n^2 + g) and
+    g = sqrt(1 + (n^2 - 1) t^2).  The series is asymptotic, not
+    convergent: each term's s integral runs past s t = 1, where the
+    expansion diverges.
     """
     with mpmath.workdps(30):
         n2 = mpmath.mpf(n) ** 2
 
-        def fresnel(t):
+        def combos(t):
             g = mpmath.sqrt(1 + (n2 - 1) * t * t)
-            return (1 - g) / (1 + g), (n2 - g) / (n2 + g)
+            r_te, r_tm = (1 - g) / (1 + g), (n2 - g) / (n2 + g)
+            return r_tm - t * t * r_te, (1 - t * t) * r_tm
 
-        w_par = 0.75 * mpmath.quad(
-            lambda t: fresnel(t)[1] - t * t * fresnel(t)[0], [0, 1])
-        w_z = 1.5 * mpmath.quad(lambda t: (1 - t * t) * fresnel(t)[1], [0, 1])
-        return float(w_par), float(w_z)
+        def moments(k):
+            return [mpmath.quad(lambda t: t ** (2 * k) * combos(t)[i], [0, 1])
+                    for i in (0, 1)]
+
+        terms = []
+        for k, coef in ((0, mpmath.mpf(3) / 4), (1, mpmath.mpf(-15) / 4),
+                        (2, mpmath.mpf(315) / 8)):
+            a, b = moments(k)
+            terms.append((float(coef * a), float(2 * coef * b)))
+        return terms
 
 
 @pytest.mark.parametrize("n", [1.5, 2.0, 3.0])
 def test_halfspace_w_approaches_the_retarded_limit_from_below(n):
-    # 1/(1 + s^2 t^2) < 1 keeps W below the limit, and its next order,
-    # -s^2 t^2, makes zeta^2 (W - W_inf) tend to a constant per component
-    limit = _retarded_halfspace_limit(n)
+    # 1/(1 + s^2 t^2) < 1 keeps W below the limit, and its next orders,
+    # -s^2 t^2 + s^4 t^4, make zeta^2 (W - W_inf) tend to c2 and
+    # zeta^4 (W - W_inf - c2 / zeta^2) to c4, per component
+    limit, c2, c4 = _retarded_halfspace_series(n)
+    q = QuadratureSpec(rel_tol=1e-12)
     scaled = []
     for zeta in (50.0, 100.0, 200.0):
-        wp = w_pair(ReducedParams(zeta, math.inf, n))
-        assert wp.w_par < limit[0] and wp.w_z < limit[1]
-        scaled.append((zeta ** 2 * (wp.w_par - limit[0]),
-                       zeta ** 2 * (wp.w_z - limit[1])))
+        wp = w_pair(ReducedParams(zeta, math.inf, n), q)
+        w = (wp.w_par, wp.w_z)
+        assert all(w[i] < limit[i] for i in (0, 1))
+        scaled.append([zeta ** 2 * (w[i] - limit[i]) for i in (0, 1)])
+        remainder = [zeta ** 4 * (w[i] - limit[i] - c2[i] / zeta ** 2)
+                     for i in (0, 1)]
+        assert remainder == pytest.approx(c4, rel=0.01)
     for component in zip(*scaled):
         assert max(component) - min(component) < 0.01 * abs(component[-1])
 
@@ -129,6 +147,22 @@ def test_buhmann_equals_retarded_thin_for_isotropic():
         u = buhmann_U(static_polarizability(atom), n, L, Z)
         d = retarded_thin_shift(atom, Slab(n=n, L=L), Z).value
         assert u == pytest.approx(d, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("Z", [1e62, 1e-62, 1e70, 1e-70, 1e78, 1e-78,
+                               math.inf])
+def test_closed_forms_reject_powers_of_z_outside_the_doubles(Z):
+    # Z**5 overflows, falls to a subnormal or to zero at every Z here; Z**4
+    # of the non-retarded thin form only past about 1e77 and 1e-77
+    slab = Slab(n=2.0, L=1.0)
+    for form in (lambda: retarded_thin_shift(ATOM, slab, Z),
+                 lambda: buhmann_U(1.0, 2.0, 1.0, Z)):
+        with pytest.raises(ValueError, match="out of range"):
+            form()
+    if not 1e-77 < Z < 1e77:
+        with pytest.raises(ValueError, match="out of range"):
+            nonretarded_thin_shift(ATOM, slab, Z)
 
 
 def test_nonretarded_halfspace_limit():

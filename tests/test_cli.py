@@ -376,6 +376,10 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
      "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
     ["asympt", "--n", "2", "--thickness", "1", "--distance", "inf",
      "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+    ["asympt", "--n", "2", "--thickness", "1", "--distance", "1e70",
+     "--e-ji", "1", "--mu-par-sq", "1", "--mu-perp-sq", "1"],
+    ["asympt", "--n", "2", "--thickness", "1", "--distance", "1e-70",
+     "--e-ji", "1", "--mu-par-sq", "1", "--mu-perp-sq", "1"],
 ])
 def test_extreme_input_is_an_input_error(argv):
     # where the float powers of zeta or n leave the doubles: every warning
@@ -387,6 +391,24 @@ def test_extreme_input_is_an_input_error(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("slabshift: input error: ")
     assert proc.stderr.count("\n") == 1 and "nan" not in proc.stderr
+
+
+@pytest.mark.parametrize("distance", ["1e70", "1e-70"])
+@pytest.mark.parametrize("mu_par_sq", ["1", "2"])  # anisotropic, isotropic
+def test_asympt_rejects_a_distance_before_the_full_integral(
+        distance, mu_par_sq, monkeypatch, capsys):
+    # Z**5 of the thin-slab forms leaves the doubles although W's zeta**4
+    # does not; the thin-plate form of an isotropic atom raises the same
+    def full_integral(*args):
+        raise AssertionError("the full integral ran")
+    monkeypatch.setattr(slabshift.cli, "energy_shift", full_integral)
+    code = main(["asympt", "--n", "2", "--thickness", "1", "--distance",
+                 distance, "--e-ji", "1", "--mu-par-sq", mu_par_sq,
+                 "--mu-perp-sq", "1"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"slabshift: input error: atom-surface distance Z = {float(distance)!r}"
+        " is out of range: Z**5 ")
 
 
 @pytest.mark.parametrize("line", ["quad.rel_tol = abc",

@@ -43,8 +43,9 @@ COMPUTE = {"numpy", "slabshift.quadrature", "slabshift.reflection",
            "slabshift.electrostatics", "slabshift.modes"}
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", code], env=ENV,
+def _python(code: str, env: dict[str, str] = ENV
+            ) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -160,3 +161,63 @@ def test_traced_names_are_cli_attributes_that_commands_call():
     assert proc.returncode == 0, proc.stderr
     calls = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert all(calls[name] > 0 for name in TRACED), calls
+
+
+# A CLI process pins numpy's OpenBLAS to one thread before numpy loads;
+# these run with no thread count set unless a test sets one.
+NO_BLAS_ENV = {k: v for k, v in ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+WFUN_SMALL = ["wfun", "--zeta", "1", "--lam", "1", "--n", "2"]
+
+
+def _stdout(code: str, env: dict[str, str]) -> str:
+    proc = _python(code, env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+def test_cli_process_runs_one_thread():
+    out = _stdout(
+        "import os\n"
+        "from slabshift.cli import main\n"
+        f"rc = main({WFUN_SMALL!r} + ['--output', {os.devnull!r}])\n"
+        "print(rc, len(os.listdir('/proc/self/task')),"
+        " os.environ['OPENBLAS_NUM_THREADS'])\n", NO_BLAS_ENV)
+    assert out == "0 1 1\n"
+
+
+def test_cli_keeps_a_thread_count_the_user_set():
+    out = _stdout(
+        "import os\n"
+        "from slabshift.cli import main\n"
+        f"rc = main({WFUN_SMALL!r} + ['--output', {os.devnull!r}])\n"
+        "print(rc, os.environ['OPENBLAS_NUM_THREADS'])\n",
+        {**NO_BLAS_ENV, "OPENBLAS_NUM_THREADS": "2"})
+    assert out == "0 2\n"
+
+
+def test_in_process_main_after_numpy_leaves_the_environment_alone():
+    out = _stdout(
+        "import os\n"
+        "import numpy\n"
+        "from slabshift.cli import main\n"
+        "before = dict(os.environ)\n"
+        f"rc = main({WFUN_SMALL!r} + ['--output', {os.devnull!r}])\n"
+        "print(rc, dict(os.environ) == before)\n", NO_BLAS_ENV)
+    assert out == "0 True\n"
+
+
+def test_one_thread_sweep_is_the_same_for_any_worker_count():
+    # the workers of --jobs 2 inherit the one-thread setting
+    argv = [sys.executable, "-m", "slabshift.cli", "sweep", "--axis", "zeta",
+            "--lo", "0.5", "--hi", "2", "--points", "3", "--lam", "1",
+            "--n", "2", "--rel-tol", "1e-6"]
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(argv + ["--jobs", jobs], env=NO_BLAS_ENV,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append([line for line in proc.stdout.splitlines()
+                     if not line.startswith("# timestamp = ")])
+    assert outs[0] == outs[1]

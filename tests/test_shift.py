@@ -96,6 +96,19 @@ def test_err_est_bounds_the_true_error(zeta, lam, n):
         assert d.err_est <= max(q.rel_tol * abs(d.value), q.abs_tol)
 
 
+@pytest.mark.parametrize("lam", [1.0, math.inf])
+@pytest.mark.parametrize("zeta, n", [(1e-18, 2.0), (1e-16, 1.01),
+                                     (1e-13, 1.0 + 1e-6)])
+def test_err_est_bounds_the_error_at_the_non_retarded_limit(zeta, n, lam):
+    # where zeta (n^2 - 1) is tiny, inner rows at s ~ 1/zeta hold a peak
+    # of width 1/s that their seed panel misses; W/zeta must still meet the
+    # non-retarded half-space slope (pi/4, pi/2) beta within err_est
+    beta = (n - 1.0) * (n + 1.0) / (n * n + 1.0)
+    wp = w_pair(ReducedParams(zeta, lam, n))
+    assert abs(wp.w_par - zeta * 0.25 * math.pi * beta) <= wp.err_est
+    assert abs(wp.w_z - zeta * 0.5 * math.pi * beta) <= wp.err_est
+
+
 def test_positivity():
     rng = np.random.default_rng(2)
     q = QuadratureSpec(rel_tol=1e-6)
