@@ -183,13 +183,26 @@ def test_travelling_coefficients_match_closed_forms():
 
 
 def test_right_incident_is_mirrored_left_incident():
-    wv = WaveVectors.from_vacuum(0.8, 1.4, SLAB.n)
-    for pol in (TE, TM):
-        fl = travelling_mode("L", pol, wv, SLAB)
-        fr = travelling_mode("R", pol, wv, SLAB)
-        for z in (-1.7, -0.2, 0.2, 1.7):
-            assert fr.scalar(0.3, 0.5, z) == pytest.approx(
-                fl.scalar(0.3, 0.5, -z), rel=1e-12)
+    # scalar parts mirror as they are; the vectors as E_R(x, y, z) =
+    # s P E_L(x, y, -z), P = diag(1, 1, -1), s = +1 for TE and -1 for TM
+    rng = np.random.default_rng(53)
+    cases = [(SLAB, WaveVectors.from_vacuum(0.8, 1.4, SLAB.n))]
+    for _ in range(4):
+        slab = Slab(n=rng.uniform(1.1, 3.0), L=rng.uniform(0.2, 2.5))
+        cases.append((slab, WaveVectors.from_vacuum(
+            rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0), slab.n)))
+    for slab, wv in cases:
+        for pol, s in ((TE, 1.0), (TM, -1.0)):
+            fl = travelling_mode("L", pol, wv, slab)
+            fr = travelling_mode("R", pol, wv, slab)
+            for z in (-1.7, -0.2, 0.2, 1.7):
+                assert fr.scalar(0.3, 0.5, z) == pytest.approx(
+                    fl.scalar(0.3, 0.5, -z), rel=1e-12)
+                e_r = fr.field(0.3, 0.5, z)
+                mirrored = s * np.array([1.0, 1.0, -1.0]) \
+                    * fl.field(0.3, 0.5, -z)
+                assert np.abs(e_r - mirrored).max() \
+                    <= 1e-12 * np.abs(e_r).max()
 
 
 def test_trapped_continuity_all_branches():
@@ -241,6 +254,18 @@ def test_region_tags():
     assert f.region_tag(-3.0) == "left_vacuum"
     assert f.region_tag(0.0) == "slab"
     assert f.region_tag(3.0) == "right_vacuum"
+    # field and scalar evaluate the expansion of the region z lies in
+    wv = WaveVectors.from_vacuum(0.8, 1.4, SLAB.n)
+    fields = [trapped_mode(m, SLAB) for pol in (TE, TM)
+              for m in find_trapped_modes(pol, "A", 6.0, SLAB)[:1]]
+    fields += [travelling_mode(side, pol, wv, SLAB)
+               for side in ("L", "R") for pol in (TE, TM)]
+    for f in fields:
+        for z in (-1.3, -0.5, -0.2, 0.0, 0.4, 0.5, 2.1):
+            tag = f.region_tag(z)
+            assert np.array_equal(f.field(0.3, -0.1, z),
+                                  f.field_in(tag, 0.3, -0.1, z))
+            assert f.scalar(0.3, -0.1, z) == f.scalar_in(tag, 0.3, -0.1, z)
 
 
 def test_travelling_rejects_evanescent_kz():
