@@ -167,22 +167,19 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
                                           mu_perp_sq=mu_perp))
         except ValueError as exc:
             raise ConfigError(f"{base}: {exc}") from None
-    try:
-        slab = Slab(n=n, L=L)
-        if not Z > 0.0:
-            raise ValueError(f"geometry.Z must be positive, got {Z}")
-        atom = AtomSpec(transitions)
-        _bind("quadrature")
-        quad = QuadratureSpec(
-            rel_tol=float(cfg.get("quad.rel_tol", QuadratureSpec.rel_tol)),
-            abs_tol=float(cfg.get("quad.abs_tol", QuadratureSpec.abs_tol)),
-            s_cutoff_decades=float(cfg.get("quad.s_cutoff_decades",
-                                           QuadratureSpec.s_cutoff_decades)),
-            max_subdivisions=int(cfg.get("quad.max_subdivisions",
-                                         QuadratureSpec.max_subdivisions)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    slab = Slab(n=n, L=L)
+    if not Z > 0.0:
+        raise ConfigError(f"geometry.Z must be positive, got {Z}")
+    atom = AtomSpec(transitions)
+    _bind("quadrature")
+    quad = QuadratureSpec(
+        rel_tol=float(cfg.get("quad.rel_tol", QuadratureSpec.rel_tol)),
+        abs_tol=float(cfg.get("quad.abs_tol", QuadratureSpec.abs_tol)),
+        s_cutoff_decades=float(cfg.get("quad.s_cutoff_decades",
+                                       QuadratureSpec.s_cutoff_decades)),
+        max_subdivisions=int(cfg.get("quad.max_subdivisions",
+                                     QuadratureSpec.max_subdivisions)),
+    )
     return RunInput(atom=atom, slab=slab, Z=Z, quad=quad, units=units)
 
 
@@ -259,11 +256,8 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
 def cmd_shift(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
     _bind("shift")
-    try:
-        params = [reduce(run.slab, tr, run.Z) for tr in run.atom.transitions]
-        pairs = [w_pair(p, run.quad) for p in params]
-    except ValueError as exc:  # a point outside the range W can be taken at
-        raise ConfigError(str(exc)) from None
+    params = [reduce(run.slab, tr, run.Z) for tr in run.atom.transitions]
+    pairs = [w_pair(p, run.quad) for p in params]
     shift = assemble_shift(run.atom, run.slab, run.Z, pairs)
     rows = []
     for i, (tr, p, wp) in enumerate(zip(run.atom.transitions, params, pairs)):
@@ -317,13 +311,10 @@ def _input_echo(run: RunInput) -> dict[str, object]:
 
 
 def cmd_wfun(args: argparse.Namespace) -> tuple[str, int]:
-    try:
-        p = ReducedParams(zeta=args.zeta, lam=args.lam, n=args.n)
-        _bind("quadrature", "shift")
-        quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
-        wp = w_pair(p, quad)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    p = ReducedParams(zeta=args.zeta, lam=args.lam, n=args.n)
+    _bind("quadrature", "shift")
+    quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
+    wp = w_pair(p, quad)
     if args.format == "json":
         row = {"zeta": p.zeta, "lam": p.lam, "n": p.n,
                "w_par": wp.w_par, "w_z": wp.w_z, "err_est": wp.err_est}
@@ -432,10 +423,7 @@ def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
     if not 0.0 < args.k_par < math.inf:
         raise ConfigError(
             f"k_par must be positive and finite, got {args.k_par}")
-    try:
-        slab = Slab(n=args.n, L=args.thickness)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    slab = Slab(n=args.n, L=args.thickness)
     _bind("reflection", "modes")
     rows = []
     for pol in (Polarization.TE, Polarization.TM):
@@ -456,23 +444,19 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
         alpha0 = static_polarizability(run.atom)
     except ValueError:  # the thin-plate form takes isotropic atoms only
         alpha0 = None
-    try:
-        # the closed forms first: a distance whose powers leave the doubles
-        # is an input error before the full integral runs
-        comparisons = [
-            ("retarded thin slab",
-             retarded_thin_shift(run.atom, run.slab, run.Z).value),
-            ("non-retarded (image series)",
-             nonretarded_shift(run.atom, run.slab, run.Z).value),
-            ("non-retarded thin slab",
-             nonretarded_thin_shift(run.atom, run.slab, run.Z).value)]
-        if alpha0 is not None:
-            comparisons.append(("thin-plate polarizability form",
-                                buhmann_U(alpha0, run.slab.n, run.slab.L,
-                                          run.Z)))
-        full = energy_shift(run.atom, run.slab, run.Z, run.quad)
-    except ValueError as exc:  # a point outside the range W can be taken at
-        raise ConfigError(str(exc)) from None
+    # the closed forms first: a distance whose powers leave the doubles is
+    # an input error before the full integral runs
+    comparisons = [
+        ("retarded thin slab",
+         retarded_thin_shift(run.atom, run.slab, run.Z).value),
+        ("non-retarded (image series)",
+         nonretarded_shift(run.atom, run.slab, run.Z).value),
+        ("non-retarded thin slab",
+         nonretarded_thin_shift(run.atom, run.slab, run.Z).value)]
+    if alpha0 is not None:
+        comparisons.append(("thin-plate polarizability form",
+                            buhmann_U(alpha0, run.slab.n, run.slab.L, run.Z)))
+    full = energy_shift(run.atom, run.slab, run.Z, run.quad)
 
     def rel_dev(approx: float) -> float:
         if full.value == 0.0:
@@ -601,9 +585,11 @@ def main(argv: list[str] | None = None) -> int:
         # CPU and that slabshift's 3-term dot products never use
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
+    # the library raises ValueError for input outside its domain, such as a
+    # point outside the range W can be taken at: an input error as well
     try:
         text, code = args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"slabshift: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

@@ -81,17 +81,22 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab,
     L = slab.L
 
     def bracket(m: int) -> float:
-        return (1.0 / math.hypot(rho, a0 + 2.0 * m * L)
-                - 1.0 / math.hypot(rho, a0 + 2.0 * (m + 1) * L))
+        # 1/h1 - 1/h2 = (h2^2 - h1^2) / (h1 h2 (h1 + h2)), free of
+        # cancellation, in an order that cannot overflow
+        d = a0 + 2.0 * m * L
+        h1, h2 = math.hypot(rho, d), math.hypot(rho, d + 2.0 * L)
+        return 4.0 * (L / (h1 + h2)) * ((d + L) / h2) / h1
 
     total = 0.0
     weight = 1.0  # beta^(2m)
+    b_next = bracket(0)
     for m in range(spec.max_terms):
-        total += weight * bracket(m)
+        total += weight * b_next
         weight *= beta2
+        b_next = bracket(m + 1)
         # the brackets after m fall from b_(m+1) only past the turn
         past_turn = math.sqrt(2.0) * (a0 + 2.0 * (m + 1) * L) >= rho
-        tail = _tail_majorant(weight, bracket(m + 1) if past_turn else
+        tail = _tail_majorant(weight, b_next if past_turn else
                               4.0 * L / (3.0 * math.sqrt(3.0) * rho * rho),
                               beta2)
         if tail <= spec.tail_tol * abs(total):
@@ -146,7 +151,18 @@ def image_series_converges(slab: Slab, Z: float,
 
 
 def _bracket(Z: float, L: float, m: int) -> float:
-    return 1.0 / (Z + m * L) ** 3 - 1.0 / (Z + (m + 1) * L) ** 3
+    """1/a^3 - 1/b^3 with a = Z + mL and b = a + L.
+
+    Written as (1 - q^3)/a^3 with q = a/b and 1 - q = L/b, so nothing
+    cancels when L << a; as L/b <= 1 and 1 + q + q^2 <= 3, only a^3 can
+    overflow, and only where the bracket is below the doubles anyway.
+    """
+    if math.isinf(L):  # a = b = inf past the first term
+        return 0.0 if m else 1.0 / Z ** 3
+    a = Z + m * L
+    b = a + L
+    q = a / b
+    return (L / b) * (1.0 + q + q * q) / (a * a * a)
 
 
 def _tail_majorant(weight: float, bracket: float, beta2: float) -> float:

@@ -31,7 +31,12 @@ bisection between branch edges is complete and unconditionally robust.
 The solver bisects the brackets of all branches together, as arrays.
 
 Wave vectors are taken in the x-z plane (k_par along x); fields for any
-other azimuth follow by rotation.
+other azimuth follow by rotation.  A mode is stored as one table: per
+region (left vacuum, slab, right vacuum) its plane waves (amplitude, k_z,
+polarization).  The right-incident travelling mode is the left-incident
+table mirrored in z = 0: regions reversed and every k_z negated, so that
+E_R(x, y, z) = s P E_L(x, y, -z) with P = diag(1, 1, -1) and s = +1 (TE)
+or -1 (TM).
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ from .reflection import Polarization, WaveVectors, slab_denominator, snell_kzd
 
 __all__ = [
     "TrappedMode",
-    "PlaneWaveTerm",
-    "RegionPiece",
     "ModeField",
     "dispersion_mismatch",
     "find_trapped_modes",
@@ -183,117 +186,91 @@ def pole_alignment_check(mode: TrappedMode, slab: Slab) -> float:
 
 
 @dataclass(frozen=True)
-class PlaneWaveTerm:
-    """One plane-wave piece: amplitude * polarization * exp(i k.r)."""
-
-    amplitude: complex
-    wavevector: tuple[complex, complex, complex]
-    polarization: tuple[complex, complex, complex]
-
-
-@dataclass(frozen=True)
-class RegionPiece:
-    tag: str
-    terms: tuple[PlaneWaveTerm, ...]
-
-
-@dataclass(frozen=True)
 class ModeField:
-    """Piecewise plane-wave electric mode function of the slab geometry."""
+    """Piecewise plane-wave electric mode function of the slab geometry.
+
+    ``regions`` holds the waves of the left vacuum, the slab and the right
+    vacuum, each wave as ``(amplitude, k_z, polarization)`` with the wave
+    vector (k_par, 0, k_z).
+    """
 
     slab: Slab
-    regions: tuple[RegionPiece, ...]  # (left_vacuum, slab, right_vacuum)
+    k_par: float
+    regions: tuple[tuple[tuple, ...], ...]
 
     def region_tag(self, z: float) -> str:
-        return self.regions[self._region_index(z)].tag
-
-    def _region_index(self, z: float) -> int:
         half = 0.5 * self.slab.L
-        if z < -half:
-            return 0
-        if z > half:
-            return 2
-        return 1
+        return _REGION_TAGS[0 if z < -half else 2 if z > half else 1]
 
     def field(self, x: float, y: float, z: float) -> np.ndarray:
         """Complex electric mode vector at a point (region chosen by z)."""
-        return self._eval(self._region_index(z), x, y, z)
+        return self.field_in(self.region_tag(z), x, y, z)
 
     def field_in(self, tag: str, x: float, y: float, z: float) -> np.ndarray:
         """Evaluate one region's expansion regardless of z (for limits
         toward an interface)."""
-        return self._eval(_REGION_TAGS.index(tag), x, y, z)
+        return self._sum(tag, x, z, lambda k_z, e: np.asarray(e, dtype=complex))
 
     def scalar(self, x: float, y: float, z: float) -> complex:
         """Scalar part of the mode (polarization vectors stripped)."""
-        return self._eval_scalar(self._region_index(z), x, y, z)
+        return self.scalar_in(self.region_tag(z), x, y, z)
 
     def scalar_in(self, tag: str, x: float, y: float, z: float) -> complex:
-        return self._eval_scalar(_REGION_TAGS.index(tag), x, y, z)
+        return self._sum(tag, x, z, lambda k_z, e: 1.0)
 
     def curl_in(self, tag: str, x: float, y: float, z: float) -> np.ndarray:
         """Analytic curl of the region expansion: sum c (i k x e) exp(i k.r)."""
-        out = np.zeros(3, dtype=complex)
-        for term in self.regions[_REGION_TAGS.index(tag)].terms:
-            k = np.asarray(term.wavevector, dtype=complex)
-            e = np.asarray(term.polarization, dtype=complex)
-            phase = cmath.exp(1j * (k[0] * x + k[1] * y + k[2] * z))
-            out += term.amplitude * phase * 1j * np.cross(k, e)
-        return out
+        return self._sum(tag, x, z, lambda k_z, e: 1j * np.cross(
+            np.array([self.k_par, 0.0, k_z], dtype=complex),
+            np.asarray(e, dtype=complex)))
 
-    def _eval(self, idx: int, x: float, y: float, z: float) -> np.ndarray:
-        out = np.zeros(3, dtype=complex)
-        for term in self.regions[idx].terms:
-            k = term.wavevector
-            phase = cmath.exp(1j * (k[0] * x + k[1] * y + k[2] * z))
-            out += (term.amplitude * phase) * np.asarray(term.polarization,
-                                                         dtype=complex)
-        return out
-
-    def _eval_scalar(self, idx: int, x: float, y: float, z: float) -> complex:
-        out = 0.0 + 0.0j
-        for term in self.regions[idx].terms:
-            k = term.wavevector
-            out += term.amplitude * cmath.exp(
-                1j * (k[0] * x + k[1] * y + k[2] * z))
+    def _sum(self, tag: str, x: float, z: float, vector):
+        """sum over the region's waves of amplitude * exp(i k.r) * vector."""
+        out = 0.0j
+        for amplitude, k_z, e in self.regions[_REGION_TAGS.index(tag)]:
+            phase = cmath.exp(1j * (self.k_par * x + k_z * z))
+            out = out + (amplitude * phase) * vector(k_z, e)
         return out
 
 
-def _pol_vector(pol: Polarization, k_par: float, kz_component: complex,
-                n_medium: float, omega: complex) -> tuple[complex, complex, complex]:
-    # transverse direction fixed along x; (1, 0) is the k_par -> 0 limit
-    if pol is Polarization.TE:
-        return (0.0, -1.0, 0.0)
-    return (kz_component / (n_medium * omega), 0.0,
-            -k_par / (n_medium * omega))
+def _mode_field(pol: Polarization, k_par: float, omega: float, slab: Slab,
+                regions) -> ModeField:
+    """ModeField from per-region ``(amplitude, k_z)`` waves, each given the
+    polarization vector of its own k_z and medium."""
+    def wave(amplitude, k_z, n_medium):
+        # transverse direction fixed along x; (1, 0) is the k_par -> 0 limit
+        if pol is Polarization.TE:
+            return amplitude, k_z, (0.0, -1.0, 0.0)
+        return amplitude, k_z, (k_z / (n_medium * omega), 0.0,
+                                -k_par / (n_medium * omega))
+
+    return ModeField(slab=slab, k_par=k_par, regions=tuple(
+        tuple(wave(amplitude, k_z, n_medium) for amplitude, k_z in waves)
+        for waves, n_medium in zip(regions, (1.0, slab.n, 1.0))))
 
 
 def _travelling_coefficients(pol: Polarization, k_z: float, k_par: float,
                              L: float, n: float):
-    """(R, I, J, T) from the 4x4 interface continuity system."""
+    """(R, I, J, T) from the 4x4 interface continuity system.
+
+    The rows match the scalar part and its z derivative at z = -L/2 and
+    z = +L/2: tangential E and tangential B for TE.  For TM (tangential E
+    and normal D) the slab columns carry n in the value rows and 1/n in the
+    derivative rows.
+    """
     k_zd = complex(snell_kzd(k_par, k_z, n))
+    val, der = (1.0, k_zd) if pol is Polarization.TE else (n, k_zd / n)
     a = cmath.exp(-0.5j * k_z * L)
     b = cmath.exp(+0.5j * k_z * L)
     c = cmath.exp(-0.5j * k_zd * L)
     d = cmath.exp(+0.5j * k_zd * L)
-    if pol is Polarization.TE:
-        # tangential E (scalar) and tangential B (scalar derivative)
-        mat = np.array([
-            [-b, c, d, 0.0],
-            [k_z * b, k_zd * c, -k_zd * d, 0.0],
-            [0.0, d, c, -b],
-            [0.0, k_zd * d, -k_zd * c, -k_z * b],
-        ], dtype=complex)
-        rhs = np.array([a, k_z * a, 0.0, 0.0], dtype=complex)
-    else:
-        # tangential E and normal D
-        mat = np.array([
-            [k_z * b, (k_zd / n) * c, -(k_zd / n) * d, 0.0],
-            [-b, n * c, n * d, 0.0],
-            [0.0, (k_zd / n) * d, -(k_zd / n) * c, -k_z * b],
-            [0.0, n * d, n * c, -b],
-        ], dtype=complex)
-        rhs = np.array([k_z * a, a, 0.0, 0.0], dtype=complex)
+    mat = np.array([
+        [-b, val * c, val * d, 0.0],
+        [k_z * b, der * c, -der * d, 0.0],
+        [0.0, val * d, val * c, -b],
+        [0.0, der * d, -der * c, -k_z * b],
+    ], dtype=complex)
+    rhs = np.array([a, k_z * a, 0.0, 0.0], dtype=complex)
     try:
         R, I, J, T = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:
@@ -306,7 +283,8 @@ def travelling_mode(side: str, pol: Polarization, k: WaveVectors,
                     slab: Slab) -> ModeField:
     """Left- or right-incident travelling mode (side "L" or "R").
 
-    Requires a propagating vacuum wave: real k_z > 0.
+    Requires a propagating vacuum wave: real k_z > 0.  The right-incident
+    mode is the left-incident one mirrored in z = 0.
     """
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
@@ -319,41 +297,15 @@ def travelling_mode(side: str, pol: Polarization, k: WaveVectors,
     if not np.isfinite([abs(R), abs(I), abs(J), abs(T)]).all():
         raise PoleError("travelling-mode coefficients diverge (pole proximity)",
                         k_z=k_z, k_par=k_par)
-    omega = math.sqrt(k_par * k_par + k_z * k_z)
     N = MODE_NORMALIZATION
-
-    def vac(kz_comp):
-        return _pol_vector(pol, k_par, kz_comp, 1.0, omega)
-
-    def diel(kz_comp):
-        return _pol_vector(pol, k_par, kz_comp, n, omega)
-
-    def term(amplitude, kz_comp, pol_vec):
-        return PlaneWaveTerm(amplitude=amplitude,
-                             wavevector=(k_par, 0.0, kz_comp),
-                             polarization=pol_vec)
-
-    if side == "L":
-        left = RegionPiece("left_vacuum", (
-            term(N, k_z, vac(k_z)),
-            term(N * R, -k_z, vac(-k_z)),
-        ))
-        mid = RegionPiece("slab", (
-            term(N * I, k_zd, diel(k_zd)),
-            term(N * J, -k_zd, diel(-k_zd)),
-        ))
-        right = RegionPiece("right_vacuum", (term(N * T, k_z, vac(k_z)),))
-    else:
-        left = RegionPiece("left_vacuum", (term(N * T, -k_z, vac(-k_z)),))
-        mid = RegionPiece("slab", (
-            term(N * I, -k_zd, diel(-k_zd)),
-            term(N * J, k_zd, diel(k_zd)),
-        ))
-        right = RegionPiece("right_vacuum", (
-            term(N, -k_z, vac(-k_z)),
-            term(N * R, k_z, vac(k_z)),
-        ))
-    return ModeField(slab=slab, regions=(left, mid, right))
+    regions = (((N, k_z), (N * R, -k_z)),
+               ((N * I, k_zd), (N * J, -k_zd)),
+               ((N * T, k_z),))
+    if side == "R":
+        regions = tuple(tuple((amp, -k_zc) for amp, k_zc in waves)
+                        for waves in reversed(regions))
+    omega = math.sqrt(k_par * k_par + k_z * k_z)
+    return _mode_field(pol, k_par, omega, slab, regions)
 
 
 def trapped_mode(mode: TrappedMode, slab: Slab) -> ModeField:
@@ -390,19 +342,7 @@ def trapped_mode(mode: TrappedMode, slab: Slab) -> ModeField:
             + n * n * k_par * k_par / (kappa * (k_par * k_par
                                                 + n * n * kappa * kappa))))
 
-    def term(amplitude, kz_comp, n_medium):
-        return PlaneWaveTerm(
-            amplitude=amplitude,
-            wavevector=(k_par, 0.0, kz_comp),
-            polarization=_pol_vector(mode.pol, k_par, kz_comp, n_medium,
-                                     omega))
-
-    left = RegionPiece("left_vacuum",
-                       (term(M * sgn * L_coef, -1j * kappa, 1.0),))
-    mid = RegionPiece("slab", (
-        term(M, k_zd, n),
-        term(M * sgn, -k_zd, n),
-    ))
-    right = RegionPiece("right_vacuum",
-                        (term(M * L_coef, 1j * kappa, 1.0),))
-    return ModeField(slab=slab, regions=(left, mid, right))
+    regions = (((M * sgn * L_coef, -1j * kappa),),
+               ((M, k_zd), (M * sgn, -k_zd)),
+               ((M * L_coef, 1j * kappa),))
+    return _mode_field(mode.pol, k_par, omega, slab, regions)

@@ -8,7 +8,9 @@ import pytest
 from slabshift import (AtomSpec, QuadratureSpec, ReducedParams, Slab,
                        Transition, buhmann_U, classify_regime, energy_shift,
                        halfspace_S, nonretarded_shift, nonretarded_thin_shift,
-                       retarded_thin_shift, static_polarizability, w_pair)
+                       phi_H, retarded_thin_shift, static_polarizability,
+                       w_pair)
+from slabshift.cli import main
 
 ATOM = AtomSpec([Transition(E_ji=1.0, mu_par_sq=2.0, mu_perp_sq=1.0)])
 
@@ -284,3 +286,41 @@ def test_full_integral_approaches_nonretarded():
     full = energy_shift(ATOM, slab, Z).value
     nr = nonretarded_shift(ATOM, slab, Z).value
     assert abs(full - nr) / abs(nr) < 0.01
+
+
+@pytest.mark.parametrize("L, Z", [(1e-14, 1e3), (1e-13, 1.0), (1e-10, 1.0),
+                                  (1.0, 1e61)])
+def test_nonretarded_thin_limit_without_cancellation(L, Z):
+    # the thin form is exact to first order in L/Z, and both routes keep
+    # it where 1/a^3 - 1/b^3 and 1 - exp(-2kL) would cancel to nothing
+    slab = Slab(n=2.0, L=L)
+    thin = nonretarded_thin_shift(ATOM, slab, Z).value
+    for method in ("series", "quadrature"):
+        got = nonretarded_shift(ATOM, slab, Z, method=method).value
+        assert abs(got / thin - 1.0) <= 5.0 * L / Z + 1e-13, method
+
+
+def test_phi_h_on_axis_thin_slab():
+    # rho = 0, z = z' = 1: every bracket is 2L/a0^2 to first order in L
+    n, L = 2.0, 1e-14
+    beta = (n * n - 1.0) / (n * n + 1.0)
+    a0 = 2.0 - L
+    want = -beta / (4.0 * math.pi) * 2.0 * L / (a0 * a0 * (1.0 - beta * beta))
+    assert phi_H(0.0, 1.0, 1.0, Slab(n=n, L=L)) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+
+
+def test_asympt_far_distance_prints_no_zero(capsys):
+    # 160 pi^2 n^2 Z^5 overflows at Z = 1e61 although Z^5 does not
+    code = main(["asympt", "--n", "2", "--thickness", "1", "--distance",
+                 "1e61", "--e-ji", "1", "--mu-par-sq", "2",
+                 "--mu-perp-sq", "1"])
+    assert code == 0
+    values = {}
+    for line in capsys.readouterr().out.splitlines():
+        label, _, rest = line.partition(": ")
+        if not label.startswith("transition"):
+            values[label] = float(rest.split()[0])
+    assert all(v != 0.0 for v in values.values())
+    assert values["retarded thin slab"] == pytest.approx(
+        values["thin-plate polarizability form"], rel=1e-12, abs=0.0)

@@ -380,6 +380,8 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
      "--e-ji", "1", "--mu-par-sq", "1", "--mu-perp-sq", "1"],
     ["asympt", "--n", "2", "--thickness", "1", "--distance", "1e-70",
      "--e-ji", "1", "--mu-par-sq", "1", "--mu-perp-sq", "1"],
+    ["wfun", "--zeta", "1", "--lam", "-1", "--n", "2"],
+    ["modes", "--k-par", "1", "--n", "0.5", "--thickness", "1"],
 ])
 def test_extreme_input_is_an_input_error(argv):
     # where the float powers of zeta or n leave the doubles: every warning
