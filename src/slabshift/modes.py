@@ -251,7 +251,7 @@ def _mode_field(pol: Polarization, k_par: float, omega: float, slab: Slab,
 
 def _travelling_coefficients(pol: Polarization, k_z: float, k_par: float,
                              L: float, n: float):
-    """(R, I, J, T) from the 4x4 interface continuity system.
+    """(R, I, J, T, k_zd) from the 4x4 interface continuity system.
 
     The rows match the scalar part and its z derivative at z = -L/2 and
     z = +L/2: tangential E and tangential B for TE.  For TM (tangential E
