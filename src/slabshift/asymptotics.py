@@ -161,8 +161,9 @@ def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
     n2 = slab.n * slab.n
-    pref = -3.0 * (n2 * n2 - 1.0) * slab.L / (256.0 * math.pi * n2
-                                           * _z_power(Z, 4))
-    contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
+    z4 = _z_power(Z, 4)
+    # Z^4 divides last: 256 pi n^2 Z^4 overflows for Z^4 near the top
+    pref = -3.0 * (n2 * n2 - 1.0) * slab.L / (256.0 * math.pi * n2)
+    contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq) / z4
                 for tr in atom.transitions]
     return EnergyShift.from_contributions(contribs)

@@ -155,15 +155,27 @@ def classify_regime(p: ReducedParams) -> RegimeReport:
 
 @dataclass(frozen=True)
 class WPair:
-    """Dimensionless shift functions (W_par, W_z) with a quadrature error bound."""
+    """Dimensionless shift functions (W_par, W_z) with quadrature error bounds.
+
+    ``err_par`` and ``err_z`` bound each component; ``err_est`` bounds both
+    and is their max when they are given (each defaults to ``err_est``).
+    """
 
     w_par: float
     w_z: float
     err_est: float = 0.0
+    err_par: float | None = None
+    err_z: float | None = None
 
     def __post_init__(self):
         if self.err_est < 0.0:
             raise ValueError("err_est must be non-negative")
+        for name in ("err_par", "err_z"):
+            err = getattr(self, name)
+            if err is None:
+                object.__setattr__(self, name, self.err_est)
+            elif not 0.0 <= err <= self.err_est:
+                raise ValueError(f"{name} must lie in [0, err_est]")
 
 
 @dataclass(frozen=True)

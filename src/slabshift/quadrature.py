@@ -1,36 +1,38 @@
-"""Adaptive 1D quadrature with an embedded Gauss-Kronrod error estimate.
+"""Adaptive Gauss-Kronrod quadrature over an interval or a rectangle.
 
-Each panel is integrated with the 15-point Gauss-Kronrod rule (QUADPACK
-``qk15``), whose nodes include the 7 of the Gauss-Legendre rule: a panel
-costs 15 integrand nodes, and the difference of the two sums serves as a
-(conservative) local error estimate.  Panels are bisected worst-first
-until the summed estimate meets the requested tolerance.  The contract is
-the tolerance, not the rule: callers rely on ``err_est <= max(rel_tol *
-|value|, abs_tol)`` of the returned result, and on
-:class:`ConvergenceError` carrying the best estimate when the panel budget
-runs out.
+One rule serves both.  The domain is tiled by cells (intervals in 1D,
+rectangles in 2D), and each cell is integrated with the 15-point
+Gauss-Kronrod rule (QUADPACK ``qk15``) along every axis: 15 nodes per
+interval, the 225-node product GK15 x GK15 per rectangle.  The Kronrod
+nodes include the 7 of the Gauss-Legendre rule, so each axis has an
+embedded error estimate: the difference between the Kronrod sum and the
+sum with that axis's Kronrod weights replaced by Gauss weights (``|K - G|``
+in 1D; ``|K x K - G x K|`` along the first axis and ``|K x K - K x G|``
+along the second in 2D).  A cell's error is the sum of its axis errors.
 
-Integrands must accept and return 1D numpy arrays; every panel evaluated
-in one step (both halves of a bisection, or all the initial panels) goes
-to the integrand in a single call, so vectorized integrands keep the
-Python overhead per panel constant.
+Refinement is global, in rounds, after DCUHRE (Berntsen, Espelid & Genz,
+ACM TOMS 17 (1991) 437) and Genz & Malik (1980).  Each round ranks the
+cells by error over tolerance and bisects the worst of them, each along
+its axis of larger error, until the cells left unsplit fit in half the
+tolerance.  All children of a round go to the integrand in one call (or
+in calls of at most ``_MAX_NODES`` nodes), so the call count follows the
+depth of the refinement, not the number of cells.
 
-:func:`adaptive_quad_rows` is the one implementation of the rule.  It
-integrates many independent integrands ``x -> f(p, x)`` at once, one row
-per parameter ``p``, over a shared interval.  A row's panels, value and
-error bound depend on its own integrand only, but a refinement round
-evaluates the new panels of all unconverged rows with one integrand call,
-so the call count follows the deepest row instead of the number of rows.
-The stopping test is decided round by round: the ``math.fsum`` sums of all
-candidate rows come from one ``tolist`` of their block, and the
-comparison, the dropping of converged rows and the results are numpy
-arrays.  Each row may carry its own absolute floor.  :func:`adaptive_quad`
-is its single row.
+The contract is the tolerance, not the rule: callers rely on
+``err_est <= max(rel_tol * |value|, abs_tol)`` of every component of the
+returned result, both sides taken with ``math.fsum``, and on
+:class:`ConvergenceError` carrying the best estimate when the budget of
+``max_subdivisions`` splits beyond the seed cells runs out.
+
+Integrands take flat node arrays (``f(x)`` in 1D, ``f(u, t)`` in 2D) and
+return one value per node, or one row of values per component for a
+vector-valued integrand.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,8 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["QuadratureSpec", "QuadResult", "adaptive_quad",
-           "adaptive_quad_rows"]
+__all__ = ["QuadratureSpec", "QuadResult", "adaptive_quad"]
 
 # Gauss-Kronrod 15 (QUADPACK qk15, Piessens et al. 1983): the nodes x >= 0
 # on [-1, 1], their Kronrod weights, and the Gauss-7 weights of _XGK[1::2]
@@ -53,18 +54,26 @@ _WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204
         0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
 _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-# mirrored to ascending order, where the Gauss-7 nodes are _NODES[1::2]
+# mirrored to ascending order, where the Gauss-7 nodes are _NODES[1::2];
+# column 0 of _WEIGHTS holds the Kronrod weights, column 1 the Gauss
+# weights at their nodes and zero elsewhere
 _NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_WEIGHTS_KRONROD = np.array(_WGK + _WGK[-2::-1])
-_WEIGHTS_GAUSS = np.array(_WG + _WG[-2::-1])
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[:, 0] = _WGK + _WGK[-2::-1]
+_WEIGHTS[1::2, 1] = _WG + _WG[-2::-1]
+# most nodes in one integrand call (48 cells of 225 nodes in 2D): larger
+# rounds go in several calls, which bounds the memory of the temporaries
+_MAX_NODES = 10_800
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and budgets for the shift quadrature.
 
-    ``s_cutoff_decades`` truncates the outer integral where the exponential
+    ``s_cutoff_decades`` truncates the s (or u) axis where the exponential
     weight has fallen that many decades below its peak.
+    ``max_subdivisions`` is the number of cell splits allowed beyond the
+    seed cells.
     """
 
     rel_tol: float = 1e-8
@@ -83,163 +92,163 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    err_est: float
+    """Value and error bound, floats or one tuple entry per component.
+
+    ``panels`` is the number of final cells, whose corners are the rows
+    of ``lo`` and ``hi``.
+    """
+
+    value: float | tuple[float, ...]
+    err_est: float | tuple[float, ...]
     panels: int
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _eval_cells(f: Callable[..., np.ndarray], lo: np.ndarray,
+                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and per-axis errors of every cell ``[lo[i], hi[i]]``.
+
+    ``lo`` and ``hi`` have one row per cell and one column per axis.  One
+    integrand call sees the cells' nodes in turn, cell by cell, the last
+    axis fastest.  The value array has the integrand's component axes (if
+    any) followed by one entry per cell; the error array adds one entry
+    per axis.  A cell's sums run over its own nodes only, so its value does
+    not depend on which cells share the call.
+    """
+    cells, dims = lo.shape
+    size = _NODES.size
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, :, None] + half[:, :, None] * _NODES
+    if dims == 1:
+        y = f(x[:, 0].ravel())
+    else:
+        y = f(np.repeat(x[:, 0], size, axis=1).ravel(),
+              np.broadcast_to(x[:, None, 1], (cells, size, size)).ravel())
+    y = np.asarray(y, dtype=float)
+    lead = y.shape[:-1]
+    # the last axis with both weight sets, (..., nodes) -> (..., [K, G]);
+    # in 2D then the first axis, -> (..., [KK, GK, KG, GG]) with the first
+    # letter the rule along the first axis
+    sums = (y.reshape(-1, size) @ _WEIGHTS).reshape(
+        lead + (cells,) + (size,) * (dims - 1) + (2,))
+    if dims == 2:
+        sums = (np.swapaxes(sums, -1, -2) @ _WEIGHTS).reshape(
+            lead + (cells, 4))
+    volume = half.prod(axis=1)
+    kk = sums[..., 0]
+    return (kk * volume,
+            np.abs(sums[..., 1:1 + dims] - kk[..., None]) * volume[:, None])
+
+
+def _eval_round(f: Callable[..., np.ndarray], lo: np.ndarray,
+                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_eval_cells` of all the cells of one round, in integrand
+    calls of at most ``_MAX_NODES`` nodes each."""
+    step = max(1, _MAX_NODES // _NODES.size ** lo.shape[1])
+    parts = [_eval_cells(f, lo[i:i + step], hi[i:i + step])
+             for i in range(0, lo.shape[0], step)]
+    return (np.concatenate([v for v, _ in parts], axis=-1),
+            np.concatenate([e for _, e in parts], axis=-2))
 
 
 def _eval_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, error) of every panel ``[lo[i], hi[i]]`` from one integrand call.
-
-    The integrand sees the 15 Kronrod nodes of each panel in turn, panel
-    by panel.  Each panel's weighted sums run over its own contiguous row,
-    so a panel's value does not depend on how many panels share the call.
-    """
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    v_hi = half * (y * _WEIGHTS_KRONROD).sum(axis=1)
-    v_lo = half * (y[:, 1::2] * _WEIGHTS_GAUSS).sum(axis=1)
-    return v_hi, np.abs(v_hi - v_lo)
+    """(value, error) of every interval ``[lo[i], hi[i]]`` of a scalar
+    integrand: the one-cell rule of :func:`adaptive_quad` in 1D."""
+    value, err = _eval_cells(f, lo[:, None], hi[:, None])
+    return value, err[..., 0]
 
 
-def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  rel_tol: float, abs_tol: float, max_subdivisions: int,
+def adaptive_quad(f: Callable[..., np.ndarray], a, b, rel_tol: float,
+                  abs_tol: float | Sequence[float], max_subdivisions: int,
                   initial_edges: Sequence[float] | None = None) -> QuadResult:
-    """Integrate a vectorized integrand over [a, b] to the given tolerance.
+    """Integrate a vectorized integrand to the given tolerance.
 
-    This is the single row ``adaptive_quad_rows(lambda p, x: f(x), ...)``.
-    ``initial_edges`` optionally seeds the panel set (useful when the
-    integrand lives on a scale much smaller than the interval).  Raises
-    :class:`ConvergenceError` when ``max_subdivisions`` panels are not
-    enough; the exception carries the best estimate and its error bound.
+    With floats ``a < b`` the domain is the interval [a, b], seeded by
+    the ``initial_edges`` inside it (useful when the integrand lives on a
+    scale much smaller than the interval).  With arrays, ``a`` and ``b``
+    are the lower and upper corners of the seed cells, one row per cell
+    and one column per axis (1 or 2); the cells tile the domain.
+
+    ``abs_tol`` is one floor for every component or one per component.
+    ``max_subdivisions`` bounds the splits beyond the seed cells; when they
+    are spent, :class:`ConvergenceError` carries the best estimate and
+    error bound of the component furthest from its tolerance.
     """
-    value, err_est, panels = adaptive_quad_rows(
-        lambda p, x: f(x), np.zeros(1), a, b, rel_tol, abs_tol,
-        max_subdivisions, initial_edges)
-    return QuadResult(value=float(value[0]), err_est=float(err_est[0]),
-                      panels=int(panels[0]))
-
-
-def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                       params: np.ndarray, a: float, b: float, rel_tol: float,
-                       abs_tol: float | np.ndarray, max_subdivisions: int,
-                       initial_edges: Sequence[float] | None = None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate ``x -> f(p, x)`` over [a, b] for every ``p`` in ``params``.
-
-    Returns the arrays ``(value, err_est, panels)``, one entry per row.
-    Every row starts from the panels between ``a``, ``b`` and the
-    ``initial_edges`` inside (a, b), and bisects its worst panel, ties
-    going to the panel created first, until the ``math.fsum`` of its panel
-    errors is at most ``max(rel_tol * |value|, abs_tol)``.  ``abs_tol`` is
-    one floor for every row or an array of one floor per row.  A row
-    depends only on its own ``p`` and floor: the rows are refined
-    together, but each round evaluates the new panels of all unconverged
-    rows with one call ``f(p, x)``, where ``p`` and ``x`` are equal length
-    arrays holding each node's row parameter and abscissa, and decides the
-    stopping test of all candidate rows at once.
-
-    Raises :class:`ConvergenceError` for the first row, in ``params``
-    order, that runs out of panels; it carries that row's best estimate
-    and error bound.
-    """
-    if not b > a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
-    if initial_edges is None:
-        edges = [a, b]
+    if np.ndim(a) == 0:
+        if not b > a:
+            raise ValueError(f"need b > a, got [{a}, {b}]")
+        edges = sorted(set([a, b] + [x for x in initial_edges or ()
+                                     if a < x < b]))
+        lo = np.array(edges[:-1], dtype=float)[:, None]
+        hi = np.array(edges[1:], dtype=float)[:, None]
     else:
-        edges = sorted(set([a, b] + [x for x in initial_edges if a < x < b]))
-    params = np.asarray(params, dtype=float)
-    floor = np.broadcast_to(np.asarray(abs_tol, dtype=float), params.shape)
-    value = np.empty(params.size)
-    err_est = np.empty(params.size)
-    panels = np.empty(params.size, dtype=int)
-    row = np.arange(params.size)  # index into params of each active row
-
-    # panel table of the active rows: column j holds the j-th panel
-    # created, so argmax breaks ties towards the older panel; a bisected
-    # panel keeps its column with zero value and error
-    seeds = len(edges) - 1
-    width = seeds
-    lo = np.zeros((row.size, seeds + 8))
-    hi = np.zeros_like(lo)
-    val = np.zeros_like(lo)
-    err = np.zeros_like(lo)
-    lo[:, :seeds] = edges[:-1]
-    hi[:, :seeds] = edges[1:]
-    vals, errs = _eval_panels(
-        lambda x: f(np.repeat(params, seeds * _NODES.size), x),
-        lo[:, :seeds].ravel(), hi[:, :seeds].ravel())
-    val[:, :seeds] = vals.reshape(-1, seeds)
-    err[:, :seeds] = errs.reshape(-1, seeds)
+        lo = np.array(a, dtype=float)
+        hi = np.array(b, dtype=float)
+        if not (lo.ndim == 2 and lo.shape[1] in (1, 2)
+                and lo.shape == hi.shape and np.all(hi > lo)):
+            raise ValueError("seed cells need 1 or 2 axes and lo < hi on "
+                             "every axis")
+    val, err = _eval_round(f, lo, hi)
+    scalar = val.ndim == 1
+    val = val.reshape(-1, lo.shape[0])
+    err = err.reshape(val.shape + (lo.shape[1],))
+    floor = np.broadcast_to(np.asarray(abs_tol, dtype=float), val.shape[:1])
+    splits = 0
 
     while True:
-        used = seeds + (width - seeds) // 2
-        spent = used >= max_subdivisions
-        v, e = val[:, :width], err[:, :width]
-        tol = floor[row]
-        if spent:
-            check = np.arange(row.size)
-        else:
-            # The stopping test is on math.fsum sums.  A row whose numpy
-            # sums fail it by more than ``slack`` (a bound on their
-            # rounding error relative to the summed magnitudes) would fail
-            # it with fsum too, so it skips the exact test until the
-            # budget is spent.
-            slack = width * 2.0 ** -48
-            bound = rel_tol * (1.0 + slack) * (np.abs(v.sum(axis=1))
-                                               + slack * np.abs(v).sum(axis=1))
-            check = np.flatnonzero(~(e.sum(axis=1) * (1.0 - slack)
-                                     > np.maximum(bound, tol)))
-        if check.size:
-            sums = [math.fsum(r) for r in
-                    np.concatenate((v[check], e[check])).tolist()]
-            v_sum = np.array(sums[:check.size])
-            e_sum = np.array(sums[check.size:])
-            ok = e_sum <= np.maximum(rel_tol * np.abs(v_sum), tol[check])
-            if spent and not ok.all():
-                i = int(np.argmin(ok))
-                raise _budget_error(max_subdivisions, sums[i],
-                                    sums[check.size + i])
-            hit = row[check[ok]]
-            value[hit] = v_sum[ok]
-            err_est[hit] = e_sum[ok]
-            panels[hit] = used
-            if hit.size == row.size:
-                return value, err_est, panels
-            if hit.size:
-                keep = np.ones(row.size, dtype=bool)
-                keep[check[ok]] = False
-                row, lo, hi, val, err = (t[keep]
-                                         for t in (row, lo, hi, val, err))
+        cell_err = err.sum(axis=2)
+        tol = np.maximum(rel_tol * np.abs(val.sum(axis=1)), floor)
+        if np.all(cell_err.sum(axis=1) <= tol):
+            # confirm the test on the exactly rounded sums it promises
+            value = [math.fsum(row) for row in val.tolist()]
+            err_est = [math.fsum(row) for row in cell_err.tolist()]
+            if all(e <= max(rel_tol * abs(v), fl)
+                   for v, e, fl in zip(value, err_est, floor)):
+                if scalar:
+                    value, err_est = value[0], err_est[0]
+                else:
+                    value, err_est = tuple(value), tuple(err_est)
+                return QuadResult(value, err_est, lo.shape[0], lo, hi)
 
-        if width + 2 > lo.shape[1]:
-            lo, hi, val, err = (np.concatenate((t, np.zeros_like(t)), axis=1)
-                                for t in (lo, hi, val, err))
-        active = np.arange(row.size)
-        worst = np.argmax(err[:, :width], axis=1)
-        plo = lo[active, worst]
-        phi = hi[active, worst]
-        pmid = 0.5 * (plo + phi)
-        val[active, worst] = 0.0
-        err[active, worst] = 0.0
-        new_lo = np.stack((plo, pmid), axis=1)
-        new_hi = np.stack((pmid, phi), axis=1)
-        p_nodes = np.repeat(params[row], 2 * _NODES.size)
-        vals, errs = _eval_panels(lambda x: f(p_nodes, x), new_lo.ravel(),
-                                  new_hi.ravel())
-        lo[:, width:width + 2] = new_lo
-        hi[:, width:width + 2] = new_hi
-        val[:, width:width + 2] = vals.reshape(-1, 2)
-        err[:, width:width + 2] = errs.reshape(-1, 2)
-        width += 2
+        # each cell's error over its component's tolerance, worst first;
+        # split until the unsplit cells fit in half of every tolerance
+        ratio = cell_err / np.maximum(tol, sys.float_info.min)[:, None]
+        order = np.argsort(-ratio.max(axis=0), kind="stable")
+        unsplit = np.cumsum(ratio[:, order[::-1]], axis=1)[:, ::-1]
+        fits = np.append(np.all(unsplit <= 0.5, axis=0), True)
+        count = min(max(1, int(np.argmax(fits))),
+                    max_subdivisions - splits)
+        if count <= 0:
+            worst = int(np.argmax(ratio.sum(axis=1)))
+            value, bound = math.fsum(val[worst]), math.fsum(cell_err[worst])
+            raise ConvergenceError(
+                f"quadrature needed more than {max_subdivisions} "
+                f"subdivisions (best estimate {value!r}, error bound "
+                f"{bound!r})", estimate=value, err_est=bound)
+        pick = order[:count]
+        rows = np.arange(count)
+        # bisect along the larger axis error of the component driving
+        # the cell
+        driver = np.argmax(ratio[:, pick], axis=0)
+        axis = np.argmax(err[driver, pick], axis=1)
+        p_lo, p_hi = lo[pick], hi[pick]
+        mid = 0.5 * (p_lo[rows, axis] + p_hi[rows, axis])
+        left_hi, right_lo = p_hi.copy(), p_lo.copy()
+        left_hi[rows, axis] = mid
+        right_lo[rows, axis] = mid
+        new_lo = np.concatenate((p_lo, right_lo))
+        new_hi = np.concatenate((left_hi, p_hi))
+        new_val, new_err = _eval_round(f, new_lo, new_hi)
+        keep = np.ones(lo.shape[0], dtype=bool)
+        keep[pick] = False
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        val = np.concatenate((val[:, keep], new_val.reshape(val.shape[0], -1)),
+                             axis=1)
+        err = np.concatenate((err[:, keep],
+                              new_err.reshape(err.shape[0], -1, lo.shape[1])),
+                             axis=1)
+        splits += count
 
-
-def _budget_error(max_subdivisions: int, value: float,
-                  err_total: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"quadrature needed more than {max_subdivisions} panels "
-        f"(best estimate {value!r}, error bound {err_total!r})",
-        estimate=value, err_est=err_total)

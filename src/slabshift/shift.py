@@ -17,29 +17,33 @@ normalized so that W_par = W_z = 1 is the retarded shift in front of a
 perfect mirror, and the physical shift follows from
 :func:`slabshift.core.assemble_shift`.
 
-Numerically, the inner t integral (smooth, bounded) is evaluated first and
-the outer s integral carries the exponential weight; both axes use the
-adaptive bisection rule from :mod:`slabshift.quadrature`.  The outer rule
-asks for its nodes a panel pair at a time (24 geometrically seeded panels,
-360 s nodes, on the first pass).  The inner integrals of all the s nodes
-of one outer call run as one batch of rows, not in blocks: each round
-bisects the worst panel of every unconverged row and evaluates all the new
-t nodes (at most about 10.8k) in one reflection coefficient call, and each
-row gets exactly the panels a lone inner quadrature with its floor would
-use.  The outer integral is truncated at s_max where the weight has fallen
-``s_cutoff_decades`` decades below its peak; past that the integrand is
-negligible at the default tolerances.
+Numerically, W is integrated directly, as one vector-valued integral over
+``u = 2 zeta s`` in ``[0, U]`` and t in ``[0, 1]``:
 
-The inner rows' absolute floors follow the outer weight
-``w = s^3 e^{-2 zeta s}`` (see :func:`_row_floors`): a row where the weight
-is negligible stops at its seed panel instead of meeting the full relative
-tolerance.  The floors are sized by a pilot estimate of S from the first
-outer call, and ``err_est`` carries their weighted sum.  One
-``w_pair(1, 1, 2)`` makes 15 reflection coefficient calls for 29,430 nodes.
+    W_par = 1/8 Int Int u^3 e^{-u} (Rt_TM - t^2 Rt_TE) / (1 + (u t / 2 zeta)^2),
+    W_z   = 1/4 Int Int u^3 e^{-u} (1 - t^2) Rt_TM / (1 + (u t / 2 zeta)^2),
+
+both O(1), with ``U = s_cutoff_decades ln 10`` where the weight has
+fallen that many decades below its peak.  One call of the global
+GK15 x GK15 cubature of :mod:`slabshift.quadrature` yields the pair, and
+each of its integrand calls (one per round, or per 48 cells of a larger
+round) takes the reflection coefficients from one :func:`rtilde` call per
+polarization.  The seed cells (see
+:func:`_seed_cells`) are 24 geometric u strips, each cut in t at powers
+of two so that the first node of every ``t = 0`` cell lies inside the
+peak of ``1 / (1 + s^2 t^2)``.  The rule stops when each component's error
+is at most ``max(0.1 rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the
+floor shrinks with W's scale at small zeta.  ``max_subdivisions`` bounds
+the cell splits beyond the seeds.  ``W(1, 1, 2)`` takes 24 seed cells and
+two rounds: 38 cells evaluated (31 final) at 8,550 nodes, in 6
+reflection coefficient calls (17,100 coefficient values).
+
+``S_par`` and ``S_perp`` are views of the same cubature, ``W / (8 zeta^4)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,8 +52,7 @@ import numpy as np
 
 from .core import (AtomSpec, EnergyShift, ReducedParams, Slab, WPair,
                    assemble_shift, reduce)
-from .quadrature import (_NODES, QuadratureSpec, adaptive_quad,
-                         adaptive_quad_rows)
+from .quadrature import _NODES, QuadratureSpec, adaptive_quad
 from .reflection import Polarization, rtilde
 
 __all__ = [
@@ -67,23 +70,17 @@ __all__ = [
 # retarded limit
 W_SCALE = 8.0
 
-# shares of the total relative tolerance taken by the outer rule, by the
-# inner rules' relative test and by the weighted inner floors; the rest
-# absorbs the pilot estimate's error in the floors' share
-_OUTER_SHARE = 0.8
-_INNER_SHARE = 0.1
-_FLOOR_SHARE = 0.04
-
-# 3-point Gauss-Legendre rule on [0, 1] for the pilot estimate of S
-_PILOT_U = 0.5 + 0.5 * math.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
-_PILOT_W = np.array([5.0, 8.0, 5.0]) / 18.0
-# smallest node of a one-panel inner row on [0, 1]
+# smallest node of the GK15 rule on [0, 1]
 _T_FIRST = 0.5 * (1.0 - float(_NODES[-1]))
 
 
 @dataclass(frozen=True)
 class SDetail:
-    """Value and diagnostics of one S integral."""
+    """Value and diagnostics of one S integral.
+
+    ``outer_panels`` counts the distinct u intervals of the final cells,
+    ``inner_panels_max`` the most t cells over one of them.
+    """
 
     value: float
     err_est: float
@@ -91,136 +88,90 @@ class SDetail:
     inner_panels_max: int
 
 
-def _inner_integrand(kind: str, s: np.ndarray, t: np.ndarray, lam: float,
-                     n: float) -> np.ndarray:
-    if kind == "par":
-        combo = (rtilde(Polarization.TM, s, t, lam, n)
-                 - t * t * rtilde(Polarization.TE, s, t, lam, n))
-    else:
-        combo = (1.0 - t * t) * rtilde(Polarization.TM, s, t, lam, n)
-    return combo / (s * s * t * t + 1.0)
+def _check_zeta(zeta: float) -> None:
+    """Raise ValueError unless ``W = 8 zeta^4 S`` can take this zeta.
 
-
-def _check_zeta(zeta: float, s_max: float) -> None:
-    """Raise ValueError unless the powers of zeta that W takes are doubles.
-
-    ``W = 8 zeta^4 S`` needs ``zeta^4`` finite and normal, and the outer
-    weight needs ``s_max^3`` finite; past either end the float powers
-    overflow or lose their precision.
+    ``zeta^4`` must be a finite normal double; past either end the float
+    power overflows or loses its precision.
     """
     try:
-        ok = sys.float_info.min <= zeta ** 4 and math.isfinite(s_max ** 3)
+        ok = sys.float_info.min <= zeta ** 4
     except OverflowError:
         ok = False
     if not ok:
-        raise ValueError(f"zeta = {zeta!r} is out of range: zeta**4 and "
-                         "s_max**3 must be finite normal doubles")
+        raise ValueError(f"zeta = {zeta!r} is out of range: zeta**4 must be "
+                         "a finite normal double")
 
 
-def _s_detail(kind: str, p: ReducedParams, q: QuadratureSpec) -> SDetail:
-    s_max = q.s_cutoff_decades * math.log(10.0) / (2.0 * p.zeta)
-    _check_zeta(p.zeta, s_max)
+def _seed_cells(zeta: float, u_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper (u, t) corners of the seed cells of the W cubature.
+
+    24 geometric u strips, ``[0, U 2^-23]`` and then edges at ``U 2^-k``,
+    so that the first pass sees the weight ``u^3 e^-u`` on every scale.
+    Each strip has t edges at ``2^-k`` for ``k = 1..K``, with the smallest
+    ``K`` (from ``frexp``, exact) for which ``s_hi 2^-K t_1 <= 1``, where
+    ``s_hi = u_hi / (2 zeta)`` and ``t_1`` is the first GK15 node of
+    ``[0, 1]``.  The first node of every ``t = 0`` cell then lies inside
+    the peak of ``1 / (1 + s^2 t^2)``, of width ``1 / s``, at every s of
+    its strip; a split along either axis keeps that, so the rule's error
+    estimates there never miss the peak.
+    """
+    u_edges = u_max * np.ldexp(1.0, np.arange(-24, 1))
+    u_edges[0] = 0.0
+    depth = np.maximum(0, np.frexp(u_edges[1:] / (2.0 * zeta) * _T_FIRST)[1])
+    # cell j of a strip of depth K spans [2^-(K-j+1), 2^-(K-j)], and the
+    # first one [0, 2^-K]
+    strip = np.repeat(np.arange(depth.size), depth + 1)
+    j = np.arange(strip.size) - np.repeat(np.cumsum(depth + 1) - depth - 1,
+                                          depth + 1)
+    t_hi = np.ldexp(1.0, j - depth[strip])
+    t_lo = np.where(j == 0, 0.0, 0.5 * t_hi)
+    return (np.stack((u_edges[strip], t_lo), axis=1),
+            np.stack((u_edges[strip + 1], t_hi), axis=1))
+
+
+@functools.lru_cache(maxsize=1)
+def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
+    """(S_par, S_perp) as two views of one cubature of (W_par, W_z).
+
+    The last pair is kept, so reading both views of one point, as
+    :func:`w_pair` and ``halfspace_S`` do, runs the cubature once.
+    """
+    _check_zeta(p.zeta)
     if p.n == 1.0 or p.lam == 0.0:
         # transparent slab: the integrand vanishes identically
-        return SDetail(0.0, 0.0, 0, 0)
+        return SDetail(0.0, 0.0, 0, 0), SDetail(0.0, 0.0, 0, 0)
 
-    rel_in = _INNER_SHARE * q.rel_tol
-    abs_in = _INNER_SHARE * q.abs_tol / max(1.0, s_max)
-    stats = {"inner_max": 0, "floor": None}
+    def integrand(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        s = u / (2.0 * p.zeta)
+        te = rtilde(Polarization.TE, s, t, p.lam, p.n)
+        tm = rtilde(Polarization.TM, s, t, p.lam, p.n)
+        st = s * t
+        weight = u ** 3 * np.exp(-u) / (1.0 + st * st)
+        return np.stack((0.125 * weight * (tm - t * t * te),
+                         0.25 * weight * (1.0 - t * t) * tm))
 
-    def inner(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return _inner_integrand(kind, s, t, p.lam, p.n)
-
-    def outer_integrand(s_values: np.ndarray) -> np.ndarray:
-        weight = s_values ** 3 * np.exp(-2.0 * p.zeta * s_values)
-        if stats["floor"] is None:
-            # the first call holds the seed panels' nodes, in ascending s
-            stats["floor"] = _FLOOR_SHARE * q.rel_tol * abs(
-                _pilot_outer(inner, s_values, weight))
-        value, _, panels = adaptive_quad_rows(
-            inner, s_values, 0.0, 1.0, rel_in,
-            _row_floors(s_values, weight, stats["floor"], abs_in, s_max),
-            q.max_subdivisions)
-        stats["inner_max"] = max(stats["inner_max"], int(panels.max()))
-        return weight * value
-
-    # seed panels geometrically so a narrow exponential peak inside a wide
-    # interval is seen by the first pass
-    seeds = [s_max * 0.5 ** k for k in range(1, 24)]
-    outer = adaptive_quad(outer_integrand, 0.0, s_max,
-                          _OUTER_SHARE * q.rel_tol, _OUTER_SHARE * q.abs_tol,
-                          q.max_subdivisions, initial_edges=seeds)
-
-    pref = 0.25 if kind == "par" else 0.5
-    value = pref * outer.value
-    # The integrand is non-negative and the outer weights sum to s_max, so
-    # the inner quadratures contribute at most their relative share of the
-    # value plus the weighted sum of their floors, which is at most
-    # c + abs_in * Int_0^inf s^3 e^{-2 zeta s} ds = c + abs_in 3/(8 zeta^4).
-    floors = stats["floor"] + abs_in * 0.375 * (1.0 / p.zeta) ** 4
-    err = pref * outer.err_est + rel_in * abs(value) + pref * floors
-    return SDetail(value=value, err_est=err, outer_panels=outer.panels,
-                   inner_panels_max=stats["inner_max"])
-
-
-def _pilot_outer(inner, s_values: np.ndarray, weight: np.ndarray) -> float:
-    """Rough outer integral from 3 inner nodes per outer node.
-
-    The inner integrand carries the factor ``1 / (1 + s^2 t^2)``, which is
-    sharp in ``t`` at large ``s``; the substitution ``s t = tan(u atan s)``
-    absorbs it, so the 3-point Gauss rule in ``u`` sees a smooth function.
-    The outer nodes, in ascending order, are summed by the trapezoid rule.
-    """
-    arc = np.arctan(s_values)
-    t = np.tan(arc[:, None] * _PILOT_U) / s_values[:, None]
-    f = inner(np.repeat(s_values, _PILOT_U.size), t.ravel()).reshape(t.shape)
-    st = s_values[:, None] * t
-    rows = ((f * (1.0 + st * st)) @ _PILOT_W) * arc / s_values
-    g = weight * rows
-    return float(0.5 * np.sum((g[1:] + g[:-1]) * np.diff(s_values)))
-
-
-def _row_floors(s_values: np.ndarray, weight: np.ndarray, c: float,
-                abs_in: float, s_max: float) -> np.ndarray:
-    """Absolute floor of each inner row, in inner units.
-
-    A row's error enters the outer integral times its weight ``w_j``, and
-    the outer weights sum to ``s_max``, so every row may add ``c / s_max``
-    there: its floor is ``max(abs_in, c / (s_max w_j))``.  That floor is
-    only as good as the row's error estimate, which a single panel gives
-    honestly only while it resolves the ``1 / (1 + s^2 t^2)`` peak, that is
-    ``s * t_1 <= 1`` for its first node ``t_1``.  A row past that is
-    guarded: its floor is zero, so it meets the relative test alone,
-    unless the whole row is negligible: both the row and its seed-panel
-    value lie in ``[0, 2 max(atan(s) / s, 1 / (1 + (s t_1)^2))]`` (the
-    reflection combination lies in [0, 2)), and a row whose weight times
-    that bound is within ``c / s_max`` may stop at its seed panel.  A
-    guarded row may not keep ``abs_in`` either: a seed panel that misses
-    the peak sees only its ``1 / (s t)^2`` tail, and at small zeta or
-    small ``n^2 - 1`` that panel's error estimate falls below ``abs_in``
-    while the row's value, near ``pi / (2 s)`` times the reflection
-    combination at ``t = 0``, is orders of magnitude larger.
-    """
-    budget = c / s_max
-    bound = 2.0 * np.maximum(np.arctan(s_values) / s_values,
-                             1.0 / (1.0 + (s_values * _T_FIRST) ** 2))
-    with np.errstate(over="ignore"):
-        floor = np.divide(budget, weight, out=np.full_like(weight, np.inf),
-                          where=weight > 0.0)
-    floor = np.maximum(abs_in, floor)
-    floor[s_values * _T_FIRST > 1.0] = 0.0
-    floor[weight * bound <= budget] = np.inf
-    return floor
+    scale = W_SCALE * p.zeta ** 4
+    lo, hi = _seed_cells(p.zeta, q.s_cutoff_decades * math.log(10.0))
+    # 0.1 rel_tol keeps the true error well inside rel_tol; the floor
+    # shrinks as zeta^4 where W ~ zeta, so it never stops a small W early
+    res = adaptive_quad(integrand, lo, hi, 0.1 * q.rel_tol,
+                        q.abs_tol * min(1.0, scale), q.max_subdivisions)
+    _, per_u = np.unique(np.stack((res.lo[:, 0], res.hi[:, 0]), axis=1),
+                         axis=0, return_counts=True)
+    return tuple(SDetail(value / scale, err / scale, per_u.size,
+                         int(per_u.max()))
+                 for value, err in zip(res.value, res.err_est))
 
 
 def s_parallel_detailed(p: ReducedParams,
                         q: QuadratureSpec | None = None) -> SDetail:
-    return _s_detail("par", p, q or QuadratureSpec())
+    return _s_pair(p, q or QuadratureSpec())[0]
 
 
 def s_perp_detailed(p: ReducedParams,
                     q: QuadratureSpec | None = None) -> SDetail:
-    return _s_detail("perp", p, q or QuadratureSpec())
+    return _s_pair(p, q or QuadratureSpec())[1]
 
 
 def s_parallel(p: ReducedParams,
@@ -242,8 +193,9 @@ def w_pair(p: ReducedParams, q: QuadratureSpec | None = None) -> WPair:
     par = s_parallel_detailed(p, q)
     perp = s_perp_detailed(p, q)
     scale = W_SCALE * p.zeta ** 4
+    err_par, err_z = scale * par.err_est, scale * perp.err_est
     return WPair(w_par=scale * par.value, w_z=scale * perp.value,
-                 err_est=scale * max(par.err_est, perp.err_est))
+                 err_est=max(err_par, err_z), err_par=err_par, err_z=err_z)
 
 
 def energy_shift(atom: AtomSpec, slab: Slab, Z: float,

@@ -300,6 +300,18 @@ def test_nonretarded_thin_limit_without_cancellation(L, Z):
         assert abs(got / thin - 1.0) <= 5.0 * L / Z + 1e-13, method
 
 
+@pytest.mark.parametrize("Z", [1.6e76, 2e76, 3e76])
+def test_nonretarded_thin_divides_by_z4_last(Z):
+    # 256 pi n^2 Z^4 overflows here although Z^4 does not
+    got = nonretarded_thin_shift(ATOM, Slab(n=2.0, L=1.0), Z).value
+    with mpmath.workdps(30):
+        n2, z = mpmath.mpf(4), mpmath.mpf(Z)
+        want = (-3 * (n2 * n2 - 1) / (256 * mpmath.pi * n2 * z ** 4)
+                * (2 * 1 + 2))
+    assert got != 0.0
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
 def test_phi_h_on_axis_thin_slab():
     # rho = 0, z = z' = 1: every bracket is 2L/a0^2 to first order in L
     n, L = 2.0, 1e-14

@@ -193,17 +193,17 @@ def test_lambda_sweep_computes_halfspace_once(monkeypatch, tmp_path):
 
 def test_halfspace_sweep_computes_each_s_integral_once(monkeypatch,
                                                        tmp_path):
-    # at lam = inf the W pair is the half-space column: 2 S integrals per
-    # point, not 4
+    # at lam = inf the W pair is the half-space column: one cubature of
+    # (W_par, W_z) per point, not three
     calls = []
-    s_detail = slabshift.shift._s_detail
-    monkeypatch.setattr(slabshift.shift, "_s_detail",
-                        lambda *a: calls.append(a) or s_detail(*a))
+    cubature = slabshift.shift.adaptive_quad
+    monkeypatch.setattr(slabshift.shift, "adaptive_quad",
+                        lambda *a: calls.append(a) or cubature(*a))
     out = tmp_path / "s.csv"
     assert main(["sweep", "--axis", "zeta", "--lo", "0.5", "--hi", "2",
                  "--points", "3", "--lam", "inf", "--n", "2", "--rel-tol",
                  "1e-6", "--jobs", "1", "--output", str(out)]) == EXIT_OK
-    assert len(calls) == 6
+    assert len(calls) == 3
     monkeypatch.undo()
 
     # the table is the one the separate half-space route gives, bit for bit

@@ -47,6 +47,17 @@ def test_type_validation():
         WPair(w_par=1.0, w_z=1.0, err_est=-1.0)
 
 
+def test_wpair_component_bounds():
+    # each component bound defaults to err_est and may not exceed it
+    assert (WPair(1.0, 1.0, 0.5).err_par, WPair(1.0, 1.0, 0.5).err_z) == \
+        (0.5, 0.5)
+    wp = WPair(1.0, 1.0, err_est=0.5, err_par=0.5, err_z=0.25)
+    assert (wp.err_par, wp.err_z) == (0.5, 0.25)
+    for bad in ({"err_par": 0.6}, {"err_z": -0.1}):
+        with pytest.raises(ValueError):
+            WPair(1.0, 1.0, err_est=0.5, **bad)
+
+
 def test_energy_shift_invariant():
     with pytest.raises(ValueError):
         EnergyShift(value=1.0, per_transition=(0.4, 0.4))

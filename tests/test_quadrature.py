@@ -1,11 +1,10 @@
-import heapq
 import math
 
 import numpy as np
 import pytest
 
 from slabshift import ConvergenceError, QuadratureSpec, adaptive_quad
-from slabshift.quadrature import _eval_panels, adaptive_quad_rows
+from slabshift.quadrature import _eval_panels
 
 
 def test_gauss_kronrod_degrees_of_exactness():
@@ -76,102 +75,60 @@ def test_spec_validation():
 def test_bad_interval():
     with pytest.raises(ValueError):
         adaptive_quad(lambda x: x, 1.0, 1.0, 1e-8, 1e-14, 10)
+
+
+
+def test_oscillatory_refines_in_few_calls():
+    # every round splits all the cells it needs at once: the call count
+    # follows the depth of the refinement, not the number of splits
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin(50.0 * x)
+
+    res = adaptive_quad(f, 0.0, 20.0, 1e-9, 1e-16, 2000)
+    assert len(calls) <= 40
+    assert res.panels > 100
+    assert abs(res.value - (1.0 - math.cos(1000.0)) / 50.0) <= res.err_est
+
+
+def test_2d_polynomial_of_degree_22_is_exact():
+    # GK15 x GK15 integrates x^22 y^22 exactly on one cell; the embedded
+    # Gauss sums are exact to degree 13 only, so the error estimate is
+    # nonzero, and a loose tolerance stops the rule at its seed cell
+    def f(x, y):
+        return (x ** 22 + 3.0 * x ** 5) * (y ** 22 - y ** 11)
+
+    res = adaptive_quad(f, [[0.0, 0.0]], [[1.0, 2.0]], 1e-2, 1e-300, 10)
+    exact = (1.0 / 23.0 + 0.5) * (2.0 ** 23 / 23.0 - 2.0 ** 12 / 12.0)
+    assert res.panels == 1
+    assert res.value == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_2d_seed_cells_must_be_proper():
     with pytest.raises(ValueError):
-        adaptive_quad_rows(lambda p, x: x, np.ones(1), 1.0, 1.0, 1e-8, 1e-14,
-                           10)
+        adaptive_quad(lambda x, y: x * y, [[0.0, 0.0]], [[1.0, 0.0]], 1e-8,
+                      1e-14, 10)
+    with pytest.raises(ValueError):
+        adaptive_quad(lambda x, y, z: x, [[0.0] * 3], [[1.0] * 3], 1e-8,
+                      1e-14, 10)
 
 
-# (integrand f(p, x), one row per p, a, b): each family has rows that
-# converge in different refinement rounds
-ROW_FAMILIES = {
-    "polynomial": (lambda p, x: x ** p, [0.0, 2.0, 9.0, 29.0, 60.0], 0.0, 1.0),
-    "cos": (lambda p, x: np.cos(p * x), [0.5, 3.0, 20.0, 80.0], 0.0, 2.0),
-    "narrow-peak": (lambda p, x: np.exp(-x / p), [1e-4, 1e-3, 0.1, 1.0],
-                    0.0, 1.0),
-}
+def test_vector_integrand_stops_when_every_component_meets_its_tolerance():
+    # component 0 is exact on the seed cell, component 1 needs refinement;
+    # the rule stops only once both meet max(rel_tol |value|, abs_tol)
+    def f(x, y):
+        return np.stack((x * y, np.cos(40.0 * x) * np.exp(-y)))
 
-
-@pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
-def test_rows_match_adaptive_quad_row_by_row(family):
-    # each row against the plain heap loop below, run on that row alone
-    f, params, a, b = ROW_FAMILIES[family]
-    rows = adaptive_quad_rows(f, np.array(params), a, b, 1e-12, 1e-16, 2000)
-    assert all(len(r) == len(params) for r in rows)
-    for p, value, err_est, panels in zip(params, *rows):
-        assert (value, err_est, panels) == _heap_fsum_quad(
-            lambda x: f(p, x), a, b, 1e-12, 1e-16)
-    assert len(set(rows[2].tolist())) > 1
-
-
-@pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
-def test_per_row_floor_stops_only_its_row(family):
-    # a huge floor on one row stops it at its seed panel; every other row
-    # gets exactly what the scalar floor gives it
-    f, params, a, b = ROW_FAMILIES[family]
-    params = np.array(params)
-    scalar = adaptive_quad_rows(f, params, a, b, 1e-12, 1e-16, 2000)
-    deep = int(np.argmax(scalar[2]))
-    floors = np.full(params.size, 1e-16)
-    floors[deep] = 1e300
-    rows = adaptive_quad_rows(f, params, a, b, 1e-12, floors, 2000)
-    assert scalar[2][deep] > 1 and rows[2][deep] == 1
-    seed_value, seed_err = _eval_panels(lambda x: f(params[deep], x),
-                                        np.array([a]), np.array([b]))
-    assert (rows[0][deep], rows[1][deep]) == (seed_value[0], seed_err[0])
-    others = np.arange(params.size) != deep
-    for got, want in zip(rows, scalar):
-        assert np.array_equal(got[others], want[others])
-
-
-def test_rows_budget_exhaustion_reports_first_failing_row():
-    # row 0 converges, rows 1 and 2 run out of panels in the same round;
-    # the error is row 1's, as adaptive_quad reports it
-    def f(p, x):
-        return np.sin(p * x)
-
-    with pytest.raises(ConvergenceError) as ref:
-        adaptive_quad(lambda x: f(50.0, x), 0.0, 20.0, 1e-14, 1e-16, 4)
-    with pytest.raises(ConvergenceError) as err:
-        adaptive_quad_rows(f, np.array([0.01, 50.0, 70.0]), 0.0, 20.0, 1e-14,
-                           1e-16, 4)
-    assert err.value.estimate == pytest.approx(ref.value.estimate, rel=1e-15)
-    assert err.value.err_est == pytest.approx(ref.value.err_est, rel=1e-15)
-    assert err.value.err_est > 0.0
-
-
-def _heap_fsum_quad(f, a, b, rel_tol, abs_tol, edges=None):
-    """The bisection loop written plainly: re-sum the whole heap each round."""
-    edges = sorted(set([a, b] + [x for x in (edges or []) if a < x < b]))
-    vals, errs = _eval_panels(f, np.array(edges[:-1]), np.array(edges[1:]))
-    heap = [(-err, i, lo, hi, val, err) for i, (lo, hi, val, err) in
-            enumerate(zip(edges[:-1], edges[1:], vals.tolist(),
-                          errs.tolist()))]
-    heapq.heapify(heap)
-    counter = len(heap)
-    while True:
-        value = math.fsum(item[4] for item in heap)
-        err_total = math.fsum(item[5] for item in heap)
-        if err_total <= max(rel_tol * abs(value), abs_tol):
-            return value, err_total, len(heap)
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        vals, errs = _eval_panels(f, np.array([lo, mid]), np.array([mid, hi]))
-        for plo, phi, val, err in zip((lo, mid), (mid, hi), vals.tolist(),
-                                      errs.tolist()):
-            heapq.heappush(heap, (-err, counter, plo, phi, val, err))
-            counter += 1
-
-
-def test_running_sums_match_heap_fsum_bit_for_bit():
-    cases = [(lambda x: np.sin(50.0 * x), 0.0, 20.0, 1e-9, 1e-16, None),
-             (lambda x: np.exp(-x / 1e-4), 0.0, 1.0, 1e-10, 1e-16,
-              [0.5 ** k for k in range(1, 24)])]
-    for fam, params, a, b in ROW_FAMILIES.values():
-        cases += [(lambda x, fam=fam, p=p: fam(p, x), a, b, 1e-12, 1e-16,
-                   None) for p in params]
-    for f, a, b, rel_tol, abs_tol, edges in cases:
-        res = adaptive_quad(f, a, b, rel_tol, abs_tol, 2000,
-                            initial_edges=edges)
-        assert (res.value, res.err_est, res.panels) == \
-            _heap_fsum_quad(f, a, b, rel_tol, abs_tol, edges)
-    assert adaptive_quad(*cases[0][:5], 2000).panels > 300
+    res = adaptive_quad(f, [[0.0, 0.0]], [[1.0, 1.0]], 1e-10, 1e-300, 2000)
+    exact = (0.25, math.sin(40.0) / 40.0 * (1.0 - math.exp(-1.0)))
+    assert res.panels > 1
+    for value, err_est, want in zip(res.value, res.err_est, exact):
+        assert err_est <= 1e-10 * abs(value)
+        assert abs(value - want) <= err_est + 1e-16 * abs(want)
+    # with a floor that only the easy component meets, the hard one still
+    # drives the refinement
+    loose = adaptive_quad(f, [[0.0, 0.0]], [[1.0, 1.0]], 1e-10, [1.0, 1e-300],
+                          2000)
+    assert loose.panels == res.panels

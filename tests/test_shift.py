@@ -50,9 +50,10 @@ def test_s_against_live_brute_force():
 
 
 def test_inner_quadrature_is_batched(monkeypatch):
-    # machine-independent guard: one inner quadrature per s node, or per
-    # block of s nodes, makes more rtilde calls, and a rule with more nodes
-    # per panel (22 for a 15 + 7 Gauss-Legendre pair) makes more nodes
+    # machine-independent guard: the cubature evaluates the cells of a
+    # round (up to 48 per call) in one integrand call, with one rtilde call
+    # per polarization: 24 seed cells and two refinement rounds, 38 cells
+    # of 225 nodes evaluated
     counts = {"calls": 0, "nodes": 0}
     rtilde = slabshift.shift.rtilde
 
@@ -63,9 +64,37 @@ def test_inner_quadrature_is_batched(monkeypatch):
         return out
 
     monkeypatch.setattr(slabshift.shift, "rtilde", counting)
+    slabshift.shift._s_pair.cache_clear()
     w_pair(P112)
-    assert counts["nodes"] == 29_430
-    assert counts["calls"] <= 20
+    assert counts["nodes"] == 17_100
+    assert counts["calls"] <= 6
+
+
+# first node of the GK15 rule on [0, 1] (QUADPACK qk15)
+T_1 = 0.5 * (1.0 - 0.991455371120812639206854697526329)
+
+
+@pytest.mark.parametrize("zeta", [1e-76, 1e-18, 1e-7, 1e-3, 1.0, 1e5])
+def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
+    # every cell at t = 0, seed or final, has its first node inside the
+    # peak of 1 / (1 + s^2 t^2), of width 1 / s, at every s of the cell:
+    # s_hi h_t t_1 <= 1; the seed cells tile [0, U] x [0, 1]
+    u_max = 37.0 * math.log(10.0)
+    results = []
+    cubature = slabshift.shift.adaptive_quad
+    monkeypatch.setattr(slabshift.shift, "adaptive_quad",
+                        lambda *a: results.append(cubature(*a)) or results[-1])
+    slabshift.shift._s_pair.cache_clear()
+    w_pair(ReducedParams(zeta, 1.0, 2.0))
+    seeds = slabshift.shift._seed_cells(zeta, u_max)
+    final = (results[0].lo, results[0].hi)
+    for lo, hi in (seeds, final):
+        at_zero = lo[:, 1] == 0.0
+        s_hi = hi[at_zero, 0] / (2.0 * zeta)
+        assert np.all(s_hi * hi[at_zero, 1] * T_1 <= 1.0)
+    assert np.count_nonzero(seeds[0][:, 1] == 0.0) == 24
+    area = math.fsum(np.prod(seeds[1] - seeds[0], axis=1))
+    assert area == pytest.approx(u_max, rel=1e-14)
 
 
 def test_err_est_respects_tolerance_contract():
