@@ -11,16 +11,15 @@ loads no numpy, and is re-exported here.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .core import (NONRETARDED_TWO_ZETA, RETARDED_TWO_ZETA, AtomSpec,
                    EnergyShift, ReducedParams, RegimeReport, Slab,
-                   classify_regime)
+                   classify_regime, finite_power)
 from .electrostatics import (ImageSeriesSpec, image_series_converges,
                              image_series_shift)
-from .quadrature import QuadratureSpec, adaptive_quad
+from .quadrature import QuadratureSpec, adaptive_quad, geometric_edges
 from .shift import s_parallel, s_perp
 
 __all__ = [
@@ -34,18 +33,6 @@ __all__ = [
     "nonretarded_shift",
     "nonretarded_thin_shift",
 ]
-
-
-def _z_power(Z: float, k: int) -> float:
-    """``Z ** k`` of a positive distance, which must be a finite normal double."""
-    try:
-        power = Z ** k
-    except OverflowError:
-        power = math.inf
-    if not sys.float_info.min <= power < math.inf:
-        raise ValueError(f"atom-surface distance Z = {Z!r} is out of range: "
-                         f"Z**{k} must be a finite normal double")
-    return power
 
 
 def halfspace_S(zeta: float, n: float,
@@ -69,7 +56,7 @@ def retarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
     n2 = slab.n * slab.n
-    z5 = _z_power(Z, 5)
+    z5 = finite_power(Z, 5, "atom-surface distance Z")
     # Z^5 divides last: 160 pi^2 n^2 Z^5 overflows for Z^5 near the top
     pref = -(n2 - 1.0) * slab.L / (160.0 * math.pi ** 2 * n2)
     contribs = [
@@ -97,7 +84,7 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
         raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
     eps = n * n
     bracket = (14.0 * eps * eps - 9.0) / eps - 5.0
-    z5 = _z_power(Z, 5)
+    z5 = finite_power(Z, 5, "atom-surface distance Z")
     return -alpha0 * L * bracket / (160.0 * math.pi ** 2) / z5
 
 
@@ -132,20 +119,18 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
     logging.getLogger(__name__).debug(
         "nonretarded_shift: k integral (method=%s), beta^2=%r, max_terms=%d",
         method, beta * beta, spec.max_terms)
-    L = slab.L
-    k_max = q.s_cutoff_decades * math.log(10.0) / (2.0 * Z)
-
     beta2 = beta * beta
 
     def integrand(k: np.ndarray) -> np.ndarray:
         # (1 - e)/(1 - beta^2 e) with e = exp(-2kL) = 1 - g, free of
         # cancellation at small kL; g = 1 at L = inf
-        g = -np.expm1(-2.0 * k * L)
+        g = -np.expm1(-2.0 * k * slab.L)
         return k * k * np.exp(-2.0 * Z * k) * (g / (1.0 - beta2 + beta2 * g))
 
-    seeds = [k_max * 0.5 ** j for j in range(1, 24)]
-    res = adaptive_quad(integrand, 0.0, k_max, q.rel_tol, q.abs_tol,
-                        q.max_subdivisions, initial_edges=seeds)
+    # the seeds of the W cubature's u axis, at k = u / (2 Z)
+    edges = geometric_edges(q.cutoff / (2.0 * Z))
+    res = adaptive_quad(integrand, edges[:-1, None], edges[1:, None],
+                        q.rel_tol, q.abs_tol, q.max_subdivisions)
     pref = -beta / (16.0 * math.pi) * res.value
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
                 for tr in atom.transitions]
@@ -161,7 +146,7 @@ def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
     n2 = slab.n * slab.n
-    z4 = _z_power(Z, 4)
+    z4 = finite_power(Z, 4, "atom-surface distance Z")
     # Z^4 divides last: 256 pi n^2 Z^4 overflows for Z^4 near the top
     pref = -3.0 * (n2 * n2 - 1.0) * slab.L / (256.0 * math.pi * n2)
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq) / z4

@@ -30,9 +30,10 @@ Config files are flat ``key = value`` text; ``#`` starts a comment::
     quad.rel_tol = 1e-8
     quad.abs_tol = 1e-14
 
-Flags override file values.  In ``eV-nm`` mode energies are converted to
-inverse nanometres on input (lengths stay in nm, dipole squares are nm^2)
-and shift values are reported both in 1/nm and in eV.
+Flags override file values, and any other key is an input error: the
+``quad.*`` keys are the fields of ``QuadratureSpec``.  In ``eV-nm`` mode
+energies are converted to inverse nanometres on input (lengths stay in
+nm, dipole squares are nm^2) and shift values are reported in 1/nm and eV.
 
 CSV output is deterministic: 17-significant-digit scientific notation,
 comma separated, with a ``#``-prefixed manifest block; only the manifest
@@ -47,38 +48,29 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
-from . import __version__
+from . import _HOME, __version__
 from .core import (AtomSpec, ReducedParams, Slab, Transition, assemble_shift,
                    classify_regime, reduce, static_polarizability)
 from .errors import ConvergenceError
 from .units import ev_to_inv_nm, inv_nm_to_ev
 
-# compute names by home module: each command binds the ones it runs, so
-# --help and input errors load no numpy; a name already set here is kept
-_LAZY = {"quadrature": ("QuadratureSpec",), "reflection": ("Polarization",),
-         "shift": ("W_SCALE", "energy_shift", "w_pair"),
-         "asymptotics": ("buhmann_U", "halfspace_S", "nonretarded_shift",
-                         "nonretarded_thin_shift", "retarded_thin_shift"),
-         "modes": ("find_trapped_modes",)}
 
-
-def _bind(*modules: str) -> None:
-    """Import ``modules`` and bind their compute names where still unset."""
-    for module in modules:
-        loaded = importlib.import_module(f"{__package__}.{module}")
-        for name in _LAZY[module]:
-            globals().setdefault(name, getattr(loaded, name))
+def _bind(*names: str) -> None:
+    """Bind package names here, where still unset, from their home modules:
+    each command binds the ones it runs, so input errors load no numpy."""
+    for name in names:
+        module = importlib.import_module(f"{__package__}.{_HOME[name]}")
+        globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
-    """A compute name read as a module attribute binds its module."""
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A package name read as a module attribute binds it."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
 
 
 EXIT_OK = 0
@@ -154,33 +146,39 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
         raise ConfigError("missing required field: atom.transitions[0].E_ji")
     if indices != list(range(len(indices))):
         raise ConfigError("atom.transitions indices must be contiguous from 0")
+    # the fields of Transition and of QuadratureSpec are the tables of keys
+    known = {"units", "slab.n", "slab.L", "geometry.Z"}
     transitions = []
     for i in indices:
         base = f"atom.transitions[{i}]"
-        E = _get_float(cfg, f"{base}.E_ji")
-        mu_par = _get_float(cfg, f"{base}.mu_par_sq")
-        mu_perp = _get_float(cfg, f"{base}.mu_perp_sq")
+        known.update(f"{base}.{f.name}" for f in fields(Transition))
+        tr = {f.name: _get_float(cfg, f"{base}.{f.name}")
+              for f in fields(Transition)}
         if units == "eV-nm":
-            E = ev_to_inv_nm(E)
+            tr["E_ji"] = ev_to_inv_nm(tr["E_ji"])
         try:
-            transitions.append(Transition(E_ji=E, mu_par_sq=mu_par,
-                                          mu_perp_sq=mu_perp))
+            transitions.append(Transition(**tr))
         except ValueError as exc:
             raise ConfigError(f"{base}: {exc}") from None
     slab = Slab(n=n, L=L)
     if not Z > 0.0:
         raise ConfigError(f"geometry.Z must be positive, got {Z}")
     atom = AtomSpec(transitions)
-    _bind("quadrature")
-    quad = QuadratureSpec(
-        rel_tol=float(cfg.get("quad.rel_tol", QuadratureSpec.rel_tol)),
-        abs_tol=float(cfg.get("quad.abs_tol", QuadratureSpec.abs_tol)),
-        s_cutoff_decades=float(cfg.get("quad.s_cutoff_decades",
-                                       QuadratureSpec.s_cutoff_decades)),
-        max_subdivisions=int(cfg.get("quad.max_subdivisions",
-                                     QuadratureSpec.max_subdivisions)),
-    )
+    quad = _quad_spec(cfg)
+    unknown = set(cfg) - known - {f"quad.{f.name}"
+                                  for f in fields(QuadratureSpec)}
+    if unknown:
+        raise ConfigError(f"unknown config key: {min(unknown)}")
     return RunInput(atom=atom, slab=slab, Z=Z, quad=quad, units=units)
+
+
+def _quad_spec(cfg: dict[str, object]) -> QuadratureSpec:
+    """The spec's fields are the one table of ``quad.*`` keys: each that
+    ``cfg`` sets takes the type of its default."""
+    _bind("QuadratureSpec")
+    return QuadratureSpec(**{
+        f.name: type(f.default)(cfg[f"quad.{f.name}"])
+        for f in fields(QuadratureSpec) if cfg.get(f"quad.{f.name}") is not None})
 
 
 def _config_from_args(args: argparse.Namespace) -> dict[str, str]:
@@ -199,14 +197,12 @@ def _config_from_args(args: argparse.Namespace) -> dict[str, str]:
         "atom.transitions[0].E_ji": args.e_ji,
         "atom.transitions[0].mu_par_sq": args.mu_par_sq,
         "atom.transitions[0].mu_perp_sq": args.mu_perp_sq,
+        "quad.rel_tol": args.rel_tol,
+        "units": args.units,
     }
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = str(val)
-    if args.rel_tol is not None:
-        cfg["quad.rel_tol"] = str(args.rel_tol)
-    if args.units is not None:
-        cfg["units"] = args.units
     return cfg
 
 
@@ -255,7 +251,7 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
 
 def cmd_shift(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
-    _bind("shift")
+    _bind("w_pair")
     params = [reduce(run.slab, tr, run.Z) for tr in run.atom.transitions]
     pairs = [w_pair(p, run.quad) for p in params]
     shift = assemble_shift(run.atom, run.slab, run.Z, pairs)
@@ -312,8 +308,8 @@ def _input_echo(run: RunInput) -> dict[str, object]:
 
 def cmd_wfun(args: argparse.Namespace) -> tuple[str, int]:
     p = ReducedParams(zeta=args.zeta, lam=args.lam, n=args.n)
-    _bind("quadrature", "shift")
-    quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
+    quad = _quad_spec({"quad.rel_tol": args.rel_tol})
+    _bind("w_pair")
     wp = w_pair(p, quad)
     if args.format == "json":
         row = {"zeta": p.zeta, "lam": p.lam, "n": p.n,
@@ -349,9 +345,9 @@ def _sweep_point(task: tuple[float, dict[str, float], QuadratureSpec,
     spec, and the half-space pair ``halfspace_S(zeta, n)`` when the sweep
     computed it once for every point, or the exception that computing it
     raised; ``None`` means this point computes its own.  At ``lam = inf``
-    the point's own W pair is the half-space column.
+    that is the pair ``w_pair`` just computed, read from ``_s_pair``'s memo.
     """
-    _bind("shift", "asymptotics")
+    _bind("W_SCALE", "w_pair", "halfspace_S")
     value, point, quad, hs = task
     row: dict[str, object] = {"value": value}
     try:
@@ -359,12 +355,9 @@ def _sweep_point(task: tuple[float, dict[str, float], QuadratureSpec,
         wp = w_pair(p, quad)
         if isinstance(hs, Exception):
             raise hs
-        if math.isinf(p.lam):
-            hs_w = (wp.w_par, wp.w_z)
-        else:
-            scale = W_SCALE * p.zeta ** 4
-            hs_par, hs_perp = hs or halfspace_S(p.zeta, p.n, quad)
-            hs_w = (scale * hs_par, scale * hs_perp)
+        scale = W_SCALE * p.zeta ** 4
+        hs_par, hs_perp = hs or halfspace_S(p.zeta, p.n, quad)
+        hs_w = (scale * hs_par, scale * hs_perp)
         row.update(w_par=wp.w_par, w_z=wp.w_z, w_par_halfspace=hs_w[0],
                    w_z_halfspace=hs_w[1], err_est=wp.err_est, status="ok")
     except Exception as exc:  # per-point failures stay in-row
@@ -391,8 +384,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     }
 
     grid = _sweep_grid(args.lo, args.hi, args.points, args.scale)
-    _bind("quadrature", "shift", "asymptotics")
-    quad = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else QuadratureSpec()
+    quad = _quad_spec({"quad.rel_tol": args.rel_tol})
+    _bind("halfspace_S")
     hs = None
     if args.axis == "lambda":
         # the half-space column depends on zeta and n only
@@ -424,7 +417,7 @@ def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
         raise ConfigError(
             f"k_par must be positive and finite, got {args.k_par}")
     slab = Slab(n=args.n, L=args.thickness)
-    _bind("reflection", "modes")
+    _bind("Polarization", "find_trapped_modes")
     rows = []
     for pol in (Polarization.TE, Polarization.TM):
         for parity in ("S", "A"):
@@ -439,7 +432,8 @@ def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
-    _bind("shift", "asymptotics")
+    _bind("energy_shift", "retarded_thin_shift", "nonretarded_shift",
+          "nonretarded_thin_shift", "buhmann_U")
     try:
         alpha0 = static_polarizability(run.atom)
     except ValueError:  # the thin-plate form takes isotropic atoms only
@@ -450,7 +444,7 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
         ("retarded thin slab",
          retarded_thin_shift(run.atom, run.slab, run.Z).value),
         ("non-retarded (image series)",
-         nonretarded_shift(run.atom, run.slab, run.Z).value),
+         nonretarded_shift(run.atom, run.slab, run.Z, run.quad).value),
         ("non-retarded thin slab",
          nonretarded_thin_shift(run.atom, run.slab, run.Z).value)]
     if alpha0 is not None:

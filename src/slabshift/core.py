@@ -26,6 +26,7 @@ safe to use from concurrent workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,7 @@ __all__ = [
     "EnergyShift",
     "reduce",
     "assemble_shift",
+    "finite_power",
     "dipole_sq_from_momentum",
     "static_polarizability",
     "RETARDED_TWO_ZETA",
@@ -209,6 +211,19 @@ def reduce(slab: Slab, transition: Transition, Z: float) -> ReducedParams:
                          n=slab.n)
 
 
+def finite_power(x: float, k: int, name: str) -> float:
+    """``x ** k``, or a ValueError naming ``x`` unless it is a finite
+    normal double; the last word of ``name`` is the symbol of ``x``."""
+    try:
+        power = x ** k
+    except OverflowError:
+        power = math.inf
+    if not sys.float_info.min <= power < math.inf:
+        raise ValueError(f"{name} = {x!r} is out of range: {name.split()[-1]}"
+                         f"**{k} must be a finite normal double")
+    return power
+
+
 def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,
                    wfun: Sequence[WPair]) -> EnergyShift:
     """Assemble the physical shift from per-transition (W_par, W_z) pairs.
@@ -222,9 +237,11 @@ def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,
         raise ValueError(
             f"need one WPair per transition: got {len(wfun)} pairs "
             f"for {len(atom.transitions)} transitions")
-    pref = 1.0 / (16.0 * math.pi ** 2 * Z ** 4)
+    z4 = finite_power(Z, 4, "atom-surface distance Z")
+    # Z^4 divides last: 16 pi^2 Z^4 overflows for Z^4 near the top
+    pref = -1.0 / (16.0 * math.pi ** 2)
     contribs = [
-        -pref * (w.w_par * tr.mu_par_sq + w.w_z * tr.mu_perp_sq) / tr.E_ji
+        pref * (w.w_par * tr.mu_par_sq + w.w_z * tr.mu_perp_sq) / tr.E_ji / z4
         for tr, w in zip(atom.transitions, wfun)
     ]
     return EnergyShift.from_contributions(contribs)

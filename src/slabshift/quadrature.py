@@ -1,14 +1,15 @@
 """Adaptive Gauss-Kronrod quadrature over an interval or a rectangle.
 
-One rule serves both.  The domain is tiled by cells (intervals in 1D,
-rectangles in 2D), and each cell is integrated with the 15-point
-Gauss-Kronrod rule (QUADPACK ``qk15``) along every axis: 15 nodes per
-interval, the 225-node product GK15 x GK15 per rectangle.  The Kronrod
-nodes include the 7 of the Gauss-Legendre rule, so each axis has an
-embedded error estimate: the difference between the Kronrod sum and the
-sum with that axis's Kronrod weights replaced by Gauss weights (``|K - G|``
-in 1D; ``|K x K - G x K|`` along the first axis and ``|K x K - K x G|``
-along the second in 2D).  A cell's error is the sum of its axis errors.
+One rule serves both.  The domain is tiled by seed cells (intervals in
+1D, rectangles in 2D; the shift's integrals seed every exponential axis
+with :func:`geometric_edges` up to :attr:`QuadratureSpec.cutoff`), and
+each cell is integrated with the 15-point Gauss-Kronrod rule (QUADPACK
+``qk15``) along every axis: 15 nodes per interval, the 225-node product
+GK15 x GK15 per rectangle.  The Kronrod nodes include the 7 of the
+Gauss-Legendre rule, so each axis has an embedded error estimate: the
+difference between the Kronrod sum and the sum with that axis's weights
+replaced by Gauss weights (``|K - G|`` in 1D; ``|K x K - G x K|`` and
+``|K x K - K x G|`` in 2D).  A cell's error is the sum of its axis errors.
 
 Refinement is global, in rounds, after DCUHRE (Berntsen, Espelid & Genz,
 ACM TOMS 17 (1991) 437) and Genz & Malik (1980).  Each round ranks the
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["QuadratureSpec", "QuadResult", "adaptive_quad"]
+__all__ = ["QuadratureSpec", "QuadResult", "adaptive_quad", "geometric_edges"]
 
 # Gauss-Kronrod 15 (QUADPACK qk15, Piessens et al. 1983): the nodes x >= 0
 # on [-1, 1], their Kronrod weights, and the Gauss-7 weights of _XGK[1::2]
@@ -71,7 +72,7 @@ class QuadratureSpec:
     """Tolerances and budgets for the shift quadrature.
 
     ``s_cutoff_decades`` truncates the s (or u) axis where the exponential
-    weight has fallen that many decades below its peak.
+    weight has fallen that many decades below its peak, at ``u = cutoff``.
     ``max_subdivisions`` is the number of cell splits allowed beyond the
     seed cells.
     """
@@ -88,6 +89,18 @@ class QuadratureSpec:
             raise ValueError("s_cutoff_decades must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
+
+    @property
+    def cutoff(self) -> float:
+        return self.s_cutoff_decades * math.log(10.0)
+
+
+def geometric_edges(upper: float) -> np.ndarray:
+    """Seed edges 0, then ``upper 2^-k`` for k = 23..0: the first pass sees
+    an integrand such as ``u^3 e^-u`` on every scale of ``[0, upper]``."""
+    edges = upper * np.ldexp(1.0, np.arange(-24, 1))
+    edges[0] = 0.0
+    return edges
 
 
 @dataclass(frozen=True)
@@ -152,24 +165,15 @@ def _eval_round(f: Callable[..., np.ndarray], lo: np.ndarray,
             np.concatenate([e for _, e in parts], axis=-2))
 
 
-def _eval_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, error) of every interval ``[lo[i], hi[i]]`` of a scalar
-    integrand: the one-cell rule of :func:`adaptive_quad` in 1D."""
-    value, err = _eval_cells(f, lo[:, None], hi[:, None])
-    return value, err[..., 0]
-
-
 def adaptive_quad(f: Callable[..., np.ndarray], a, b, rel_tol: float,
-                  abs_tol: float | Sequence[float], max_subdivisions: int,
-                  initial_edges: Sequence[float] | None = None) -> QuadResult:
+                  abs_tol: float | Sequence[float],
+                  max_subdivisions: int) -> QuadResult:
     """Integrate a vectorized integrand to the given tolerance.
 
-    With floats ``a < b`` the domain is the interval [a, b], seeded by
-    the ``initial_edges`` inside it (useful when the integrand lives on a
-    scale much smaller than the interval).  With arrays, ``a`` and ``b``
-    are the lower and upper corners of the seed cells, one row per cell
-    and one column per axis (1 or 2); the cells tile the domain.
+    With floats ``a < b`` the domain is the interval [a, b], one seed
+    cell.  With arrays, ``a`` and ``b`` are the lower and upper corners of
+    the seed cells, one row per cell and one column per axis (1 or 2); the
+    cells tile the domain.
 
     ``abs_tol`` is one floor for every component or one per component.
     ``max_subdivisions`` bounds the splits beyond the seed cells; when they
@@ -177,19 +181,13 @@ def adaptive_quad(f: Callable[..., np.ndarray], a, b, rel_tol: float,
     error bound of the component furthest from its tolerance.
     """
     if np.ndim(a) == 0:
-        if not b > a:
-            raise ValueError(f"need b > a, got [{a}, {b}]")
-        edges = sorted(set([a, b] + [x for x in initial_edges or ()
-                                     if a < x < b]))
-        lo = np.array(edges[:-1], dtype=float)[:, None]
-        hi = np.array(edges[1:], dtype=float)[:, None]
-    else:
-        lo = np.array(a, dtype=float)
-        hi = np.array(b, dtype=float)
-        if not (lo.ndim == 2 and lo.shape[1] in (1, 2)
-                and lo.shape == hi.shape and np.all(hi > lo)):
-            raise ValueError("seed cells need 1 or 2 axes and lo < hi on "
-                             "every axis")
+        a, b = [[a]], [[b]]
+    lo = np.array(a, dtype=float)
+    hi = np.array(b, dtype=float)
+    if not (lo.ndim == 2 and lo.shape[1] in (1, 2)
+            and lo.shape == hi.shape and np.all(hi > lo)):
+        raise ValueError("need a < b, or seed cells with 1 or 2 axes and "
+                         "lo < hi on every axis")
     val, err = _eval_round(f, lo, hi)
     scalar = val.ndim == 1
     val = val.reshape(-1, lo.shape[0])

@@ -44,15 +44,13 @@ reflection coefficient calls (17,100 coefficient values).
 from __future__ import annotations
 
 import functools
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (AtomSpec, EnergyShift, ReducedParams, Slab, WPair,
-                   assemble_shift, reduce)
-from .quadrature import _NODES, QuadratureSpec, adaptive_quad
+                   assemble_shift, finite_power, reduce)
+from .quadrature import _NODES, QuadratureSpec, adaptive_quad, geometric_edges
 from .reflection import Polarization, rtilde
 
 __all__ = [
@@ -88,26 +86,11 @@ class SDetail:
     inner_panels_max: int
 
 
-def _check_zeta(zeta: float) -> None:
-    """Raise ValueError unless ``W = 8 zeta^4 S`` can take this zeta.
-
-    ``zeta^4`` must be a finite normal double; past either end the float
-    power overflows or loses its precision.
-    """
-    try:
-        ok = sys.float_info.min <= zeta ** 4
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ValueError(f"zeta = {zeta!r} is out of range: zeta**4 must be "
-                         "a finite normal double")
-
-
 def _seed_cells(zeta: float, u_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper (u, t) corners of the seed cells of the W cubature.
 
-    24 geometric u strips, ``[0, U 2^-23]`` and then edges at ``U 2^-k``,
-    so that the first pass sees the weight ``u^3 e^-u`` on every scale.
+    The 24 u strips of :func:`geometric_edges` up to ``U = q.cutoff``, so
+    that the first pass sees the weight ``u^3 e^-u`` on every scale.
     Each strip has t edges at ``2^-k`` for ``k = 1..K``, with the smallest
     ``K`` (from ``frexp``, exact) for which ``s_hi 2^-K t_1 <= 1``, where
     ``s_hi = u_hi / (2 zeta)`` and ``t_1`` is the first GK15 node of
@@ -116,8 +99,7 @@ def _seed_cells(zeta: float, u_max: float) -> tuple[np.ndarray, np.ndarray]:
     its strip; a split along either axis keeps that, so the rule's error
     estimates there never miss the peak.
     """
-    u_edges = u_max * np.ldexp(1.0, np.arange(-24, 1))
-    u_edges[0] = 0.0
+    u_edges = geometric_edges(u_max)
     depth = np.maximum(0, np.frexp(u_edges[1:] / (2.0 * zeta) * _T_FIRST)[1])
     # cell j of a strip of depth K spans [2^-(K-j+1), 2^-(K-j)], and the
     # first one [0, 2^-K]
@@ -137,7 +119,8 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
     The last pair is kept, so reading both views of one point, as
     :func:`w_pair` and ``halfspace_S`` do, runs the cubature once.
     """
-    _check_zeta(p.zeta)
+    # zeta^4 must be a normal double for W = 8 zeta^4 S to hold S
+    scale = W_SCALE * finite_power(p.zeta, 4, "zeta")
     if p.n == 1.0 or p.lam == 0.0:
         # transparent slab: the integrand vanishes identically
         return SDetail(0.0, 0.0, 0, 0), SDetail(0.0, 0.0, 0, 0)
@@ -151,8 +134,7 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
         return np.stack((0.125 * weight * (tm - t * t * te),
                          0.25 * weight * (1.0 - t * t) * tm))
 
-    scale = W_SCALE * p.zeta ** 4
-    lo, hi = _seed_cells(p.zeta, q.s_cutoff_decades * math.log(10.0))
+    lo, hi = _seed_cells(p.zeta, q.cutoff)
     # 0.1 rel_tol keeps the true error well inside rel_tol; the floor
     # shrinks as zeta^4 where W ~ zeta, so it never stops a small W early
     res = adaptive_quad(integrand, lo, hi, 0.1 * q.rel_tol,

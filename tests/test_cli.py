@@ -3,17 +3,20 @@ import math
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from slabshift import (AtomSpec, HBARC_EV_NM, QuadratureSpec, ReducedParams,
                        Slab, Transition, energy_shift, halfspace_S, reduce,
                        w_pair)
+import slabshift.asymptotics
 import slabshift.cli
 import slabshift.electrostatics
 import slabshift.shift
 from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, _fmt,
-                           _sweep_grid, build_parser, main,
+                           _sweep_grid, build_parser, build_run_input, main,
                            parse_config_text)
 from slabshift.shift import W_SCALE
 
@@ -302,7 +305,7 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
 def test_series_failure_reports_a_finite_bound(monkeypatch, capsys):
     # an image series that runs out of terms names no quadrature and
     # prints its tail majorant as the error bound
-    def short_series(atom, slab, Z):
+    def short_series(atom, slab, Z, q=None):
         return slabshift.electrostatics.image_series_shift(
             atom, slab, Z, slabshift.electrostatics.ImageSeriesSpec(max_terms=3))
     monkeypatch.setattr(slabshift.cli, "nonretarded_shift", short_series)
@@ -382,6 +385,13 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
      "--e-ji", "1", "--mu-par-sq", "1", "--mu-perp-sq", "1"],
     ["wfun", "--zeta", "1", "--lam", "-1", "--n", "2"],
     ["modes", "--k-par", "1", "--n", "0.5", "--thickness", "1"],
+    # zeta is 1 or 10, and Z**4 of the assembly leaves the doubles
+    ["shift", "--n", "2", "--thickness", "1", "--distance", "1e-100",
+     "--e-ji", "1e100", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+    ["shift", "--n", "2", "--thickness", "1", "--distance", "1e78",
+     "--e-ji", "1e-77", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+    ["shift", "--n", "2", "--thickness", "1", "--distance", "1e-80",
+     "--e-ji", "1e80", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
 ])
 def test_extreme_input_is_an_input_error(argv):
     # where the float powers of zeta or n leave the doubles: every warning
@@ -393,6 +403,66 @@ def test_extreme_input_is_an_input_error(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("slabshift: input error: ")
     assert proc.stderr.count("\n") == 1 and "nan" not in proc.stderr
+
+
+def test_shift_divides_by_z4_last(capsys):
+    # 16 pi^2 Z^4 overflows at Z = 3.5e76, yet Z^4 and the shift are normal
+    # doubles: the total is the assembly of the library's W pair, taken in
+    # 30 digits
+    Z, E = 3.5e76, 1e-77
+    assert main(["shift", "--n", "2", "--thickness", "1", "--distance",
+                 repr(Z), "--e-ji", repr(E), "--mu-par-sq", "200",
+                 "--mu-perp-sq", "100"]) == EXIT_OK
+    out = capsys.readouterr().out
+    total = float(out.split("energy shift: ")[1].split()[0])
+    wp = w_pair(reduce(Slab(n=2.0, L=1.0), Transition(E, 200.0, 100.0), Z))
+    with mpmath.workdps(30):
+        exact = -(mpmath.mpf(wp.w_par) * 200 + mpmath.mpf(wp.w_z) * 100) / (
+            16 * mpmath.pi ** 2 * mpmath.mpf(E) * mpmath.mpf(Z) ** 4)
+        assert abs(total - exact) <= 1e-13 * abs(exact)
+    assert 1e-307 < -total < 1e-305
+
+
+@pytest.mark.parametrize("line", ["quad.max_subdivision = 1",
+                                  "slab.thickness = 1",
+                                  "atom.transitions[0].mu_z_sq = 1",
+                                  "geometry.z = 8"])
+def test_unknown_config_key_is_an_input_error(line, tmp_path, capsys):
+    # a misspelt key would otherwise leave its default in force unseen
+    path = tmp_path / "cfg.txt"
+    path.write_text(CONFIG + line + "\n")
+    assert main(["shift", "--config", str(path)]) == EXIT_INPUT
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == (
+        f"slabshift: input error: unknown config key: {key}\n")
+
+
+def test_documented_config_keys_are_accepted():
+    # the README's config block and the benchmark's three-transition atom,
+    # with every quadrature key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config files are flat `key = value` text:")[1]
+    cfg = parse_config_text(block.split("```")[1])
+    assert "quad.rel_tol" in cfg and "units" in cfg
+    build_run_input(cfg)
+    atom3 = Path(__file__).resolve().parents[1] / "perfbench" / "atom3.cfg"
+    cfg = parse_config_text(atom3.read_text())
+    cfg.update({f"quad.{k}": str(v) for k, v in asdict(QuadratureSpec()).items()})
+    assert len(build_run_input(cfg).atom.transitions) == 3
+
+
+def test_asympt_passes_its_quadrature_to_the_k_integral(monkeypatch, capsys):
+    # near a perfect mirror the non-retarded line comes from the k integral,
+    # which takes --rel-tol as the full integral does
+    seen = []
+    k_integral = slabshift.asymptotics.adaptive_quad
+    monkeypatch.setattr(slabshift.asymptotics, "adaptive_quad",
+                        lambda f, a, b, rel_tol, *rest: seen.append(rel_tol)
+                        or k_integral(f, a, b, rel_tol, *rest))
+    assert main(["asympt", "--n", "1e4", "--thickness", "0.01", "--distance",
+                 "1", "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1",
+                 "--rel-tol", "1e-10"]) == EXIT_OK
+    assert seen == [1e-10]
 
 
 @pytest.mark.parametrize("distance", ["1e70", "1e-70"])

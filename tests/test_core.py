@@ -107,6 +107,14 @@ def test_assemble_linear_in_dipole_squares():
         assert scaled.value == pytest.approx(c * base.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("Z", [1e-100, 1e-80, 1e78])
+def test_assemble_rejects_z4_outside_the_normal_doubles(Z):
+    # Z**4 is zero, subnormal or past the largest double
+    atom = AtomSpec([Transition(1.0, 1.0, 1.0)])
+    with pytest.raises(ValueError, match=r"out of range: Z\*\*4 "):
+        assemble_shift(atom, Slab(2.0, 1.0), Z, [WPair(0.3, 0.2)])
+
+
 def test_shift_negative_for_positive_w():
     atom = AtomSpec([Transition(1.0, 1.0, 1.0)])
     s = assemble_shift(atom, Slab(2.0, 1.0), 1.0, [WPair(0.3, 0.2)])

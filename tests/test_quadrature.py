@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slabshift import ConvergenceError, QuadratureSpec, adaptive_quad
-from slabshift.quadrature import _eval_panels
+from slabshift.quadrature import _eval_cells, geometric_edges
 
 
 def test_gauss_kronrod_degrees_of_exactness():
@@ -12,8 +12,8 @@ def test_gauss_kronrod_degrees_of_exactness():
     # up to k = 22 and the embedded 7-node Gauss sum up to k = 13, so their
     # difference (the error estimate) vanishes there and not at k = 14
     for k in range(23):
-        value, err = _eval_panels(lambda x: x ** k, np.array([0.0]),
-                                  np.array([1.0]))
+        value, err = _eval_cells(lambda x: x ** k, np.array([[0.0]]),
+                                 np.array([[1.0]]))
         assert value[0] == pytest.approx(1.0 / (k + 1), rel=4e-15, abs=0.0)
         if k <= 13:
             assert err[0] <= 4e-16
@@ -40,9 +40,9 @@ def test_oscillatory():
 def test_narrow_peak_with_seeding():
     # peak at scale 1e-4 inside [0, 1]; geometric seeds let the first pass
     # see it
-    seeds = [0.5 ** k for k in range(1, 24)]
-    res = adaptive_quad(lambda x: np.exp(-x / 1e-4), 0.0, 1.0, 1e-10, 1e-16,
-                        2000, initial_edges=seeds)
+    edges = geometric_edges(1.0)
+    res = adaptive_quad(lambda x: np.exp(-x / 1e-4), edges[:-1, None],
+                        edges[1:, None], 1e-10, 1e-16, 2000)
     assert res.value == pytest.approx(1e-4, rel=1e-9)
 
 
