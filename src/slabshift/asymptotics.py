@@ -108,6 +108,8 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
         raise ValueError(f"method must be 'series' or 'quadrature', got {method!r}")
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
+    # the shift goes as 1/Z^3: both routes need that power to be a double
+    finite_power(Z, 3, "atom-surface distance Z")
     spec = spec or ImageSeriesSpec()
     if method == "series" and image_series_converges(slab, Z, spec):
         return image_series_shift(atom, slab, Z, spec)

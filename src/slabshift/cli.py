@@ -18,6 +18,12 @@ quadrature or the image series did not converge, 4 partial sweep failure.
 ``SLABSHIFT_JOBS`` sets the default worker count.  :func:`main` runs numpy's
 OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 
+:func:`run` is the process entry point, of ``python -m slabshift.cli`` and
+of the ``slabshift`` console script: it exits with :func:`main`'s code after
+freezing the garbage collector's heap, so interpreter shutdown does not
+walk every object the command left behind.  :func:`main` returns its code
+and never freezes, for callers in a process that goes on.
+
 Config files are flat ``key = value`` text; ``#`` starts a comment::
 
     units = natural            # or eV-nm
@@ -43,6 +49,7 @@ timestamp varies between identical runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import math
 import os
@@ -605,5 +612,19 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """Run :func:`main` on ``sys.argv`` and exit with its code.
+
+    Freezing the heap moves every tracked object into the permanent
+    generation, which the collections of interpreter shutdown skip; atexit
+    handlers and the flushing of stdout still run.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -245,6 +245,16 @@ def test_nonretarded_rejects_unknown_method():
         nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), 1.0, method="fft")
 
 
+@pytest.mark.parametrize("method", ["series", "quadrature"])
+@pytest.mark.parametrize("Z", [1e-200, 1e-308, 1e308])
+def test_nonretarded_rejects_z_outside_the_doubles(Z, method):
+    # the shift goes as 1/Z^3; without the guard the k integral raised
+    # ConvergenceError or the quadrature's own message, naming no Z
+    with pytest.raises(ValueError,
+                       match=r"distance Z = .* is out of range: Z\*\*3 "):
+        nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), Z, method=method)
+
+
 def test_nonretarded_thin_transparent_and_linear():
     assert nonretarded_thin_shift(ATOM, Slab(n=1.0, L=1.0), 1.0).value == 0.0
     full = nonretarded_thin_shift(ATOM, Slab(n=2.0, L=0.02), 1.0).value

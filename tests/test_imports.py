@@ -3,10 +3,12 @@
 The package namespace and the CLI import their compute modules lazily, so
 these tests cannot run in the test process, where earlier tests have
 already imported everything: each one starts a new interpreter and reads
-``sys.modules`` there.
+``sys.modules`` there.  The process entry point ``cli.run`` is checked the
+same way, since it acts when the interpreter exits.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -221,3 +223,72 @@ def test_one_thread_sweep_is_the_same_for_any_worker_count():
         outs.append([line for line in proc.stdout.splitlines()
                      if not line.startswith("# timestamp = ")])
     assert outs[0] == outs[1]
+
+
+# The process entry point: ``run()`` exits with ``main()``'s code after
+# freezing the heap, and ``main()`` itself never freezes.
+def _run(argv: list[str], before: str = "") -> subprocess.CompletedProcess:
+    return _python(before + "import sys\n"
+                   f"sys.argv = ['slabshift', *{argv!r}]\n"
+                   "from slabshift.cli import run\n"
+                   "run()\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (ARGV["wfun"], 0),
+    (["wfun", "--zeta", "-1", "--lam", "1", "--n", "2"], 2),
+    (ARGV["wfun"] + ["--no-such-flag"], 2),
+    (["sweep", "--axis", "zeta", "--lo", "-1", "--hi", "1", "--points", "3",
+      "--lam", "1", "--n", "2", "--rel-tol", "1e-6"], 4),
+])
+def test_run_exits_with_the_code_of_main(argv, code):
+    proc = _run(argv + ["--output", os.devnull])
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_atexit_handlers_run_after_the_heap_is_frozen():
+    proc = _run(ARGV["wfun"] + ["--output", os.devnull],
+                before="import atexit, gc\n"
+                       "atexit.register(lambda: print("
+                       "'frozen', gc.get_freeze_count() > 0))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "frozen True\n"
+
+
+def test_in_process_main_leaves_the_heap_unfrozen():
+    out = _stdout(
+        "import gc\n"
+        "from slabshift.cli import main\n"
+        "before = gc.get_freeze_count()\n"
+        f"rc = main({ARGV['wfun']!r} + ['--output', {os.devnull!r}])\n"
+        "print(rc, gc.get_freeze_count() == before)\n", ENV)
+    assert out == "0 True\n"
+
+
+def _untimed(text: str) -> list[str]:
+    return [line for line in text.splitlines(keepends=True)
+            if not line.startswith("# timestamp = ")]
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+def test_module_entry_point_prints_what_main_prints(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "slabshift.cli", *ARGV[command]],
+        env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    in_process = _stdout(
+        "from slabshift.cli import main\n"
+        f"assert main({ARGV[command]!r}) == 0\n", ENV)
+    assert _untimed(proc.stdout) == _untimed(in_process)
+
+
+def test_console_script_is_a_callable_of_the_cli():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["slabshift"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert module == "slabshift.cli" and callable(entry)
+    assert entry is slabshift.cli.run
