@@ -1,22 +1,15 @@
 """Command-line interface.
 
-Subcommands, with the flags each takes besides ``--output FILE`` and
-``--jobs N`` (every subcommand accepts those two; only ``sweep`` uses the
-worker count)::
-
-    shift   single-point energy shift: --config --units --n --thickness
-            --distance --e-ji --mu-par-sq --mu-perp-sq --rel-tol --format
-    wfun    dimensionless W functions: --zeta --lam --n --rel-tol --format
-    sweep   W over a parameter grid: --axis --lo --hi --points --scale
-            --zeta --lam --n --rel-tol --format
-    modes   trapped-mode table: --k-par --n --thickness --format
-    asympt  full integral against every asymptotic form: the flags of
-            ``shift`` except --format
-
-Any other flag is an input error.  Exit codes: 0 ok, 2 input error, 3 a
-quadrature or the image series did not converge, 4 partial sweep failure.
-``SLABSHIFT_JOBS`` sets the default worker count.  :func:`main` runs numpy's
-OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
+Subcommands: ``shift`` (single-point energy shift), ``wfun`` (dimensionless
+W functions), ``sweep`` (W over a parameter grid), ``modes`` (trapped-mode
+table) and ``asympt`` (full integral against every asymptotic form).  Each
+takes ``--output FILE`` and ``--jobs N`` (only ``sweep`` uses the worker
+count) and the flags it reads, as :func:`build_parser` registers them and
+README's table lists them; any other flag is an input error.  Exit codes:
+0 ok, 2 input error, 3 a quadrature or the image series did not converge,
+4 partial sweep failure.  ``SLABSHIFT_JOBS`` sets the default worker
+count.  :func:`main` runs numpy's OpenBLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is already set.
 
 :func:`run` is the process entry point, of ``python -m slabshift.cli`` and
 of the ``slabshift`` console script: it exits with :func:`main`'s code after
@@ -36,7 +29,8 @@ Config files are flat ``key = value`` text; ``#`` starts a comment::
     quad.rel_tol = 1e-8
     quad.abs_tol = 1e-14
 
-Flags override file values, and any other key is an input error: the
+Each problem flag's argparse dest is the key it overrides, and ``--help``
+shows it (``--n SLAB.N``).  Any other key is an input error: the
 ``quad.*`` keys are the fields of ``QuadratureSpec``.  In ``eV-nm`` mode
 energies are converted to inverse nanometres on input (lengths stay in
 nm, dipole squares are nm^2) and shift values are reported in 1/nm and eV.
@@ -98,6 +92,7 @@ def _fmt(x: float) -> str:
 # config handling
 
 _KEY_RE = re.compile(r"^[A-Za-z_.\[\]0-9]+$")
+_TRANSITION_RE = re.compile(r"^atom\.transitions\[(\d+)\]\.")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -134,49 +129,48 @@ class RunInput:
     Z: float
     quad: QuadratureSpec
     units: str  # "natural" | "eV-nm"
-
-
-def _transition_indices(cfg: dict[str, str]) -> list[int]:
-    pat = re.compile(r"^atom\.transitions\[(\d+)\]\.")
-    return sorted({int(m.group(1)) for m in map(pat.match, cfg) if m})
+    # every problem key parsed and its value (E_ji after the eV conversion):
+    # the table of known keys besides ``quad.*``, and the manifest's echo
+    inputs: dict[str, object]
 
 
 def build_run_input(cfg: dict[str, str]) -> RunInput:
     units = cfg.get("units", "natural")
     if units not in ("natural", "eV-nm"):
         raise ConfigError(f"units must be 'natural' or 'eV-nm', got {units!r}")
-    n = _get_float(cfg, "slab.n")
-    L = _get_float(cfg, "slab.L")
-    Z = _get_float(cfg, "geometry.Z")
-    indices = _transition_indices(cfg)
+    inputs: dict[str, object] = {"units": units}
+    inputs.update((key, _get_float(cfg, key))
+                  for key in ("slab.n", "slab.L", "geometry.Z"))
+    indices = sorted({int(m[1]) for m in map(_TRANSITION_RE.match, cfg) if m})
     if not indices:
         raise ConfigError("missing required field: atom.transitions[0].E_ji")
     if indices != list(range(len(indices))):
         raise ConfigError("atom.transitions indices must be contiguous from 0")
     # the fields of Transition and of QuadratureSpec are the tables of keys
-    known = {"units", "slab.n", "slab.L", "geometry.Z"}
     transitions = []
     for i in indices:
         base = f"atom.transitions[{i}]"
-        known.update(f"{base}.{f.name}" for f in fields(Transition))
         tr = {f.name: _get_float(cfg, f"{base}.{f.name}")
               for f in fields(Transition)}
         if units == "eV-nm":
             tr["E_ji"] = ev_to_inv_nm(tr["E_ji"])
+        inputs.update((f"{base}.{name}", value) for name, value in tr.items())
         try:
             transitions.append(Transition(**tr))
         except ValueError as exc:
             raise ConfigError(f"{base}: {exc}") from None
-    slab = Slab(n=n, L=L)
+    slab = Slab(n=inputs["slab.n"], L=inputs["slab.L"])
+    Z = inputs["geometry.Z"]
     if not Z > 0.0:
         raise ConfigError(f"geometry.Z must be positive, got {Z}")
     atom = AtomSpec(transitions)
     quad = _quad_spec(cfg)
-    unknown = set(cfg) - known - {f"quad.{f.name}"
-                                  for f in fields(QuadratureSpec)}
+    unknown = set(cfg) - set(inputs) - {f"quad.{f.name}"
+                                        for f in fields(QuadratureSpec)}
     if unknown:
         raise ConfigError(f"unknown config key: {min(unknown)}")
-    return RunInput(atom=atom, slab=slab, Z=Z, quad=quad, units=units)
+    return RunInput(atom=atom, slab=slab, Z=Z, quad=quad, units=units,
+                    inputs=inputs)
 
 
 def _quad_spec(cfg: dict[str, object]) -> QuadratureSpec:
@@ -196,20 +190,9 @@ def _config_from_args(args: argparse.Namespace) -> dict[str, str]:
                 cfg = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-    # inline single-transition flags override the file
-    overrides = {
-        "slab.n": args.n,
-        "slab.L": args.thickness,
-        "geometry.Z": args.distance,
-        "atom.transitions[0].E_ji": args.e_ji,
-        "atom.transitions[0].mu_par_sq": args.mu_par_sq,
-        "atom.transitions[0].mu_perp_sq": args.mu_perp_sq,
-        "quad.rel_tol": args.rel_tol,
-        "units": args.units,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = str(val)
+    # a problem flag's dest is the key it overrides: dotted, or units
+    cfg.update((key, str(val)) for key, val in vars(args).items()
+               if val is not None and ("." in key or key == "units"))
     return cfg
 
 
@@ -279,7 +262,7 @@ def cmd_shift(args: argparse.Namespace) -> tuple[str, int]:
         })
 
     if args.format == "json":
-        return _report("json", "shift", _input_echo(run), run.quad, [],
+        return _report("json", "shift", run.inputs, run.quad, [],
                        rows + [{"total_shift": shift.value}]), EXIT_OK
 
     out = [f"energy shift: {_fmt(shift.value)}"
@@ -299,23 +282,9 @@ def cmd_shift(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(out) + "\n", EXIT_OK
 
 
-def _input_echo(run: RunInput) -> dict[str, object]:
-    echo: dict[str, object] = {
-        "slab.n": run.slab.n,
-        "slab.L": run.slab.L,
-        "geometry.Z": run.Z,
-        "units": run.units,
-    }
-    for i, tr in enumerate(run.atom.transitions):
-        echo[f"atom.transitions[{i}].E_ji"] = tr.E_ji
-        echo[f"atom.transitions[{i}].mu_par_sq"] = tr.mu_par_sq
-        echo[f"atom.transitions[{i}].mu_perp_sq"] = tr.mu_perp_sq
-    return echo
-
-
 def cmd_wfun(args: argparse.Namespace) -> tuple[str, int]:
     p = ReducedParams(zeta=args.zeta, lam=args.lam, n=args.n)
-    quad = _quad_spec({"quad.rel_tol": args.rel_tol})
+    quad = _quad_spec(vars(args))
     _bind("w_pair")
     wp = w_pair(p, quad)
     if args.format == "json":
@@ -391,7 +360,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     }
 
     grid = _sweep_grid(args.lo, args.hi, args.points, args.scale)
-    quad = _quad_spec({"quad.rel_tol": args.rel_tol})
+    quad = _quad_spec(vars(args))
     _bind("halfspace_S")
     hs = None
     if args.axis == "lambda":
@@ -509,22 +478,28 @@ def _add_common(parser: argparse.ArgumentParser, *, fmt: bool = True,
                         help="worker processes for sweeps "
                              "(default: SLABSHIFT_JOBS or 1)")
     if rel_tol:
-        parser.add_argument("--rel-tol", type=_positive(float), default=None,
+        parser.add_argument("--rel-tol", dest="quad.rel_tol",
+                            type=_positive(float),
                             help="quadrature relative tolerance override")
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
+    """The problem flags: each one's dest is the config key it overrides,
+    which ``--help`` shows as its metavar."""
     parser.add_argument("--config", help="path to a key=value config file")
-    parser.add_argument("--units", choices=("natural", "eV-nm"), default=None)
-    parser.add_argument("--n", type=float, default=None, help="refractive index")
-    parser.add_argument("--thickness", type=float, default=None,
+    parser.add_argument("--units", choices=("natural", "eV-nm"))
+    parser.add_argument("--n", dest="slab.n", type=float,
+                        help="refractive index")
+    parser.add_argument("--thickness", dest="slab.L", type=float,
                         help="slab thickness L")
-    parser.add_argument("--distance", type=float, default=None,
+    parser.add_argument("--distance", dest="geometry.Z", type=float,
                         help="atom-surface distance Z")
-    parser.add_argument("--e-ji", type=float, default=None,
+    parser.add_argument("--e-ji", dest="atom.transitions[0].E_ji", type=float,
                         help="transition energy (single-transition shortcut)")
-    parser.add_argument("--mu-par-sq", type=float, default=None)
-    parser.add_argument("--mu-perp-sq", type=float, default=None)
+    parser.add_argument("--mu-par-sq", dest="atom.transitions[0].mu_par_sq",
+                        type=float)
+    parser.add_argument("--mu-perp-sq", dest="atom.transitions[0].mu_perp_sq",
+                        type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:

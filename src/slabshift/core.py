@@ -84,8 +84,10 @@ class Transition:
     def __post_init__(self):
         if not self.E_ji > 0.0:
             raise ValueError(f"transition energy must be positive, got {self.E_ji}")
-        if self.mu_par_sq < 0.0 or self.mu_perp_sq < 0.0:
-            raise ValueError("dipole-moment squares must be non-negative")
+        squares = (self.mu_par_sq, self.mu_perp_sq)
+        if not all(0.0 <= sq < math.inf for sq in squares):
+            raise ValueError(f"dipole-moment squares must be non-negative "
+                             f"and finite, got {squares}")
         if self.mu_par_sq == 0.0 and self.mu_perp_sq == 0.0:
             raise ValueError("at least one dipole-moment square must be nonzero")
 
@@ -182,12 +184,17 @@ class WPair:
 
 @dataclass(frozen=True)
 class EnergyShift:
-    """Total energy shift together with the per-transition contributions."""
+    """Total energy shift together with the per-transition contributions,
+    each a finite double: one that overflowed, or is NaN, is a ValueError."""
 
     value: float
     per_transition: tuple[float, ...]
 
     def __post_init__(self):
+        for i, c in enumerate(self.per_transition):
+            if not math.isfinite(c):
+                raise ValueError(f"the shift of transition {i} is {c}, "
+                                 "not a finite double")
         total = math.fsum(self.per_transition)
         scale = max(abs(total), abs(self.value), 1e-300)
         if abs(total - self.value) > 1e-12 * scale:
@@ -211,17 +218,19 @@ def reduce(slab: Slab, transition: Transition, Z: float) -> ReducedParams:
                          n=slab.n)
 
 
-def finite_power(x: float, k: int, name: str) -> float:
-    """``x ** k``, or a ValueError naming ``x`` unless it is a finite
-    normal double; the last word of ``name`` is the symbol of ``x``."""
+def finite_power(x: float, k: int, name: str, coef: float = 1.0) -> float:
+    """``coef * x ** k``, or a ValueError naming ``x`` unless ``x ** k`` is a
+    normal double and the product finite; ``name`` ends in ``x``'s symbol."""
     try:
         power = x ** k
     except OverflowError:
         power = math.inf
-    if not sys.float_info.min <= power < math.inf:
-        raise ValueError(f"{name} = {x!r} is out of range: {name.split()[-1]}"
-                         f"**{k} must be a finite normal double")
-    return power
+    if not (sys.float_info.min <= power and coef * power < math.inf):
+        factor = "" if coef == 1.0 else f"{coef:g}*"
+        raise ValueError(f"{name} = {x!r} is out of range: {factor}"
+                         f"{name.split()[-1]}**{k} must be a finite normal "
+                         "double")
+    return coef * power
 
 
 def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,

@@ -39,6 +39,8 @@ two rounds: 38 cells evaluated (31 final) at 8,550 nodes, in 6
 reflection coefficient calls (17,100 coefficient values).
 
 ``S_par`` and ``S_perp`` are views of the same cubature, ``W / (8 zeta^4)``.
+:func:`w_pair` reads W itself: the views underflow where W does not (at
+``zeta = 1e70, lam = 1, n = 2``, ``S_par`` is 0.0 and ``W_par`` 3.075e-70).
 """
 
 from __future__ import annotations
@@ -74,16 +76,27 @@ _T_FIRST = 0.5 * (1.0 - float(_NODES[-1]))
 
 @dataclass(frozen=True)
 class SDetail:
-    """Value and diagnostics of one S integral.
+    """One S integral, as its W component and diagnostics.
 
+    ``w`` and ``err_w`` are the cubature's W component and its bound, and
+    ``scale`` is ``8 zeta^4``; the S value and bound are their quotients.
     ``outer_panels`` counts the distinct u intervals of the final cells,
     ``inner_panels_max`` the most t cells over one of them.
     """
 
-    value: float
-    err_est: float
+    w: float
+    err_w: float
+    scale: float
     outer_panels: int
     inner_panels_max: int
+
+    @property
+    def value(self) -> float:
+        return self.w / self.scale
+
+    @property
+    def err_est(self) -> float:
+        return self.err_w / self.scale
 
 
 def _seed_cells(zeta: float, u_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,11 +132,12 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
     The last pair is kept, so reading both views of one point, as
     :func:`w_pair` and ``halfspace_S`` do, runs the cubature once.
     """
-    # zeta^4 must be a normal double for W = 8 zeta^4 S to hold S
-    scale = W_SCALE * finite_power(p.zeta, 4, "zeta")
+    # zeta^4 must be a normal double, and 8 zeta^4 finite, for the S views
+    # W / (8 zeta^4) to be read back as W
+    scale = finite_power(p.zeta, 4, "zeta", W_SCALE)
     if p.n == 1.0 or p.lam == 0.0:
         # transparent slab: the integrand vanishes identically
-        return SDetail(0.0, 0.0, 0, 0), SDetail(0.0, 0.0, 0, 0)
+        return (SDetail(0.0, 0.0, scale, 0, 0),) * 2
 
     def integrand(u: np.ndarray, t: np.ndarray) -> np.ndarray:
         s = u / (2.0 * p.zeta)
@@ -141,9 +155,8 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
                         q.abs_tol * min(1.0, scale), q.max_subdivisions)
     _, per_u = np.unique(np.stack((res.lo[:, 0], res.hi[:, 0]), axis=1),
                          axis=0, return_counts=True)
-    return tuple(SDetail(value / scale, err / scale, per_u.size,
-                         int(per_u.max()))
-                 for value, err in zip(res.value, res.err_est))
+    return tuple(SDetail(w, err, scale, per_u.size, int(per_u.max()))
+                 for w, err in zip(res.value, res.err_est))
 
 
 def s_parallel_detailed(p: ReducedParams,
@@ -174,10 +187,8 @@ def w_pair(p: ReducedParams, q: QuadratureSpec | None = None) -> WPair:
     """Dimensionless shift functions W_par = 8 zeta^4 S_par, W_z = 8 zeta^4 S_perp."""
     par = s_parallel_detailed(p, q)
     perp = s_perp_detailed(p, q)
-    scale = W_SCALE * p.zeta ** 4
-    err_par, err_z = scale * par.err_est, scale * perp.err_est
-    return WPair(w_par=scale * par.value, w_z=scale * perp.value,
-                 err_est=max(err_par, err_z), err_par=err_par, err_z=err_z)
+    return WPair(w_par=par.w, w_z=perp.w, err_est=max(par.err_w, perp.err_w),
+                 err_par=par.err_w, err_z=perp.err_w)
 
 
 def energy_shift(atom: AtomSpec, slab: Slab, Z: float,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -15,9 +16,9 @@ import slabshift.asymptotics
 import slabshift.cli
 import slabshift.electrostatics
 import slabshift.shift
-from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, _fmt,
-                           _sweep_grid, build_parser, build_run_input, main,
-                           parse_config_text)
+from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL,
+                           _config_from_args, _fmt, _sweep_grid, build_parser,
+                           build_run_input, main, parse_config_text)
 from slabshift.shift import W_SCALE
 
 CONFIG = """\
@@ -581,3 +582,103 @@ def test_wfun_json_document_matches_library(capsys):
     assert doc["rows"] == [{"zeta": 2.0, "lam": math.inf, "n": 2.0,
                             "w_par": wp.w_par, "w_z": wp.w_z,
                             "err_est": wp.err_est}]
+
+
+# each problem flag, the config key it overrides, and a value the file lacks
+PROBLEM_FLAGS = [
+    ("--units", "units", "eV-nm"),
+    ("--n", "slab.n", "3.0"),
+    ("--thickness", "slab.L", "0.5"),
+    ("--distance", "geometry.Z", "4.0"),
+    ("--e-ji", "atom.transitions[0].E_ji", "0.5"),
+    ("--mu-par-sq", "atom.transitions[0].mu_par_sq", "3.0"),
+    ("--mu-perp-sq", "atom.transitions[0].mu_perp_sq", "0.5"),
+]
+
+
+@pytest.mark.parametrize("flag, key, value", PROBLEM_FLAGS)
+def test_each_problem_flag_overrides_its_config_key(flag, key, value,
+                                                    config_path, capsys):
+    assert parse_config_text(CONFIG)[key] != value
+    assert main(["shift", "--config", config_path, flag, value,
+                 "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["inputs"][key] == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["shift", "--config"], WFUN, SWEEP, ["asympt", "--config"]])
+def test_rel_tol_reaches_the_quadrature_spec(argv, tmp_path, capsys):
+    # over the file's quad.rel_tol where the subcommand reads a file
+    path = tmp_path / "cfg.txt"
+    path.write_text(CONFIG + "quad.rel_tol = 1e-9\n")
+    if argv[-1] == "--config":
+        argv = argv + [str(path)]
+    argv = argv + ["--rel-tol", "1e-6"]
+    if argv[0] == "asympt":  # text only: no manifest
+        run = build_run_input(_config_from_args(build_parser().parse_args(argv)))
+        assert run.quad == QuadratureSpec(rel_tol=1e-6)
+        return
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["quad"] == \
+        asdict(QuadratureSpec(rel_tol=1e-6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["shift", "--n", "2", "--thickness", "1", "--distance", "1", "--e-ji",
+     "1", "--mu-par-sq", "nan", "--mu-perp-sq", "1"],
+    ["shift", "--n", "2", "--thickness", "1", "--distance", "1", "--e-ji",
+     "1", "--mu-par-sq", "inf", "--mu-perp-sq", "1"],
+    # every input finite, the contribution past the doubles
+    ["shift", "--n", "2", "--thickness", "1e-5", "--distance", "1e-5",
+     "--e-ji", "1e-10", "--mu-par-sq", "1e300", "--mu-perp-sq", "1"],
+    ASYMPT[:-4] + ["--mu-par-sq", "nan", "--mu-perp-sq", "1"],
+    ASYMPT[:-2] + ["--mu-perp-sq", "inf"],
+])
+def test_non_finite_results_are_input_errors(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("slabshift: input error: ")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_table(header):
+    """The README table under ``header``: first cell -> second cell."""
+    lines = README.read_text().split(header + "\n", 1)[1].splitlines()
+    rows = {}
+    for line in lines[1:]:  # past the |---| line
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        rows[cells[0]] = cells[1]
+    return rows
+
+
+def _subcommands():
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_readme_flag_table_matches_the_parser():
+    table = _readme_table("| subcommand | flags |")
+    subcommands = _subcommands()
+    assert set(table) == set(subcommands)
+    for name, flags in table.items():
+        options = {option for action in subcommands[name]._actions
+                   for option in action.option_strings}
+        assert sorted(flags.split()) == sorted(
+            options - {"-h", "--help", "--output", "--jobs"}), name
+
+
+def test_readme_key_table_matches_the_dests():
+    # every flag whose dest is a config key, on every subcommand, is a row,
+    # and shift and asympt take them all
+    table = _readme_table("| flag | config key |")
+    for name, sub in _subcommands().items():
+        keys = {action.option_strings[0]: action.dest
+                for action in sub._actions
+                if "." in action.dest or action.dest == "units"}
+        assert keys == {flag: table[flag] for flag in keys}, name
+        if name in ("shift", "asympt"):
+            assert keys == table

@@ -47,6 +47,23 @@ def test_type_validation():
         WPair(w_par=1.0, w_z=1.0, err_est=-1.0)
 
 
+@pytest.mark.parametrize("squares", [(math.nan, 1.0), (1.0, math.inf),
+                                     (math.inf, math.inf)])
+def test_transition_rejects_non_finite_dipole_squares(squares):
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        Transition(1.0, *squares)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_energy_shift_rejects_a_non_finite_contribution(bad):
+    # one home for assemble_shift and every closed form
+    with pytest.raises(ValueError, match="shift of transition 1 is"):
+        EnergyShift.from_contributions([-1.0, bad])
+    tr = Transition(1e-10, 1e300, 1.0)
+    with pytest.raises(ValueError, match="not a finite double"):
+        assemble_shift(AtomSpec([tr]), Slab(2.0, 1e-5), 1e-5, [WPair(0.4, 0.9)])
+
+
 def test_wpair_component_bounds():
     # each component bound defaults to err_est and may not exceed it
     assert (WPair(1.0, 1.0, 0.5).err_par, WPair(1.0, 1.0, 0.5).err_z) == \

@@ -188,10 +188,11 @@ def test_w_pair_below_halfspace_at_zeta8():
 @pytest.mark.parametrize("zeta, lam, n", [
     (1e200, 1.0, 2.0), (1e-200, 1.0, 2.0), (1e200, 0.0, 2.0),
     (1e-200, 1.0, 1.0), (1.0, 1.0, 1e78), (1.0, math.inf, 1e78),
+    (6.9e76, 1.0, 2.0), (1e77, math.inf, 2.0),
 ])
 def test_w_pair_rejects_powers_outside_the_doubles(zeta, lam, n):
-    # zeta^4 (the W scale) and s_max^3 (the outer weight) for zeta, n^4
-    # (the TM coefficient) for n
+    # zeta^4 and 8 zeta^4 (the W scale of the S views) and s_max^3 (the
+    # outer weight) for zeta, n^4 (the TM coefficient) for n
     with pytest.raises(ValueError, match="out of range"):
         w_pair(ReducedParams(zeta, lam, n))
 
@@ -202,6 +203,21 @@ def test_w_pair_is_finite_below_the_upper_ends(zeta, n):
     wp = w_pair(ReducedParams(zeta, 1.0, n))
     assert all(math.isfinite(v) and v >= 0.0
                for v in (wp.w_par, wp.w_z, wp.err_est))
+
+
+@pytest.mark.parametrize("zeta", [1e60, 1e70, 1e76])
+def test_w_follows_the_retarded_thin_slab_law_at_large_zeta(zeta):
+    # W zeta / lam tends to (n^2-1)(5+9n^2)/(10n^2) and (n^2-1)(4+5n^2)/(5n^2);
+    # the S views W / (8 zeta^4) are subnormal past zeta = 1e61 and 0.0
+    # from 1e66; W must not underflow
+    n, lam = 2.0, 1.0
+    wp = w_pair(ReducedParams(zeta, lam, n))
+    n2 = n * n
+    assert wp.w_par * zeta / lam == pytest.approx(
+        (n2 - 1.0) * (5.0 + 9.0 * n2) / (10.0 * n2), rel=1e-9, abs=0.0)
+    assert wp.w_z * zeta / lam == pytest.approx(
+        (n2 - 1.0) * (4.0 + 5.0 * n2) / (5.0 * n2), rel=1e-9, abs=0.0)
+    assert 0.0 < wp.err_est <= 1e-8 * wp.w_z
 
 
 def test_energy_shift_transparent():
