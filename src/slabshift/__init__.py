@@ -36,9 +36,8 @@ _EXPORTS = {
              "static_polarizability", "classify_regime"),
     "errors": ("ConvergenceError", "PoleError"),
     "quadrature": ("QuadratureSpec", "adaptive_quad"),
-    "reflection": ("Polarization", "WaveVectors", "fresnel_r", "rtilde",
-                   "slab_R", "slab_T", "slab_denominator", "snell_kz",
-                   "snell_kzd"),
+    "reflection": ("Polarization", "fresnel_r", "rtilde", "slab_R", "slab_T",
+                   "slab_denominator", "snell_kz", "snell_kzd"),
     "shift": ("W_SCALE", "energy_shift", "s_parallel", "s_perp", "w_pair"),
     "asymptotics": ("buhmann_U", "halfspace_S", "nonretarded_shift",
                     "nonretarded_thin_shift", "retarded_thin_shift"),

@@ -64,7 +64,7 @@ def retarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
                 + 2.0 * (4.0 + 5.0 * n2) * tr.mu_perp_sq) / tr.E_ji / z5
         for tr in atom.transitions
     ]
-    return EnergyShift.from_contributions(contribs)
+    return EnergyShift(contribs)
 
 
 def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
@@ -115,7 +115,7 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
         return image_series_shift(atom, slab, Z, spec)
     q = q or QuadratureSpec()
     if slab.n == 1.0:
-        return EnergyShift.from_contributions([0.0] * len(atom.transitions))
+        return EnergyShift([0.0] * len(atom.transitions))
     beta = (slab.n ** 2 - 1.0) / (slab.n ** 2 + 1.0)
     import logging  # not at package load: that raised the CLI's peak RSS 1%
     logging.getLogger(__name__).debug(
@@ -125,8 +125,9 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
 
     def integrand(k: np.ndarray) -> np.ndarray:
         # (1 - e)/(1 - beta^2 e) with e = exp(-2kL) = 1 - g, free of
-        # cancellation at small kL; g = 1 at L = inf
-        g = -np.expm1(-2.0 * k * slab.L)
+        # cancellation at small kL; g = 1 where 2kL overflows and at L = inf
+        with np.errstate(over="ignore"):
+            g = -np.expm1(-2.0 * k * slab.L)
         return k * k * np.exp(-2.0 * Z * k) * (g / (1.0 - beta2 + beta2 * g))
 
     # the seeds of the W cubature's u axis, at k = u / (2 Z)
@@ -136,7 +137,7 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
     pref = -beta / (16.0 * math.pi) * res.value
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
                 for tr in atom.transitions]
-    return EnergyShift.from_contributions(contribs)
+    return EnergyShift(contribs)
 
 
 def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
@@ -153,4 +154,4 @@ def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     pref = -3.0 * (n2 * n2 - 1.0) * slab.L / (256.0 * math.pi * n2)
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq) / z4
                 for tr in atom.transitions]
-    return EnergyShift.from_contributions(contribs)
+    return EnergyShift(contribs)

@@ -128,10 +128,13 @@ class RunInput:
     slab: Slab
     Z: float
     quad: QuadratureSpec
-    units: str  # "natural" | "eV-nm"
     # every problem key parsed and its value (E_ji after the eV conversion):
     # the table of known keys besides ``quad.*``, and the manifest's echo
     inputs: dict[str, object]
+
+    @property
+    def units(self) -> str:  # "natural" | "eV-nm"
+        return self.inputs["units"]
 
 
 def build_run_input(cfg: dict[str, str]) -> RunInput:
@@ -169,8 +172,7 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
                                         for f in fields(QuadratureSpec)}
     if unknown:
         raise ConfigError(f"unknown config key: {min(unknown)}")
-    return RunInput(atom=atom, slab=slab, Z=Z, quad=quad, units=units,
-                    inputs=inputs)
+    return RunInput(atom=atom, slab=slab, Z=Z, quad=quad, inputs=inputs)
 
 
 def _quad_spec(cfg: dict[str, object]) -> QuadratureSpec:

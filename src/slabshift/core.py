@@ -161,49 +161,44 @@ def classify_regime(p: ReducedParams) -> RegimeReport:
 class WPair:
     """Dimensionless shift functions (W_par, W_z) with quadrature error bounds.
 
-    ``err_par`` and ``err_z`` bound each component; ``err_est`` bounds both
-    and is their max when they are given (each defaults to ``err_est``).
+    ``err_par`` and ``err_z`` bound each component; ``err_est`` bounds both.
     """
 
     w_par: float
     w_z: float
-    err_est: float = 0.0
-    err_par: float | None = None
-    err_z: float | None = None
+    err_par: float = 0.0
+    err_z: float = 0.0
 
     def __post_init__(self):
-        if self.err_est < 0.0:
-            raise ValueError("err_est must be non-negative")
-        for name in ("err_par", "err_z"):
-            err = getattr(self, name)
-            if err is None:
-                object.__setattr__(self, name, self.err_est)
-            elif not 0.0 <= err <= self.err_est:
-                raise ValueError(f"{name} must lie in [0, err_est]")
+        if not (self.err_par >= 0.0 and self.err_z >= 0.0):
+            raise ValueError("error bounds must be non-negative")
+
+    @property
+    def err_est(self) -> float:
+        return max(self.err_par, self.err_z)
 
 
 @dataclass(frozen=True)
 class EnergyShift:
-    """Total energy shift together with the per-transition contributions,
-    each a finite double: one that overflowed, or is NaN, is a ValueError."""
+    """Per-transition contributions and their total ``value``, each finite
+    and normal or exactly 0: NaN, an overflow or a subnormal is a ValueError."""
 
-    value: float
     per_transition: tuple[float, ...]
 
     def __post_init__(self):
-        for i, c in enumerate(self.per_transition):
+        contribs = tuple(float(c) for c in self.per_transition)
+        for i, c in enumerate(contribs):
             if not math.isfinite(c):
                 raise ValueError(f"the shift of transition {i} is {c}, "
                                  "not a finite double")
-        total = math.fsum(self.per_transition)
-        scale = max(abs(total), abs(self.value), 1e-300)
-        if abs(total - self.value) > 1e-12 * scale:
-            raise ValueError("value must equal the sum of per_transition entries")
+            if 0.0 < abs(c) < sys.float_info.min:
+                raise ValueError(f"the shift of transition {i} is {c}, "
+                                 "below the normal doubles")
+        object.__setattr__(self, "per_transition", contribs)
 
-    @classmethod
-    def from_contributions(cls, contributions: Sequence[float]) -> "EnergyShift":
-        contributions = tuple(float(c) for c in contributions)
-        return cls(value=math.fsum(contributions), per_transition=contributions)
+    @property
+    def value(self) -> float:
+        return math.fsum(self.per_transition)
 
 
 def reduce(slab: Slab, transition: Transition, Z: float) -> ReducedParams:
@@ -253,7 +248,7 @@ def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,
         pref * (w.w_par * tr.mu_par_sq + w.w_z * tr.mu_perp_sq) / tr.E_ji / z4
         for tr, w in zip(atom.transitions, wfun)
     ]
-    return EnergyShift.from_contributions(contribs)
+    return EnergyShift(contribs)
 
 
 def dipole_sq_from_momentum(p_sq: float, E_ji: float,

@@ -114,7 +114,7 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
     if slab.n == 1.0:
-        return EnergyShift.from_contributions([0.0] * len(atom.transitions))
+        return EnergyShift([0.0] * len(atom.transitions))
     beta = _beta(slab.n)
     dipole_sum = math.fsum(2.0 * tr.mu_perp_sq + tr.mu_par_sq
                            for tr in atom.transitions)
@@ -127,7 +127,7 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
     pref = -beta / (64.0 * math.pi) * series
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
                 for tr in atom.transitions]
-    return EnergyShift.from_contributions(contribs)
+    return EnergyShift(contribs)
 
 
 def image_series_converges(slab: Slab, Z: float,

@@ -1,11 +1,11 @@
 """Electromagnetic field modes of the dielectric slab.
 
 Travelling modes are incident/reflected/transmitted plane-wave solutions
-with real vacuum wave numbers; trapped modes are discrete solutions bound
-by total internal reflection, oscillatory inside the slab and evanescent
-(e^{-kappa |z|}) outside.  Every mode is the product of a polarization
-vector and a piecewise scalar function; the momentum-space polarization
-vectors are
+of real vacuum wave numbers (k_par, k_z > 0); trapped modes are discrete
+solutions bound by total internal reflection, oscillatory inside the slab
+and evanescent (e^{-kappa |z|}) outside.  Every mode is the product of a
+polarization vector and a piecewise scalar function; the momentum-space
+polarization vectors are
 
     e_TE(k) = (k_y, -k_x, 0) / k_par,
     e_TM(k) = (k_x k_z, k_y k_z, -k_par^2) / (n_med * omega * k_par),
@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import Slab
 from .errors import PoleError
-from .reflection import Polarization, WaveVectors, slab_denominator, snell_kzd
+from .reflection import Polarization, slab_denominator, snell_kzd
 
 __all__ = [
     "TrappedMode",
@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 MODE_NORMALIZATION = (2.0 * math.pi) ** -1.5  # travelling-mode prefactor
+
+# most branches bracketed per dispersion relation (10^6 modes over all four)
+MAX_BRANCHES = 250_000
 
 _REGION_TAGS = ("left_vacuum", "slab", "right_vacuum")
 
@@ -129,6 +132,10 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
 
     # branch-opening angles below theta_max: tan branches for S, cot for A
     offset = 0.0 if parity == "S" else 0.5 * math.pi
+    if not (theta_max - offset) / math.pi < MAX_BRANCHES:
+        raise ValueError(f"k_par = {k_par!r}, n = {n!r}, L = {L!r} open "
+                         f"{theta_max / math.pi:.3g} branches per dispersion "
+                         f"relation, more than the {MAX_BRANCHES} allowed")
     theta_start = offset + math.pi * np.arange(
         math.ceil((theta_max - offset) / math.pi) + 1)
     theta_start = theta_start[theta_start < theta_max]
@@ -279,20 +286,22 @@ def _travelling_coefficients(pol: Polarization, k_z: float, k_par: float,
     return R, I, J, T, k_zd
 
 
-def travelling_mode(side: str, pol: Polarization, k: WaveVectors,
+def travelling_mode(side: str, pol: Polarization, k_par: float, k_z: complex,
                     slab: Slab) -> ModeField:
     """Left- or right-incident travelling mode (side "L" or "R").
 
-    Requires a propagating vacuum wave: real k_z > 0.  The right-incident
-    mode is the left-incident one mirrored in z = 0.
+    Requires k_par >= 0 and a propagating vacuum wave: real k_z > 0.  The
+    right-incident mode is the left-incident one mirrored in z = 0.
     """
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    k_z = complex(k.k_z)
+    if not k_par >= 0.0:
+        raise ValueError(f"k_par must be non-negative, got {k_par}")
+    k_z = complex(k_z)
     if k_z.imag != 0.0 or not k_z.real > 0.0:
         raise ValueError("travelling modes need real k_z > 0")
     k_z = k_z.real
-    k_par, n, L = k.k_par, slab.n, slab.L
+    n, L = slab.n, slab.L
     R, I, J, T, k_zd = _travelling_coefficients(pol, k_z, k_par, L, n)
     if not np.isfinite([abs(R), abs(I), abs(J), abs(T)]).all():
         raise PoleError("travelling-mode coefficients diverge (pole proximity)",

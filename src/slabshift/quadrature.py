@@ -107,15 +107,18 @@ def geometric_edges(upper: float) -> np.ndarray:
 class QuadResult:
     """Value and error bound, floats or one tuple entry per component.
 
-    ``panels`` is the number of final cells, whose corners are the rows
-    of ``lo`` and ``hi``.
+    The final cells' corners are the rows of ``lo`` and ``hi``; ``panels``
+    counts them.
     """
 
     value: float | tuple[float, ...]
     err_est: float | tuple[float, ...]
-    panels: int
     lo: np.ndarray
     hi: np.ndarray
+
+    @property
+    def panels(self) -> int:
+        return self.lo.shape[0]
 
 
 def _eval_cells(f: Callable[..., np.ndarray], lo: np.ndarray,
@@ -208,7 +211,7 @@ def adaptive_quad(f: Callable[..., np.ndarray], a, b, rel_tol: float,
                     value, err_est = value[0], err_est[0]
                 else:
                     value, err_est = tuple(value), tuple(err_est)
-                return QuadResult(value, err_est, lo.shape[0], lo, hi)
+                return QuadResult(value, err_est, lo, hi)
 
         # each cell's error over its component's tolerance, worst first;
         # split until the unsplit cells fit in half of every tolerance

@@ -1,7 +1,8 @@
 """Fresnel and slab reflection/transmission coefficients.
 
 Two variable sets are used.  The mode-function machinery works in the
-physical wave numbers ``(k_par, k_z, k_zd)`` related by Snell's law
+physical wave numbers ``k_par`` and ``k_z`` (vacuum); the normal wave
+number inside the slab follows from Snell's law,
 
     k_zd = sqrt((n^2 - 1) k_par^2 + n^2 k_z^2),
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .errors import PoleError
 
 __all__ = [
     "Polarization",
-    "WaveVectors",
     "snell_kzd",
     "snell_kz",
     "fresnel_r",
@@ -87,39 +86,6 @@ def snell_kz(k_par: float, k_zd: complex, n: float) -> complex | float:
         raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
     val = cmath.sqrt(k_zd * k_zd - (n * n - 1.0) * k_par * k_par) / n
     return _as_wave_component(val)
-
-
-@dataclass(frozen=True)
-class WaveVectors:
-    """Consistent triple (k_par, k_z, k_zd) for one plane-wave mode.
-
-    ``k_z`` and ``k_zd`` may be complex (evanescent waves); ``kappa`` exposes
-    the decay rate |Im k_z| for such cases.  Construction checks Snell
-    consistency; use :meth:`from_vacuum` to build from (k_par, k_z, n).
-    """
-
-    k_par: float
-    k_z: complex
-    k_zd: complex
-
-    def __post_init__(self):
-        if self.k_par < 0.0:
-            raise ValueError(f"k_par must be non-negative, got {self.k_par}")
-
-    @classmethod
-    def from_vacuum(cls, k_par: float, k_z: complex, n: float) -> "WaveVectors":
-        return cls(k_par=k_par, k_z=k_z, k_zd=snell_kzd(k_par, k_z, n))
-
-    def check_snell(self, n: float, rel_tol: float = 1e-12) -> None:
-        lhs = complex(self.k_zd) ** 2
-        rhs = (n * n - 1.0) * self.k_par ** 2 + n * n * complex(self.k_z) ** 2
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        if abs(lhs - rhs) > rel_tol * scale:
-            raise ValueError("wave numbers violate Snell consistency")
-
-    @property
-    def kappa(self) -> float:
-        return abs(complex(self.k_z).imag)
 
 
 def fresnel_r(pol: Polarization, k_z: complex, k_zd: complex,

@@ -46,6 +46,7 @@ reflection coefficient calls (17,100 coefficient values).
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +188,12 @@ def w_pair(p: ReducedParams, q: QuadratureSpec | None = None) -> WPair:
     """Dimensionless shift functions W_par = 8 zeta^4 S_par, W_z = 8 zeta^4 S_perp."""
     par = s_parallel_detailed(p, q)
     perp = s_perp_detailed(p, q)
-    return WPair(w_par=par.w, w_z=perp.w, err_est=max(par.err_w, perp.err_w),
-                 err_par=par.err_w, err_z=perp.err_w)
+    # with n > 1 and lam > 0 both components are positive: a 0 or a
+    # subnormal is W lost to underflow
+    if p.n > 1.0 and p.lam > 0.0 and not min(par.w, perp.w) >= sys.float_info.min:
+        raise ValueError(f"W at (zeta, lam, n) = ({p.zeta!r}, {p.lam!r}, {p.n!r}) "
+                         f"is ({par.w!r}, {perp.w!r}), below the normal doubles")
+    return WPair(w_par=par.w, w_z=perp.w, err_par=par.err_w, err_z=perp.err_w)
 
 
 def energy_shift(atom: AtomSpec, slab: Slab, Z: float,

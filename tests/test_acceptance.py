@@ -22,7 +22,6 @@ from slabshift import (AtomSpec, Polarization, QuadratureSpec, ReducedParams,
 from slabshift.cli import main as cli_main
 from slabshift.modes import (find_trapped_modes, pole_alignment_check,
                              trapped_mode, travelling_mode)
-from slabshift.reflection import WaveVectors
 from slabshift.shift import s_parallel_detailed, s_perp_detailed
 
 TE, TM = Polarization.TE, Polarization.TM
@@ -49,19 +48,31 @@ def test_criterion_01_perfect_reflector_limit():
 
 
 def test_criterion_02_retarded_thin_slab():
-    # lam = 0.5 at every zeta, so L/Z = 0.01, 0.005, 0.0025
-    slab = Slab(n=2.0, L=0.5)
-    devs = {}
-    for Z in (50.0, 100.0, 200.0):
+    # lam = 0.5 at every zeta, so L/Z = 0.01, 0.005, 0.0025, 6e-4, 1.6e-4.
+    # The s expansion of R~ to second order in lam/zeta gives the signed
+    # deviation -c lam/zeta for this atom (mu_par^2 = 2 mu_perp^2), with
+    # c = 5(95n^6 + 101n^4 + 74n^2 + 52) / (28n^2 (14n^2 + 9)) = 2011/364
+    # at n = 2; the next terms are of order (lam/zeta)^2 and 1/zeta^2
+    n, lam = 2.0, 0.5
+    c = 5.0 * (95 * n**6 + 101 * n**4 + 74 * n**2 + 52) / (
+        28 * n**2 * (14 * n**2 + 9))
+    slab = Slab(n=n, L=lam)
+    devs, slopes = {}, {}
+    for Z in (50.0, 100.0, 200.0, 800.0, 3200.0):
         full = energy_shift(ATOM, slab, Z).value
         thin = retarded_thin_shift(ATOM, slab, Z).value
         devs[Z] = abs(full - thin) / abs(thin)
-    ok = devs[200.0] < 0.02 and devs[50.0] > devs[100.0] > devs[200.0]
+        slopes[Z] = (full - thin) / thin * Z / lam
+    gaps = [abs(slope + c) for slope in slopes.values()]
+    ok = (devs[200.0] < 0.02 and devs[50.0] > devs[100.0] > devs[200.0]
+          and abs(slopes[200.0] + c) < 0.02 * c
+          and all(a > b for a, b in zip(gaps, gaps[1:])))
     _report(2, "retarded thin-slab formula within 2% at zeta=200, lam=0.5, "
                "n=2", ok,
             f"measured {devs[200.0]:.2%}; {devs[50.0]:.2%} at zeta=50 falls "
-            f"to {devs[100.0]:.2%} at zeta=100: first-order term "
-            f"~11*lam/(2*zeta) of the s-expansion")
+            f"to {devs[100.0]:.2%} at zeta=100; deviation*zeta/lam "
+            f"{slopes[200.0]:.4f} at zeta=200 and {slopes[3200.0]:.4f} at "
+            f"zeta=3200 tends to the derived -c = {-c:.4f}")
 
 
 def test_criterion_03_nonretarded_limit():
@@ -184,12 +195,11 @@ def test_criterion_09_mode_continuity():
     done = 0
     while done < 50:
         slab = Slab(n=rng.uniform(1.05, 3.5), L=rng.uniform(0.2, 3.0))
-        wv = WaveVectors.from_vacuum(rng.uniform(0.05, 5.0),
-                                     rng.uniform(0.05, 5.0), slab.n)
+        k_par, k_z = rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0)
         side = "L" if done % 2 == 0 else "R"
         for pol in (TE, TM):
             worst_trav = max(worst_trav, _continuity(
-                travelling_mode(side, pol, wv, slab), slab))
+                travelling_mode(side, pol, k_par, k_z, slab), slab))
         done += 1
     worst_trap = 0.0
     done = 0

@@ -255,6 +255,20 @@ def test_nonretarded_rejects_z_outside_the_doubles(Z, method):
         nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), Z, method=method)
 
 
+@pytest.mark.parametrize("method", ["series", "quadrature"])
+@pytest.mark.parametrize("atom, n, Z", [
+    (AtomSpec([Transition(1.0, 2.0, 1.0)]), 2.0, 1.0),
+    (AtomSpec([Transition(2.4338e94, 0.000257017, 2.20255e-52)]), 1.0000001,
+     4.08874e-16),
+])
+def test_nonretarded_thickness_near_the_largest_double(atom, n, Z, method):
+    # 2kL overflows in the k integrand: silently, since expm1(-inf) = -1
+    # gives the half-space factor (a RuntimeWarning is an error here)
+    thick = nonretarded_shift(atom, Slab(n, 1.7e308), Z, method=method).value
+    half = nonretarded_shift(atom, Slab(n, math.inf), Z, method=method).value
+    assert abs(thick - half) <= math.ulp(half)
+
+
 def test_nonretarded_thin_transparent_and_linear():
     assert nonretarded_thin_shift(ATOM, Slab(n=1.0, L=1.0), 1.0).value == 0.0
     full = nonretarded_thin_shift(ATOM, Slab(n=2.0, L=0.02), 1.0).value

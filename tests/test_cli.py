@@ -640,6 +640,42 @@ def test_non_finite_results_are_input_errors(argv, capsys):
     assert out == "" and err.startswith("slabshift: input error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["shift", "--n", "1.0415955", "--thickness", "15426.8", "--distance",
+     "9.04059e+67", "--e-ji", "12307.2", "--mu-par-sq", "8.693e+34",
+     "--mu-perp-sq", "22.0497"],
+    ["wfun", "--zeta", "3.51398e-09", "--lam", "1e-320", "--n", "1.0001103"],
+    ["wfun", "--zeta", "9.54618e+18", "--lam", "1e-320", "--n", "1.0000019"],
+    ["asympt", "--n", "2", "--thickness", "1", "--distance", "1", "--e-ji",
+     "1", "--mu-par-sq", "2e-320", "--mu-perp-sq", "1e-320"],
+])
+def test_subnormal_results_are_input_errors(argv, capsys):
+    # a shift or a W component that underflowed past the normal doubles
+    # has lost its digits
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("slabshift: input error: ")
+    assert "below the normal doubles" in err
+
+
+@pytest.mark.parametrize("argv", [["--lam", "0", "--n", "2"],
+                                  ["--lam", "1e-320", "--n", "1"]])
+def test_exact_zero_w_is_not_an_underflow(argv, capsys):
+    assert main(["wfun", "--zeta", "1", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == (f"W_par={_fmt(0.0)} W_z={_fmt(0.0)} "
+                                       f"err_est={_fmt(0.0)}\n")
+
+
+def test_modes_beyond_the_branch_budget_is_an_input_error(capsys):
+    # 3.1e6 branches per relation: 8.9M rows without the budget
+    assert main(["modes", "--k-par", "534.7", "--n", "1e4", "--thickness",
+                 "3.615"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("slabshift: input error: k_par = 534.7, n = "
+                          "10000.0, L = 3.615 ")
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_type_validation():
     with pytest.raises(ValueError):
         ReducedParams(zeta=0.0, lam=1.0, n=2.0)
     with pytest.raises(ValueError):
-        WPair(w_par=1.0, w_z=1.0, err_est=-1.0)
+        WPair(w_par=1.0, w_z=1.0, err_par=-1.0)
 
 
 @pytest.mark.parametrize("squares", [(math.nan, 1.0), (1.0, math.inf),
@@ -58,28 +59,38 @@ def test_transition_rejects_non_finite_dipole_squares(squares):
 def test_energy_shift_rejects_a_non_finite_contribution(bad):
     # one home for assemble_shift and every closed form
     with pytest.raises(ValueError, match="shift of transition 1 is"):
-        EnergyShift.from_contributions([-1.0, bad])
+        EnergyShift([-1.0, bad])
     tr = Transition(1e-10, 1e300, 1.0)
     with pytest.raises(ValueError, match="not a finite double"):
         assemble_shift(AtomSpec([tr]), Slab(2.0, 1e-5), 1e-5, [WPair(0.4, 0.9)])
 
 
 def test_wpair_component_bounds():
-    # each component bound defaults to err_est and may not exceed it
-    assert (WPair(1.0, 1.0, 0.5).err_par, WPair(1.0, 1.0, 0.5).err_z) == \
-        (0.5, 0.5)
-    wp = WPair(1.0, 1.0, err_est=0.5, err_par=0.5, err_z=0.25)
-    assert (wp.err_par, wp.err_z) == (0.5, 0.25)
-    for bad in ({"err_par": 0.6}, {"err_z": -0.1}):
-        with pytest.raises(ValueError):
-            WPair(1.0, 1.0, err_est=0.5, **bad)
+    # err_est is derived from the component bounds, which must be >= 0
+    assert WPair(1.0, 1.0).err_est == 0.0
+    wp = WPair(1.0, 1.0, err_par=0.5, err_z=0.25)
+    assert (wp.err_par, wp.err_z, wp.err_est) == (0.5, 0.25, 0.5)
+    assert WPair(1.0, 1.0, err_par=0.1, err_z=0.3).err_est == 0.3
+    for bad in ({"err_par": -0.1}, {"err_z": -0.1}, {"err_z": math.nan}):
+        with pytest.raises(ValueError, match="non-negative"):
+            WPair(1.0, 1.0, **bad)
 
 
 def test_energy_shift_invariant():
-    with pytest.raises(ValueError):
-        EnergyShift(value=1.0, per_transition=(0.4, 0.4))
-    s = EnergyShift.from_contributions([0.4, 0.4])
+    # the total is derived from the contributions, so it cannot disagree
+    s = EnergyShift([0.4, 0.4])
+    assert s.per_transition == (0.4, 0.4)
     assert s.value == pytest.approx(0.8, rel=1e-15)
+    assert EnergyShift([1.0, 1e-17, -1.0]).value == 1e-17
+    assert EnergyShift([0.0, -0.0]).value == 0.0
+
+
+@pytest.mark.parametrize("tiny", [5e-324, -1e-310, 0.5 * sys.float_info.min])
+def test_energy_shift_rejects_a_subnormal_contribution(tiny):
+    with pytest.raises(ValueError, match="shift of transition 1 is .* below "
+                                         "the normal doubles"):
+        EnergyShift([-1.0, tiny])
+    assert EnergyShift([-1.0, sys.float_info.min]).value == -1.0
 
 
 def test_assemble_transparent_slab_gives_zero():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import bisect_roots_longhand, sign_scan_root_count
-from slabshift import Polarization, Slab, WaveVectors, slab_R, slab_T
+from slabshift import Polarization, Slab, slab_R, slab_T
 from slabshift.modes import (find_trapped_modes, pole_alignment_check,
                              trapped_mode, travelling_mode)
 
@@ -121,8 +121,7 @@ def test_pole_alignment_detects_perturbation():
 
 
 def test_travelling_transparent_is_plane_wave():
-    wv = WaveVectors.from_vacuum(1.0, 2.0, 1.0)
-    f = travelling_mode("L", TE, wv, Slab(n=1.0, L=1.0))
+    f = travelling_mode("L", TE, 1.0, 2.0, Slab(n=1.0, L=1.0))
     norm = (2.0 * math.pi) ** -1.5
     x, y = 0.3, 0.4
     ref = None
@@ -141,11 +140,10 @@ def test_travelling_continuity_left_and_right_incidence():
     rng = np.random.default_rng(41)
     for _ in range(10):
         slab = Slab(n=rng.uniform(1.1, 3.0), L=rng.uniform(0.2, 2.5))
-        wv = WaveVectors.from_vacuum(rng.uniform(0.05, 4.0),
-                                     rng.uniform(0.05, 4.0), slab.n)
+        k_par, k_z = rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0)
         for pol in (TE, TM):
             for side in ("L", "R"):
-                f = travelling_mode(side, pol, wv, slab)
+                f = travelling_mode(side, pol, k_par, k_z, slab)
                 for z, vac in ((-slab.L / 2.0, "left_vacuum"),
                                (slab.L / 2.0, "right_vacuum")):
                     assert _continuity_mismatch(f, slab, z, vac) < 1e-10
@@ -157,9 +155,8 @@ def test_travelling_te_curl_continuity():
     rng = np.random.default_rng(43)
     for _ in range(5):
         slab = Slab(n=rng.uniform(1.1, 3.0), L=rng.uniform(0.3, 2.0))
-        wv = WaveVectors.from_vacuum(rng.uniform(0.1, 3.0),
-                                     rng.uniform(0.1, 3.0), slab.n)
-        f = travelling_mode("L", TE, wv, slab)
+        k_par, k_z = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+        f = travelling_mode("L", TE, k_par, k_z, slab)
         for z, vac in ((-slab.L / 2.0, "left_vacuum"),
                        (slab.L / 2.0, "right_vacuum")):
             b_vac = f.curl_in(vac, 0.1, 0.2, z)
@@ -186,15 +183,14 @@ def test_right_incident_is_mirrored_left_incident():
     # scalar parts mirror as they are; the vectors as E_R(x, y, z) =
     # s P E_L(x, y, -z), P = diag(1, 1, -1), s = +1 for TE and -1 for TM
     rng = np.random.default_rng(53)
-    cases = [(SLAB, WaveVectors.from_vacuum(0.8, 1.4, SLAB.n))]
+    cases = [(SLAB, 0.8, 1.4)]
     for _ in range(4):
         slab = Slab(n=rng.uniform(1.1, 3.0), L=rng.uniform(0.2, 2.5))
-        cases.append((slab, WaveVectors.from_vacuum(
-            rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0), slab.n)))
-    for slab, wv in cases:
+        cases.append((slab, rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0)))
+    for slab, k_par, k_z in cases:
         for pol, s in ((TE, 1.0), (TM, -1.0)):
-            fl = travelling_mode("L", pol, wv, slab)
-            fr = travelling_mode("R", pol, wv, slab)
+            fl = travelling_mode("L", pol, k_par, k_z, slab)
+            fr = travelling_mode("R", pol, k_par, k_z, slab)
             for z in (-1.7, -0.2, 0.2, 1.7):
                 assert fr.scalar(0.3, 0.5, z) == pytest.approx(
                     fl.scalar(0.3, 0.5, -z), rel=1e-12)
@@ -255,10 +251,9 @@ def test_region_tags():
     assert f.region_tag(0.0) == "slab"
     assert f.region_tag(3.0) == "right_vacuum"
     # field and scalar evaluate the expansion of the region z lies in
-    wv = WaveVectors.from_vacuum(0.8, 1.4, SLAB.n)
     fields = [trapped_mode(m, SLAB) for pol in (TE, TM)
               for m in find_trapped_modes(pol, "A", 6.0, SLAB)[:1]]
-    fields += [travelling_mode(side, pol, wv, SLAB)
+    fields += [travelling_mode(side, pol, 0.8, 1.4, SLAB)
                for side in ("L", "R") for pol in (TE, TM)]
     for f in fields:
         for z in (-1.3, -0.5, -0.2, 0.0, 0.4, 0.5, 2.1):
@@ -270,6 +265,8 @@ def test_region_tags():
 
 def test_travelling_rejects_evanescent_kz():
     with pytest.raises(ValueError):
-        travelling_mode("L", TE, WaveVectors(1.0, 0.5j, 1.0), SLAB)
+        travelling_mode("L", TE, 1.0, 0.5j, SLAB)
     with pytest.raises(ValueError):
-        travelling_mode("X", TE, WaveVectors.from_vacuum(1.0, 1.0, 2.0), SLAB)
+        travelling_mode("X", TE, 1.0, 1.0, SLAB)
+    with pytest.raises(ValueError, match="k_par must be non-negative"):
+        travelling_mode("L", TE, -1.0, 1.0, SLAB)

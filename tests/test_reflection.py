@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import rt_te, rt_tm, transfer_matrix_slab
-from slabshift import (Polarization, PoleError, Slab, WaveVectors, fresnel_r,
-                       rtilde, slab_R, slab_T, snell_kz, snell_kzd)
+from slabshift import (Polarization, PoleError, Slab, fresnel_r, rtilde, slab_R,
+                       slab_T, snell_kz, snell_kzd)
 from slabshift.modes import find_trapped_modes
 
 TE, TM = Polarization.TE, Polarization.TM
@@ -33,14 +33,6 @@ def test_snell_principal_branch():
     # evanescent input: result must sit in the right half-plane
     val = complex(snell_kz(2.0, 0.5, 1.5))
     assert val.real >= 0.0
-
-
-def test_wavevectors_consistency():
-    wv = WaveVectors.from_vacuum(0.8, 1.1, 2.0)
-    wv.check_snell(2.0)
-    with pytest.raises(ValueError):
-        WaveVectors(k_par=0.8, k_z=1.1, k_zd=5.0).check_snell(2.0)
-    assert WaveVectors(0.5, 1j * 0.25, 1.0).kappa == pytest.approx(0.25)
 
 
 def test_fresnel_no_interface():
@@ -206,6 +198,49 @@ def test_rtilde_matches_40_digit_coth_form(n):
                                                 abs=0.0)
     finally:
         mpmath.mp.dps = 15
+
+
+def test_rtilde_is_the_wick_rotated_slab_amplitude():
+    # with E_ji = 1 the contour coefficient is the physical amplitude at
+    # imaginary frequency, k_z = i s and k_par = s sqrt(1 - t^2), with its
+    # reference plane moved from the slab centre to the near surface.
+    # slab_R rounds where rtilde does not: k_zd = i s g comes from terms of
+    # size n^2 s^2, then cancels in r_TE ~ 1 - g ~ (n^2 - 1) t^2 / 2 (and in
+    # r_TM ~ n^2 - g), and 1 - exp(2 i k_zd L) = 1 - exp(-2 Lam) cancels at
+    # small Lam.  The tolerance is eps times that condition number; where
+    # it exceeds 1e-12, slab_R's formula in mpmath, 30 digits beyond those
+    # the cancellation takes, must agree to 1e-13 as well
+    rng = np.random.default_rng(2009)
+    eps = np.finfo(float).eps
+    for i in range(4000):
+        s, lam = np.exp(rng.uniform(np.log([1e-3, 1e-3]),
+                                    np.log([30.0, 10.0])))
+        n = rng.uniform(1.01, 5.0)
+        t = rng.uniform(0.0, 1.0) ** (3 if i % 2 else 1)
+        g = math.sqrt(1.0 + (n * n - 1.0) * t * t)
+        for pol, cond in ((TE, n * n / ((n * n - 1.0) * t * t)),
+                          (TM, n * n / (n * n - g))):
+            cond += 1.0 / -math.expm1(-2.0 * s * lam * g)
+            got = rtilde(pol, s, t, lam, n)
+            wick = slab_R(pol, 1j * s, s * math.sqrt(1.0 - t * t), lam, n)
+            assert abs(wick * math.exp(-s * lam) - got) <= \
+                8.0 * eps * cond * abs(got)
+            if 8.0 * eps * cond > 1e-12:
+                with mpmath.workdps(30 + math.ceil(math.log10(cond))):
+                    exact = _wick_rotated_slab_R(pol, s, t, lam, n)
+                assert abs(exact - got) <= 1e-13 * abs(got)
+
+
+def _wick_rotated_slab_R(pol, s, t, lam, n):
+    """slab_R(pol, i s, s sqrt(1 - t^2), lam, n) exp(-s lam) in mpmath."""
+    s, t, L, n = (mpmath.mpf(x) for x in (s, t, lam, n))
+    k_z = 1j * s
+    k_zd = mpmath.sqrt((n * n - 1) * s * s * (1 - t * t) + n * n * k_z * k_z)
+    m = 1 if pol is TE else n * n
+    r = (m * k_z - k_zd) / (m * k_z + k_zd)
+    phase = mpmath.exp(2j * k_zd * L)
+    R = r * (1 - phase) / (1 - r * r * phase) * mpmath.exp(-1j * k_z * L)
+    return float(mpmath.re(R * mpmath.exp(-s * L)))
 
 
 def test_rtilde_reaches_halfspace_value_exactly():
