@@ -24,8 +24,6 @@ import pathlib
 import numpy as np
 
 from slabshift import QuadratureSpec, ReducedParams, w_pair
-from slabshift.shift import W_SCALE
-from slabshift.asymptotics import halfspace_S
 
 quad = QuadratureSpec(rel_tol=1e-8)
 here = pathlib.Path(__file__).resolve().parent
@@ -42,7 +40,7 @@ for zeta in zetas:
 
 print()
 print("W_z against lam at zeta = 8, n = 2 (half-space value "
-      f"{W_SCALE * 8.0**4 * halfspace_S(8.0, 2.0, quad)[1]:.5f})")
+      f"{w_pair(ReducedParams(8.0, math.inf, 2.0), quad).w_z:.5f})")
 lam_axis = np.geomspace(0.05, 20.0, 9)
 family2 = [w_pair(ReducedParams(8.0, lam, 2.0), quad).w_z for lam in lam_axis]
 for lam, w in zip(lam_axis, family2):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (NONRETARDED_TWO_ZETA, RETARDED_TWO_ZETA, AtomSpec,
                    EnergyShift, ReducedParams, RegimeReport, Slab,
-                   classify_regime, finite_power)
+                   classify_regime, finite_normal, finite_power)
 from .electrostatics import (ImageSeriesSpec, image_series_converges,
                              image_series_shift)
 from .quadrature import QuadratureSpec, adaptive_quad, geometric_edges
@@ -74,7 +74,8 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
 
     with the static responses of a non-dispersive dielectric, eps = n^2 and
     mu = 1, so the magnetic bracket is the constant 5.  Agrees exactly with
-    :func:`retarded_thin_shift` for isotropic atoms.
+    :func:`retarded_thin_shift` for isotropic atoms, and like it raises
+    ValueError where U is not a finite normal double or 0.
     """
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
@@ -85,7 +86,8 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
     eps = n * n
     bracket = (14.0 * eps * eps - 9.0) / eps - 5.0
     z5 = finite_power(Z, 5, "atom-surface distance Z")
-    return -alpha0 * L * bracket / (160.0 * math.pi ** 2) / z5
+    return finite_normal(-alpha0 * L * bracket / (160.0 * math.pi ** 2) / z5,
+                         "the thin-plate energy U")
 
 
 def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,

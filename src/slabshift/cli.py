@@ -52,8 +52,9 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from . import _HOME, __version__
-from .core import (AtomSpec, ReducedParams, Slab, Transition, assemble_shift,
-                   classify_regime, reduce, static_polarizability)
+from .core import (AtomSpec, ReducedParams, Slab, Transition, WPair,
+                   assemble_shift, classify_regime, finite_power, reduce,
+                   static_polarizability)
 from .errors import ConvergenceError
 from .units import ev_to_inv_nm, inv_nm_to_ev
 
@@ -315,35 +316,15 @@ def _sweep_grid(lo: float, hi: float, points: int, scale: str) -> list[float]:
     return [lo] + inner + [hi]
 
 
-def _sweep_point(task: tuple[float, dict[str, float], QuadratureSpec,
-                             tuple[float, float] | Exception | None]) -> dict:
-    """Evaluate one sweep grid point (top level so worker pools can pickle it).
-
-    The task is the grid value, the point's ``ReducedParams`` fields, the
-    spec, and the half-space pair ``halfspace_S(zeta, n)`` when the sweep
-    computed it once for every point, or the exception that computing it
-    raised; ``None`` means this point computes its own.  At ``lam = inf``
-    that is the pair ``w_pair`` just computed, read from ``_s_pair``'s memo.
-    """
-    _bind("W_SCALE", "w_pair", "halfspace_S")
-    value, point, quad, hs = task
-    row: dict[str, object] = {"value": value}
+def _sweep_point(point: tuple[float, float, float],
+                 quad: QuadratureSpec) -> WPair | str:
+    """``w_pair`` at one ``(zeta, lam, n)`` point of a sweep, or the failure
+    text of the rows that need it (top level so worker pools can pickle it)."""
+    _bind("w_pair")
     try:
-        p = ReducedParams(**point)
-        wp = w_pair(p, quad)
-        if isinstance(hs, Exception):
-            raise hs
-        scale = W_SCALE * p.zeta ** 4
-        hs_par, hs_perp = hs or halfspace_S(p.zeta, p.n, quad)
-        hs_w = (scale * hs_par, scale * hs_perp)
-        row.update(w_par=wp.w_par, w_z=wp.w_z, w_par_halfspace=hs_w[0],
-                   w_z_halfspace=hs_w[1], err_est=wp.err_est, status="ok")
+        return w_pair(ReducedParams(*point), quad)
     except Exception as exc:  # per-point failures stay in-row
-        row.update(w_par=math.nan, w_z=math.nan,
-                   w_par_halfspace=math.nan, w_z_halfspace=math.nan,
-                   err_est=math.nan,
-                   status="failed: " + str(exc).replace(",", ";"))
-    return row
+        return "failed: " + str(exc).replace(",", ";")
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
@@ -363,28 +344,33 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
     grid = _sweep_grid(args.lo, args.hi, args.points, args.scale)
     quad = _quad_spec(vars(args))
-    _bind("halfspace_S")
-    hs = None
-    if args.axis == "lambda":
-        # the half-space column depends on zeta and n only
-        try:
-            hs = halfspace_S(args.zeta, args.n, quad)
-        except Exception as exc:  # reported in every row, as per point
-            hs = exc
+    # each grid point and its half-space point (zeta, inf, n); each distinct
+    # one is computed once, so the lambda axis shares one half-space pair
     field = "lam" if args.axis == "lambda" else args.axis
-    point = {"zeta": args.zeta, "lam": args.lam, "n": args.n}
-    tasks = [(v, {**point, field: v}, quad, hs) for v in grid]
-
+    base = {"zeta": args.zeta, "lam": args.lam, "n": args.n}
+    pairs = [((p["zeta"], p["lam"], p["n"]), (p["zeta"], math.inf, p["n"]))
+             for p in ({**base, field: v} for v in grid)]
+    points = list(dict.fromkeys(point for pair in pairs for point in pair))
     if args.jobs > 1:
         import concurrent.futures  # pulls in logging; only pools need it
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+            results = list(pool.map(_sweep_point, points,
+                                    [quad] * len(points)))
     else:
-        rows = [_sweep_point(t) for t in tasks]
+        results = [_sweep_point(point, quad) for point in points]
+    by_point = dict(zip(points, results))
 
     header = ["value", "w_par", "w_z", "w_par_halfspace", "w_z_halfspace",
               "err_est", "status"]
+    rows = []
+    for value, (point, halfspace) in zip(grid, pairs):
+        wp, hs = by_point[point], by_point[halfspace]
+        failure = next((r for r in (wp, hs) if isinstance(r, str)), None)
+        numbers = ((math.nan,) * 5 if failure else
+                   (wp.w_par, wp.w_z, hs.w_par, hs.w_z,
+                    max(wp.err_est, hs.err_est)))
+        rows.append(dict(zip(header, (value, *numbers, failure or "ok"))))
     failed = any(row["status"] != "ok" for row in rows)
     return (_report(args.format, "sweep", inputs, quad, header, rows),
             EXIT_PARTIAL if failed else EXIT_OK)
@@ -416,21 +402,30 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
         alpha0 = static_polarizability(run.atom)
     except ValueError:  # the thin-plate form takes isotropic atoms only
         alpha0 = None
-    # the closed forms first: a distance whose powers leave the doubles is
-    # an input error before the full integral runs
-    comparisons = [
+    # Z^5 is the highest power of Z a form divides by: a distance past it is
+    # an input error before anything runs
+    finite_power(run.Z, 5, "atom-surface distance Z")
+    forms = [
         ("retarded thin slab",
-         retarded_thin_shift(run.atom, run.slab, run.Z).value),
+         lambda: retarded_thin_shift(run.atom, run.slab, run.Z).value),
         ("non-retarded (image series)",
-         nonretarded_shift(run.atom, run.slab, run.Z, run.quad).value),
+         lambda: nonretarded_shift(run.atom, run.slab, run.Z, run.quad).value),
         ("non-retarded thin slab",
-         nonretarded_thin_shift(run.atom, run.slab, run.Z).value)]
+         lambda: nonretarded_thin_shift(run.atom, run.slab, run.Z).value)]
     if alpha0 is not None:
-        comparisons.append(("thin-plate polarizability form",
-                            buhmann_U(alpha0, run.slab.n, run.slab.L, run.Z)))
+        forms.append(("thin-plate polarizability form",
+                      lambda: buhmann_U(alpha0, run.slab.n, run.slab.L, run.Z)))
+    comparisons = []
+    for label, form in forms:
+        try:
+            comparisons.append((label, form()))
+        except ValueError:  # the form leaves the doubles; the integral may not
+            comparisons.append((label, None))
     full = energy_shift(run.atom, run.slab, run.Z, run.quad)
 
     def rel_dev(approx: float) -> float:
+        if approx == full.value:
+            return 0.0
         if full.value == 0.0:
             return math.nan
         return abs(approx - full.value) / abs(full.value)
@@ -440,7 +435,8 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
         lines.append("thin-plate polarizability form: skipped "
                      "(anisotropic atom)")
     for label, value in comparisons:
-        lines.append(f"{label}: {_fmt(value)} "
+        lines.append(f"{label}: out of range" if value is None else
+                     f"{label}: {_fmt(value)} "
                      f"rel_deviation={_fmt(rel_dev(value))}")
     for i, tr in enumerate(run.atom.transitions):
         regime = classify_regime(reduce(run.slab, tr, run.Z))

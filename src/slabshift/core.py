@@ -42,6 +42,7 @@ __all__ = [
     "reduce",
     "assemble_shift",
     "finite_power",
+    "finite_normal",
     "dipole_sq_from_momentum",
     "static_polarizability",
     "RETARDED_TWO_ZETA",
@@ -181,20 +182,14 @@ class WPair:
 @dataclass(frozen=True)
 class EnergyShift:
     """Per-transition contributions and their total ``value``, each finite
-    and normal or exactly 0: NaN, an overflow or a subnormal is a ValueError."""
+    and normal or exactly +0 (see :func:`finite_normal`)."""
 
     per_transition: tuple[float, ...]
 
     def __post_init__(self):
-        contribs = tuple(float(c) for c in self.per_transition)
-        for i, c in enumerate(contribs):
-            if not math.isfinite(c):
-                raise ValueError(f"the shift of transition {i} is {c}, "
-                                 "not a finite double")
-            if 0.0 < abs(c) < sys.float_info.min:
-                raise ValueError(f"the shift of transition {i} is {c}, "
-                                 "below the normal doubles")
-        object.__setattr__(self, "per_transition", contribs)
+        object.__setattr__(self, "per_transition", tuple(
+            finite_normal(float(c), f"the shift of transition {i}")
+            for i, c in enumerate(self.per_transition)))
 
     @property
     def value(self) -> float:
@@ -226,6 +221,17 @@ def finite_power(x: float, k: int, name: str, coef: float = 1.0) -> float:
                          f"{name.split()[-1]}**{k} must be a finite normal "
                          "double")
     return coef * power
+
+
+def finite_normal(x: float, what: str) -> float:
+    """``x`` if it is a finite normal double, +0.0 if it is a zero of either
+    sign, else a ValueError naming ``what``: NaN, an overflow and a
+    subnormal have lost the value."""
+    if not math.isfinite(x):
+        raise ValueError(f"{what} is {x}, not a finite double")
+    if 0.0 < abs(x) < sys.float_info.min:
+        raise ValueError(f"{what} is {x}, below the normal doubles")
+    return x + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,

@@ -151,6 +151,19 @@ def test_buhmann_equals_retarded_thin_for_isotropic():
         assert u == pytest.approx(d, rel=1e-12, abs=1e-300)
 
 
+def test_thin_plate_form_outside_the_doubles_is_a_value_error():
+    # alpha0 L overflows; the shift at this slab is finite
+    with pytest.raises(ValueError, match="U is -inf, not a finite double"):
+        buhmann_U(1.0, 10.0, 1.7e308, 1.0)
+    with pytest.raises(ValueError, match="below the normal doubles"):
+        buhmann_U(1.0, 2.0, 1e-320, 1.0)
+
+
+@pytest.mark.parametrize("n, L", [(1.0, 1.0), (2.0, 0.0)])
+def test_thin_plate_form_is_positive_zero_without_a_slab(n, L):
+    assert math.copysign(1.0, buhmann_U(1.0, n, L, 1.0)) == 1.0
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("Z", [1e62, 1e-62, 1e70, 1e-70, 1e78, 1e-78,
                                math.inf])

@@ -73,7 +73,8 @@ def test_traced_replay_reports_every_layer():
                if not isinstance(metrics[key], numbers.Real)]
     assert missing == []
     assert metrics["reflection.rtilde.calls"] > 0
-    assert metrics["shift.w_pair.calls"] == 4
+    # wfun 1, and the sweep's 3 points plus its 1 half-space point
+    assert metrics["shift.w_pair.calls"] == 5
 
 
 @pytest.mark.parametrize("op", POOL_OPS, ids=lambda op: op.key)

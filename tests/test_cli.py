@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -186,13 +187,29 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
 
 def test_lambda_sweep_computes_halfspace_once(monkeypatch, tmp_path):
     calls = []
-    halfspace_S = slabshift.cli.halfspace_S
-    monkeypatch.setattr(slabshift.cli, "halfspace_S",
-                        lambda *a: calls.append(a) or halfspace_S(*a))
+    w_pair = slabshift.cli.w_pair
+    monkeypatch.setattr(slabshift.cli, "w_pair",
+                        lambda p, q: calls.append(p) or w_pair(p, q))
     assert main(["sweep", "--axis", "lambda", "--lo", "0.5", "--hi", "2",
                  "--points", "3", "--zeta", "1", "--n", "2", "--rel-tol",
                  "1e-6", "--output", str(tmp_path / "s.csv")]) == EXIT_OK
-    assert len(calls) == 1
+    assert [p.lam for p in calls].count(math.inf) == 1
+
+
+def test_sweep_err_est_covers_the_halfspace_columns(tmp_path):
+    # lam = 0.01 has a far smaller W, and bound, than its half-space point
+    out = tmp_path / "s.json"
+    assert main(["sweep", "--axis", "lambda", "--lo", "0.01", "--hi", "1",
+                 "--points", "3", "--scale", "log", "--zeta", "1", "--n", "2",
+                 "--rel-tol", "1e-6", "--format", "json",
+                 "--output", str(out)]) == EXIT_OK
+    q = QuadratureSpec(rel_tol=1e-6)
+    hs = w_pair(ReducedParams(zeta=1.0, lam=math.inf, n=2.0), q)
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["err_est"] for row in rows] == [
+        max(w_pair(ReducedParams(zeta=1.0, lam=row["value"], n=2.0),
+                   q).err_est, hs.err_est) for row in rows]
+    assert rows[0]["err_est"] == hs.err_est
 
 
 def test_halfspace_sweep_computes_each_s_integral_once(monkeypatch,
@@ -482,6 +499,57 @@ def test_asympt_rejects_a_distance_before_the_full_integral(
     assert capsys.readouterr().err.startswith(
         f"slabshift: input error: atom-surface distance Z = {float(distance)!r}"
         " is out of range: Z**5 ")
+
+
+@pytest.mark.parametrize("mu_par_sq", ["1", "2"])  # anisotropic, isotropic
+def test_asympt_prints_a_form_outside_the_doubles_as_out_of_range(
+        mu_par_sq, capsys):
+    # L = 1.7e308 takes the thin-slab forms past the doubles, not the full
+    # integral: asympt prints the total that shift prints
+    problem = ["--n", "10", "--thickness", "1.7e308", "--distance", "1",
+               "--e-ji", "1", "--mu-par-sq", mu_par_sq, "--mu-perp-sq", "1"]
+    assert main(["shift", *problem]) == EXIT_OK
+    total = capsys.readouterr().out.split()[2]
+    assert main(["asympt", *problem]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"full integral: {total}"
+    out_of_range = {"retarded thin slab", "non-retarded thin slab"}
+    if mu_par_sq == "2":
+        out_of_range.add("thin-plate polarizability form")
+    assert {ln.split(":")[0] for ln in lines
+            if ln.endswith(": out of range")} == out_of_range
+    assert any(ln.startswith("non-retarded (image series): -") for ln in lines)
+
+
+def test_asympt_full_integral_outside_the_doubles_names_zeta(capsys):
+    # the non-retarded thin form overflows here too; the full integral's
+    # zeta = Z E_ji = 9.95e78 is the input error
+    assert main(["asympt", "--n", "1.0000001", "--thickness", "1.7e308",
+                 "--distance", "4.08874e-16", "--e-ji", "2.4338e+94",
+                 "--mu-par-sq", "0.000257017",
+                 "--mu-perp-sq", "2.20255e-52"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        "slabshift: input error: zeta = 9.95")
+
+
+@pytest.mark.parametrize("slab", [["--n", "1", "--thickness", "1"],
+                                  ["--n", "2", "--thickness", "0"]],
+                         ids=["n=1", "L=0"])
+def test_exact_zero_shift_prints_no_negative_zero(slab, capsys):
+    problem = slab + ["--distance", "1", "--e-ji", "1", "--mu-par-sq", "2",
+                      "--mu-perp-sq", "1"]
+    outs = []
+    for argv in (["shift", *problem], ["shift", *problem, "--format", "json"],
+                 ["asympt", *problem]):
+        assert main(argv) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    numbers = [float(x) for out in outs
+               for x in re.findall(r"-?\d+\.\d+(?:e[-+]\d+)?", out)]
+    assert 0.0 in numbers
+    assert all(math.copysign(1.0, x) == 1.0 for x in numbers if x == 0.0)
+    # every form equals the full integral 0 exactly
+    deviations = re.findall(r"rel_deviation=(\S+)", outs[2])
+    assert deviations == [_fmt(0.0)] * 4
 
 
 @pytest.mark.parametrize("line", ["quad.rel_tol = abc",

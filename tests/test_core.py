@@ -93,6 +93,12 @@ def test_energy_shift_rejects_a_subnormal_contribution(tiny):
     assert EnergyShift([-1.0, sys.float_info.min]).value == -1.0
 
 
+def test_energy_shift_stores_a_zero_as_positive_zero():
+    s = EnergyShift([-0.0, 0.0])
+    assert [math.copysign(1.0, c) for c in s.per_transition] == [1.0, 1.0]
+    assert math.copysign(1.0, s.value) == 1.0
+
+
 def test_assemble_transparent_slab_gives_zero():
     atom = AtomSpec([Transition(1.0, 1.0, 1.0)])
     s = assemble_shift(atom, Slab(n=1.0, L=1.0), 1.0, [WPair(0.0, 0.0)])

@@ -22,9 +22,10 @@ SRC = str(Path(slabshift.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": SRC}
 ENV.pop("SLABSHIFT_JOBS", None)
 
-# the names perfbench/tracing.py wraps on slabshift.cli and the tests
-# replace there; the commands of ARGV call each of them
-TRACED = ("w_pair", "energy_shift", "halfspace_S", "nonretarded_shift",
+# the names perfbench/tracing.py wraps on slabshift.cli that the commands
+# of ARGV call, each of them; the tracer also wraps halfspace_S there,
+# which no command calls
+TRACED = ("w_pair", "energy_shift", "nonretarded_shift",
           "retarded_thin_shift", "nonretarded_thin_shift", "buhmann_U",
           "classify_regime", "find_trapped_modes")
 ARGV = {
@@ -85,6 +86,20 @@ def test_wfun_loads_no_modes_asymptotics_or_electrostatics():
                          "slabshift.electrostatics"}
 
 
+@pytest.mark.parametrize("axis, fixed", [
+    ("zeta", ["--lam", "1", "--n", "2"]),
+    ("n", ["--zeta", "1", "--lam", "1"]),
+    ("lambda", ["--zeta", "1", "--n", "2"]),
+])
+def test_sweep_loads_no_asymptotics_or_electrostatics(axis, fixed):
+    # the half-space column is w_pair at lam = inf
+    loaded = _loaded(_after_main(
+        ["sweep", "--axis", axis, "--lo", "1.5", "--hi", "3", "--points", "2",
+         *fixed, "--rel-tol", "1e-6", "--output", os.devnull]))
+    assert "slabshift.shift" in loaded
+    assert not loaded & {"slabshift.asymptotics", "slabshift.electrostatics"}
+
+
 def test_modes_loads_no_shift_or_quadrature():
     loaded = _loaded(_after_main(ARGV["modes"]))
     assert "slabshift.modes" in loaded
@@ -117,11 +132,10 @@ def test_sweep_point_binds_its_own_names():
     proc = _python(
         "from slabshift.cli import _sweep_point\n"
         "from slabshift.quadrature import QuadratureSpec\n"
-        "point = {'zeta': 1.0, 'lam': 1.0, 'n': 2.0}\n"
-        "print(_sweep_point((1.0, point, QuadratureSpec(rel_tol=1e-6), None))"
-        "['status'])\n")
+        "wp = _sweep_point((1.0, 1.0, 2.0), QuadratureSpec(rel_tol=1e-6))\n"
+        "print(type(wp).__name__)\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+    assert proc.stdout == "WPair\n"
 
 
 def test_lazy_namespace_resolves_every_public_name():
