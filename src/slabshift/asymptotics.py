@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import (NONRETARDED_TWO_ZETA, RETARDED_TWO_ZETA, AtomSpec,
                    EnergyShift, ReducedParams, RegimeReport, Slab,
-                   classify_regime, finite_normal, finite_power)
-from .electrostatics import (ImageSeriesSpec, image_series_converges,
+                   _slab_nonzero, _slab_shift, classify_regime, finite_power)
+from .electrostatics import (ImageSeriesSpec, _beta, image_series_converges,
                              image_series_shift)
 from .quadrature import QuadratureSpec, adaptive_quad, geometric_edges
 from .shift import s_parallel, s_perp
@@ -64,7 +64,7 @@ def retarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
                 + 2.0 * (4.0 + 5.0 * n2) * tr.mu_perp_sq) / tr.E_ji / z5
         for tr in atom.transitions
     ]
-    return EnergyShift(contribs)
+    return _slab_shift(contribs, slab)
 
 
 def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
@@ -75,7 +75,8 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
     with the static responses of a non-dispersive dielectric, eps = n^2 and
     mu = 1, so the magnetic bracket is the constant 5.  Agrees exactly with
     :func:`retarded_thin_shift` for isotropic atoms, and like it raises
-    ValueError where U is not a finite normal double or 0.
+    ValueError where U is not a finite normal double, or is 0 although the
+    slab is there (n > 1, L > 0).
     """
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
@@ -86,8 +87,8 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
     eps = n * n
     bracket = (14.0 * eps * eps - 9.0) / eps - 5.0
     z5 = finite_power(Z, 5, "atom-surface distance Z")
-    return finite_normal(-alpha0 * L * bracket / (160.0 * math.pi ** 2) / z5,
-                         "the thin-plate energy U")
+    return _slab_nonzero(-alpha0 * L * bracket / (160.0 * math.pi ** 2) / z5,
+                         n, L, "the thin-plate energy U")
 
 
 def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
@@ -118,7 +119,7 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
     q = q or QuadratureSpec()
     if slab.n == 1.0:
         return EnergyShift([0.0] * len(atom.transitions))
-    beta = (slab.n ** 2 - 1.0) / (slab.n ** 2 + 1.0)
+    beta = _beta(slab.n)
     import logging  # not at package load: that raised the CLI's peak RSS 1%
     logging.getLogger(__name__).debug(
         "nonretarded_shift: k integral (method=%s), beta^2=%r, max_terms=%d",
@@ -139,7 +140,7 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
     pref = -beta / (16.0 * math.pi) * res.value
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
                 for tr in atom.transitions]
-    return EnergyShift(contribs)
+    return _slab_shift(contribs, slab)
 
 
 def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
@@ -156,4 +157,4 @@ def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     pref = -3.0 * (n2 * n2 - 1.0) * slab.L / (256.0 * math.pi * n2)
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq) / z4
                 for tr in atom.transitions]
-    return EnergyShift(contribs)
+    return _slab_shift(contribs, slab)

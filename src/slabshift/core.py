@@ -204,8 +204,12 @@ def reduce(slab: Slab, transition: Transition, Z: float) -> ReducedParams:
     """
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
-    return ReducedParams(zeta=Z * transition.E_ji, lam=slab.L * transition.E_ji,
-                         n=slab.n)
+    p = ReducedParams(zeta=Z * transition.E_ji, lam=slab.L * transition.E_ji,
+                      n=slab.n)
+    if p.lam == 0.0 and slab.L > 0.0:
+        raise ValueError(f"lam = L*E_ji = {slab.L!r}*{transition.E_ji!r} "
+                         "underflows to 0, below the normal doubles")
+    return p
 
 
 def finite_power(x: float, k: int, name: str, coef: float = 1.0) -> float:
@@ -234,6 +238,24 @@ def finite_normal(x: float, what: str) -> float:
     return x + 0.0  # -0.0 + 0.0 is +0.0
 
 
+def _slab_nonzero(x: float, n: float, L: float, what: str) -> float:
+    """:func:`finite_normal` for a slab's shift: only n = 1 or L = 0 give 0,
+    so where the slab is there (n > 1, L > 0) a 0 has underflowed."""
+    x = finite_normal(x, what)
+    if x == 0.0 and n > 1.0 and L > 0.0:
+        raise ValueError(f"{what} is 0 at n > 1 and L > 0: it underflowed, "
+                         "below the normal doubles")
+    return x
+
+
+def _slab_shift(contribs: Sequence[float], slab: Slab) -> EnergyShift:
+    """EnergyShift of ``slab``'s contributions, each checked by
+    :func:`_slab_nonzero`."""
+    return EnergyShift([_slab_nonzero(c, slab.n, slab.L,
+                                      f"the shift of transition {i}")
+                        for i, c in enumerate(contribs)])
+
+
 def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,
                    wfun: Sequence[WPair]) -> EnergyShift:
     """Assemble the physical shift from per-transition (W_par, W_z) pairs.
@@ -254,7 +276,7 @@ def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,
         pref * (w.w_par * tr.mu_par_sq + w.w_z * tr.mu_perp_sq) / tr.E_ji / z4
         for tr, w in zip(atom.transitions, wfun)
     ]
-    return EnergyShift(contribs)
+    return _slab_shift(contribs, slab)
 
 
 def dipole_sq_from_momentum(p_sq: float, E_ji: float,

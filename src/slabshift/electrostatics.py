@@ -20,13 +20,15 @@ The derivatives are carried out analytically term by term (each term is an
 inverse distance); the finite-difference evaluation is kept in the test
 suite only.
 
-Truncation uses the geometric-tail majorant beta^{2(M+1)} * B / (1 - beta^2),
-where B bounds every bracket b_m with m > M.  The brackets 1/|(rho, d)| -
-1/|(rho, d + 2L)| fall with the image distance d once d >= rho/sqrt(2);
-before that turn they may rise, up to at most 2L * 2/(3 sqrt(3) rho^2),
-the peak slope of 1/|(rho, d)| times the step 2L.  So B is b_{M+1} past
-the turn (always, for rho = 0) and that peak value before it.  The
-majorant is the ``err_est`` of a series that runs out of terms, and
+Both series, phi_H's and the distance series, are summed by one loop that
+stops on the geometric-tail majorant beta^{2(M+1)} * B / (1 - beta^2),
+where B bounds every bracket b_m with m > M.  The distance brackets fall
+with m, so B = b_{M+1}.  phi_H's brackets 1/|(rho, d)| - 1/|(rho, d + 2L)|
+fall with the image distance d once d >= rho/sqrt(2); before that turn
+they may rise, up to at most 2L * 2/(3 sqrt(3) rho^2), the peak slope of
+1/|(rho, d)| times the step 2L.  So B is b_{M+1} past the turn (always,
+for rho = 0) and that peak value before it.  The majorant is the
+``err_est`` of a series that runs out of terms, and
 :func:`image_series_converges` predicts that failure from it.
 """
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AtomSpec, EnergyShift, Slab
+from .core import AtomSpec, EnergyShift, Slab, _slab_shift
 from .errors import ConvergenceError
 
 __all__ = ["ImageSeriesSpec", "phi_H", "image_series_shift",
@@ -76,7 +78,6 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab,
     if slab.n == 1.0:
         return 0.0
     beta = _beta(slab.n)
-    beta2 = beta * beta
     a0 = z + z_prime - slab.L
     L = slab.L
 
@@ -87,24 +88,14 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab,
         h1, h2 = math.hypot(rho, d), math.hypot(rho, d + 2.0 * L)
         return 4.0 * (L / (h1 + h2)) * ((d + L) / h2) / h1
 
-    total = 0.0
-    weight = 1.0  # beta^(2m)
-    b_next = bracket(0)
-    for m in range(spec.max_terms):
-        total += weight * b_next
-        weight *= beta2
-        b_next = bracket(m + 1)
-        # the brackets after m fall from b_(m+1) only past the turn
-        past_turn = math.sqrt(2.0) * (a0 + 2.0 * (m + 1) * L) >= rho
-        tail = _tail_majorant(weight, b_next if past_turn else
-                              4.0 * L / (3.0 * math.sqrt(3.0) * rho * rho),
-                              beta2)
-        if tail <= spec.tail_tol * abs(total):
-            return -beta / (4.0 * math.pi) * total
-    raise ConvergenceError(
-        f"image series for phi_H did not converge within {spec.max_terms} terms",
-        estimate=-beta / (4.0 * math.pi) * total,
-        err_est=beta / (4.0 * math.pi) * tail)
+    def bound(m: int, b_m: float) -> float:
+        # the brackets from m on fall from b_m only past the turn
+        if math.sqrt(2.0) * (a0 + 2.0 * m * L) >= rho:
+            return b_m
+        return 4.0 * L / (3.0 * math.sqrt(3.0) * rho * rho)
+
+    return _image_sum(bracket, bound, beta * beta, spec,
+                      "image series for phi_H", scale=-beta / (4.0 * math.pi))
 
 
 def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
@@ -113,13 +104,16 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
     spec = spec or ImageSeriesSpec()
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
-    if slab.n == 1.0:
+    if slab.n == 1.0 or slab.L == 0.0:
         return EnergyShift([0.0] * len(atom.transitions))
     beta = _beta(slab.n)
     dipole_sum = math.fsum(2.0 * tr.mu_perp_sq + tr.mu_par_sq
                            for tr in atom.transitions)
     try:
-        series = _distance_series(Z, slab.L, beta, spec)
+        # L = inf keeps one term: the loop's majorant is 0/0 for a mirror
+        series = _bracket(Z, slab.L, 0) if math.isinf(slab.L) else \
+            _image_sum(lambda m: _bracket(Z, slab.L, m), lambda m, b_m: b_m,
+                       beta * beta, spec, "image series")
     except ConvergenceError as exc:
         scale = beta / (64.0 * math.pi) * dipole_sum
         raise ConvergenceError(str(exc), estimate=-scale * exc.estimate,
@@ -127,7 +121,7 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
     pref = -beta / (64.0 * math.pi) * series
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
                 for tr in atom.transitions]
-    return EnergyShift(contribs)
+    return _slab_shift(contribs, slab)
 
 
 def image_series_converges(slab: Slab, Z: float,
@@ -145,8 +139,8 @@ def image_series_converges(slab: Slab, Z: float,
     beta = _beta(slab.n)
     beta2 = beta * beta
     m = min(spec.max_terms, _FEW_TERMS)
-    last = _tail_majorant(beta2 ** m, _bracket(Z, slab.L, m),
-                          beta2) if beta2 < 1.0 else math.inf
+    last = beta2 ** m * _bracket(Z, slab.L, m) / (1.0 - beta2) \
+        if beta2 < 1.0 else math.inf
     return last <= (1.0 + 1e-6) * spec.tail_tol / Z ** 3
 
 
@@ -165,29 +159,20 @@ def _bracket(Z: float, L: float, m: int) -> float:
     return (L / b) * (1.0 + q + q * q) / (a * a * a)
 
 
-def _tail_majorant(weight: float, bracket: float, beta2: float) -> float:
-    """Bound on the terms after m, given beta^(2(m+1)) and b_(m+1)."""
-    return weight * bracket / (1.0 - beta2)
-
-
-def _distance_series(Z: float, L: float, beta: float,
-                     spec: ImageSeriesSpec) -> float:
-    """sum_m beta^(2m) [1/(Z+mL)^3 - 1/(Z+(m+1)L)^3], tail-bounded."""
-    if L == 0.0:
-        return 0.0
-    if math.isinf(L):
-        return 1.0 / Z ** 3
-    beta2 = beta * beta
+def _image_sum(bracket, bound, beta2: float, spec: ImageSeriesSpec,
+               what: str, scale: float = 1.0) -> float:
+    """``scale * sum_m beta2^m bracket(m)``, stopped by the tail majorant;
+    ``bound(m, bracket(m))`` bounds every bracket from m on."""
     total = 0.0
-    weight = 1.0
-    bracket = _bracket(Z, L, 0)
+    weight = 1.0  # beta2^m
+    b_next = bracket(0)
     for m in range(spec.max_terms):
-        total += weight * bracket
+        total += weight * b_next
         weight *= beta2
-        bracket = _bracket(Z, L, m + 1)
-        tail = _tail_majorant(weight, bracket, beta2)
+        b_next = bracket(m + 1)
+        tail = weight * bound(m + 1, b_next) / (1.0 - beta2)
         if tail <= spec.tail_tol * abs(total):
-            return total
+            return scale * total
     raise ConvergenceError(
-        f"image series did not converge within {spec.max_terms} terms",
-        estimate=total, err_est=tail)
+        f"{what} did not converge within {spec.max_terms} terms",
+        estimate=scale * total, err_est=abs(scale) * tail)

@@ -1,11 +1,12 @@
 """Electromagnetic field modes of the dielectric slab.
 
 Travelling modes are incident/reflected/transmitted plane-wave solutions
-of real vacuum wave numbers (k_par, k_z > 0); trapped modes are discrete
-solutions bound by total internal reflection, oscillatory inside the slab
-and evanescent (e^{-kappa |z|}) outside.  Every mode is the product of a
-polarization vector and a piecewise scalar function; the momentum-space
-polarization vectors are
+of real vacuum wave numbers (k_par, k_z > 0), with the amplitudes R, T
+and inside I, J of the closed forms in :mod:`slabshift.reflection`;
+trapped modes are discrete solutions bound by total internal reflection,
+oscillatory inside the slab and evanescent (e^{-kappa |z|}) outside.
+Every mode is the product of a polarization vector and a piecewise scalar
+function; the momentum-space polarization vectors are
 
     e_TE(k) = (k_y, -k_x, 0) / k_par,
     e_TM(k) = (k_x k_z, k_y k_z, -k_par^2) / (n_med * omega * k_par),
@@ -49,7 +50,7 @@ import numpy as np
 
 from .core import Slab
 from .errors import PoleError
-from .reflection import Polarization, slab_denominator, snell_kzd
+from .reflection import Polarization, _slab_amplitudes, slab_denominator
 
 __all__ = [
     "TrappedMode",
@@ -256,36 +257,6 @@ def _mode_field(pol: Polarization, k_par: float, omega: float, slab: Slab,
         for waves, n_medium in zip(regions, (1.0, slab.n, 1.0))))
 
 
-def _travelling_coefficients(pol: Polarization, k_z: float, k_par: float,
-                             L: float, n: float):
-    """(R, I, J, T, k_zd) from the 4x4 interface continuity system.
-
-    The rows match the scalar part and its z derivative at z = -L/2 and
-    z = +L/2: tangential E and tangential B for TE.  For TM (tangential E
-    and normal D) the slab columns carry n in the value rows and 1/n in the
-    derivative rows.
-    """
-    k_zd = complex(snell_kzd(k_par, k_z, n))
-    val, der = (1.0, k_zd) if pol is Polarization.TE else (n, k_zd / n)
-    a = cmath.exp(-0.5j * k_z * L)
-    b = cmath.exp(+0.5j * k_z * L)
-    c = cmath.exp(-0.5j * k_zd * L)
-    d = cmath.exp(+0.5j * k_zd * L)
-    mat = np.array([
-        [-b, val * c, val * d, 0.0],
-        [k_z * b, der * c, -der * d, 0.0],
-        [0.0, val * d, val * c, -b],
-        [0.0, der * d, -der * c, -k_z * b],
-    ], dtype=complex)
-    rhs = np.array([a, k_z * a, 0.0, 0.0], dtype=complex)
-    try:
-        R, I, J, T = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        raise PoleError("interface system is singular (pole proximity)",
-                        k_z=k_z, k_par=k_par) from None
-    return R, I, J, T, k_zd
-
-
 def travelling_mode(side: str, pol: Polarization, k_par: float, k_z: complex,
                     slab: Slab) -> ModeField:
     """Left- or right-incident travelling mode (side "L" or "R").
@@ -301,8 +272,7 @@ def travelling_mode(side: str, pol: Polarization, k_par: float, k_z: complex,
     if k_z.imag != 0.0 or not k_z.real > 0.0:
         raise ValueError("travelling modes need real k_z > 0")
     k_z = k_z.real
-    n, L = slab.n, slab.L
-    R, I, J, T, k_zd = _travelling_coefficients(pol, k_z, k_par, L, n)
+    R, T, I, J, k_zd = _slab_amplitudes(pol, k_z, k_par, slab.L, slab.n)
     if not np.isfinite([abs(R), abs(I), abs(J), abs(T)]).all():
         raise PoleError("travelling-mode coefficients diverge (pole proximity)",
                         k_z=k_z, k_par=k_par)

@@ -11,10 +11,16 @@ with the single-interface amplitudes
     r_TE = (k_z - k_zd) / (k_z + k_zd),
     r_TM = (n^2 k_z - k_zd) / (n^2 k_z + k_zd),
 
-and slab amplitudes
+and, for a wave e^{i k_z z} incident on the slab |z| <= L/2, the sums of
+its multiple reflections, with D = 1 - r^2 e^{2 i k_zd L},
 
-    R = r (1 - e^{2 i k_zd L}) / (1 - r^2 e^{2 i k_zd L}) * e^{-i k_z L},
-    T = (1 - r^2) / (1 - r^2 e^{2 i k_zd L}) * e^{i (k_zd - k_z) L}.
+    R = r (1 - e^{2 i k_zd L}) / D * e^{-i k_z L},
+    T = (1 - r^2) / D * e^{i (k_zd - k_z) L},
+    I = (1 + r) / (v D) * e^{i (k_zd - k_z) L/2},
+    J = -r (1 + r) / (v D) * e^{i (3 k_zd - k_z) L/2},
+
+for the waves I e^{i k_zd z} and J e^{-i k_zd z} inside; v = n for TM,
+whose mode scalar carries n in the slab, and 1 for TE.
 
 The shift quadrature instead works on the rotated frequency contour in the
 dimensionless variables ``(s, t)``, where the reflection coefficients are
@@ -116,7 +122,8 @@ def slab_denominator(pol: Polarization, k_z: complex, k_par: float, L: float,
 
 
 def _slab_amplitudes(pol: Polarization, k_z: complex, k_par: float, L: float,
-                     n: float) -> tuple[complex, complex]:
+                     n: float) -> tuple:
+    """(R, T, I, J, k_zd) of the closed forms above."""
     k_zd = snell_kzd(k_par, k_z, n)
     r = fresnel_r(pol, k_z, k_zd, n)
     phase = cmath.exp(2.0j * k_zd * L)
@@ -127,7 +134,10 @@ def _slab_amplitudes(pol: Polarization, k_z: complex, k_par: float, L: float,
             f"(k_z={k_z}, k_par={k_par})", k_z=k_z, k_par=k_par)
     R = r * (1.0 - phase) / den * cmath.exp(-1.0j * k_z * L)
     T = (1.0 - r * r) / den * cmath.exp(1.0j * (k_zd - k_z) * L)
-    return R, T
+    inside = (1.0 + r) / (den * (1.0 if pol is Polarization.TE else n))
+    I = inside * cmath.exp(0.5j * (k_zd - k_z) * L)
+    J = -r * inside * cmath.exp(0.5j * (3.0 * k_zd - k_z) * L)
+    return R, T, I, J, k_zd
 
 
 def slab_R(pol: Polarization, k_z: complex, k_par: float, L: float,

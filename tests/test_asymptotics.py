@@ -159,6 +159,18 @@ def test_thin_plate_form_outside_the_doubles_is_a_value_error():
         buhmann_U(1.0, 2.0, 1e-320, 1.0)
 
 
+def test_closed_forms_reject_a_slab_shift_that_underflows_to_zero():
+    # every form is about 1e-340 here, and 0 only at n = 1 or L = 0
+    slab, Z = Slab(n=2.0, L=1e-100), 1e60
+    for form in (lambda: retarded_thin_shift(ATOM, slab, Z),
+                 lambda: nonretarded_thin_shift(ATOM, slab, Z),
+                 lambda: nonretarded_shift(ATOM, slab, Z),
+                 lambda: nonretarded_shift(ATOM, slab, Z, method="quadrature"),
+                 lambda: buhmann_U(1.0, slab.n, slab.L, Z)):
+        with pytest.raises(ValueError, match="below the normal doubles"):
+            form()
+
+
 @pytest.mark.parametrize("n, L", [(1.0, 1.0), (2.0, 0.0)])
 def test_thin_plate_form_is_positive_zero_without_a_slab(n, L):
     assert math.copysign(1.0, buhmann_U(1.0, n, L, 1.0)) == 1.0

@@ -716,6 +716,16 @@ def test_non_finite_results_are_input_errors(argv, capsys):
     ["wfun", "--zeta", "9.54618e+18", "--lam", "1e-320", "--n", "1.0000019"],
     ["asympt", "--n", "2", "--thickness", "1", "--distance", "1", "--e-ji",
      "1", "--mu-par-sq", "2e-320", "--mu-perp-sq", "1e-320"],
+    # a 0 where the slab is there (n > 1, L > 0): lam = L E_ji = 1e-330
+    # rounds to 0, and a contribution of W_par = 3.07e-160 over Z^4 = 1e240
+    ["shift", "--n", "2", "--thickness", "1e-250", "--distance", "1e4",
+     "--e-ji", "1e-80", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+    ["asympt", "--n", "2", "--thickness", "1e-250", "--distance", "1e4",
+     "--e-ji", "1e-80", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+    ["shift", "--n", "2", "--thickness", "1e-100", "--distance", "1e60",
+     "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+    ["asympt", "--n", "2", "--thickness", "1e-100", "--distance", "1e60",
+     "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
 ])
 def test_subnormal_results_are_input_errors(argv, capsys):
     # a shift or a W component that underflowed past the normal doubles

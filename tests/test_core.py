@@ -31,6 +31,23 @@ def test_reduce_rejects_nonpositive_distance():
         reduce(Slab(n=2.0, L=1.0), Transition(1.0, 1.0, 1.0), Z=-1.0)
 
 
+def test_reduce_rejects_a_lam_that_underflows_to_zero():
+    # L*E_ji = 1e-330 rounds to 0, which would read as a transparent slab
+    with pytest.raises(ValueError, match="underflows to 0"):
+        reduce(Slab(n=2.0, L=1e-250), Transition(1e-80, 2.0, 1.0), Z=1e4)
+
+
+def test_assemble_rejects_a_slab_shift_that_underflows_to_zero():
+    # only n = 1 or L = 0 make a shift 0; W here is the one at
+    # zeta = 1e60, lam = 1e-100
+    atom = AtomSpec([Transition(1.0, 2.0, 1.0)])
+    pairs = [WPair(3.07e-160, 3.07e-160)]
+    with pytest.raises(ValueError, match="below the normal doubles"):
+        assemble_shift(atom, Slab(n=2.0, L=1e-100), 1e60, pairs)
+    for slab in (Slab(n=1.0, L=1e-100), Slab(n=2.0, L=0.0)):
+        assert assemble_shift(atom, slab, 1e60, pairs).value == 0.0
+
+
 def test_type_validation():
     with pytest.raises(ValueError):
         Slab(n=0.5, L=1.0)

@@ -17,6 +17,17 @@ def test_phi_transparent():
     assert phi_H(0.5, 1.0, 1.0, Slab(n=1.0, L=1.0)) == 0.0
 
 
+@pytest.mark.parametrize("n", [2.0, 1e9])  # beta^2 rounds to 1 at 1e9
+@pytest.mark.parametrize("Z", [1e-120, 0.7, 3.0])
+def test_image_series_at_no_slab_and_a_half_space(n, Z):
+    beta = (n * n - 1.0) / (n * n + 1.0)
+    got = image_series_shift(ATOM, Slab(n=n, L=0.0), Z).per_transition
+    assert got == (0.0,) and math.copysign(1.0, got[0]) == 1.0
+    if Z > 1e-100:  # 1/Z^3 is a double
+        assert image_series_shift(ATOM, Slab(n=n, L=math.inf), Z).value == \
+            -beta / (64.0 * math.pi) * (1.0 / Z ** 3) * (2.0 * 1.0 + 2.0)
+
+
 def test_phi_domain():
     with pytest.raises(ValueError):
         phi_H(0.5, 0.4, 1.0, Slab(n=2.0, L=1.0))

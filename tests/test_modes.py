@@ -165,18 +165,27 @@ def test_travelling_te_curl_continuity():
             assert np.abs(b_vac - b_slab).max() / scale < 1e-10
 
 
-def test_travelling_coefficients_match_closed_forms():
-    from slabshift.modes import _travelling_coefficients
+def test_slab_amplitudes_solve_the_interface_system():
+    # rows: the scalar part and its z derivative match at z = -L/2 and
+    # z = +L/2, tangential E and B for TE; for TM (tangential E and normal
+    # D) the slab columns carry n in the value rows and 1/n in the
+    # derivative rows
+    from slabshift.reflection import _slab_amplitudes
     rng = np.random.default_rng(47)
     for _ in range(10):
         k_par, k_z = rng.uniform(0.05, 4.0, size=2)
         L, n = rng.uniform(0.2, 3.0), rng.uniform(1.05, 3.5)
         for pol in (TE, TM):
-            R, I, J, T, _ = _travelling_coefficients(pol, k_z, k_par, L, n)
-            assert R == pytest.approx(complex(slab_R(pol, k_z, k_par, L, n)),
-                                      abs=1e-12)
-            assert T == pytest.approx(complex(slab_T(pol, k_z, k_par, L, n)),
-                                      abs=1e-12)
+            R, T, I, J, k_zd = _slab_amplitudes(pol, k_z, k_par, L, n)
+            val, der = (1.0, k_zd) if pol is TE else (n, k_zd / n)
+            a, b = np.exp(-0.5j * k_z * L), np.exp(0.5j * k_z * L)
+            c, d = np.exp(-0.5j * k_zd * L), np.exp(0.5j * k_zd * L)
+            mat = np.array([[-b, val * c, val * d, 0.0],
+                            [k_z * b, der * c, -der * d, 0.0],
+                            [0.0, val * d, val * c, -b],
+                            [0.0, der * d, -der * c, -k_z * b]])
+            rhs = np.array([a, k_z * a, 0.0, 0.0])
+            assert np.abs(mat @ [R, I, J, T] - rhs).max() <= 1e-12
 
 
 def test_right_incident_is_mirrored_left_incident():
