@@ -17,6 +17,12 @@ freezing the garbage collector's heap, so interpreter shutdown does not
 walk every object the command left behind.  :func:`main` returns its code
 and never freezes, for callers in a process that goes on.
 
+The module itself loads only the standard library that the parser needs,
+the package's lazy namespace and :mod:`slabshift.errors`: ``--help`` and
+flag errors load neither ``core`` nor ``dataclasses``.  Each command binds
+the library names it runs (:func:`_bind`) when it runs, so an input error
+found before any integral loads no numpy either.
+
 Config files are flat ``key = value`` text; ``#`` starts a comment::
 
     units = natural            # or eV-nm
@@ -49,19 +55,16 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 
 from . import _HOME, __version__
-from .core import (AtomSpec, ReducedParams, Slab, Transition, WPair,
-                   assemble_shift, classify_regime, finite_power, reduce,
-                   static_polarizability)
 from .errors import ConvergenceError
-from .units import ev_to_inv_nm, inv_nm_to_ev
 
 
 def _bind(*names: str) -> None:
     """Bind package names here, where still unset, from their home modules:
-    each command binds the ones it runs, so input errors load no numpy."""
+    each command binds the ones it runs, so the parser loads no library
+    module and input errors load no numpy."""
     for name in names:
         module = importlib.import_module(f"{__package__}.{_HOME[name]}")
         globals().setdefault(name, getattr(module, name))
@@ -92,8 +95,9 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # config handling
 
-_KEY_RE = re.compile(r"^[A-Za-z_.\[\]0-9]+$")
-_TRANSITION_RE = re.compile(r"^atom\.transitions\[(\d+)\]\.")
+# patterns, compiled (and cached by re) on first use: --help reads no config
+_KEY_RE = r"^[A-Za-z_.\[\]0-9]+$"
+_TRANSITION_RE = r"^atom\.transitions\[(\d+)\]\."
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -106,7 +110,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not _KEY_RE.match(key):
+        if not re.match(_KEY_RE, key):
             raise ConfigError(f"line {lineno}: malformed key {key!r}")
         out[key] = value
     return out
@@ -121,17 +125,15 @@ def _get_float(cfg: dict[str, str], key: str) -> float:
         raise ConfigError(f"field {key} is not a number: {cfg[key]!r}") from None
 
 
-@dataclass(frozen=True)
-class RunInput:
-    """A fully validated single-point problem in natural units."""
+class RunInput(namedtuple("RunInput", "atom slab Z quad inputs")):
+    """A fully validated single-point problem in natural units.
 
-    atom: AtomSpec
-    slab: Slab
-    Z: float
-    quad: QuadratureSpec
-    # every problem key parsed and its value (E_ji after the eV conversion):
-    # the table of known keys besides ``quad.*``, and the manifest's echo
-    inputs: dict[str, object]
+    ``inputs`` holds every problem key parsed and its value (``E_ji`` after
+    the eV conversion): the table of known keys besides ``quad.*``, and the
+    manifest's echo.
+    """
+
+    __slots__ = ()
 
     @property
     def units(self) -> str:  # "natural" | "eV-nm"
@@ -139,13 +141,19 @@ class RunInput:
 
 
 def build_run_input(cfg: dict[str, str]) -> RunInput:
+    from dataclasses import fields
+
+    from .units import ev_to_inv_nm
+
+    _bind("AtomSpec", "Slab", "Transition")
     units = cfg.get("units", "natural")
     if units not in ("natural", "eV-nm"):
         raise ConfigError(f"units must be 'natural' or 'eV-nm', got {units!r}")
     inputs: dict[str, object] = {"units": units}
     inputs.update((key, _get_float(cfg, key))
                   for key in ("slab.n", "slab.L", "geometry.Z"))
-    indices = sorted({int(m[1]) for m in map(_TRANSITION_RE.match, cfg) if m})
+    transition = re.compile(_TRANSITION_RE)
+    indices = sorted({int(m[1]) for m in map(transition.match, cfg) if m})
     if not indices:
         raise ConfigError("missing required field: atom.transitions[0].E_ji")
     if indices != list(range(len(indices))):
@@ -179,6 +187,8 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
 def _quad_spec(cfg: dict[str, object]) -> QuadratureSpec:
     """The spec's fields are the one table of ``quad.*`` keys: each that
     ``cfg`` sets takes the type of its default."""
+    from dataclasses import fields
+
     _bind("QuadratureSpec")
     return QuadratureSpec(**{
         f.name: type(f.default)(cfg[f"quad.{f.name}"])
@@ -218,6 +228,8 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "inputs": {k: str(inputs[k]) for k in sorted(inputs)}}
     if quad is not None:
+        from dataclasses import asdict
+
         manifest["quad"] = asdict(quad)
     if fmt == "json":
         import json
@@ -242,50 +254,43 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
 # ---------------------------------------------------------------------------
 # subcommands: each returns its report text and exit code
 
+# the text report of one row of ``shift``, from the row's JSON keys
+_SHIFT_TEXT = ("transition {transition}: E_ji={E_ji} zeta={zeta} lam={lam}\n"
+               "  W_par={w_par} W_z={w_z} err_est={err_est}\n"
+               "  contribution={contribution} regime={regime} "
+               "(2*zeta={two_zeta})\n")
+
+
 def cmd_shift(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
-    _bind("w_pair")
+    _bind("reduce", "w_pair", "assemble_shift", "classify_regime")
     params = [reduce(run.slab, tr, run.Z) for tr in run.atom.transitions]
     pairs = [w_pair(p, run.quad) for p in params]
     shift = assemble_shift(run.atom, run.slab, run.Z, pairs)
+    if run.units == "eV-nm":
+        _bind("inv_nm_to_ev")
+        text = (f"energy shift: {_fmt(shift.value)} (1/nm)\n"
+                f"energy shift: {_fmt(inv_nm_to_ev(shift.value))} (eV)\n")
+    else:
+        text = f"energy shift: {_fmt(shift.value)} (natural units)\n"
     rows = []
     for i, (tr, p, wp) in enumerate(zip(run.atom.transitions, params, pairs)):
         regime = classify_regime(p)
-        rows.append({
-            "transition": i,
-            "E_ji": tr.E_ji,
-            "zeta": p.zeta,
-            "lam": p.lam,
-            "w_par": wp.w_par,
-            "w_z": wp.w_z,
-            "err_est": wp.err_est,
-            "contribution": shift.per_transition[i],
-            "regime": regime.regime,
-            "two_zeta": regime.two_zeta,
-        })
-
+        row = {"transition": i, "E_ji": tr.E_ji, "zeta": p.zeta, "lam": p.lam,
+               "w_par": wp.w_par, "w_z": wp.w_z, "err_est": wp.err_est,
+               "contribution": shift.per_transition[i],
+               "regime": regime.regime, "two_zeta": regime.two_zeta}
+        rows.append(row)
+        text += _SHIFT_TEXT.format_map({
+            k: _fmt(v) if isinstance(v, float) else v for k, v in row.items()})
     if args.format == "json":
         return _report("json", "shift", run.inputs, run.quad, [],
                        rows + [{"total_shift": shift.value}]), EXIT_OK
-
-    out = [f"energy shift: {_fmt(shift.value)}"
-           + (" (1/nm)" if run.units == "eV-nm" else " (natural units)")]
-    if run.units == "eV-nm":
-        out.append(f"energy shift: {_fmt(inv_nm_to_ev(shift.value))} (eV)")
-    for row in rows:
-        out.append(
-            f"transition {row['transition']}: E_ji={_fmt(row['E_ji'])} "
-            f"zeta={_fmt(row['zeta'])} lam={_fmt(row['lam'])}")
-        out.append(
-            f"  W_par={_fmt(row['w_par'])} W_z={_fmt(row['w_z'])} "
-            f"err_est={_fmt(row['err_est'])}")
-        out.append(
-            f"  contribution={_fmt(row['contribution'])} "
-            f"regime={row['regime']} (2*zeta={_fmt(row['two_zeta'])})")
-    return "\n".join(out) + "\n", EXIT_OK
+    return text, EXIT_OK
 
 
 def cmd_wfun(args: argparse.Namespace) -> tuple[str, int]:
+    _bind("ReducedParams")
     p = ReducedParams(zeta=args.zeta, lam=args.lam, n=args.n)
     quad = _quad_spec(vars(args))
     _bind("w_pair")
@@ -320,7 +325,7 @@ def _sweep_point(point: tuple[float, float, float],
                  quad: QuadratureSpec) -> WPair | str:
     """``w_pair`` at one ``(zeta, lam, n)`` point of a sweep, or the failure
     text of the rows that need it (top level so worker pools can pickle it)."""
-    _bind("w_pair")
+    _bind("ReducedParams", "w_pair")
     try:
         return w_pair(ReducedParams(*point), quad)
     except Exception as exc:  # per-point failures stay in-row
@@ -380,6 +385,7 @@ def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
     if not 0.0 < args.k_par < math.inf:
         raise ConfigError(
             f"k_par must be positive and finite, got {args.k_par}")
+    _bind("Slab")
     slab = Slab(n=args.n, L=args.thickness)
     _bind("Polarization", "find_trapped_modes")
     rows = []
@@ -396,7 +402,10 @@ def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
     run = build_run_input(_config_from_args(args))
-    _bind("energy_shift", "retarded_thin_shift", "nonretarded_shift",
+    from .core import finite_power
+
+    _bind("static_polarizability", "reduce", "classify_regime",
+          "energy_shift", "retarded_thin_shift", "nonretarded_shift",
           "nonretarded_thin_shift", "buhmann_U")
     try:
         alpha0 = static_polarizability(run.atom)
@@ -430,6 +439,10 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
             return math.nan
         return abs(approx - full.value) / abs(full.value)
 
+    def finite(x: float) -> str:
+        # a diagnostic that leaves the doubles, as a closed form may
+        return _fmt(x) if math.isfinite(x) else "out of range"
+
     lines = [f"full integral: {_fmt(full.value)}"]
     if alpha0 is None:
         lines.append("thin-plate polarizability form: skipped "
@@ -437,12 +450,15 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
     for label, value in comparisons:
         lines.append(f"{label}: out of range" if value is None else
                      f"{label}: {_fmt(value)} "
-                     f"rel_deviation={_fmt(rel_dev(value))}")
+                     f"rel_deviation={finite(rel_dev(value))}")
     for i, tr in enumerate(run.atom.transitions):
         regime = classify_regime(reduce(run.slab, tr, run.Z))
+        # a half-space's L/Z is inf; a finite L's may leave the doubles
+        l_over_z = regime.lambda_over_zeta
         lines.append(
             f"transition {i}: regime={regime.regime} "
-            f"2*zeta={_fmt(regime.two_zeta)} L/Z={_fmt(regime.lambda_over_zeta)}"
+            f"2*zeta={_fmt(regime.two_zeta)} L/Z="
+            + (_fmt(l_over_z) if math.isinf(run.slab.L) else finite(l_over_z))
             + (" (no validity claim)" if regime.regime == "intermediate" else ""))
     return "\n".join(lines) + "\n", EXIT_OK
 

@@ -29,7 +29,9 @@ they may rise, up to at most 2L * 2/(3 sqrt(3) rho^2), the peak slope of
 1/|(rho, d)| times the step 2L.  So B is b_{M+1} past the turn (always,
 for rho = 0) and that peak value before it.  The majorant is the
 ``err_est`` of a series that runs out of terms, and
-:func:`image_series_converges` predicts that failure from it.
+:func:`image_series_converges` predicts that failure from it.  Where
+beta^2 rounds to 1 (n above about 1e8) there is no majorant, and both
+series raise ValueError; ``nonretarded_shift`` takes its k integral there.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AtomSpec, EnergyShift, Slab, _slab_shift
+from .core import AtomSpec, EnergyShift, Slab, _slab_shift, finite_power
 from .errors import ConvergenceError
 
 __all__ = ["ImageSeriesSpec", "phi_H", "image_series_shift",
@@ -106,6 +108,8 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
     if slab.n == 1.0 or slab.L == 0.0:
         return EnergyShift([0.0] * len(atom.transitions))
+    # the brackets go as 1/Z^3
+    finite_power(Z, 3, "atom-surface distance Z")
     beta = _beta(slab.n)
     dipole_sum = math.fsum(2.0 * tr.mu_perp_sq + tr.mu_par_sq
                            for tr in atom.transitions)
@@ -163,6 +167,9 @@ def _image_sum(bracket, bound, beta2: float, spec: ImageSeriesSpec,
                what: str, scale: float = 1.0) -> float:
     """``scale * sum_m beta2^m bracket(m)``, stopped by the tail majorant;
     ``bound(m, bracket(m))`` bounds every bracket from m on."""
+    if not beta2 < 1.0:
+        raise ValueError(f"{what}: beta^2 = {beta2!r} is not below 1 (n above "
+                         "about 1e8), so its tail has no bound")
     total = 0.0
     weight = 1.0  # beta2^m
     b_next = bracket(0)

@@ -1,6 +1,6 @@
-"""Independent oracles used across the test suite.
+"""Independent oracles used across the test suite, and README's tables.
 
-Everything here is deliberately written from the defining formulas with
+Every oracle here is deliberately written from the defining formulas with
 fixed (non-adaptive) numerics, so it shares no code path with the package
 implementations it checks.
 """
@@ -8,8 +8,23 @@ implementations it checks.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_table(header: str) -> dict[str, str]:
+    """The README table under ``header``: first cell -> second cell."""
+    lines = README.read_text().split(header + "\n", 1)[1].splitlines()
+    rows = {}
+    for line in lines[1:]:  # past the |---| line
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        rows[cells[0]] = cells[1]
+    return rows
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 

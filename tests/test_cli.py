@@ -10,6 +10,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from helpers import README, readme_table
 from slabshift import (AtomSpec, HBARC_EV_NM, QuadratureSpec, ReducedParams,
                        Slab, Transition, energy_shift, halfspace_S, reduce,
                        w_pair)
@@ -458,7 +459,7 @@ def test_unknown_config_key_is_an_input_error(line, tmp_path, capsys):
 def test_documented_config_keys_are_accepted():
     # the README's config block and the benchmark's three-transition atom,
     # with every quadrature key
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     block = readme.split("Config files are flat `key = value` text:")[1]
     cfg = parse_config_text(block.split("```")[1])
     assert "quad.rel_tol" in cfg and "units" in cfg
@@ -530,6 +531,26 @@ def test_asympt_full_integral_outside_the_doubles_names_zeta(capsys):
                  "--mu-perp-sq", "2.20255e-52"]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith(
         "slabshift: input error: zeta = 9.95")
+
+
+def test_asympt_prints_a_diagnostic_outside_the_doubles_as_out_of_range(
+        capsys):
+    # lam = L E_ji overflows to inf, a half-space, so L/Z reads inf for a
+    # finite L; the thin form's deviation 3.4e269 / 3.8e-56 overflows
+    assert main(["asympt", "--n", "1.00002206", "--thickness", "1.7e308",
+                 "--distance", "7.46689e-17", "--e-ji", "1.44915e+92",
+                 "--mu-par-sq", "1.73361e-21",
+                 "--mu-perp-sq", "6.31114e-102"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "retarded thin slab: -3.4271252352238565e+269 " \
+           "rel_deviation=out of range\n" in out
+    assert out.endswith(" L/Z=out of range\n")
+    assert "inf" not in out and "nan" not in out
+    # a half-space's L/Z is inf, not out of range
+    assert main(["asympt", "--n", "2", "--thickness", "inf", "--distance",
+                 "8", "--e-ji", "1", "--mu-par-sq", "2",
+                 "--mu-perp-sq", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(" L/Z=inf\n")
 
 
 @pytest.mark.parametrize("slab", [["--n", "1", "--thickness", "1"],
@@ -754,28 +775,13 @@ def test_modes_beyond_the_branch_budget_is_an_input_error(capsys):
                           "10000.0, L = 3.615 ")
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def _readme_table(header):
-    """The README table under ``header``: first cell -> second cell."""
-    lines = README.read_text().split(header + "\n", 1)[1].splitlines()
-    rows = {}
-    for line in lines[1:]:  # past the |---| line
-        if not line.startswith("|"):
-            break
-        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
-        rows[cells[0]] = cells[1]
-    return rows
-
-
 def _subcommands():
     return next(action.choices for action in build_parser()._actions
                 if isinstance(action, argparse._SubParsersAction))
 
 
 def test_readme_flag_table_matches_the_parser():
-    table = _readme_table("| subcommand | flags |")
+    table = readme_table("| subcommand | flags |")
     subcommands = _subcommands()
     assert set(table) == set(subcommands)
     for name, flags in table.items():
@@ -788,7 +794,7 @@ def test_readme_flag_table_matches_the_parser():
 def test_readme_key_table_matches_the_dests():
     # every flag whose dest is a config key, on every subcommand, is a row,
     # and shift and asympt take them all
-    table = _readme_table("| flag | config key |")
+    table = readme_table("| flag | config key |")
     for name, sub in _subcommands().items():
         keys = {action.option_strings[0]: action.dest
                 for action in sub._actions

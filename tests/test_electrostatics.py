@@ -170,3 +170,20 @@ def test_image_series_domain():
         ImageSeriesSpec(tail_tol=0.0)
     with pytest.raises(ValueError):
         ImageSeriesSpec(max_terms=0)
+
+
+@pytest.mark.parametrize("n", [1e9, math.inf])
+def test_series_without_a_tail_bound_is_a_value_error(n):
+    # beta^2 rounds to 1 (or is NaN) at finite L > 0: 1 - beta^2 = 0 has
+    # no tail majorant; nonretarded_shift takes its k integral there
+    with pytest.raises(ValueError, match=r"beta\^2"):
+        image_series_shift(ATOM, Slab(n=n, L=1.0), 1.0)
+    with pytest.raises(ValueError, match=r"beta\^2"):
+        phi_H(0.1, 1.0, 1.0, Slab(n=n, L=1.0))
+
+
+@pytest.mark.parametrize("Z", [1e-120, 1e-105, 1e103, math.inf])
+@pytest.mark.parametrize("L", [1.0, math.inf])
+def test_image_series_distance_outside_the_doubles_is_a_value_error(Z, L):
+    with pytest.raises(ValueError, match=r"Z\*\*3"):
+        image_series_shift(ATOM, Slab(n=2.0, L=L), Z)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import slabshift
+from helpers import readme_table
 
 SRC = str(Path(slabshift.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": SRC}
@@ -77,6 +78,33 @@ def _after_main(argv: list[str]) -> str:
 ])
 def test_start_up_and_input_errors_load_no_compute_module(code):
     assert not _loaded(code) & COMPUTE
+
+
+@pytest.mark.parametrize("code", [
+    "import slabshift.cli",
+    _after_main(["--help"]),
+    _after_main(["shift", "--help"]),
+    _after_main(ARGV["wfun"] + ["--no-such-flag"]),
+    _after_main(["wfun", "--zeta", "1", "--n", "2"]),
+    _after_main([]),
+])
+def test_parser_loads_neither_core_nor_dataclasses(code):
+    # --help and flag errors end in the parser, before any command binds a
+    # library name
+    assert not _loaded(code) & {"slabshift.core", "slabshift.units",
+                                "dataclasses"}
+
+
+def test_readme_import_table_matches_what_each_subcommand_loads():
+    table = readme_table("| subcommand | imports |")
+    assert set(table) == set(ARGV)
+    parser_only = _loaded("import slabshift.cli")
+    for command, argv in ARGV.items():
+        loaded = _loaded(_after_main(argv + ["--output", os.devnull]))
+        modules = {name.removeprefix("slabshift.")
+                   for name in loaded - parser_only
+                   if name.startswith("slabshift.")}
+        assert sorted(table[command].split()) == sorted(modules), command
 
 
 def test_wfun_loads_no_modes_asymptotics_or_electrostatics():
