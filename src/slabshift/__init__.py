@@ -31,11 +31,12 @@ __version__ = "0.1.0"
 
 # home module of every public name
 _EXPORTS = {
-    "core": ("AtomSpec", "EnergyShift", "ReducedParams", "Slab", "Transition",
-             "WPair", "assemble_shift", "dipole_sq_from_momentum", "reduce",
-             "static_polarizability", "classify_regime"),
+    "core": ("AtomSpec", "EnergyShift", "QuadratureSpec", "ReducedParams",
+             "Slab", "Transition", "WPair", "assemble_shift",
+             "dipole_sq_from_momentum", "reduce", "static_polarizability",
+             "classify_regime"),
     "errors": ("ConvergenceError", "PoleError"),
-    "quadrature": ("QuadratureSpec", "adaptive_quad"),
+    "quadrature": ("adaptive_quad",),
     "reflection": ("Polarization", "fresnel_r", "rtilde", "slab_R", "slab_T",
                    "slab_denominator", "snell_kz", "snell_kzd"),
     "shift": ("W_SCALE", "energy_shift", "s_parallel", "s_perp", "w_pair"),

@@ -15,11 +15,12 @@ import math
 import numpy as np
 
 from .core import (NONRETARDED_TWO_ZETA, RETARDED_TWO_ZETA, AtomSpec,
-                   EnergyShift, ReducedParams, RegimeReport, Slab,
-                   _slab_nonzero, _slab_shift, classify_regime, finite_power)
+                   EnergyShift, QuadratureSpec, ReducedParams, RegimeReport,
+                   Slab, _positive_finite, _slab_nonzero, _slab_shift,
+                   classify_regime, finite_power)
 from .electrostatics import (ImageSeriesSpec, _beta, image_series_converges,
                              image_series_shift)
-from .quadrature import QuadratureSpec, adaptive_quad, geometric_edges
+from .quadrature import adaptive_quad, geometric_edges
 from .shift import s_parallel, s_perp
 
 __all__ = [
@@ -53,8 +54,6 @@ def retarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     L*E_ji).  The formula is evaluated for any inputs; use
     :func:`classify_regime` to judge applicability.
     """
-    if not Z > 0.0:
-        raise ValueError(f"atom-surface distance must be positive, got {Z}")
     n2 = slab.n * slab.n
     z5 = finite_power(Z, 5, "atom-surface distance Z")
     # Z^5 divides last: 160 pi^2 n^2 Z^5 overflows for Z^5 near the top
@@ -76,14 +75,11 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
     mu = 1, so the magnetic bracket is the constant 5.  Agrees exactly with
     :func:`retarded_thin_shift` for isotropic atoms, and like it raises
     ValueError where U is not a finite normal double, or is 0 although the
-    slab is there (n > 1, L > 0).
+    slab is there (n > 1, L > 0).  ``alpha0`` must be positive and finite,
+    and ``n`` and ``L`` make a valid :class:`Slab`.
     """
-    if not Z > 0.0:
-        raise ValueError(f"atom-surface distance must be positive, got {Z}")
-    if L < 0.0:
-        raise ValueError(f"thickness must be non-negative, got {L}")
-    if not n >= 1.0:
-        raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
+    _positive_finite(alpha0, "alpha0")
+    Slab(n, L)
     eps = n * n
     bracket = (14.0 * eps * eps - 9.0) / eps - 5.0
     z5 = finite_power(Z, 5, "atom-surface distance Z")
@@ -109,8 +105,6 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
     """
     if method not in ("series", "quadrature"):
         raise ValueError(f"method must be 'series' or 'quadrature', got {method!r}")
-    if not Z > 0.0:
-        raise ValueError(f"atom-surface distance must be positive, got {Z}")
     # the shift goes as 1/Z^3: both routes need that power to be a double
     finite_power(Z, 3, "atom-surface distance Z")
     spec = spec or ImageSeriesSpec()
@@ -149,8 +143,6 @@ def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     Delta E = -3 (n^4 - 1) L / (256 pi n^2 Z^4)
               * sum_j (2|mu_perp|^2 + |mu_par|^2)
     """
-    if not Z > 0.0:
-        raise ValueError(f"atom-surface distance must be positive, got {Z}")
     n2 = slab.n * slab.n
     z4 = finite_power(Z, 4, "atom-surface distance Z")
     # Z^4 divides last: 256 pi n^2 Z^4 overflows for Z^4 near the top

@@ -84,10 +84,6 @@ EXIT_CONVERGENCE = 3
 EXIT_PARTIAL = 4
 
 
-class ConfigError(Exception):
-    """Invalid or incomplete run configuration."""
-
-
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
@@ -108,21 +104,21 @@ def parse_config_text(text: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not re.match(_KEY_RE, key):
-            raise ConfigError(f"line {lineno}: malformed key {key!r}")
+            raise ValueError(f"line {lineno}: malformed key {key!r}")
         out[key] = value
     return out
 
 
 def _get_float(cfg: dict[str, str], key: str) -> float:
     if key not in cfg:
-        raise ConfigError(f"missing required field: {key}")
+        raise ValueError(f"missing required field: {key}")
     try:
         return float(cfg[key])
     except ValueError:
-        raise ConfigError(f"field {key} is not a number: {cfg[key]!r}") from None
+        raise ValueError(f"field {key} is not a number: {cfg[key]!r}") from None
 
 
 class RunInput(namedtuple("RunInput", "atom slab Z quad inputs")):
@@ -148,16 +144,16 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
     _bind("AtomSpec", "Slab", "Transition")
     units = cfg.get("units", "natural")
     if units not in ("natural", "eV-nm"):
-        raise ConfigError(f"units must be 'natural' or 'eV-nm', got {units!r}")
+        raise ValueError(f"units must be 'natural' or 'eV-nm', got {units!r}")
     inputs: dict[str, object] = {"units": units}
     inputs.update((key, _get_float(cfg, key))
                   for key in ("slab.n", "slab.L", "geometry.Z"))
     transition = re.compile(_TRANSITION_RE)
     indices = sorted({int(m[1]) for m in map(transition.match, cfg) if m})
     if not indices:
-        raise ConfigError("missing required field: atom.transitions[0].E_ji")
+        raise ValueError("missing required field: atom.transitions[0].E_ji")
     if indices != list(range(len(indices))):
-        raise ConfigError("atom.transitions indices must be contiguous from 0")
+        raise ValueError("atom.transitions indices must be contiguous from 0")
     # the fields of Transition and of QuadratureSpec are the tables of keys
     transitions = []
     for i in indices:
@@ -170,17 +166,17 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
         try:
             transitions.append(Transition(**tr))
         except ValueError as exc:
-            raise ConfigError(f"{base}: {exc}") from None
+            raise ValueError(f"{base}: {exc}") from None
     slab = Slab(n=inputs["slab.n"], L=inputs["slab.L"])
     Z = inputs["geometry.Z"]
     if not Z > 0.0:
-        raise ConfigError(f"geometry.Z must be positive, got {Z}")
+        raise ValueError(f"geometry.Z must be positive, got {Z}")
     atom = AtomSpec(transitions)
     quad = _quad_spec(cfg)
     unknown = set(cfg) - set(inputs) - {f"quad.{f.name}"
                                         for f in fields(QuadratureSpec)}
     if unknown:
-        raise ConfigError(f"unknown config key: {min(unknown)}")
+        raise ValueError(f"unknown config key: {min(unknown)}")
     return RunInput(atom=atom, slab=slab, Z=Z, quad=quad, inputs=inputs)
 
 
@@ -202,7 +198,7 @@ def _config_from_args(args: argparse.Namespace) -> dict[str, str]:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = parse_config_text(fh.read())
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+            raise ValueError(f"cannot read config file: {exc}") from None
     # a problem flag's dest is the key it overrides: dotted, or units
     cfg.update((key, str(val)) for key, val in vars(args).items()
                if val is not None and ("." in key or key == "units"))
@@ -305,15 +301,15 @@ def cmd_wfun(args: argparse.Namespace) -> tuple[str, int]:
 
 def _sweep_grid(lo: float, hi: float, points: int, scale: str) -> list[float]:
     if points < 2:
-        raise ConfigError(f"points must be >= 2, got {points}")
+        raise ValueError(f"points must be >= 2, got {points}")
     if not lo < hi:
-        raise ConfigError(f"need lo < hi, got [{lo}, {hi}]")
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if scale == "linear":
         step = (hi - lo) / (points - 1)
         inner = [lo + i * step for i in range(1, points - 1)]
     else:
         if lo <= 0.0:
-            raise ConfigError("log scale needs lo > 0")
+            raise ValueError("log scale needs lo > 0")
         ratio = (hi / lo) ** (1.0 / (points - 1))
         inner = [lo * ratio ** i for i in range(1, points - 1)]
     # the endpoints are the given bounds: lo*ratio**(points-1) can miss hi
@@ -336,11 +332,11 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     fixed = {"zeta": args.zeta, "lambda": args.lam, "n": args.n}
     flag = {"zeta": "--zeta", "lambda": "--lam", "n": "--n"}
     if fixed.pop(args.axis) is not None:
-        raise ConfigError(f"{flag[args.axis]} "
-                          "must not be given when it is the sweep axis")
+        raise ValueError(f"{flag[args.axis]} "
+                         "must not be given when it is the sweep axis")
     missing = [flag[name] for name, value in fixed.items() if value is None]
     if missing:
-        raise ConfigError(f"missing fixed value: {missing[0]}")
+        raise ValueError(f"missing fixed value: {missing[0]}")
     inputs: dict[str, object] = {
         "axis": args.axis, "lo": args.lo, "hi": args.hi,
         "points": args.points, "scale": args.scale,
@@ -382,9 +378,9 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
-    if not 0.0 < args.k_par < math.inf:
-        raise ConfigError(
-            f"k_par must be positive and finite, got {args.k_par}")
+    from .core import _positive_finite
+
+    _positive_finite(args.k_par, "k_par")
     _bind("Slab")
     slab = Slab(n=args.n, L=args.thickness)
     _bind("Polarization", "find_trapped_modes")
@@ -575,11 +571,11 @@ def main(argv: list[str] | None = None) -> int:
         # CPU and that slabshift's 3-term dot products never use
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    # the library raises ValueError for input outside its domain, such as a
-    # point outside the range W can be taken at: an input error as well
+    # an input error is a ValueError, from the CLI's checks or from the
+    # library's, such as a point outside the range W can be taken at
     try:
         text, code = args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"slabshift: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

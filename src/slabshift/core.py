@@ -36,6 +36,7 @@ __all__ = [
     "Slab",
     "Transition",
     "AtomSpec",
+    "QuadratureSpec",
     "ReducedParams",
     "WPair",
     "EnergyShift",
@@ -50,6 +51,12 @@ __all__ = [
     "RegimeReport",
     "classify_regime",
 ]
+
+
+def _positive_finite(x: float, what: str) -> None:
+    """A ValueError naming ``what`` unless ``0 < x < inf``."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {x}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,7 @@ class Transition:
     mu_perp_sq: float
 
     def __post_init__(self):
-        if not self.E_ji > 0.0:
-            raise ValueError(f"transition energy must be positive, got {self.E_ji}")
+        _positive_finite(self.E_ji, "transition energy")
         squares = (self.mu_par_sq, self.mu_perp_sq)
         if not all(0.0 <= sq < math.inf for sq in squares):
             raise ValueError(f"dipole-moment squares must be non-negative "
@@ -107,6 +113,34 @@ class AtomSpec:
 
 
 @dataclass(frozen=True)
+class QuadratureSpec:
+    """Tolerances and budgets for the shift quadrature.
+
+    ``s_cutoff_decades`` truncates the s (or u) axis where the exponential
+    weight has fallen that many decades below its peak, at ``u = cutoff``.
+    ``max_subdivisions`` is the number of cell splits allowed beyond the
+    seed cells.
+    """
+
+    rel_tol: float = 1e-8
+    abs_tol: float = 1e-14
+    s_cutoff_decades: float = 37.0
+    max_subdivisions: int = 2000
+
+    def __post_init__(self):
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
+            raise ValueError("tolerances must be positive")
+        if self.s_cutoff_decades <= 0.0:
+            raise ValueError("s_cutoff_decades must be positive")
+        if self.max_subdivisions < 1:
+            raise ValueError("max_subdivisions must be at least 1")
+
+    @property
+    def cutoff(self) -> float:
+        return self.s_cutoff_decades * math.log(10.0)
+
+
+@dataclass(frozen=True)
 class ReducedParams:
     """Dimensionless parameter triple consumed by every kernel.
 
@@ -120,8 +154,7 @@ class ReducedParams:
     n: float
 
     def __post_init__(self):
-        if not 0.0 < self.zeta < math.inf:
-            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
+        _positive_finite(self.zeta, "zeta")
         if not self.lam >= 0.0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if not self.n >= 1.0:
@@ -213,8 +246,11 @@ def reduce(slab: Slab, transition: Transition, Z: float) -> ReducedParams:
 
 
 def finite_power(x: float, k: int, name: str, coef: float = 1.0) -> float:
-    """``coef * x ** k``, or a ValueError naming ``x`` unless ``x ** k`` is a
-    normal double and the product finite; ``name`` ends in ``x``'s symbol."""
+    """``coef * x ** k``, or a ValueError naming ``x`` unless ``x > 0``,
+    ``x ** k`` is a normal double and the product finite; ``name`` ends in
+    ``x``'s symbol."""
+    if not x > 0.0:
+        raise ValueError(f"{name} must be positive, got {x}")
     try:
         power = x ** k
     except OverflowError:
@@ -263,8 +299,6 @@ def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,
     delta E = -(1/(16 pi^2)) sum_j (W_par |mu_par|^2 + W_z |mu_perp|^2)
               / (E_ji Z^4)
     """
-    if not Z > 0.0:
-        raise ValueError(f"atom-surface distance must be positive, got {Z}")
     if len(wfun) != len(atom.transitions):
         raise ValueError(
             f"need one WPair per transition: got {len(wfun)} pairs "
@@ -288,24 +322,27 @@ def dipole_sq_from_momentum(p_sq: float, E_ji: float,
 
     ``m`` is the electron mass in the same natural units as ``E_ji``.
     """
-    if not E_ji > 0.0:
-        raise ValueError(f"transition energy must be positive, got {E_ji}")
+    if not 0.0 <= p_sq < math.inf:
+        raise ValueError(f"momentum square must be non-negative and finite, "
+                         f"got {p_sq}")
+    _positive_finite(E_ji, "transition energy")
     if not m > 0.0:
         raise ValueError(f"electron mass must be positive, got {m}")
     return 4.0 * math.pi * alpha_fs * p_sq / (m * m * E_ji * E_ji)
 
 
-def static_polarizability(atom: AtomSpec, rel_tol: float = 1e-12) -> float:
+def static_polarizability(atom: AtomSpec) -> float:
     """Static polarizability alpha(0) = 2 sum_j |mu_nu|^2 / E_ji of an isotropic atom.
 
     Isotropy means |mu_par|^2 = 2 |mu_perp|^2 for every transition (the three
     Cartesian components contribute equally, |mu_nu|^2 = |mu_perp|^2).
-    Anisotropic atoms are not supported by this helper and raise ValueError.
+    Anisotropic atoms are not supported by this helper and raise ValueError;
+    the two squares must agree to a relative 1e-12.
     """
     total = 0.0
     for i, tr in enumerate(atom.transitions):
         scale = max(tr.mu_par_sq, 2.0 * tr.mu_perp_sq)
-        if abs(tr.mu_par_sq - 2.0 * tr.mu_perp_sq) > rel_tol * scale:
+        if abs(tr.mu_par_sq - 2.0 * tr.mu_perp_sq) > 1e-12 * scale:
             raise ValueError(
                 f"transition {i} is anisotropic (|mu_par|^2 != 2|mu_perp|^2); "
                 "static_polarizability supports isotropic atoms only")

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Slab
+from .core import Slab, _positive_finite
 from .errors import PoleError
 from .reflection import Polarization, _slab_amplitudes, slab_denominator
 
@@ -122,8 +122,7 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
     """
     if parity not in ("S", "A"):
         raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
-    if not 0.0 < k_par < math.inf:
-        raise ValueError(f"k_par must be positive and finite, got {k_par}")
+    _positive_finite(k_par, "k_par")
     n, L = slab.n, slab.L
     if n == 1.0 or L == 0.0 or math.isinf(L):
         return []

@@ -2,9 +2,10 @@
 
 One rule serves both.  The domain is tiled by seed cells (intervals in
 1D, rectangles in 2D; the shift's integrals seed every exponential axis
-with :func:`geometric_edges` up to :attr:`QuadratureSpec.cutoff`), and
-each cell is integrated with the 15-point Gauss-Kronrod rule (QUADPACK
-``qk15``) along every axis: 15 nodes per interval, the 225-node product
+with :func:`geometric_edges` up to
+:attr:`slabshift.core.QuadratureSpec.cutoff`), and each cell is
+integrated with the 15-point Gauss-Kronrod rule (QUADPACK ``qk15``)
+along every axis: 15 nodes per interval, the 225-node product
 GK15 x GK15 per rectangle.  The Kronrod nodes include the 7 of the
 Gauss-Legendre rule, so each axis has an embedded error estimate: the
 difference between the Kronrod sum and the sum with that axis's weights
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["QuadratureSpec", "QuadResult", "adaptive_quad", "geometric_edges"]
+__all__ = ["QuadResult", "adaptive_quad", "geometric_edges"]
 
 # Gauss-Kronrod 15 (QUADPACK qk15, Piessens et al. 1983): the nodes x >= 0
 # on [-1, 1], their Kronrod weights, and the Gauss-7 weights of _XGK[1::2]
@@ -65,34 +66,6 @@ _WEIGHTS[1::2, 1] = _WG + _WG[-2::-1]
 # most nodes in one integrand call (48 cells of 225 nodes in 2D): larger
 # rounds go in several calls, which bounds the memory of the temporaries
 _MAX_NODES = 10_800
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budgets for the shift quadrature.
-
-    ``s_cutoff_decades`` truncates the s (or u) axis where the exponential
-    weight has fallen that many decades below its peak, at ``u = cutoff``.
-    ``max_subdivisions`` is the number of cell splits allowed beyond the
-    seed cells.
-    """
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-14
-    s_cutoff_decades: float = 37.0
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.s_cutoff_decades <= 0.0:
-            raise ValueError("s_cutoff_decades must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-    @property
-    def cutoff(self) -> float:
-        return self.s_cutoff_decades * math.log(10.0)
 
 
 def geometric_edges(upper: float) -> np.ndarray:

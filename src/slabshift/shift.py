@@ -46,18 +46,16 @@ reflection coefficient calls (17,100 coefficient values).
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AtomSpec, EnergyShift, ReducedParams, Slab, WPair,
-                   assemble_shift, finite_power, reduce)
-from .quadrature import _NODES, QuadratureSpec, adaptive_quad, geometric_edges
+from .core import (AtomSpec, EnergyShift, QuadratureSpec, ReducedParams, Slab,
+                   WPair, _slab_nonzero, assemble_shift, finite_power, reduce)
+from .quadrature import _NODES, adaptive_quad, geometric_edges
 from .reflection import Polarization, rtilde
 
 __all__ = [
-    "QuadratureSpec",
     "SDetail",
     "s_parallel",
     "s_perp",
@@ -188,12 +186,10 @@ def w_pair(p: ReducedParams, q: QuadratureSpec | None = None) -> WPair:
     """Dimensionless shift functions W_par = 8 zeta^4 S_par, W_z = 8 zeta^4 S_perp."""
     par = s_parallel_detailed(p, q)
     perp = s_perp_detailed(p, q)
-    # with n > 1 and lam > 0 both components are positive: a 0 or a
-    # subnormal is W lost to underflow
-    if p.n > 1.0 and p.lam > 0.0 and not min(par.w, perp.w) >= sys.float_info.min:
-        raise ValueError(f"W at (zeta, lam, n) = ({p.zeta!r}, {p.lam!r}, {p.n!r}) "
-                         f"is ({par.w!r}, {perp.w!r}), below the normal doubles")
-    return WPair(w_par=par.w, w_z=perp.w, err_par=par.err_w, err_z=perp.err_w)
+    at = f"at (zeta, lam, n) = ({p.zeta!r}, {p.lam!r}, {p.n!r})"
+    return WPair(w_par=_slab_nonzero(par.w, p.n, p.lam, f"W_par {at}"),
+                 w_z=_slab_nonzero(perp.w, p.n, p.lam, f"W_z {at}"),
+                 err_par=par.err_w, err_z=perp.err_w)
 
 
 def energy_shift(atom: AtomSpec, slab: Slab, Z: float,

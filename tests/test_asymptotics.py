@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from slabshift import (AtomSpec, QuadratureSpec, ReducedParams, Slab,
-                       Transition, buhmann_U, classify_regime, energy_shift,
-                       halfspace_S, nonretarded_shift, nonretarded_thin_shift,
-                       phi_H, retarded_thin_shift, static_polarizability,
-                       w_pair)
+                       Transition, WPair, assemble_shift, buhmann_U,
+                       classify_regime, energy_shift, halfspace_S,
+                       nonretarded_shift, nonretarded_thin_shift, phi_H,
+                       retarded_thin_shift, static_polarizability, w_pair)
 from slabshift.cli import main
 
 ATOM = AtomSpec([Transition(E_ji=1.0, mu_par_sq=2.0, mu_perp_sq=1.0)])
@@ -169,6 +169,42 @@ def test_closed_forms_reject_a_slab_shift_that_underflows_to_zero():
                  lambda: buhmann_U(1.0, slab.n, slab.L, Z)):
         with pytest.raises(ValueError, match="below the normal doubles"):
             form()
+
+
+@pytest.mark.parametrize("alpha0", [-1.0, 0.0, math.nan, math.inf])
+def test_thin_plate_form_takes_a_positive_finite_polarizability(alpha0):
+    # alpha0 = -1 gave a repulsive U, and 0 a U reported as underflowed
+    with pytest.raises(ValueError, match="alpha0 must be positive and finite"):
+        buhmann_U(alpha0, 2.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n, L", [(0.5, 1.0), (2.0, -1.0), (math.nan, 1.0),
+                                  (2.0, math.nan)])
+def test_thin_plate_form_checks_the_slab_as_slab_does(n, L):
+    with pytest.raises(ValueError, match="must satisfy"):
+        buhmann_U(1.0, n, L, 1.0)
+
+
+SLAB = Slab(n=2.0, L=1.0)
+SHIFTS_OF_Z = {
+    "assemble_shift": lambda Z: assemble_shift(ATOM, SLAB, Z, [WPair(1.0, 1.0)]),
+    "retarded_thin_shift": lambda Z: retarded_thin_shift(ATOM, SLAB, Z),
+    "buhmann_U": lambda Z: buhmann_U(1.0, SLAB.n, SLAB.L, Z),
+    "nonretarded_thin_shift": lambda Z: nonretarded_thin_shift(ATOM, SLAB, Z),
+    "nonretarded_shift": lambda Z: nonretarded_shift(ATOM, SLAB, Z),
+    "nonretarded_shift-quadrature":
+        lambda Z: nonretarded_shift(ATOM, SLAB, Z, method="quadrature"),
+}
+
+
+@pytest.mark.parametrize("Z", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("form", sorted(SHIFTS_OF_Z))
+def test_shifts_reject_a_distance_that_is_not_positive(form, Z):
+    # the one positivity rule is finite_power's, on the power of Z each
+    # form divides by
+    with pytest.raises(ValueError, match="atom-surface distance Z must be "
+                                         "positive"):
+        SHIFTS_OF_Z[form](Z)
 
 
 @pytest.mark.parametrize("n, L", [(1.0, 1.0), (2.0, 0.0)])

@@ -7,6 +7,7 @@ import pytest
 from slabshift import (AtomSpec, EnergyShift, ReducedParams, Slab, Transition,
                        WPair, assemble_shift, dipole_sq_from_momentum, reduce,
                        static_polarizability)
+from slabshift.core import finite_power
 
 
 def test_reduce_unit_inputs():
@@ -53,8 +54,10 @@ def test_type_validation():
         Slab(n=0.5, L=1.0)
     with pytest.raises(ValueError):
         Slab(n=2.0, L=-1.0)
-    with pytest.raises(ValueError):
-        Transition(E_ji=0.0, mu_par_sq=1.0, mu_perp_sq=1.0)
+    for E_ji in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="transition energy must be "
+                                             "positive and finite"):
+            Transition(E_ji=E_ji, mu_par_sq=1.0, mu_perp_sq=1.0)
     with pytest.raises(ValueError):
         Transition(E_ji=1.0, mu_par_sq=0.0, mu_perp_sq=0.0)
     with pytest.raises(ValueError):
@@ -196,6 +199,22 @@ def test_dipole_sq_rejects_bad_domain():
         dipole_sq_from_momentum(1.0, 0.0)
     with pytest.raises(ValueError):
         dipole_sq_from_momentum(1.0, 1.0, m=0.0)
+    # a negative p_sq gave a negative mu^2, and an infinite E_ji a 0
+    for p_sq in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            dipole_sq_from_momentum(p_sq, 1.0)
+    for E_ji in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dipole_sq_from_momentum(1.0, E_ji)
+
+
+@pytest.mark.parametrize("x, k", [(-2.0, 4), (-2.0, 3), (0.0, 4), (-0.0, 4),
+                                  (math.nan, 4)])
+def test_finite_power_rejects_a_base_that_is_not_positive(x, k):
+    # (-2)^4 = 16 is a normal double, yet no distance is negative
+    with pytest.raises(ValueError, match="atom-surface distance Z must be "
+                                         "positive, got "):
+        finite_power(x, k, "atom-surface distance Z")
 
 
 def test_static_polarizability_plugin():

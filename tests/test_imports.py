@@ -80,6 +80,24 @@ def test_start_up_and_input_errors_load_no_compute_module(code):
     assert not _loaded(code) & COMPUTE
 
 
+# a complete problem but for its quad.* keys: a misspelt key, and a value
+# that is no number
+CONFIG = ("slab.n = 2\nslab.L = 1\ngeometry.Z = 8\n"
+          "atom.transitions[0].E_ji = 1\natom.transitions[0].mu_par_sq = 2\n"
+          "atom.transitions[0].mu_perp_sq = 1\n")
+
+
+@pytest.mark.parametrize("quad", ["quad.max_subdivision = 10",
+                                  "quad.rel_tol = tight"])
+def test_bad_quad_key_exits_2_before_any_compute_module(tmp_path, quad):
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG + quad + "\n")
+    loaded = _loaded("from slabshift.cli import main\n"
+                     f"assert main(['shift', '--config', {str(config)!r}]) "
+                     "== 2\n")
+    assert not loaded & COMPUTE
+
+
 @pytest.mark.parametrize("code", [
     "import slabshift.cli",
     _after_main(["--help"]),
@@ -159,7 +177,7 @@ def test_sweep_point_binds_its_own_names():
     # point function without the command that bound the names in the parent
     proc = _python(
         "from slabshift.cli import _sweep_point\n"
-        "from slabshift.quadrature import QuadratureSpec\n"
+        "from slabshift import QuadratureSpec\n"
         "wp = _sweep_point((1.0, 1.0, 2.0), QuadratureSpec(rel_tol=1e-6))\n"
         "print(type(wp).__name__)\n")
     assert proc.returncode == 0, proc.stderr

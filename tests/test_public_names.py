@@ -1,6 +1,7 @@
 """Each public name a module lists in ``__all__`` must still be defined there."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -26,3 +27,14 @@ def test_all_names_resolve_and_star_import_succeeds(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(public) <= set(namespace)
+
+
+def test_every_exported_class_and_function_is_defined_in_its_home():
+    # a re-export would make the lazy namespace load the module it was
+    # taken from, not the numpy-free home _EXPORTS names
+    for home, names in slabshift._EXPORTS.items():
+        module = importlib.import_module(f"slabshift.{home}")
+        for name in names:
+            value = getattr(module, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == f"slabshift.{home}", name
