@@ -19,9 +19,11 @@ and never freezes, for callers in a process that goes on.
 
 The module itself loads only the standard library that the parser needs,
 the package's lazy namespace and :mod:`slabshift.errors`: ``--help`` and
-flag errors load neither ``core`` nor ``dataclasses``.  Each command binds
-the library names it runs (:func:`_bind`) when it runs, so an input error
-found before any integral loads no numpy either.
+flag errors load no ``core``.  Each command binds the library names it
+runs (:func:`_bind`) when it runs, so an input error found before any
+integral loads no numpy either.  The value types are namedtuples: their
+``_fields``, ``_field_defaults`` and ``_asdict()`` are the config keys
+and the manifest's ``quad`` entry.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment::
 
@@ -137,8 +139,6 @@ class RunInput(namedtuple("RunInput", "atom slab Z quad inputs")):
 
 
 def build_run_input(cfg: dict[str, str]) -> RunInput:
-    from dataclasses import fields
-
     from .units import ev_to_inv_nm
 
     _bind("AtomSpec", "Slab", "Transition")
@@ -158,8 +158,8 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
     transitions = []
     for i in indices:
         base = f"atom.transitions[{i}]"
-        tr = {f.name: _get_float(cfg, f"{base}.{f.name}")
-              for f in fields(Transition)}
+        tr = {name: _get_float(cfg, f"{base}.{name}")
+              for name in Transition._fields}
         if units == "eV-nm":
             tr["E_ji"] = ev_to_inv_nm(tr["E_ji"])
         inputs.update((f"{base}.{name}", value) for name, value in tr.items())
@@ -173,8 +173,8 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
         raise ValueError(f"geometry.Z must be positive, got {Z}")
     atom = AtomSpec(transitions)
     quad = _quad_spec(cfg)
-    unknown = set(cfg) - set(inputs) - {f"quad.{f.name}"
-                                        for f in fields(QuadratureSpec)}
+    unknown = set(cfg) - set(inputs) - {f"quad.{name}"
+                                        for name in QuadratureSpec._fields}
     if unknown:
         raise ValueError(f"unknown config key: {min(unknown)}")
     return RunInput(atom=atom, slab=slab, Z=Z, quad=quad, inputs=inputs)
@@ -183,12 +183,11 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
 def _quad_spec(cfg: dict[str, object]) -> QuadratureSpec:
     """The spec's fields are the one table of ``quad.*`` keys: each that
     ``cfg`` sets takes the type of its default."""
-    from dataclasses import fields
-
     _bind("QuadratureSpec")
     return QuadratureSpec(**{
-        f.name: type(f.default)(cfg[f"quad.{f.name}"])
-        for f in fields(QuadratureSpec) if cfg.get(f"quad.{f.name}") is not None})
+        name: type(default)(cfg[f"quad.{name}"])
+        for name, default in QuadratureSpec._field_defaults.items()
+        if cfg.get(f"quad.{name}") is not None})
 
 
 def _config_from_args(args: argparse.Namespace) -> dict[str, str]:
@@ -224,9 +223,7 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "inputs": {k: str(inputs[k]) for k in sorted(inputs)}}
     if quad is not None:
-        from dataclasses import asdict
-
-        manifest["quad"] = asdict(quad)
+        manifest["quad"] = quad._asdict()
     if fmt == "json":
         import json
 
@@ -463,15 +460,16 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
 # argument parsing: each subcommand registers only the flags it reads
 
 def _positive(kind: type):
-    """An argparse type: ``kind(text)``, which must be positive."""
+    """An argparse type: ``kind(text)``, which must be positive and
+    finite."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = 0
-        if not value > 0:
+        if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(
-                f"need a positive {kind.__name__}, got {text!r}")
+                f"need a finite positive {kind.__name__}, got {text!r}")
         return value
     return parse
 

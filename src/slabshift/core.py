@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .units import FINE_STRUCTURE
@@ -59,37 +59,54 @@ def _positive_finite(x: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite, got {x}")
 
 
-@dataclass(frozen=True)
-class Slab:
+class _Checked:
+    """Base of a checked value type, listed before its namedtuple:
+    :meth:`_check` runs on every construction, ``_make``, ``_replace`` and
+    unpickling included (a plain namedtuple's ``_make`` skips ``__new__``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _check(self) -> None:
+        """Raise ValueError unless every field is in range."""
+
+
+class Slab(_Checked, namedtuple("Slab", "n L")):
     """Non-dispersive dielectric slab: refractive index and thickness.
 
     ``L`` is in natural length units; ``math.inf`` is accepted and selects
     the half-space limit wherever it is meaningful.
     """
 
-    n: float
-    L: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.n >= 1.0:
             raise ValueError(f"refractive index must satisfy n >= 1, got {self.n}")
         if not self.L >= 0.0:
             raise ValueError(f"slab thickness must satisfy L >= 0, got {self.L}")
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(_Checked, namedtuple("Transition",
+                                      "E_ji mu_par_sq mu_perp_sq")):
     """One dipole transition: energy and squared dipole components.
 
     ``mu_par_sq`` is |mu_par|^2 = |<j|mu_x|i>|^2 + |<j|mu_y|i>|^2 and
     ``mu_perp_sq`` is |mu_perp|^2 = |<j|mu_z|i>|^2.
     """
 
-    E_ji: float
-    mu_par_sq: float
-    mu_perp_sq: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         _positive_finite(self.E_ji, "transition energy")
         squares = (self.mu_par_sq, self.mu_perp_sq)
         if not all(0.0 <= sq < math.inf for sq in squares):
@@ -99,49 +116,47 @@ class Transition:
             raise ValueError("at least one dipole-moment square must be nonzero")
 
 
-@dataclass(frozen=True)
-class AtomSpec:
-    """Atom as an ordered list of dipole transitions from the ground state."""
+class AtomSpec(_Checked, namedtuple("AtomSpec", "transitions")):
+    """Atom as an ordered list of dipole transitions from the ground state,
+    stored as a tuple."""
 
-    transitions: tuple[Transition, ...]
+    __slots__ = ()
 
-    def __init__(self, transitions: Sequence[Transition]):
-        transitions = tuple(transitions)
-        if not transitions:
+    def __new__(cls, transitions: Sequence[Transition]):
+        return super().__new__(cls, tuple(transitions))
+
+    def _check(self):
+        if not self.transitions:
             raise ValueError("an atom needs at least one transition")
-        object.__setattr__(self, "transitions", transitions)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_Checked, namedtuple(
+        "QuadratureSpec", "rel_tol abs_tol s_cutoff_decades max_subdivisions",
+        defaults=(1e-8, 1e-14, 37.0, 2000))):
     """Tolerances and budgets for the shift quadrature.
 
     ``s_cutoff_decades`` truncates the s (or u) axis where the exponential
     weight has fallen that many decades below its peak, at ``u = cutoff``.
-    ``max_subdivisions`` is the number of cell splits allowed beyond the
-    seed cells.
+    ``max_subdivisions``, an int, is the number of cell splits allowed
+    beyond the seed cells.
     """
 
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-14
-    s_cutoff_decades: float = 37.0
-    max_subdivisions: int = 2000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.s_cutoff_decades <= 0.0:
-            raise ValueError("s_cutoff_decades must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+    def _check(self):
+        for name in ("rel_tol", "abs_tol", "s_cutoff_decades"):
+            _positive_finite(getattr(self, name), name)
+        if not (isinstance(self.max_subdivisions, int)
+                and self.max_subdivisions >= 1):
+            raise ValueError("max_subdivisions must be an integer >= 1, "
+                             f"got {self.max_subdivisions!r}")
 
     @property
     def cutoff(self) -> float:
         return self.s_cutoff_decades * math.log(10.0)
 
 
-@dataclass(frozen=True)
-class ReducedParams:
+class ReducedParams(_Checked, namedtuple("ReducedParams", "zeta lam n")):
     """Dimensionless parameter triple consumed by every kernel.
 
     ``zeta = Z*E_ji`` (atom-surface distance over transition wavelength),
@@ -149,11 +164,9 @@ class ReducedParams:
     refractive index.  ``lam = math.inf`` selects the half-space limit.
     """
 
-    zeta: float
-    lam: float
-    n: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         _positive_finite(self.zeta, "zeta")
         if not self.lam >= 0.0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
@@ -169,13 +182,12 @@ RETARDED_TWO_ZETA = 10.0
 NONRETARDED_TWO_ZETA = 0.1
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    """Retardation classification of one (zeta, lam) point."""
+class RegimeReport(namedtuple("RegimeReport",
+                              "two_zeta lambda_over_zeta regime")):
+    """Retardation classification of one (zeta, lam) point; ``regime`` is
+    "retarded", "non-retarded" or "intermediate"."""
 
-    two_zeta: float
-    lambda_over_zeta: float
-    regime: str  # "retarded" | "non-retarded" | "intermediate"
+    __slots__ = ()
 
 
 def classify_regime(p: ReducedParams) -> RegimeReport:
@@ -191,19 +203,16 @@ def classify_regime(p: ReducedParams) -> RegimeReport:
                         regime=regime)
 
 
-@dataclass(frozen=True)
-class WPair:
+class WPair(_Checked, namedtuple("WPair", "w_par w_z err_par err_z",
+                                 defaults=(0.0, 0.0))):
     """Dimensionless shift functions (W_par, W_z) with quadrature error bounds.
 
     ``err_par`` and ``err_z`` bound each component; ``err_est`` bounds both.
     """
 
-    w_par: float
-    w_z: float
-    err_par: float = 0.0
-    err_z: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.err_par >= 0.0 and self.err_z >= 0.0):
             raise ValueError("error bounds must be non-negative")
 
@@ -212,17 +221,16 @@ class WPair:
         return max(self.err_par, self.err_z)
 
 
-@dataclass(frozen=True)
-class EnergyShift:
-    """Per-transition contributions and their total ``value``, each finite
-    and normal or exactly +0 (see :func:`finite_normal`)."""
+class EnergyShift(_Checked, namedtuple("EnergyShift", "per_transition")):
+    """Per-transition contributions, as a tuple, and their total ``value``,
+    each finite and normal or exactly +0 (see :func:`finite_normal`)."""
 
-    per_transition: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_transition", tuple(
+    def __new__(cls, per_transition: Sequence[float]):
+        return super().__new__(cls, tuple(
             finite_normal(float(c), f"the shift of transition {i}")
-            for i, c in enumerate(self.per_transition)))
+            for i, c in enumerate(per_transition)))
 
     @property
     def value(self) -> float:
@@ -326,8 +334,8 @@ def dipole_sq_from_momentum(p_sq: float, E_ji: float,
         raise ValueError(f"momentum square must be non-negative and finite, "
                          f"got {p_sq}")
     _positive_finite(E_ji, "transition energy")
-    if not m > 0.0:
-        raise ValueError(f"electron mass must be positive, got {m}")
+    _positive_finite(alpha_fs, "fine-structure constant alpha_fs")
+    _positive_finite(m, "electron mass m")
     return 4.0 * math.pi * alpha_fs * p_sq / (m * m * E_ji * E_ji)
 
 

@@ -37,23 +37,24 @@ series raise ValueError; ``nonretarded_shift`` takes its k integral there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .core import AtomSpec, EnergyShift, Slab, _slab_shift, finite_power
+from .core import (AtomSpec, EnergyShift, Slab, _Checked, _slab_shift,
+                   finite_power)
 from .errors import ConvergenceError
 
 __all__ = ["ImageSeriesSpec", "phi_H", "image_series_shift",
            "image_series_converges"]
 
 
-@dataclass(frozen=True)
-class ImageSeriesSpec:
+class ImageSeriesSpec(_Checked, namedtuple("ImageSeriesSpec",
+                                          "tail_tol max_terms",
+                                          defaults=(1e-14, 10 ** 6))):
     """Truncation control for the image series."""
 
-    tail_tol: float = 1e-14
-    max_terms: int = 10 ** 6
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.tail_tol > 0.0:
             raise ValueError("tail_tol must be positive")
         if self.max_terms < 1:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -70,16 +70,12 @@ MAX_BRANCHES = 250_000
 _REGION_TAGS = ("left_vacuum", "slab", "right_vacuum")
 
 
-@dataclass(frozen=True)
-class TrappedMode:
-    """One root of a slab dispersion relation."""
+class TrappedMode(namedtuple("TrappedMode",
+                             "pol parity k_par k_zd kappa residual")):
+    """One root of a slab dispersion relation; ``parity`` is "S" or "A",
+    that of the scalar part."""
 
-    pol: Polarization
-    parity: str  # "S" | "A" (parity of the scalar part)
-    k_par: float
-    k_zd: float
-    kappa: float
-    residual: float
+    __slots__ = ()
 
 
 def _dispersion_sides(pol: Polarization, parity: str, k_zd: np.ndarray,
@@ -192,8 +188,7 @@ def pole_alignment_check(mode: TrappedMode, slab: Slab) -> float:
     return abs(d0) / (grad * mode.kappa)
 
 
-@dataclass(frozen=True)
-class ModeField:
+class ModeField(namedtuple("ModeField", "slab k_par regions")):
     """Piecewise plane-wave electric mode function of the slab geometry.
 
     ``regions`` holds the waves of the left vacuum, the slab and the right
@@ -201,9 +196,7 @@ class ModeField:
     vector (k_par, 0, k_z).
     """
 
-    slab: Slab
-    k_par: float
-    regions: tuple[tuple[tuple, ...], ...]
+    __slots__ = ()
 
     def region_tag(self, z: float) -> str:
         half = 0.5 * self.slab.L

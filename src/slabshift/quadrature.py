@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,18 +76,14 @@ def geometric_edges(upper: float) -> np.ndarray:
     return edges
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(namedtuple("QuadResult", "value err_est lo hi")):
     """Value and error bound, floats or one tuple entry per component.
 
-    The final cells' corners are the rows of ``lo`` and ``hi``; ``panels``
-    counts them.
+    The final cells' corners are the rows of the arrays ``lo`` and ``hi``;
+    ``panels`` counts them.
     """
 
-    value: float | tuple[float, ...]
-    err_est: float | tuple[float, ...]
-    lo: np.ndarray
-    hi: np.ndarray
+    __slots__ = ()
 
     @property
     def panels(self) -> int:

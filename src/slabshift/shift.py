@@ -46,7 +46,7 @@ reflection coefficient calls (17,100 coefficient values).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -73,8 +73,8 @@ W_SCALE = 8.0
 _T_FIRST = 0.5 * (1.0 - float(_NODES[-1]))
 
 
-@dataclass(frozen=True)
-class SDetail:
+class SDetail(namedtuple("SDetail",
+                         "w err_w scale outer_panels inner_panels_max")):
     """One S integral, as its W component and diagnostics.
 
     ``w`` and ``err_w`` are the cubature's W component and its bound, and
@@ -83,11 +83,7 @@ class SDetail:
     ``inner_panels_max`` the most t cells over one of them.
     """
 
-    w: float
-    err_w: float
-    scale: float
-    outer_panels: int
-    inner_panels_max: int
+    __slots__ = ()
 
     @property
     def value(self) -> float:

@@ -352,6 +352,23 @@ def test_nonretarded_thin_converges_linearly():
     assert devs[1] == pytest.approx(devs[0] / 10.0, rel=0.15)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, 4.0])
+def test_nonretarded_thin_slab_first_order_law(n):
+    # (thin/exact - 1)/(L/Z) -> 2 (1+beta^2)/(1-beta^2) as L/Z -> 0, the
+    # coefficient derived from the image series, not fitted
+    Z = 1.0
+    beta = (n * n - 1.0) / (n * n + 1.0)
+    law = 2.0 * (1.0 + beta * beta) / (1.0 - beta * beta)
+    gaps = []
+    for ratio in (1e-2, 1e-3, 1e-4):
+        slab = Slab(n=n, L=ratio * Z)
+        exact = nonretarded_shift(ATOM, slab, Z).value
+        thin = nonretarded_thin_shift(ATOM, slab, Z).value
+        gaps.append(abs((thin / exact - 1.0) / ratio / law - 1.0))
+    assert gaps[2] < 1e-3
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
 def test_full_integral_approaches_retarded_thin():
     # relative deviation falls ~ 1/zeta at fixed lam = 0.5, n = 2
     slab = Slab(n=2.0, L=0.5)

@@ -4,7 +4,6 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import mpmath
@@ -373,6 +372,8 @@ ASYMPT = ["asympt", "--n", "2", "--thickness", "1", "--distance", "8",
     (WFUN + ["--rel-tol", "0"], None, "--rel-tol"),
     (WFUN + ["--rel-tol", "-0.001"], None, "--rel-tol"),
     (ASYMPT + ["--rel-tol", "nan"], None, "--rel-tol"),
+    (["wfun", "--zeta", "1e-7", "--lam", "1", "--n", "2", "--rel-tol", "inf"],
+     None, "--rel-tol"),
 ])
 def test_outside_input_is_an_input_error(argv, env, flag, monkeypatch,
                                          capsys):
@@ -466,7 +467,7 @@ def test_documented_config_keys_are_accepted():
     build_run_input(cfg)
     atom3 = Path(__file__).resolve().parents[1] / "perfbench" / "atom3.cfg"
     cfg = parse_config_text(atom3.read_text())
-    cfg.update({f"quad.{k}": str(v) for k, v in asdict(QuadratureSpec()).items()})
+    cfg.update({f"quad.{k}": str(v) for k, v in QuadratureSpec()._asdict().items()})
     assert len(build_run_input(cfg).atom.transitions) == 3
 
 
@@ -582,6 +583,22 @@ def test_bad_quadrature_config_is_an_input_error(line, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("slabshift: input error: ")
 
 
+@pytest.mark.parametrize("key, value", [("rel_tol", "inf"),
+                                        ("abs_tol", "inf"),
+                                        ("s_cutoff_decades", "nan"),
+                                        ("s_cutoff_decades", "inf")])
+def test_quadrature_config_out_of_range_names_its_key(key, value, tmp_path,
+                                                      capsys):
+    # an infinite tolerance ran with exit 0, and nan cut-off decades failed
+    # with a quadrature message that did not name the key
+    path = tmp_path / "cfg.txt"
+    path.write_text(CONFIG + f"quad.{key} = {value}\n")
+    assert main(["shift", "--config", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"slabshift: input error: {key} must be positive and finite, "
+        f"got {value}\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (WFUN, ["--config", "cfg.txt"]), (WFUN, ["--units", "natural"]),
     (SWEEP, ["--config", "cfg.txt"]), (SWEEP, ["--units", "eV-nm"]),
@@ -646,7 +663,7 @@ def test_shift_json_document_matches_library(config_path, tmp_path):
         "units": "natural", "atom.transitions[0].E_ji": "1.0",
         "atom.transitions[0].mu_par_sq": "2.0",
         "atom.transitions[0].mu_perp_sq": "1.0"}
-    assert doc["quad"] == asdict(QuadratureSpec())
+    assert doc["quad"] == QuadratureSpec()._asdict()
     row, total = doc["rows"]
     assert total == {"total_shift": lib.value}
     assert (row["zeta"], row["lam"], row["w_par"], row["w_z"],
@@ -667,7 +684,7 @@ def test_wfun_json_document_matches_library(capsys):
     q = QuadratureSpec(rel_tol=1e-6)
     wp = w_pair(ReducedParams(2.0, math.inf, 2.0), q)
     assert (doc["command"], doc["inputs"], doc["quad"]) == \
-        ("wfun", {}, asdict(q))
+        ("wfun", {}, q._asdict())
     assert doc["rows"] == [{"zeta": 2.0, "lam": math.inf, "n": 2.0,
                             "w_par": wp.w_par, "w_z": wp.w_z,
                             "err_est": wp.err_est}]
@@ -709,7 +726,7 @@ def test_rel_tol_reaches_the_quadrature_spec(argv, tmp_path, capsys):
         return
     assert main(argv + ["--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["quad"] == \
-        asdict(QuadratureSpec(rel_tol=1e-6))
+        QuadratureSpec(rel_tol=1e-6)._asdict()
 
 
 @pytest.mark.parametrize("argv", [

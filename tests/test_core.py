@@ -1,12 +1,13 @@
 import math
+import pickle
 import sys
 
 import numpy as np
 import pytest
 
-from slabshift import (AtomSpec, EnergyShift, ReducedParams, Slab, Transition,
-                       WPair, assemble_shift, dipole_sq_from_momentum, reduce,
-                       static_polarizability)
+from slabshift import (AtomSpec, EnergyShift, ImageSeriesSpec, QuadratureSpec,
+                       ReducedParams, Slab, Transition, WPair, assemble_shift,
+                       dipole_sq_from_momentum, reduce, static_polarizability)
 from slabshift.core import finite_power
 
 
@@ -208,6 +209,22 @@ def test_dipole_sq_rejects_bad_domain():
             dipole_sq_from_momentum(1.0, E_ji)
 
 
+@pytest.mark.parametrize("alpha_fs", [-1.0, 0.0, math.inf, math.nan])
+def test_dipole_sq_rejects_a_fine_structure_constant_out_of_range(alpha_fs):
+    # alpha_fs = -1 gave a negative dipole square, -12.57
+    with pytest.raises(ValueError, match="fine-structure constant alpha_fs "
+                                         "must be positive and finite"):
+        dipole_sq_from_momentum(1.0, 1.0, alpha_fs=alpha_fs)
+
+
+@pytest.mark.parametrize("m", [math.inf, math.nan, -1.0])
+def test_dipole_sq_rejects_an_electron_mass_out_of_range(m):
+    # m = inf gave a dipole square of 0.0
+    with pytest.raises(ValueError, match="electron mass m must be positive "
+                                         "and finite"):
+        dipole_sq_from_momentum(1.0, 1.0, m=m)
+
+
 @pytest.mark.parametrize("x, k", [(-2.0, 4), (-2.0, 3), (0.0, 4), (-0.0, 4),
                                   (math.nan, 4)])
 def test_finite_power_rejects_a_base_that_is_not_positive(x, k):
@@ -237,3 +254,58 @@ def test_static_polarizability_rejects_anisotropic():
 def test_reduced_params_rejects_zeta_outside_the_positive_doubles(zeta):
     with pytest.raises(ValueError, match="zeta must be positive and finite"):
         ReducedParams(zeta=zeta, lam=1.0, n=2.0)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("rel_tol", math.inf, "rel_tol must be positive and finite"),
+    ("rel_tol", math.nan, "rel_tol must be positive and finite"),
+    ("rel_tol", 0.0, "rel_tol must be positive and finite"),
+    ("abs_tol", math.inf, "abs_tol must be positive and finite"),
+    ("abs_tol", -1e-14, "abs_tol must be positive and finite"),
+    ("s_cutoff_decades", math.nan, "s_cutoff_decades must be positive and "
+                                   "finite"),
+    ("s_cutoff_decades", math.inf, "s_cutoff_decades must be positive and "
+                                   "finite"),
+    ("max_subdivisions", 1.5, "max_subdivisions must be an integer >= 1"),
+    ("max_subdivisions", 0, "max_subdivisions must be an integer >= 1"),
+    ("max_subdivisions", "10", "max_subdivisions must be an integer >= 1"),
+])
+def test_quadrature_spec_rejects_a_field_out_of_range(field, value, match):
+    # nan cut-off decades failed inside the quadrature with a message that
+    # did not name the field, 1.5 subdivisions in a bare TypeError, and an
+    # infinite tolerance was accepted
+    with pytest.raises(ValueError, match=match):
+        QuadratureSpec(**{field: value})
+    with pytest.raises(ValueError, match=match):
+        QuadratureSpec()._replace(**{field: value})
+
+
+# every value type with checks: a valid value, and a field that fails them
+CHECKED = [
+    (Slab(2.0, 1.0), {"n": 0.5}),
+    (Transition(1.0, 2.0, 1.0), {"E_ji": math.inf}),
+    (AtomSpec([Transition(1.0, 2.0, 1.0)]), {"transitions": []}),
+    (QuadratureSpec(rel_tol=1e-6), {"max_subdivisions": 1.5}),
+    (ReducedParams(1.0, math.inf, 2.0), {"zeta": 0.0}),
+    (WPair(1.0, 0.5, 1e-9, 2e-9), {"err_z": -1.0}),
+    (EnergyShift([-1.0, 0.0]), {"per_transition": [math.nan]}),
+    (ImageSeriesSpec(tail_tol=1e-12), {"max_terms": 0}),
+]
+
+
+@pytest.mark.parametrize("value, bad", CHECKED,
+                         ids=[type(v).__name__ for v, _ in CHECKED])
+def test_value_types_check_every_construction(value, bad):
+    cls = type(value)
+    with pytest.raises(ValueError) as built:
+        cls(**{**value._asdict(), **bad})
+    with pytest.raises(ValueError) as replaced:
+        value._replace(**bad)
+    assert str(replaced.value) == str(built.value)
+    # the --jobs pool pickles the spec and the W pairs
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is cls and again == value
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], value[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1.0

@@ -113,6 +113,13 @@ def test_parser_loads_neither_core_nor_dataclasses(code):
                                 "dataclasses"}
 
 
+@pytest.mark.parametrize("command", sorted(ARGV))
+def test_no_subcommand_loads_dataclasses(command):
+    # the value types are namedtuples
+    loaded = _loaded(_after_main(ARGV[command] + ["--output", os.devnull]))
+    assert "dataclasses" not in loaded
+
+
 def test_readme_import_table_matches_what_each_subcommand_loads():
     table = readme_table("| subcommand | imports |")
     assert set(table) == set(ARGV)
