@@ -12,10 +12,11 @@ count.  :func:`main` runs numpy's OpenBLAS on one thread unless
 ``OPENBLAS_NUM_THREADS`` is already set.
 
 :func:`run` is the process entry point, of ``python -m slabshift.cli`` and
-of the ``slabshift`` console script: it exits with :func:`main`'s code after
-freezing the garbage collector's heap, so interpreter shutdown does not
-walk every object the command left behind.  :func:`main` returns its code
-and never freezes, for callers in a process that goes on.
+of the ``slabshift`` console script: it turns the cyclic garbage collector
+off before :func:`main` runs, and exits with its code after freezing the
+collector's heap, so interpreter shutdown does not walk every object the
+command left behind.  :func:`main` returns its code and touches neither,
+for callers in a process that goes on.
 
 The module itself loads only the standard library that the parser needs,
 the package's lazy namespace and :mod:`slabshift.errors`: ``--help`` and
@@ -114,13 +115,16 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get_float(cfg: dict[str, str], key: str) -> float:
+def _get_number(cfg: dict[str, object], key: str,
+                kind: type = float) -> float | int:
+    """``cfg[key]`` as a ``kind`` (float or int); errors name the key."""
     if key not in cfg:
         raise ValueError(f"missing required field: {key}")
     try:
-        return float(cfg[key])
+        return kind(cfg[key])
     except ValueError:
-        raise ValueError(f"field {key} is not a number: {cfg[key]!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"field {key} is not {what}: {cfg[key]!r}") from None
 
 
 class RunInput(namedtuple("RunInput", "atom slab Z quad inputs")):
@@ -146,7 +150,7 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
     if units not in ("natural", "eV-nm"):
         raise ValueError(f"units must be 'natural' or 'eV-nm', got {units!r}")
     inputs: dict[str, object] = {"units": units}
-    inputs.update((key, _get_float(cfg, key))
+    inputs.update((key, _get_number(cfg, key))
                   for key in ("slab.n", "slab.L", "geometry.Z"))
     transition = re.compile(_TRANSITION_RE)
     indices = sorted({int(m[1]) for m in map(transition.match, cfg) if m})
@@ -158,7 +162,7 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
     transitions = []
     for i in indices:
         base = f"atom.transitions[{i}]"
-        tr = {name: _get_float(cfg, f"{base}.{name}")
+        tr = {name: _get_number(cfg, f"{base}.{name}")
               for name in Transition._fields}
         if units == "eV-nm":
             tr["E_ji"] = ev_to_inv_nm(tr["E_ji"])
@@ -185,7 +189,7 @@ def _quad_spec(cfg: dict[str, object]) -> QuadratureSpec:
     ``cfg`` sets takes the type of its default."""
     _bind("QuadratureSpec")
     return QuadratureSpec(**{
-        name: type(default)(cfg[f"quad.{name}"])
+        name: _get_number(cfg, f"quad.{name}", type(default))
         for name, default in QuadratureSpec._field_defaults.items()
         if cfg.get(f"quad.{name}") is not None})
 
@@ -598,10 +602,14 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Run :func:`main` on ``sys.argv`` and exit with its code.
 
+    The cyclic garbage collector is off for the whole command: reference
+    counting still frees every array, and the collections that loading
+    numpy would trigger find next to nothing in a process this short.
     Freezing the heap moves every tracked object into the permanent
     generation, which the collections of interpreter shutdown skip; atexit
     handlers and the flushing of stdout still run.
     """
+    gc.disable()
     try:
         code = main()
     finally:

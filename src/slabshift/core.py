@@ -59,6 +59,12 @@ def _positive_finite(x: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite, got {x}")
 
 
+def _count(x: int, what: str) -> None:
+    """A ValueError naming ``what`` unless ``x`` is an int of at least 1."""
+    if not (isinstance(x, int) and x >= 1):
+        raise ValueError(f"{what} must be an integer >= 1, got {x!r}")
+
+
 class _Checked:
     """Base of a checked value type, listed before its namedtuple:
     :meth:`_check` runs on every construction, ``_make``, ``_replace`` and
@@ -146,10 +152,7 @@ class QuadratureSpec(_Checked, namedtuple(
     def _check(self):
         for name in ("rel_tol", "abs_tol", "s_cutoff_decades"):
             _positive_finite(getattr(self, name), name)
-        if not (isinstance(self.max_subdivisions, int)
-                and self.max_subdivisions >= 1):
-            raise ValueError("max_subdivisions must be an integer >= 1, "
-                             f"got {self.max_subdivisions!r}")
+        _count(self.max_subdivisions, "max_subdivisions")
 
     @property
     def cutoff(self) -> float:

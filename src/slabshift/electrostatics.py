@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .core import (AtomSpec, EnergyShift, Slab, _Checked, _slab_shift,
-                   finite_power)
+from .core import (AtomSpec, EnergyShift, Slab, _Checked, _count,
+                   _positive_finite, _slab_shift, finite_power)
 from .errors import ConvergenceError
 
 __all__ = ["ImageSeriesSpec", "phi_H", "image_series_shift",
@@ -55,10 +55,8 @@ class ImageSeriesSpec(_Checked, namedtuple("ImageSeriesSpec",
     __slots__ = ()
 
     def _check(self):
-        if not self.tail_tol > 0.0:
-            raise ValueError("tail_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
+        _positive_finite(self.tail_tol, "tail_tol")
+        _count(self.max_terms, "max_terms")
 
 
 # the most terms :func:`image_series_converges` lets the series run

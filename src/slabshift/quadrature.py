@@ -26,9 +26,13 @@ returned result, both sides taken with ``math.fsum``, and on
 :class:`ConvergenceError` carrying the best estimate when the budget of
 ``max_subdivisions`` splits beyond the seed cells runs out.
 
-Integrands take flat node arrays (``f(x)`` in 1D, ``f(u, t)`` in 2D) and
-return one value per node, or one row of values per component for a
-vector-valued integrand.
+In 1D the integrand takes the flat node array, ``f(x)``.  In 2D it takes
+the nodes of each axis as rows that broadcast to the cells' node grid,
+``f(u, t)`` with ``u`` of shape ``(cells, 15, 1)`` and ``t`` of shape
+``(cells, 1, 15)``, so factors of one variable are formed once per row.
+What it returns is broadcast to the nodes, with any leading axes taken as
+the components of a vector-valued integrand: an elementwise integrand,
+a constant or a function of one variable alone all work.
 """
 
 from __future__ import annotations
@@ -95,23 +99,26 @@ def _eval_cells(f: Callable[..., np.ndarray], lo: np.ndarray,
     """Values and per-axis errors of every cell ``[lo[i], hi[i]]``.
 
     ``lo`` and ``hi`` have one row per cell and one column per axis.  One
-    integrand call sees the cells' nodes in turn, cell by cell, the last
-    axis fastest.  The value array has the integrand's component axes (if
-    any) followed by one entry per cell; the error array adds one entry
-    per axis.  A cell's sums run over its own nodes only, so its value does
-    not depend on which cells share the call.
+    integrand call sees the nodes of all the cells: flat, cell by cell, in
+    1D, and as the rows ``(cells, 15, 1)`` and ``(cells, 1, 15)`` in 2D.
+    The value array has the integrand's component axes (if any) followed
+    by one entry per cell; the error array adds one entry per axis.  A
+    cell's sums run over its own nodes only, so its value does not depend
+    on which cells share the call.
     """
     cells, dims = lo.shape
     size = _NODES.size
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, :, None] + half[:, :, None] * _NODES
     if dims == 1:
+        grid = (cells * size,)
         y = f(x[:, 0].ravel())
     else:
-        y = f(np.repeat(x[:, 0], size, axis=1).ravel(),
-              np.broadcast_to(x[:, None, 1], (cells, size, size)).ravel())
+        grid = (cells, size, size)
+        y = f(x[:, 0, :, None], x[:, 1, None, :])
     y = np.asarray(y, dtype=float)
-    lead = y.shape[:-1]
+    y = np.broadcast_to(y, np.broadcast_shapes(y.shape, grid))
+    lead = y.shape[:-len(grid)]
     # the last axis with both weight sets, (..., nodes) -> (..., [K, G]);
     # in 2D then the first axis, -> (..., [KK, GK, KG, GG]) with the first
     # letter the rule along the first axis

@@ -156,11 +156,15 @@ def slab_T(pol: Polarization, k_z: complex, k_par: float, L: float,
     return _as_wave_component(_slab_amplitudes(pol, k_z, k_par, L, n)[1])
 
 
-def rtilde(pol: Polarization, s, t, lam: float, n: float):
+def rtilde(pol: Polarization | tuple[Polarization, ...], s, t, lam: float,
+           n: float):
     """Contour reflection coefficient in the quadrature variables (s, t).
 
-    Vectorized over ``s`` and ``t`` (broadcast together).  Finite ``lam``
-    gives ``num*e / (a*e + b*(2 - e)) = num / (a + b*coth(Lam))`` with
+    Vectorized over ``s`` and ``t``, broadcast together; the terms that
+    depend on t alone are formed before broadcasting.  ``pol`` is one
+    :class:`Polarization`, or a tuple of them for one leading row per
+    polarization, all from one ``g`` and one ``e``.  Finite ``lam`` gives
+    ``num*e / (a*e + b*(2 - e)) = num / (a + b*coth(Lam))`` with
     ``e = -expm1(-2*Lam)`` in [0, 1]: an exact 0 at Lam = 0, and once e
     rounds to 1 the half-space value, which ``lam = math.inf`` selects.
     """
@@ -183,27 +187,28 @@ def rtilde(pol: Polarization, s, t, lam: float, n: float):
     if np.any((t_arr < 0.0) | (t_arr > 1.0)):
         raise ValueError("t must lie in [0, 1]")
 
-    s_arr, t_arr = np.broadcast_arrays(s_arr, t_arr)
-    n2m1 = n * n - 1.0
-    g2 = 1.0 + n2m1 * t_arr * t_arr
-    g = np.sqrt(g2)
-    if pol is Polarization.TE:
-        num = -n2m1 * t_arr * t_arr
-        a = 2.0 + n2m1 * t_arr * t_arr
-        b = 2.0 * g
-    else:
-        num = n4 - 1.0 - n2m1 * t_arr * t_arr
-        a = n4 + 1.0 + n2m1 * t_arr * t_arr
-        b = 2.0 * n * n * g
-
-    if lam == 0.0:
-        out = np.zeros_like(g)
-    elif math.isinf(lam):
-        out = num / (a + b)
-    else:
+    pols = pol if isinstance(pol, tuple) else (pol,)
+    out = np.zeros((len(pols),) + np.broadcast_shapes(s_arr.shape,
+                                                      t_arr.shape))
+    tt = (n * n - 1.0) * t_arr * t_arr
+    g = np.sqrt(1.0 + tt)
+    if 0.0 < lam < math.inf:
         e = -np.expm1(-2.0 * lam * s_arr * g)
-        out = num * e / (a * e + b * (2.0 - e))
+        rest = 2.0 - e
+    for i, p in enumerate(pols):
+        # R = num / (a + b coth(Lam)); num, a and b depend on t alone
+        if p is Polarization.TE:
+            num, a, b = -tt, 2.0 + tt, 2.0 * g
+        elif p is Polarization.TM:
+            num, a, b = n4 - 1.0 - tt, n4 + 1.0 + tt, 2.0 * n * n * g
+        else:
+            raise ValueError("pol must be a Polarization or a tuple of them, "
+                             f"got {pol!r}")
+        if math.isinf(lam):
+            np.divide(num, a + b, out=out[i, ...])
+        elif lam > 0.0:
+            np.divide(num * e, a * e + b * rest, out=out[i, ...])
 
-    if scalar:
-        return float(out)
-    return out
+    if isinstance(pol, tuple):
+        return out
+    return float(out[0]) if scalar else out[0]

@@ -27,15 +27,16 @@ both O(1), with ``U = s_cutoff_decades ln 10`` where the weight has
 fallen that many decades below its peak.  One call of the global
 GK15 x GK15 cubature of :mod:`slabshift.quadrature` yields the pair, and
 each of its integrand calls (one per round, or per 48 cells of a larger
-round) takes the reflection coefficients from one :func:`rtilde` call per
-polarization.  The seed cells (see
-:func:`_seed_cells`) are 24 geometric u strips, each cut in t at powers
-of two so that the first node of every ``t = 0`` cell lies inside the
-peak of ``1 / (1 + s^2 t^2)``.  The rule stops when each component's error
-is at most ``max(0.1 rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the
-floor shrinks with W's scale at small zeta.  ``max_subdivisions`` bounds
-the cell splits beyond the seeds.  ``W(1, 1, 2)`` takes 24 seed cells and
-two rounds: 38 cells evaluated (31 final) at 8,550 nodes, in 6
+round) takes both polarizations' reflection coefficients from one
+:func:`rtilde` call, on the u and t node rows of its cells.  The seed
+cells (see :func:`_seed_cells`) are 24 geometric u strips, each cut in t
+at powers of two so that the first node of every ``t = 0`` cell lies
+inside the peak of ``1 / (1 + s^2 t^2)``.  The rule stops when each
+component's error is at most
+``max(0.1 rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the floor shrinks
+with W's scale at small zeta.  ``max_subdivisions`` bounds the cell
+splits beyond the seeds.  ``W(1, 1, 2)`` takes 24 seed cells and
+two rounds: 38 cells evaluated (31 final) at 8,550 nodes, in 3
 reflection coefficient calls (17,100 coefficient values).
 
 ``S_par`` and ``S_perp`` are views of the same cubature, ``W / (8 zeta^4)``.
@@ -135,13 +136,16 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
         return (SDetail(0.0, 0.0, scale, 0, 0),) * 2
 
     def integrand(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # u is (cells, 15, 1) and t (cells, 1, 15): the u-only and t-only
+        # factors are formed once per node row
         s = u / (2.0 * p.zeta)
-        te = rtilde(Polarization.TE, s, t, p.lam, p.n)
-        tm = rtilde(Polarization.TM, s, t, p.lam, p.n)
+        te, tm = rtilde((Polarization.TE, Polarization.TM), s, t, p.lam, p.n)
         st = s * t
         weight = u ** 3 * np.exp(-u) / (1.0 + st * st)
-        return np.stack((0.125 * weight * (tm - t * t * te),
-                         0.25 * weight * (1.0 - t * t) * tm))
+        w = np.empty((2,) + weight.shape)
+        np.multiply(0.125 * weight, tm - t * t * te, out=w[0])
+        np.multiply(0.25 * weight * (1.0 - t * t), tm, out=w[1])
+        return w
 
     lo, hi = _seed_cells(p.zeta, q.cutoff)
     # 0.1 rel_tol keeps the true error well inside rel_tol; the floor

@@ -583,20 +583,32 @@ def test_bad_quadrature_config_is_an_input_error(line, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("slabshift: input error: ")
 
 
-@pytest.mark.parametrize("key, value", [("rel_tol", "inf"),
-                                        ("abs_tol", "inf"),
-                                        ("s_cutoff_decades", "nan"),
-                                        ("s_cutoff_decades", "inf")])
-def test_quadrature_config_out_of_range_names_its_key(key, value, tmp_path,
-                                                      capsys):
-    # an infinite tolerance ran with exit 0, and nan cut-off decades failed
-    # with a quadrature message that did not name the key
+QUAD_CONFIG_ERRORS = [
+    ("rel_tol", "inf", "rel_tol must be positive and finite, got inf"),
+    ("abs_tol", "inf", "abs_tol must be positive and finite, got inf"),
+    ("s_cutoff_decades", "nan",
+     "s_cutoff_decades must be positive and finite, got nan"),
+    ("s_cutoff_decades", "inf",
+     "s_cutoff_decades must be positive and finite, got inf"),
+    ("max_subdivisions", "0", "max_subdivisions must be an integer >= 1, "
+                              "got 0"),
+    ("max_subdivisions", "1.5",
+     "field quad.max_subdivisions is not an integer: '1.5'"),
+    ("rel_tol", "abc", "field quad.rel_tol is not a number: 'abc'"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", QUAD_CONFIG_ERRORS,
+                         ids=[f"{k}-{v}" for k, v, _ in QUAD_CONFIG_ERRORS])
+def test_quadrature_config_out_of_range_names_its_key(key, value, message,
+                                                      tmp_path, capsys):
+    # an infinite tolerance ran with exit 0, nan cut-off decades failed
+    # with a quadrature message that did not name the key, and a value
+    # that is no number printed only the conversion's own message
     path = tmp_path / "cfg.txt"
     path.write_text(CONFIG + f"quad.{key} = {value}\n")
     assert main(["shift", "--config", str(path)]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        f"slabshift: input error: {key} must be positive and finite, "
-        f"got {value}\n")
+    assert capsys.readouterr().err == f"slabshift: input error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

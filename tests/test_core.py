@@ -280,6 +280,23 @@ def test_quadrature_spec_rejects_a_field_out_of_range(field, value, match):
         QuadratureSpec()._replace(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("tail_tol", math.inf, "tail_tol must be positive and finite"),
+    ("tail_tol", math.nan, "tail_tol must be positive and finite"),
+    ("tail_tol", 0.0, "tail_tol must be positive and finite"),
+    ("max_terms", 2.5, "max_terms must be an integer >= 1"),
+    ("max_terms", 0, "max_terms must be an integer >= 1"),
+    ("max_terms", "10", "max_terms must be an integer >= 1"),
+])
+def test_image_series_spec_rejects_a_field_out_of_range(field, value, match):
+    # an infinite tail_tol was accepted and cut the series short with no
+    # error, and 2.5 terms ended in a bare TypeError
+    with pytest.raises(ValueError, match=match):
+        ImageSeriesSpec(**{field: value})
+    with pytest.raises(ValueError, match=match):
+        ImageSeriesSpec()._replace(**{field: value})
+
+
 # every value type with checks: a valid value, and a field that fails them
 CHECKED = [
     (Slab(2.0, 1.0), {"n": 0.5}),

@@ -323,14 +323,37 @@ def test_atexit_handlers_run_after_the_heap_is_frozen():
     assert proc.stdout == "frozen True\n"
 
 
+def test_run_makes_no_cyclic_collection_once_main_starts():
+    # loading numpy inside main() set off about 30 collections that found
+    # next to nothing to free
+    proc = _run(ARGV["sweep"] + ["--output", os.devnull],
+                before="import atexit, gc\n"
+                       "import slabshift.cli as cli\n"
+                       "phases = []\n"
+                       "gc.callbacks.append(lambda phase, info: "
+                       "phases.append(phase))\n"
+                       "def main(argv=None, _main=cli.main):\n"
+                       "    phases.clear()\n"
+                       "    return _main(argv)\n"
+                       "cli.main = main\n"
+                       "atexit.register(lambda: print("
+                       "'collections', phases.count('stop')))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "collections 0\n"
+
+
 def test_in_process_main_leaves_the_heap_unfrozen():
+    # ... and the cyclic collector as it found it, on or off
     out = _stdout(
         "import gc\n"
         "from slabshift.cli import main\n"
         "before = gc.get_freeze_count()\n"
         f"rc = main({ARGV['wfun']!r} + ['--output', {os.devnull!r}])\n"
-        "print(rc, gc.get_freeze_count() == before)\n", ENV)
-    assert out == "0 True\n"
+        "print(rc, gc.get_freeze_count() == before, gc.isenabled())\n"
+        "gc.disable()\n"
+        f"rc = main({ARGV['wfun']!r} + ['--output', {os.devnull!r}])\n"
+        "print(rc, gc.isenabled())\n", ENV)
+    assert out == "0 True True\n0 False\n"
 
 
 def _untimed(text: str) -> list[str]:

@@ -21,6 +21,67 @@ def test_gauss_kronrod_degrees_of_exactness():
             assert err[0] > 1e-9
 
 
+# three 2D cells, one of them long along u
+CELLS_LO = np.array([[0.0, 0.0], [0.5, 0.25], [3.0, 0.0]])
+CELLS_HI = np.array([[0.5, 0.25], [3.0, 1.0], [40.0, 1.0]])
+
+
+def _bits(pair):
+    return [np.asarray(a).tobytes() for a in pair]
+
+
+def _on_flat_nodes(f):
+    """``f`` fed the materialised node arrays, one value per node."""
+    def g(u, t):
+        u, t = np.broadcast_arrays(u, t)
+        y = np.asarray(f(u.ravel(), t.ravel()))
+        return y.reshape(y.shape[:-1] + u.shape)
+    return g
+
+
+def _on_full_grid(f):
+    """``f``'s values broadcast to the node grid by the integrand itself."""
+    def g(u, t):
+        y = np.asarray(f(u, t), dtype=float)
+        return np.broadcast_to(y, np.broadcast_shapes(y.shape, u.shape,
+                                                      t.shape)).copy()
+    return g
+
+
+@pytest.mark.parametrize("f", [
+    lambda u, t: u ** 3 * np.exp(-u) / (1.0 + (u * t) ** 2),
+    lambda u, t: np.stack(np.broadcast_arrays(np.cos(u) * t, np.exp(-u * t))),
+], ids=["scalar", "vector"])
+def test_2d_cells_pass_node_rows_with_the_bits_of_flat_nodes(f):
+    # u along (cells, 15, 1) and t along (cells, 1, 15), and the same
+    # sums as the flat node arrays the integrand once received
+    shapes = []
+    rows = _eval_cells(lambda u, t: shapes.append((u.shape, t.shape))
+                       or f(u, t), CELLS_LO, CELLS_HI)
+    assert shapes == [((3, 15, 1), (3, 1, 15))]
+    assert _bits(rows) == _bits(_eval_cells(_on_flat_nodes(f), CELLS_LO,
+                                            CELLS_HI))
+
+
+@pytest.mark.parametrize("f", [lambda u, t: 2.0, lambda u, t: u * u,
+                               lambda u, t: np.cos(t)],
+                         ids=["constant", "u-only", "t-only"])
+def test_2d_integrand_values_broadcast_to_the_node_grid(f):
+    got = _eval_cells(f, CELLS_LO, CELLS_HI)
+    assert got[0].shape == (3,) and got[1].shape == (3, 2)
+    assert _bits(got) == _bits(_eval_cells(_on_full_grid(f), CELLS_LO,
+                                           CELLS_HI))
+
+
+def test_constant_integrands_broadcast_to_the_nodes():
+    area = np.prod(CELLS_HI - CELLS_LO, axis=1)
+    value, _ = _eval_cells(lambda u, t: 2.0, CELLS_LO, CELLS_HI)
+    assert value == pytest.approx(2.0 * area, rel=1e-14)
+    res = adaptive_quad(lambda x: 3.0, 0.0, 2.0, 1e-12, 1e-15, 10)
+    assert res.value == pytest.approx(6.0, rel=1e-14)
+    assert res.panels == 1
+
+
 def test_polynomial_exact():
     res = adaptive_quad(lambda x: x * x, 0.0, 1.0, 1e-12, 1e-15, 100)
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-14)

@@ -252,6 +252,54 @@ def test_rtilde_reaches_halfspace_value_exactly():
                               rtilde(pol, 50.0, t, math.inf, 2.0))
 
 
+# the cubature's nodes: u along (cells, 15, 1) and t along (cells, 1, 15)
+S_ROWS = np.geomspace(1e-3, 30.0, 3 * 15).reshape(3, 15, 1)
+T_ROWS = np.linspace(0.0, 1.0, 3 * 15).reshape(3, 1, 15)
+LAMS = [0.0, 1e-3, 1.0, 1e3, math.inf]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("lam", LAMS)
+@pytest.mark.parametrize("n", [1.0, 1.5, 4.0])
+def test_rtilde_of_both_polarizations_is_two_single_calls(lam, n):
+    both = rtilde((TE, TM), S_ROWS, T_ROWS, lam, n)
+    assert both.shape == (2, 3, 15, 15)
+    for row, pol in zip(both, (TE, TM)):
+        assert _bits(row) == _bits(rtilde(pol, S_ROWS, T_ROWS, lam, n))
+    # scalar nodes give one value per polarization
+    pair = rtilde((TE, TM), 0.7, 0.3, lam, n)
+    assert _bits(pair) == _bits([rtilde(TE, 0.7, 0.3, lam, n),
+                                 rtilde(TM, 0.7, 0.3, lam, n)])
+
+
+@pytest.mark.parametrize("lam", LAMS)
+@pytest.mark.parametrize("n", [1.0, 1.5, 4.0])
+def test_rtilde_on_node_rows_matches_flat_nodes_bit_for_bit(lam, n):
+    # the t-only terms are formed before broadcasting; the values must be
+    # those of the materialised node arrays the cubature once passed
+    s_flat, t_flat = (np.broadcast_to(x, (3, 15, 15)).ravel()
+                      for x in (S_ROWS, T_ROWS))
+    for pol in (TE, TM, (TE, TM)):
+        rows = rtilde(pol, S_ROWS, T_ROWS, lam, n)
+        flat = rtilde(pol, s_flat, t_flat, lam, n)
+        assert rows.shape == flat.shape[:-1] + (3, 15, 15)
+        assert _bits(rows) == _bits(flat)
+    # s with more axes than t, and scalar nodes
+    assert rtilde(TM, np.ones((4, 2)), np.full(2, 0.5), lam, n).shape == (4, 2)
+    for pol in (TE, TM):
+        assert type(rtilde(pol, 0.7, 0.3, lam, n)) is float
+
+
+@pytest.mark.parametrize("pol", ["TE", [TE, TM], (TE, "TM"), None])
+def test_rtilde_rejects_what_is_no_polarization(pol):
+    # a string or a list was taken as TM, with no error
+    with pytest.raises(ValueError, match="pol must be a Polarization"):
+        rtilde(pol, 1.0, 0.5, 1.0, 2.0)
+
+
 def test_rtilde_domain_errors():
     with pytest.raises(ValueError):
         rtilde(TM, -1.0, 0.5, 1.0, 2.0)

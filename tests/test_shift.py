@@ -52,8 +52,8 @@ def test_s_against_live_brute_force():
 def test_inner_quadrature_is_batched(monkeypatch):
     # machine-independent guard: the cubature evaluates the cells of a
     # round (up to 48 per call) in one integrand call, with one rtilde call
-    # per polarization: 24 seed cells and two refinement rounds, 38 cells
-    # of 225 nodes evaluated
+    # for both polarizations: 24 seed cells and two refinement rounds, 38
+    # cells of 225 nodes evaluated, two coefficients per node
     counts = {"calls": 0, "nodes": 0}
     rtilde = slabshift.shift.rtilde
 
@@ -67,7 +67,7 @@ def test_inner_quadrature_is_batched(monkeypatch):
     slabshift.shift._s_pair.cache_clear()
     w_pair(P112)
     assert counts["nodes"] == 17_100
-    assert counts["calls"] <= 6
+    assert counts["calls"] == 3
 
 
 # first node of the GK15 rule on [0, 1] (QUADPACK qk15)
