@@ -14,7 +14,7 @@ against independent numerical integration.
 import math
 
 from slabshift import (AtomSpec, ConvergenceError, ImageSeriesSpec, Slab,
-                       Transition, image_series_shift, nonretarded_shift,
+                       Transition, image_series_shift, nonretarded_k_integral,
                        phi_H)
 
 slab = Slab(n=2.0, L=1.0)
@@ -42,7 +42,7 @@ for terms in (1, 2, 3, 5, 8):
     print(f"  {terms:2d} image terms: {value:14.8e} {suffix}")
 
 exact = image_series_shift(atom, slab, Z).value
-quad = nonretarded_shift(atom, slab, Z, method="quadrature").value
+quad = nonretarded_k_integral(atom, slab, Z).value
 print(f"  full ladder:    {exact:14.8e}")
 print(f"  k-integral:     {quad:14.8e}   "
       f"(route difference {abs(exact - quad) / abs(exact):.1e})")

@@ -40,8 +40,9 @@ _EXPORTS = {
     "reflection": ("Polarization", "fresnel_r", "rtilde", "slab_R", "slab_T",
                    "slab_denominator", "snell_kz", "snell_kzd"),
     "shift": ("W_SCALE", "energy_shift", "s_parallel", "s_perp", "w_pair"),
-    "asymptotics": ("buhmann_U", "halfspace_S", "nonretarded_shift",
-                    "nonretarded_thin_shift", "retarded_thin_shift"),
+    "asymptotics": ("buhmann_U", "halfspace_S", "nonretarded_k_integral",
+                    "nonretarded_shift", "nonretarded_thin_shift",
+                    "retarded_thin_shift"),
     "electrostatics": ("ImageSeriesSpec", "image_series_shift", "phi_H"),
     "modes": ("dispersion_mismatch", "find_trapped_modes",
               "pole_alignment_check", "trapped_mode", "travelling_mode"),

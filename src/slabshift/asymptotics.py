@@ -18,9 +18,8 @@ from .core import (NONRETARDED_TWO_ZETA, RETARDED_TWO_ZETA, AtomSpec,
                    EnergyShift, QuadratureSpec, ReducedParams, RegimeReport,
                    Slab, _positive_finite, _slab_nonzero, _slab_shift,
                    classify_regime, finite_power)
-from .electrostatics import (ImageSeriesSpec, _beta, image_series_converges,
-                             image_series_shift)
-from .quadrature import adaptive_quad, geometric_edges
+from .electrostatics import _beta, image_series_converges, image_series_shift
+from .quadrature import CUTOFF, adaptive_quad, geometric_edges
 from .shift import s_parallel, s_perp
 
 __all__ = [
@@ -32,6 +31,7 @@ __all__ = [
     "retarded_thin_shift",
     "buhmann_U",
     "nonretarded_shift",
+    "nonretarded_k_integral",
     "nonretarded_thin_shift",
 ]
 
@@ -88,36 +88,34 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
 
 
 def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
-                      q: QuadratureSpec | None = None,
-                      spec: ImageSeriesSpec | None = None,
-                      method: str = "series") -> EnergyShift:
+                      q: QuadratureSpec | None = None) -> EnergyShift:
     """Non-retarded (electrostatic) shift.
 
     Delta E = -(1/16 pi) beta sum_j (2|mu_perp|^2 + |mu_par|^2)
               Int_0^inf dk k^2 e^{-2Zk} (1 - e^{-2kL}) / (1 - beta^2 e^{-2kL})
 
-    with beta = (n^2-1)/(n^2+1).  ``method="series"`` (default) evaluates
-    the exact closed-form image series; ``method="quadrature"`` integrates
-    the k integral adaptively.  Both routes are exposed so they can check
-    each other.  Near a perfect mirror, where :func:`image_series_converges`
-    finds that ``spec.max_terms`` terms cannot suffice, ``method="series"``
-    takes the k integral with ``q`` instead and logs that at DEBUG level.
+    with beta = (n^2-1)/(n^2+1), from the exact closed-form image series.
+    Near a perfect mirror, where :func:`image_series_converges` finds that
+    the series' term budget cannot suffice, it takes
+    :func:`nonretarded_k_integral` with ``q`` instead.
     """
-    if method not in ("series", "quadrature"):
-        raise ValueError(f"method must be 'series' or 'quadrature', got {method!r}")
     # the shift goes as 1/Z^3: both routes need that power to be a double
     finite_power(Z, 3, "atom-surface distance Z")
-    spec = spec or ImageSeriesSpec()
-    if method == "series" and image_series_converges(slab, Z, spec):
-        return image_series_shift(atom, slab, Z, spec)
+    if image_series_converges(slab, Z):
+        return image_series_shift(atom, slab, Z)
+    return nonretarded_k_integral(atom, slab, Z, q)
+
+
+def nonretarded_k_integral(atom: AtomSpec, slab: Slab, Z: float,
+                           q: QuadratureSpec | None = None) -> EnergyShift:
+    """The non-retarded shift of :func:`nonretarded_shift`, with its k
+    integral taken adaptively: the image series' independent check."""
+    finite_power(Z, 3, "atom-surface distance Z")
     q = q or QuadratureSpec()
-    if slab.n == 1.0:
+    # no slab: at L = 0 and beta^2 = 1 the integrand would be 0/0
+    if slab.n == 1.0 or slab.L == 0.0:
         return EnergyShift([0.0] * len(atom.transitions))
     beta = _beta(slab.n)
-    import logging  # not at package load: that raised the CLI's peak RSS 1%
-    logging.getLogger(__name__).debug(
-        "nonretarded_shift: k integral (method=%s), beta^2=%r, max_terms=%d",
-        method, beta * beta, spec.max_terms)
     beta2 = beta * beta
 
     def integrand(k: np.ndarray) -> np.ndarray:
@@ -128,7 +126,7 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
         return k * k * np.exp(-2.0 * Z * k) * (g / (1.0 - beta2 + beta2 * g))
 
     # the seeds of the W cubature's u axis, at k = u / (2 Z)
-    edges = geometric_edges(q.cutoff / (2.0 * Z))
+    edges = geometric_edges(CUTOFF / (2.0 * Z))
     res = adaptive_quad(integrand, edges[:-1, None], edges[1:, None],
                         q.rel_tol, q.abs_tol, q.max_subdivisions)
     pref = -beta / (16.0 * math.pi) * res.value

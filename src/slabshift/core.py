@@ -137,26 +137,21 @@ class AtomSpec(_Checked, namedtuple("AtomSpec", "transitions")):
 
 
 class QuadratureSpec(_Checked, namedtuple(
-        "QuadratureSpec", "rel_tol abs_tol s_cutoff_decades max_subdivisions",
-        defaults=(1e-8, 1e-14, 37.0, 2000))):
+        "QuadratureSpec", "rel_tol abs_tol max_subdivisions",
+        defaults=(1e-8, 1e-14, 2000))):
     """Tolerances and budgets for the shift quadrature.
 
-    ``s_cutoff_decades`` truncates the s (or u) axis where the exponential
-    weight has fallen that many decades below its peak, at ``u = cutoff``.
     ``max_subdivisions``, an int, is the number of cell splits allowed
-    beyond the seed cells.
+    beyond the seed cells.  The cut-off of the exponential axis is the
+    constant :data:`slabshift.quadrature.CUTOFF`.
     """
 
     __slots__ = ()
 
     def _check(self):
-        for name in ("rel_tol", "abs_tol", "s_cutoff_decades"):
-            _positive_finite(getattr(self, name), name)
+        _positive_finite(self.rel_tol, "rel_tol")
+        _positive_finite(self.abs_tol, "abs_tol")
         _count(self.max_subdivisions, "max_subdivisions")
-
-    @property
-    def cutoff(self) -> float:
-        return self.s_cutoff_decades * math.log(10.0)
 
 
 class ReducedParams(_Checked, namedtuple("ReducedParams", "zeta lam n")):
@@ -325,21 +320,20 @@ def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,
 
 
 def dipole_sq_from_momentum(p_sq: float, E_ji: float,
-                            alpha_fs: float = FINE_STRUCTURE,
                             m: float = 1.0) -> float:
     """Convert a momentum-matrix-element square to a dipole-moment square.
 
     |mu_sigma|^2 = 4 pi alpha |p_sigma|^2 / (m^2 E_ji^2)   (epsilon_0 = 1)
 
-    ``m`` is the electron mass in the same natural units as ``E_ji``.
+    with alpha the fine-structure constant ``FINE_STRUCTURE``.  ``m`` is
+    the electron mass in the same natural units as ``E_ji``.
     """
     if not 0.0 <= p_sq < math.inf:
         raise ValueError(f"momentum square must be non-negative and finite, "
                          f"got {p_sq}")
     _positive_finite(E_ji, "transition energy")
-    _positive_finite(alpha_fs, "fine-structure constant alpha_fs")
     _positive_finite(m, "electron mass m")
-    return 4.0 * math.pi * alpha_fs * p_sq / (m * m * E_ji * E_ji)
+    return 4.0 * math.pi * FINE_STRUCTURE * p_sq / (m * m * E_ji * E_ji)
 
 
 def static_polarizability(atom: AtomSpec) -> float:

@@ -40,26 +40,26 @@ import math
 from collections import namedtuple
 
 from .core import (AtomSpec, EnergyShift, Slab, _Checked, _count,
-                   _positive_finite, _slab_shift, finite_power)
+                   _slab_shift, finite_power)
 from .errors import ConvergenceError
 
 __all__ = ["ImageSeriesSpec", "phi_H", "image_series_shift",
            "image_series_converges"]
 
 
-class ImageSeriesSpec(_Checked, namedtuple("ImageSeriesSpec",
-                                          "tail_tol max_terms",
-                                          defaults=(1e-14, 10 ** 6))):
-    """Truncation control for the image series."""
+class ImageSeriesSpec(_Checked, namedtuple("ImageSeriesSpec", "max_terms",
+                                          defaults=(10 ** 6,))):
+    """Term budget of the image series."""
 
     __slots__ = ()
 
     def _check(self):
-        _positive_finite(self.tail_tol, "tail_tol")
         _count(self.max_terms, "max_terms")
 
 
-# the most terms :func:`image_series_converges` lets the series run
+# a series stops once its tail majorant is at most TAIL_TOL times its sum;
+# :func:`image_series_converges` lets it run at most _FEW_TERMS terms
+TAIL_TOL = 1e-14
 _FEW_TERMS = 10 ** 4
 
 
@@ -129,10 +129,10 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
 
 def image_series_converges(slab: Slab, Z: float,
                            spec: ImageSeriesSpec | None = None) -> bool:
-    """False if the distance series cannot meet ``tail_tol`` in few terms.
+    """False if the distance series cannot meet ``TAIL_TOL`` in few terms.
 
     Partial sums stay below 1/Z^3 (Z > 0) and the majorant falls with m, so
-    a majorant above tail_tol/Z^3 at term M means the loop runs past M
+    a majorant above TAIL_TOL/Z^3 at term M means the loop runs past M
     terms; the 1e-6 margin covers its rounding.  M is ``max_terms``, capped
     at ``_FEW_TERMS``: a longer series is still exact in principle, but near
     a mirror its running sum drifts by rounding (1.5e-13 to 9.7e-13
@@ -144,7 +144,7 @@ def image_series_converges(slab: Slab, Z: float,
     m = min(spec.max_terms, _FEW_TERMS)
     last = beta2 ** m * _bracket(Z, slab.L, m) / (1.0 - beta2) \
         if beta2 < 1.0 else math.inf
-    return last <= (1.0 + 1e-6) * spec.tail_tol / Z ** 3
+    return last <= (1.0 + 1e-6) * TAIL_TOL / Z ** 3
 
 
 def _bracket(Z: float, L: float, m: int) -> float:
@@ -177,7 +177,7 @@ def _image_sum(bracket, bound, beta2: float, spec: ImageSeriesSpec,
         weight *= beta2
         b_next = bracket(m + 1)
         tail = weight * bound(m + 1, b_next) / (1.0 - beta2)
-        if tail <= spec.tail_tol * abs(total):
+        if tail <= TAIL_TOL * abs(total):
             return scale * total
     raise ConvergenceError(
         f"{what} did not converge within {spec.max_terms} terms",

@@ -48,7 +48,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import Slab, _positive_finite
+from .core import Slab, _positive_finite, finite_power
 from .errors import PoleError
 from .reflection import Polarization, _slab_amplitudes, slab_denominator
 
@@ -132,6 +132,8 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
         raise ValueError(f"k_par = {k_par!r}, n = {n!r}, L = {L!r} open "
                          f"{theta_max / math.pi:.3g} branches per dispersion "
                          f"relation, more than the {MAX_BRANCHES} allowed")
+    # else the dispersion relations' (n^2 - 1) k_par^2 leaves the doubles
+    finite_power(k_par, 2, "k_par", n * n - 1.0)
     theta_start = offset + math.pi * np.arange(
         math.ceil((theta_max - offset) / math.pi) + 1)
     theta_start = theta_start[theta_start < theta_max]

@@ -2,8 +2,7 @@
 
 One rule serves both.  The domain is tiled by seed cells (intervals in
 1D, rectangles in 2D; the shift's integrals seed every exponential axis
-with :func:`geometric_edges` up to
-:attr:`slabshift.core.QuadratureSpec.cutoff`), and each cell is
+with :func:`geometric_edges` up to :data:`CUTOFF`), and each cell is
 integrated with the 15-point Gauss-Kronrod rule (QUADPACK ``qk15``)
 along every axis: 15 nodes per interval, the 225-node product
 GK15 x GK15 per rectangle.  The Kronrod nodes include the 7 of the
@@ -70,6 +69,9 @@ _WEIGHTS[1::2, 1] = _WG + _WG[-2::-1]
 # most nodes in one integrand call (48 cells of 225 nodes in 2D): larger
 # rounds go in several calls, which bounds the memory of the temporaries
 _MAX_NODES = 10_800
+# where the weight e^-u has fallen 37 decades below its peak: the end of
+# the u axis of W and of 2Zk in the non-retarded k integral
+CUTOFF = 37.0 * math.log(10.0)
 
 
 def geometric_edges(upper: float) -> np.ndarray:

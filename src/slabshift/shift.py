@@ -23,11 +23,11 @@ Numerically, W is integrated directly, as one vector-valued integral over
     W_par = 1/8 Int Int u^3 e^{-u} (Rt_TM - t^2 Rt_TE) / (1 + (u t / 2 zeta)^2),
     W_z   = 1/4 Int Int u^3 e^{-u} (1 - t^2) Rt_TM / (1 + (u t / 2 zeta)^2),
 
-both O(1), with ``U = s_cutoff_decades ln 10`` where the weight has
-fallen that many decades below its peak.  One call of the global
-GK15 x GK15 cubature of :mod:`slabshift.quadrature` yields the pair, and
-each of its integrand calls (one per round, or per 48 cells of a larger
-round) takes both polarizations' reflection coefficients from one
+both O(1), with ``U = 37 ln 10`` (:data:`slabshift.quadrature.CUTOFF`)
+where the weight has fallen 37 decades below its peak.  One call of the
+global GK15 x GK15 cubature of :mod:`slabshift.quadrature` yields the
+pair, and each of its integrand calls (one per round, or per 48 cells of
+a larger round) takes both polarizations' reflection coefficients from one
 :func:`rtilde` call, on the u and t node rows of its cells.  The seed
 cells (see :func:`_seed_cells`) are 24 geometric u strips, each cut in t
 at powers of two so that the first node of every ``t = 0`` cell lies
@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import (AtomSpec, EnergyShift, QuadratureSpec, ReducedParams, Slab,
                    WPair, _slab_nonzero, assemble_shift, finite_power, reduce)
-from .quadrature import _NODES, adaptive_quad, geometric_edges
+from .quadrature import _NODES, CUTOFF, adaptive_quad, geometric_edges
 from .reflection import Polarization, rtilde
 
 __all__ = [
@@ -98,7 +98,7 @@ class SDetail(namedtuple("SDetail",
 def _seed_cells(zeta: float, u_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper (u, t) corners of the seed cells of the W cubature.
 
-    The 24 u strips of :func:`geometric_edges` up to ``U = q.cutoff``, so
+    The 24 u strips of :func:`geometric_edges` up to ``U = u_max``, so
     that the first pass sees the weight ``u^3 e^-u`` on every scale.
     Each strip has t edges at ``2^-k`` for ``k = 1..K``, with the smallest
     ``K`` (from ``frexp``, exact) for which ``s_hi 2^-K t_1 <= 1``, where
@@ -147,7 +147,7 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
         np.multiply(0.25 * weight * (1.0 - t * t), tm, out=w[1])
         return w
 
-    lo, hi = _seed_cells(p.zeta, q.cutoff)
+    lo, hi = _seed_cells(p.zeta, CUTOFF)
     # 0.1 rel_tol keeps the true error well inside rel_tol; the floor
     # shrinks as zeta^4 where W ~ zeta, so it never stops a small W early
     res = adaptive_quad(integrand, lo, hi, 0.1 * q.rel_tol,

@@ -8,11 +8,16 @@ import pytest
 from slabshift import (AtomSpec, QuadratureSpec, ReducedParams, Slab,
                        Transition, WPair, assemble_shift, buhmann_U,
                        classify_regime, energy_shift, halfspace_S,
-                       nonretarded_shift, nonretarded_thin_shift, phi_H,
+                       nonretarded_k_integral, nonretarded_shift,
+                       nonretarded_thin_shift, phi_H,
                        retarded_thin_shift, static_polarizability, w_pair)
 from slabshift.cli import main
 
 ATOM = AtomSpec([Transition(E_ji=1.0, mu_par_sq=2.0, mu_perp_sq=1.0)])
+# the two non-retarded routes: the image series (the default) and its
+# independent check, the k integral
+NONRETARDED_ROUTES = (nonretarded_shift, nonretarded_k_integral)
+ROUTE_IDS = ("series", "quadrature")
 
 
 def _isotropic_atom(rng):
@@ -165,7 +170,7 @@ def test_closed_forms_reject_a_slab_shift_that_underflows_to_zero():
     for form in (lambda: retarded_thin_shift(ATOM, slab, Z),
                  lambda: nonretarded_thin_shift(ATOM, slab, Z),
                  lambda: nonretarded_shift(ATOM, slab, Z),
-                 lambda: nonretarded_shift(ATOM, slab, Z, method="quadrature"),
+                 lambda: nonretarded_k_integral(ATOM, slab, Z),
                  lambda: buhmann_U(1.0, slab.n, slab.L, Z)):
         with pytest.raises(ValueError, match="below the normal doubles"):
             form()
@@ -193,7 +198,7 @@ SHIFTS_OF_Z = {
     "nonretarded_thin_shift": lambda Z: nonretarded_thin_shift(ATOM, SLAB, Z),
     "nonretarded_shift": lambda Z: nonretarded_shift(ATOM, SLAB, Z),
     "nonretarded_shift-quadrature":
-        lambda Z: nonretarded_shift(ATOM, SLAB, Z, method="quadrature"),
+        lambda Z: nonretarded_k_integral(ATOM, SLAB, Z),
 }
 
 
@@ -233,20 +238,31 @@ def test_nonretarded_halfspace_limit():
     n, Z = 2.0, 1.3
     beta = (n * n - 1.0) / (n * n + 1.0)
     expected = -beta * (2.0 * 1.0 + 2.0) / (64.0 * math.pi * Z ** 3)
-    for method in ("series", "quadrature"):
-        got = nonretarded_shift(ATOM, Slab(n=n, L=math.inf), Z, method=method)
+    for route in NONRETARDED_ROUTES:
+        got = route(ATOM, Slab(n=n, L=math.inf), Z)
         assert got.value == pytest.approx(expected, rel=1e-10)
 
 
 def test_nonretarded_transparent():
-    for method in ("series", "quadrature"):
-        got = nonretarded_shift(ATOM, Slab(n=1.0, L=1.0), 1.0, method=method)
+    for route in NONRETARDED_ROUTES:
+        got = route(ATOM, Slab(n=1.0, L=1.0), 1.0)
         assert got.value == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", NONRETARDED_ROUTES, ids=ROUTE_IDS)
+@pytest.mark.parametrize("n", [2.0, 1e9])
+def test_nonretarded_is_positive_zero_without_a_slab(n, route):
+    # at n = 1e9, beta^2 rounds to 1, and the k integrand of L = 0 was
+    # 0/0: a RuntimeWarning, then a ConvergenceError with a nan estimate
+    got = route(ATOM, Slab(n=n, L=0.0), 1.0)
+    assert got.per_transition == (0.0,)
+    assert math.copysign(1.0, got.value) == 1.0
+
+
 def test_nonretarded_series_equals_quadrature():
-    s = nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), 1.0, method="series")
-    q = nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), 1.0, method="quadrature")
+    s = nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), 1.0)
+    q = nonretarded_k_integral(ATOM, Slab(n=2.0, L=1.0), 1.0)
     assert q.value == pytest.approx(s.value, rel=1e-10)
 
 
@@ -285,48 +301,36 @@ def test_nonretarded_where_beta_rounds_to_one():
 
 
 def test_nonretarded_k_integral_route_is_logged_silently(caplog, capfd):
-    # unconfigured, the DEBUG record reaches neither stream
-    nonretarded_shift(ATOM, Slab(n=1e4, L=0.01), 1.0)
-    assert capfd.readouterr() == ("", "")
-    caplog.clear()
+    # near a mirror the default route takes the k integral: it prints
+    # nothing on either stream and leaves no log record, even at DEBUG
     with caplog.at_level(logging.DEBUG, logger="slabshift"):
-        nonretarded_shift(ATOM, Slab(n=2.0, L=0.5), 1.0)
-        assert caplog.records == []
-        nonretarded_shift(ATOM, Slab(n=1e4, L=0.01), 1.0)
-    first = caplog.records[0]
-    assert first.levelno == logging.DEBUG and first.name.startswith("slabshift")
-    text = first.getMessage()
-    beta = (1e8 - 1.0) / (1e8 + 1.0)
-    assert "k integral" in text and f"beta^2={beta * beta!r}" in text
-    assert "max_terms=1000000" in text
+        got = nonretarded_shift(ATOM, Slab(n=1e4, L=0.01), 1.0)
+    assert capfd.readouterr() == ("", "")
+    assert caplog.records == []
+    assert got == nonretarded_k_integral(ATOM, Slab(n=1e4, L=0.01), 1.0)
 
 
-def test_nonretarded_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), 1.0, method="fft")
-
-
-@pytest.mark.parametrize("method", ["series", "quadrature"])
+@pytest.mark.parametrize("route", NONRETARDED_ROUTES, ids=ROUTE_IDS)
 @pytest.mark.parametrize("Z", [1e-200, 1e-308, 1e308])
-def test_nonretarded_rejects_z_outside_the_doubles(Z, method):
+def test_nonretarded_rejects_z_outside_the_doubles(Z, route):
     # the shift goes as 1/Z^3; without the guard the k integral raised
     # ConvergenceError or the quadrature's own message, naming no Z
     with pytest.raises(ValueError,
                        match=r"distance Z = .* is out of range: Z\*\*3 "):
-        nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), Z, method=method)
+        route(ATOM, Slab(n=2.0, L=1.0), Z)
 
 
-@pytest.mark.parametrize("method", ["series", "quadrature"])
+@pytest.mark.parametrize("route", NONRETARDED_ROUTES, ids=ROUTE_IDS)
 @pytest.mark.parametrize("atom, n, Z", [
     (AtomSpec([Transition(1.0, 2.0, 1.0)]), 2.0, 1.0),
     (AtomSpec([Transition(2.4338e94, 0.000257017, 2.20255e-52)]), 1.0000001,
      4.08874e-16),
 ])
-def test_nonretarded_thickness_near_the_largest_double(atom, n, Z, method):
+def test_nonretarded_thickness_near_the_largest_double(atom, n, Z, route):
     # 2kL overflows in the k integrand: silently, since expm1(-inf) = -1
     # gives the half-space factor (a RuntimeWarning is an error here)
-    thick = nonretarded_shift(atom, Slab(n, 1.7e308), Z, method=method).value
-    half = nonretarded_shift(atom, Slab(n, math.inf), Z, method=method).value
+    thick = route(atom, Slab(n, 1.7e308), Z).value
+    half = route(atom, Slab(n, math.inf), Z).value
     assert abs(thick - half) <= math.ulp(half)
 
 
@@ -397,9 +401,9 @@ def test_nonretarded_thin_limit_without_cancellation(L, Z):
     # it where 1/a^3 - 1/b^3 and 1 - exp(-2kL) would cancel to nothing
     slab = Slab(n=2.0, L=L)
     thin = nonretarded_thin_shift(ATOM, slab, Z).value
-    for method in ("series", "quadrature"):
-        got = nonretarded_shift(ATOM, slab, Z, method=method).value
-        assert abs(got / thin - 1.0) <= 5.0 * L / Z + 1e-13, method
+    for route in NONRETARDED_ROUTES:
+        got = route(ATOM, slab, Z).value
+        assert abs(got / thin - 1.0) <= 5.0 * L / Z + 1e-13, route.__name__
 
 
 @pytest.mark.parametrize("Z", [1.6e76, 2e76, 3e76])

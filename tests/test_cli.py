@@ -405,6 +405,9 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
      "--e-ji", "1", "--mu-par-sq", "1", "--mu-perp-sq", "1"],
     ["wfun", "--zeta", "1", "--lam", "-1", "--n", "2"],
     ["modes", "--k-par", "1", "--n", "0.5", "--thickness", "1"],
+    # k_par * L = 1 has two modes, yet k_par^2 leaves the doubles
+    ["modes", "--k-par", "1e160", "--n", "2", "--thickness", "1e-160"],
+    ["modes", "--k-par", "1e-170", "--n", "2", "--thickness", "1e170"],
     # zeta is 1 or 10, and Z**4 of the assembly leaves the doubles
     ["shift", "--n", "2", "--thickness", "1", "--distance", "1e-100",
      "--e-ji", "1e100", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
@@ -586,10 +589,10 @@ def test_bad_quadrature_config_is_an_input_error(line, tmp_path, capsys):
 QUAD_CONFIG_ERRORS = [
     ("rel_tol", "inf", "rel_tol must be positive and finite, got inf"),
     ("abs_tol", "inf", "abs_tol must be positive and finite, got inf"),
-    ("s_cutoff_decades", "nan",
-     "s_cutoff_decades must be positive and finite, got nan"),
-    ("s_cutoff_decades", "inf",
-     "s_cutoff_decades must be positive and finite, got inf"),
+    # the cut-off is a constant now, and its old key an unknown one
+    ("s_cutoff_decades", "nan", "unknown config key: quad.s_cutoff_decades"),
+    ("s_cutoff_decades", "inf", "unknown config key: quad.s_cutoff_decades"),
+    ("s_cutoff_decades", "37", "unknown config key: quad.s_cutoff_decades"),
     ("max_subdivisions", "0", "max_subdivisions must be an integer >= 1, "
                               "got 0"),
     ("max_subdivisions", "1.5",

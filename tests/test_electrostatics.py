@@ -6,7 +6,7 @@ import pytest
 
 from helpers import dipole_energy_finite_difference, phi_hankel
 from slabshift import (AtomSpec, ConvergenceError, ImageSeriesSpec, Slab,
-                       Transition, image_series_shift, nonretarded_shift,
+                       Transition, image_series_shift, nonretarded_k_integral,
                        phi_H)
 from slabshift.electrostatics import image_series_converges
 
@@ -87,8 +87,7 @@ def test_image_series_strictly_negative_and_monotone_partial_sums():
     for max_terms in range(1, 7):
         with pytest.raises(ConvergenceError) as err:
             image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.3,
-                               ImageSeriesSpec(tail_tol=1e-14,
-                                               max_terms=max_terms))
+                               ImageSeriesSpec(max_terms=max_terms))
         partials.append(err.value.estimate)
     mags = [abs(p) for p in partials]
     assert all(a < b for a, b in zip(mags, mags[1:]))
@@ -97,7 +96,7 @@ def test_image_series_strictly_negative_and_monotone_partial_sums():
 
 def test_image_series_equals_quadrature_route():
     series = image_series_shift(ATOM, Slab(n=2.0, L=1.0), 1.0)
-    quad = nonretarded_shift(ATOM, Slab(n=2.0, L=1.0), 1.0, method="quadrature")
+    quad = nonretarded_k_integral(ATOM, Slab(n=2.0, L=1.0), 1.0)
     assert quad.value == pytest.approx(series.value, rel=1e-10)
 
 
@@ -114,7 +113,7 @@ def test_image_series_matches_finite_difference_of_phi():
 def test_phi_budget_exhaustion():
     with pytest.raises(ConvergenceError) as err:
         phi_H(0.1, 0.6, 0.6, Slab(n=3.0, L=1.0),
-              ImageSeriesSpec(tail_tol=1e-14, max_terms=2))
+              ImageSeriesSpec(max_terms=2))
     assert err.value.estimate is not None
 
 
@@ -135,14 +134,14 @@ def test_truncated_series_err_est_bounds_the_error():
         exact = fn(None)
         for max_terms in range(1, 7):
             with pytest.raises(ConvergenceError) as err:
-                fn(ImageSeriesSpec(tail_tol=1e-14, max_terms=max_terms))
+                fn(ImageSeriesSpec(max_terms=max_terms))
             est, bound = err.value.estimate, err.value.err_est
             assert 0.0 < abs(exact - est) <= bound
             assert math.isfinite(bound)
 
 
 def test_series_predictor_declines_only_certain_failures():
-    # wherever the predictor says the series cannot meet tail_tol within
+    # wherever the predictor says the series cannot meet TAIL_TOL within
     # max_terms, running it must indeed exhaust its terms
     rng = random.Random(1)
 
@@ -166,8 +165,6 @@ def test_series_predictor_declines_only_certain_failures():
 def test_image_series_domain():
     with pytest.raises(ValueError):
         image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.0)
-    with pytest.raises(ValueError):
-        ImageSeriesSpec(tail_tol=0.0)
     with pytest.raises(ValueError):
         ImageSeriesSpec(max_terms=0)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from helpers import bisect_roots_longhand, sign_scan_root_count
 from slabshift import Polarization, Slab, slab_R, slab_T
@@ -117,6 +118,48 @@ def test_pole_alignment_detects_perturbation():
     good = pole_alignment_check(m, SLAB)
     bad = m._replace(kappa=m.kappa * (1.0 + 1e-3))
     assert pole_alignment_check(bad, SLAB) > 1e4 * max(good, 1e-16)
+
+
+# the first three roots of every polarization and parity at three slabs:
+# 28 trapped modes
+POLE_CASES = [(2.0, 1.0, 4.0), (1.5, 2.0, 6.0), (3.0, 0.7, 9.0)]
+POLE_MODES = [(m, Slab(n, L)) for n, L, k_par in POLE_CASES
+              for pol in Polarization for parity in "SA"
+              for m in find_trapped_modes(pol, parity, k_par, Slab(n, L))[:3]]
+
+
+def test_trapped_modes_are_normalised():
+    # (2 pi)^2 Int n(z)^2 |E|^2 dz = 1, integrated region by region from
+    # the field itself, without the M_TE, M_TM formulas
+    assert len(POLE_MODES) == 28
+    for m, slab in POLE_MODES:
+        field = trapped_mode(m, slab)
+        half = 0.5 * slab.L
+        total = 0.0
+        for tag, lo, hi, n2 in (("left_vacuum", -math.inf, -half, 1.0),
+                                ("slab", -half, half, slab.n ** 2),
+                                ("right_vacuum", half, math.inf, 1.0)):
+            def density(z, tag=tag, n2=n2):
+                return n2 * float(np.sum(np.abs(
+                    field.field_in(tag, 0.0, 0.0, z)) ** 2))
+            total += quad(density, lo, hi, epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0]
+        assert abs((2.0 * math.pi) ** 2 * total - 1.0) <= 1e-12, m
+
+
+def test_trapped_mode_is_the_residue_of_slab_r():
+    # (1/2 pi i) of slab_R around its pole at k_z = i kappa is
+    # i (2 pi)^2 |A|^2, with A the mode's left-vacuum amplitude: 64
+    # trapezoid nodes on a circle of radius 1e-3 kappa
+    phase = np.exp(2j * math.pi * np.arange(64) / 64)
+    for m, slab in POLE_MODES:
+        radius = 1e-3 * m.kappa
+        values = [slab_R(m.pol, 1j * m.kappa + radius * w, m.k_par, slab.L,
+                         slab.n) for w in phase]
+        residue = radius / 64 * np.dot(values, phase)
+        amplitude = trapped_mode(m, slab).regions[0][0][0]
+        want = 1j * (2.0 * math.pi) ** 2 * abs(amplitude) ** 2
+        assert abs(residue - want) <= 1e-10 * abs(want), m
 
 
 def test_travelling_transparent_is_plane_wave():

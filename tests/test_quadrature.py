@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slabshift import ConvergenceError, QuadratureSpec, adaptive_quad
-from slabshift.quadrature import _eval_cells, geometric_edges
+from slabshift.quadrature import CUTOFF, _eval_cells, geometric_edges
 
 
 def test_gauss_kronrod_degrees_of_exactness():
@@ -129,8 +129,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
     q = QuadratureSpec()
-    assert (q.rel_tol, q.abs_tol, q.s_cutoff_decades, q.max_subdivisions) == \
-        (1e-8, 1e-14, 37.0, 2000)
+    assert (q.rel_tol, q.abs_tol, q.max_subdivisions) == (1e-8, 1e-14, 2000)
+    assert CUTOFF == 37.0 * math.log(10.0)
 
 
 def test_bad_interval():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -276,3 +277,67 @@ def test_energy_shift_large_lam_matches_halfspace():
     hs_par, hs_perp = halfspace_S(1.0, 2.0, q)
     hs_val = -(1.0 / (2.0 * math.pi ** 2)) * (hs_par + hs_perp)
     assert full.value == pytest.approx(hs_val, rel=1e-6)
+
+
+def _j(b):
+    """Int_0^inf x^3 e^{-bx} / (1 + x^2) dx = 1/b^2 - g(b), with g the
+    auxiliary function of A&S 5.2.13; past b = 200, where 1/b^2 and g
+    cancel, its asymptotic series 6/b^4 - 120/b^6 + ..., stopped before
+    the terms grow."""
+    if b > 200:
+        total, term, k = mpmath.mpf(0), 6 / b ** 4, 0
+        while abs(term) >= mpmath.eps * abs(total):
+            total += term
+            following = -term * (2 * k + 4) * (2 * k + 5) / b ** 2
+            if abs(following) >= abs(term):
+                break
+            term, k = following, k + 1
+        return total
+    g = (-mpmath.ci(b) * mpmath.cos(b)
+         - (mpmath.si(b) - mpmath.pi / 2) * mpmath.sin(b))
+    return 1 / b ** 2 - g
+
+
+def _halfspace_w(zeta, n):
+    """(W_par, W_z) of a half-space as 1D t integrals, in 30 digits.
+
+    At lam = inf the reflection coefficients depend on t alone, the
+    Fresnel forms (1 - g)/(1 + g) and (n^2 - g)/(n^2 + g), so the s
+    integral is closed: Int_0^inf s^3 e^{-2 zeta s} / (1 + s^2 t^2) ds
+    = t^-4 J(2 zeta / t).
+    """
+    with mpmath.workdps(30):
+        zeta, n2 = mpmath.mpf(zeta), mpmath.mpf(n) ** 2
+
+        def s_integral(t):
+            return _j(2 * zeta / t) / t ** 4
+
+        def fresnel(t):
+            g = mpmath.sqrt(1 + (n2 - 1) * t * t)
+            return (1 - g) / (1 + g), (n2 - g) / (n2 + g)
+
+        def par(t):
+            te, tm = fresnel(t)
+            return (tm - t * t * te) * s_integral(t)
+
+        def perp(t):
+            return (1 - t * t) * fresnel(t)[1] * s_integral(t)
+
+        # the integrand turns from 6/(2 zeta)^4 to 1/(2 zeta t)^2 near
+        # t = 2 zeta
+        points = ([mpmath.mpf(0)]
+                  + [2 * zeta * mpmath.mpf(2) ** k for k in range(-6, 8)
+                     if 2 * zeta * 2 ** k < 1] + [mpmath.mpf(1)])
+        return (float(2 * zeta ** 4 * mpmath.quad(par, points)),
+                float(4 * zeta ** 4 * mpmath.quad(perp, points)))
+
+
+@pytest.mark.parametrize("zeta", [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3])
+def test_halfspace_w_within_err_est_of_a_1d_oracle(zeta):
+    # W = 8 zeta^4 S, with S_par = 1/4 and S_perp = 1/2 of their t integrals
+    ref_par, ref_z = _halfspace_w(zeta, 2.0)
+    for rel_tol in (1e-6, 1e-10):
+        w = w_pair(ReducedParams(zeta, math.inf, 2.0),
+                   QuadratureSpec(rel_tol=rel_tol))
+        assert abs(w.w_par - ref_par) <= w.err_par, rel_tol
+        assert abs(w.w_z - ref_z) <= w.err_z, rel_tol
