@@ -43,7 +43,7 @@ _EXPORTS = {
     "asymptotics": ("buhmann_U", "halfspace_S", "nonretarded_k_integral",
                     "nonretarded_shift", "nonretarded_thin_shift",
                     "retarded_thin_shift"),
-    "electrostatics": ("ImageSeriesSpec", "image_series_shift", "phi_H"),
+    "electrostatics": ("image_series_shift", "phi_H"),
     "modes": ("dispersion_mismatch", "find_trapped_modes",
               "pole_alignment_check", "trapped_mode", "travelling_mode"),
     "units": ("HBARC_EV_NM", "inv_nm_to_ev"),

@@ -85,6 +85,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 EXIT_PARTIAL = 4
+# a sweep holds its grid and two tuples per point before any point runs
+MAX_POINTS = 10 ** 6
 
 
 def _fmt(x: float) -> str:
@@ -301,8 +303,8 @@ def cmd_wfun(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _sweep_grid(lo: float, hi: float, points: int, scale: str) -> list[float]:
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
+    if not 2 <= points <= MAX_POINTS:
+        raise ValueError(f"points must be in [2, {MAX_POINTS}], got {points}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if scale == "linear":

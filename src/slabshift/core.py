@@ -59,6 +59,12 @@ def _positive_finite(x: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite, got {x}")
 
 
+def _index(n: float) -> None:
+    """A ValueError unless the refractive index ``n`` is at least 1."""
+    if not n >= 1.0:
+        raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
+
+
 def _count(x: int, what: str) -> None:
     """A ValueError naming ``what`` unless ``x`` is an int of at least 1."""
     if not (isinstance(x, int) and x >= 1):
@@ -96,8 +102,7 @@ class Slab(_Checked, namedtuple("Slab", "n L")):
     __slots__ = ()
 
     def _check(self):
-        if not self.n >= 1.0:
-            raise ValueError(f"refractive index must satisfy n >= 1, got {self.n}")
+        _index(self.n)
         if not self.L >= 0.0:
             raise ValueError(f"slab thickness must satisfy L >= 0, got {self.L}")
 
@@ -168,8 +173,7 @@ class ReducedParams(_Checked, namedtuple("ReducedParams", "zeta lam n")):
         _positive_finite(self.zeta, "zeta")
         if not self.lam >= 0.0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
-        if not self.n >= 1.0:
-            raise ValueError(f"refractive index must satisfy n >= 1, got {self.n}")
+        _index(self.n)
 
 
 # Retardation is classified by the photon round-trip criterion 2*Z*E_ji

@@ -28,7 +28,7 @@ fall with the image distance d once d >= rho/sqrt(2); before that turn
 they may rise, up to at most 2L * 2/(3 sqrt(3) rho^2), the peak slope of
 1/|(rho, d)| times the step 2L.  So B is b_{M+1} past the turn (always,
 for rho = 0) and that peak value before it.  The majorant is the
-``err_est`` of a series that runs out of terms, and
+``err_est`` of a series that runs out of its ``MAX_TERMS`` terms, and
 :func:`image_series_converges` predicts that failure from it.  Where
 beta^2 rounds to 1 (n above about 1e8) there is no majorant, and both
 series raise ValueError; ``nonretarded_shift`` takes its k integral there.
@@ -37,29 +37,17 @@ series raise ValueError; ``nonretarded_shift`` takes its k integral there.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
-from .core import (AtomSpec, EnergyShift, Slab, _Checked, _count,
-                   _slab_shift, finite_power)
+from .core import AtomSpec, EnergyShift, Slab, _slab_shift, finite_power
 from .errors import ConvergenceError
 
-__all__ = ["ImageSeriesSpec", "phi_H", "image_series_shift",
-           "image_series_converges"]
+__all__ = ["phi_H", "image_series_shift", "image_series_converges"]
 
-
-class ImageSeriesSpec(_Checked, namedtuple("ImageSeriesSpec", "max_terms",
-                                          defaults=(10 ** 6,))):
-    """Term budget of the image series."""
-
-    __slots__ = ()
-
-    def _check(self):
-        _count(self.max_terms, "max_terms")
-
-
-# a series stops once its tail majorant is at most TAIL_TOL times its sum;
-# :func:`image_series_converges` lets it run at most _FEW_TERMS terms
+# a series stops once its tail majorant is at most TAIL_TOL times its sum,
+# or fails after MAX_TERMS terms; :func:`image_series_converges` lets it
+# run at most _FEW_TERMS terms
 TAIL_TOL = 1e-14
+MAX_TERMS = 10 ** 6
 _FEW_TERMS = 10 ** 4
 
 
@@ -67,12 +55,13 @@ def _beta(n: float) -> float:
     return (n * n - 1.0) / (n * n + 1.0)
 
 
-def phi_H(rho: float, z: float, z_prime: float, slab: Slab,
-          spec: ImageSeriesSpec | None = None) -> float:
+def phi_H(rho: float, z: float, z_prime: float, slab: Slab) -> float:
     """Harmonic part of the unit-charge potential for z, z' > L/2."""
-    spec = spec or ImageSeriesSpec()
-    if rho < 0.0:
-        raise ValueError(f"transverse separation must be non-negative, got {rho}")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"rho must be non-negative and finite, got {rho}")
+    for name, height in (("z", z), ("z_prime", z_prime)):
+        if not math.isfinite(height):
+            raise ValueError(f"height {name} must be finite, got {height}")
     if not (z > slab.L / 2.0 and z_prime > slab.L / 2.0):
         raise ValueError("phi_H requires both heights above the near surface "
                          "(z, z' > L/2)")
@@ -95,14 +84,12 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab,
             return b_m
         return 4.0 * L / (3.0 * math.sqrt(3.0) * rho * rho)
 
-    return _image_sum(bracket, bound, beta * beta, spec,
-                      "image series for phi_H", scale=-beta / (4.0 * math.pi))
+    return _image_sum(bracket, bound, beta * beta, "image series for phi_H",
+                      scale=-beta / (4.0 * math.pi))
 
 
-def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
-                       spec: ImageSeriesSpec | None = None) -> EnergyShift:
+def image_series_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     """Non-retarded shift from the closed-form image series."""
-    spec = spec or ImageSeriesSpec()
     if not Z > 0.0:
         raise ValueError(f"atom-surface distance must be positive, got {Z}")
     if slab.n == 1.0 or slab.L == 0.0:
@@ -116,7 +103,7 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
         # L = inf keeps one term: the loop's majorant is 0/0 for a mirror
         series = _bracket(Z, slab.L, 0) if math.isinf(slab.L) else \
             _image_sum(lambda m: _bracket(Z, slab.L, m), lambda m, b_m: b_m,
-                       beta * beta, spec, "image series")
+                       beta * beta, "image series")
     except ConvergenceError as exc:
         scale = beta / (64.0 * math.pi) * dipole_sum
         raise ConvergenceError(str(exc), estimate=-scale * exc.estimate,
@@ -127,24 +114,23 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float,
     return _slab_shift(contribs, slab)
 
 
-def image_series_converges(slab: Slab, Z: float,
-                           spec: ImageSeriesSpec | None = None) -> bool:
+def image_series_converges(slab: Slab, Z: float) -> bool:
     """False if the distance series cannot meet ``TAIL_TOL`` in few terms.
 
     Partial sums stay below 1/Z^3 (Z > 0) and the majorant falls with m, so
     a majorant above TAIL_TOL/Z^3 at term M means the loop runs past M
-    terms; the 1e-6 margin covers its rounding.  M is ``max_terms``, capped
+    terms; the 1e-6 margin covers its rounding.  M is ``MAX_TERMS``, capped
     at ``_FEW_TERMS``: a longer series is still exact in principle, but near
     a mirror its running sum drifts by rounding (1.5e-13 to 9.7e-13
     relative at n = 300 to 1e4, L/Z = 0.1 or 1) and takes 26-300 ms.
     """
-    spec = spec or ImageSeriesSpec()
+    z3 = finite_power(Z, 3, "atom-surface distance Z")
     beta = _beta(slab.n)
     beta2 = beta * beta
-    m = min(spec.max_terms, _FEW_TERMS)
+    m = min(MAX_TERMS, _FEW_TERMS)
     last = beta2 ** m * _bracket(Z, slab.L, m) / (1.0 - beta2) \
         if beta2 < 1.0 else math.inf
-    return last <= (1.0 + 1e-6) * TAIL_TOL / Z ** 3
+    return last <= (1.0 + 1e-6) * TAIL_TOL / z3
 
 
 def _bracket(Z: float, L: float, m: int) -> float:
@@ -162,8 +148,8 @@ def _bracket(Z: float, L: float, m: int) -> float:
     return (L / b) * (1.0 + q + q * q) / (a * a * a)
 
 
-def _image_sum(bracket, bound, beta2: float, spec: ImageSeriesSpec,
-               what: str, scale: float = 1.0) -> float:
+def _image_sum(bracket, bound, beta2: float, what: str,
+               scale: float = 1.0) -> float:
     """``scale * sum_m beta2^m bracket(m)``, stopped by the tail majorant;
     ``bound(m, bracket(m))`` bounds every bracket from m on."""
     if not beta2 < 1.0:
@@ -172,13 +158,13 @@ def _image_sum(bracket, bound, beta2: float, spec: ImageSeriesSpec,
     total = 0.0
     weight = 1.0  # beta2^m
     b_next = bracket(0)
-    for m in range(spec.max_terms):
+    for m in range(MAX_TERMS):
         total += weight * b_next
         weight *= beta2
         b_next = bracket(m + 1)
         tail = weight * bound(m + 1, b_next) / (1.0 - beta2)
         if tail <= TAIL_TOL * abs(total):
-            return scale * total
+            return scale * total + 0.0  # a zero sum is +0, not -0
     raise ConvergenceError(
-        f"{what} did not converge within {spec.max_terms} terms",
+        f"{what} did not converge within {MAX_TERMS} terms",
         estimate=scale * total, err_est=abs(scale) * tail)

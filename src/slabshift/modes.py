@@ -49,7 +49,6 @@ from collections import namedtuple
 import numpy as np
 
 from .core import Slab, _positive_finite, finite_power
-from .errors import PoleError
 from .reflection import Polarization, _slab_amplitudes, slab_denominator
 
 __all__ = [
@@ -267,9 +266,6 @@ def travelling_mode(side: str, pol: Polarization, k_par: float, k_z: complex,
         raise ValueError("travelling modes need real k_z > 0")
     k_z = k_z.real
     R, T, I, J, k_zd = _slab_amplitudes(pol, k_z, k_par, slab.L, slab.n)
-    if not np.isfinite([abs(R), abs(I), abs(J), abs(T)]).all():
-        raise PoleError("travelling-mode coefficients diverge (pole proximity)",
-                        k_z=k_z, k_par=k_par)
     N = MODE_NORMALIZATION
     regions = (((N, k_z), (N * R, -k_z)),
                ((N * I, k_zd), (N * J, -k_zd)),

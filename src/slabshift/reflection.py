@@ -44,6 +44,7 @@ import math
 
 import numpy as np
 
+from .core import _index
 from .errors import PoleError
 
 __all__ = [
@@ -80,16 +81,17 @@ def snell_kzd(k_par: float, k_z: complex, n: float) -> complex | float:
 
     Principal square root (Re >= 0); positive root for real positive input.
     """
-    if not n >= 1.0:
-        raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
+    _index(n)
     val = cmath.sqrt((n * n - 1.0) * k_par * k_par + n * n * k_z * k_z)
+    if not cmath.isfinite(val):
+        raise ValueError(f"k_zd is {val} at k_par = {k_par!r}, k_z = {k_z!r}, "
+                         f"n = {n!r}, not a finite wave number")
     return _as_wave_component(val)
 
 
 def snell_kz(k_par: float, k_zd: complex, n: float) -> complex | float:
     """Inverse of :func:`snell_kzd`: vacuum normal wave number from the slab one."""
-    if not n >= 1.0:
-        raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
+    _index(n)
     val = cmath.sqrt(k_zd * k_zd - (n * n - 1.0) * k_par * k_par) / n
     return _as_wave_component(val)
 
@@ -97,6 +99,7 @@ def snell_kz(k_par: float, k_zd: complex, n: float) -> complex | float:
 def fresnel_r(pol: Polarization, k_z: complex, k_zd: complex,
               n: float) -> complex | float:
     """Single-interface Fresnel reflection amplitude vacuum -> dielectric."""
+    _index(n)
     if pol is Polarization.TE:
         num = k_z - k_zd
         den = k_z + k_zd
@@ -116,17 +119,24 @@ def slab_denominator(pol: Polarization, k_z: complex, k_par: float, L: float,
 
     Its zeros on the imaginary k_z axis are the trapped-mode poles.
     """
+    _, r, phase = _interface(pol, k_z, k_par, L, n)
+    return 1.0 - r * r * phase
+
+
+def _interface(pol: Polarization, k_z: complex, k_par: float, L: float,
+               n: float) -> tuple:
+    """(k_zd, r, exp(2 i k_zd L)), or a ValueError unless 0 <= L < inf."""
+    if not 0.0 <= L < math.inf:
+        raise ValueError(f"slab thickness L must be in [0, inf), got {L}")
     k_zd = snell_kzd(k_par, k_z, n)
     r = fresnel_r(pol, k_z, k_zd, n)
-    return 1.0 - r * r * cmath.exp(2.0j * k_zd * L)
+    return k_zd, r, cmath.exp(2.0j * k_zd * L)
 
 
 def _slab_amplitudes(pol: Polarization, k_z: complex, k_par: float, L: float,
                      n: float) -> tuple:
     """(R, T, I, J, k_zd) of the closed forms above."""
-    k_zd = snell_kzd(k_par, k_z, n)
-    r = fresnel_r(pol, k_z, k_zd, n)
-    phase = cmath.exp(2.0j * k_zd * L)
+    k_zd, r, phase = _interface(pol, k_z, k_par, L, n)
     den = 1.0 - r * r * phase
     if abs(den) <= _POLE_TOL * (1.0 + abs(r * r * phase)):
         raise PoleError(
@@ -168,8 +178,7 @@ def rtilde(pol: Polarization | tuple[Polarization, ...], s, t, lam: float,
     ``e = -expm1(-2*Lam)`` in [0, 1]: an exact 0 at Lam = 0, and once e
     rounds to 1 the half-space value, which ``lam = math.inf`` selects.
     """
-    if not n >= 1.0:
-        raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
+    _index(n)
     if not lam >= 0.0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     try:
@@ -182,9 +191,9 @@ def rtilde(pol: Polarization | tuple[Polarization, ...], s, t, lam: float,
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     scalar = s_arr.ndim == 0 and t_arr.ndim == 0
-    if np.any(s_arr < 0.0):
+    if not np.all(s_arr >= 0.0):
         raise ValueError("s must be non-negative")
-    if np.any((t_arr < 0.0) | (t_arr > 1.0)):
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
         raise ValueError("t must lie in [0, 1]")
 
     pols = pol if isinstance(pol, tuple) else (pol,)

@@ -324,8 +324,8 @@ def test_series_failure_reports_a_finite_bound(monkeypatch, capsys):
     # an image series that runs out of terms names no quadrature and
     # prints its tail majorant as the error bound
     def short_series(atom, slab, Z, q=None):
-        return slabshift.electrostatics.image_series_shift(
-            atom, slab, Z, slabshift.electrostatics.ImageSeriesSpec(max_terms=3))
+        return slabshift.electrostatics.image_series_shift(atom, slab, Z)
+    monkeypatch.setattr(slabshift.electrostatics, "MAX_TERMS", 3)
     monkeypatch.setattr(slabshift.cli, "nonretarded_shift", short_series)
     code = main(["asympt", "--n", "2", "--thickness", "0.2", "--distance", "5",
                  "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"])

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from slabshift import (AtomSpec, EnergyShift, ImageSeriesSpec, QuadratureSpec,
-                       ReducedParams, Slab, Transition, WPair, assemble_shift,
+from slabshift import (AtomSpec, EnergyShift, QuadratureSpec, ReducedParams,
+                       Slab, Transition, WPair, assemble_shift,
                        dipole_sq_from_momentum, reduce, static_polarizability)
 from slabshift.core import finite_power
 from slabshift.units import FINE_STRUCTURE
@@ -277,19 +277,6 @@ def test_quadrature_spec_rejects_a_field_out_of_range(field, value, match):
         QuadratureSpec()._replace(**{field: value})
 
 
-@pytest.mark.parametrize("field, value, match", [
-    ("max_terms", 2.5, "max_terms must be an integer >= 1"),
-    ("max_terms", 0, "max_terms must be an integer >= 1"),
-    ("max_terms", "10", "max_terms must be an integer >= 1"),
-])
-def test_image_series_spec_rejects_a_field_out_of_range(field, value, match):
-    # 2.5 terms ended in a bare TypeError
-    with pytest.raises(ValueError, match=match):
-        ImageSeriesSpec(**{field: value})
-    with pytest.raises(ValueError, match=match):
-        ImageSeriesSpec()._replace(**{field: value})
-
-
 # every value type with checks: a valid value, and a field that fails them
 CHECKED = [
     (Slab(2.0, 1.0), {"n": 0.5}),
@@ -299,7 +286,6 @@ CHECKED = [
     (ReducedParams(1.0, math.inf, 2.0), {"zeta": 0.0}),
     (WPair(1.0, 0.5, 1e-9, 2e-9), {"err_z": -1.0}),
     (EnergyShift([-1.0, 0.0]), {"per_transition": [math.nan]}),
-    (ImageSeriesSpec(max_terms=50), {"max_terms": 0}),
 ]
 
 

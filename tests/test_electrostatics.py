@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import dipole_energy_finite_difference, phi_hankel
-from slabshift import (AtomSpec, ConvergenceError, ImageSeriesSpec, Slab,
-                       Transition, image_series_shift, nonretarded_k_integral,
-                       phi_H)
+import slabshift.electrostatics as electrostatics
+from slabshift import (AtomSpec, ConvergenceError, Slab, Transition,
+                       image_series_shift, nonretarded_k_integral, phi_H)
 from slabshift.electrostatics import image_series_converges
 
 ATOM = AtomSpec([Transition(E_ji=1.0, mu_par_sq=2.0, mu_perp_sq=1.0)])
@@ -33,6 +33,19 @@ def test_phi_domain():
         phi_H(0.5, 0.4, 1.0, Slab(n=2.0, L=1.0))
     with pytest.raises(ValueError):
         phi_H(-0.1, 1.0, 1.0, Slab(n=2.0, L=1.0))
+    # NaN and inf ran all MAX_TERMS terms before a ConvergenceError, and
+    # rho = inf gave -0.0
+    for rho, z, z_prime, match in [
+            (math.nan, 1.0, 1.0, "rho"), (math.inf, 1.0, 1.0, "rho"),
+            (0.1, math.inf, 1.0, "height z "), (0.1, 1.0, math.nan, "z_prime")]:
+        with pytest.raises(ValueError, match=match):
+            phi_H(rho, z, z_prime, Slab(n=2.0, L=1.0))
+
+
+def test_phi_stores_a_zero_as_positive_zero():
+    # every bracket underflows far off axis, and the sum is 0 times -beta
+    got = phi_H(1e200, 1.0, 1.0, Slab(n=2.0, L=1.0))
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 def test_phi_halfspace_single_image():
@@ -78,16 +91,16 @@ def test_image_series_halfspace_limit():
     assert got_fin.value == pytest.approx(expected, rel=1e-8)
 
 
-def test_image_series_strictly_negative_and_monotone_partial_sums():
+def test_image_series_strictly_negative_and_monotone_partial_sums(monkeypatch):
     shift = image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.3)
     assert shift.value < 0.0
     # truncated partial sums grow monotonically in magnitude toward the
     # full value (every bracketed term is positive)
     partials = []
     for max_terms in range(1, 7):
+        monkeypatch.setattr(electrostatics, "MAX_TERMS", max_terms)
         with pytest.raises(ConvergenceError) as err:
-            image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.3,
-                               ImageSeriesSpec(max_terms=max_terms))
+            image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.3)
         partials.append(err.value.estimate)
     mags = [abs(p) for p in partials]
     assert all(a < b for a, b in zip(mags, mags[1:]))
@@ -110,39 +123,39 @@ def test_image_series_matches_finite_difference_of_phi():
         assert fd == pytest.approx(series.value, rel=1e-6)
 
 
-def test_phi_budget_exhaustion():
+def test_phi_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(electrostatics, "MAX_TERMS", 2)
     with pytest.raises(ConvergenceError) as err:
-        phi_H(0.1, 0.6, 0.6, Slab(n=3.0, L=1.0),
-              ImageSeriesSpec(max_terms=2))
+        phi_H(0.1, 0.6, 0.6, Slab(n=3.0, L=1.0))
     assert err.value.estimate is not None
 
 
-def test_truncated_series_err_est_bounds_the_error():
-    # a series cut off by max_terms reports its tail majorant as err_est;
+def test_truncated_series_err_est_bounds_the_error(monkeypatch):
+    # a series cut off by MAX_TERMS reports its tail majorant as err_est;
     # the converged default run serves as the exact value
     cases = [
-        lambda spec: phi_H(0.1, 0.6, 0.6, Slab(n=3.0, L=1.0), spec),
+        lambda: phi_H(0.1, 0.6, 0.6, Slab(n=3.0, L=1.0)),
         # far off axis the brackets rise before they fall
-        lambda spec: phi_H(10.0, 0.75, 0.75, Slab(n=3.0, L=1.0), spec),
-        lambda spec: phi_H(30.0, 0.75, 0.75, Slab(n=3.0, L=1.0), spec),
-        lambda spec: image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.3,
-                                        spec).value,
-        lambda spec: image_series_shift(ATOM, Slab(n=10.0, L=0.1), 1.0,
-                                        spec).value,
+        lambda: phi_H(10.0, 0.75, 0.75, Slab(n=3.0, L=1.0)),
+        lambda: phi_H(30.0, 0.75, 0.75, Slab(n=3.0, L=1.0)),
+        lambda: image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.3).value,
+        lambda: image_series_shift(ATOM, Slab(n=10.0, L=0.1), 1.0).value,
     ]
     for fn in cases:
-        exact = fn(None)
+        monkeypatch.undo()
+        exact = fn()
         for max_terms in range(1, 7):
+            monkeypatch.setattr(electrostatics, "MAX_TERMS", max_terms)
             with pytest.raises(ConvergenceError) as err:
-                fn(ImageSeriesSpec(max_terms=max_terms))
+                fn()
             est, bound = err.value.estimate, err.value.err_est
             assert 0.0 < abs(exact - est) <= bound
             assert math.isfinite(bound)
 
 
-def test_series_predictor_declines_only_certain_failures():
+def test_series_predictor_declines_only_certain_failures(monkeypatch):
     # wherever the predictor says the series cannot meet TAIL_TOL within
-    # max_terms, running it must indeed exhaust its terms
+    # MAX_TERMS, running it must indeed exhaust its terms
     rng = random.Random(1)
 
     def log_uniform(lo, hi):
@@ -152,21 +165,23 @@ def test_series_predictor_declines_only_certain_failures():
     for _ in range(3000):
         n, Z = log_uniform(1.001, 1e5), log_uniform(1e-2, 1e2)
         slab = Slab(n=n, L=Z * log_uniform(1e-3, 10.0))
-        spec = ImageSeriesSpec(max_terms=int(log_uniform(1.0, 1e3)))
-        if image_series_converges(slab, Z, spec):
+        monkeypatch.setattr(electrostatics, "MAX_TERMS",
+                            int(log_uniform(1.0, 1e3)))
+        if image_series_converges(slab, Z):
             accepted += 1
             continue
         declined += 1
         with pytest.raises(ConvergenceError):
-            image_series_shift(ATOM, slab, Z, spec)
+            image_series_shift(ATOM, slab, Z)
     assert declined > 1000 and accepted > 100
 
 
 def test_image_series_domain():
     with pytest.raises(ValueError):
         image_series_shift(ATOM, Slab(n=2.0, L=1.0), 0.0)
-    with pytest.raises(ValueError):
-        ImageSeriesSpec(max_terms=0)
+    # the predictor ended in a bare ZeroDivisionError from TAIL_TOL / Z**3
+    with pytest.raises(ValueError, match="distance Z must be positive"):
+        image_series_converges(Slab(n=2.0, L=1.0), 0.0)
 
 
 @pytest.mark.parametrize("n", [1e9, math.inf])
@@ -184,3 +199,5 @@ def test_series_without_a_tail_bound_is_a_value_error(n):
 def test_image_series_distance_outside_the_doubles_is_a_value_error(Z, L):
     with pytest.raises(ValueError, match=r"Z\*\*3"):
         image_series_shift(ATOM, Slab(n=2.0, L=L), Z)
+    with pytest.raises(ValueError, match=r"Z\*\*3"):
+        image_series_converges(Slab(n=2.0, L=L), Z)

@@ -98,6 +98,16 @@ def test_bad_quad_key_exits_2_before_any_compute_module(tmp_path, quad):
     assert not loaded & COMPUTE
 
 
+def test_sweep_of_more_than_a_million_points_exits_2_before_numpy():
+    # the grid and two tuples per point were built before any point ran,
+    # with no bound on their number
+    argv = ["sweep", "--axis", "zeta", "--lo", "1", "--hi", "2", "--points",
+            "1000001", "--lam", "1", "--n", "2"]
+    loaded = _loaded("from slabshift.cli import main\n"
+                     f"assert main({argv!r}) == 2\n")
+    assert "numpy" not in loaded
+
+
 @pytest.mark.parametrize("code", [
     "import slabshift.cli",
     _after_main(["--help"]),

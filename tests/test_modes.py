@@ -321,3 +321,10 @@ def test_travelling_rejects_evanescent_kz():
         travelling_mode("X", TE, 1.0, 1.0, SLAB)
     with pytest.raises(ValueError, match="k_par must be non-negative"):
         travelling_mode("L", TE, -1.0, 1.0, SLAB)
+    # these raised PoleError, as if the wave had hit a trapped-mode pole
+    for k_par, k_z, slab in [(math.inf, 1.0, SLAB), (1e200, 1.0, SLAB),
+                             (1.0, math.inf, SLAB),
+                             (1.0, 1.0, Slab(n=2.0, L=math.inf))]:
+        for pol in (TE, TM):
+            with pytest.raises(ValueError):
+                travelling_mode("L", pol, k_par, k_z, slab)

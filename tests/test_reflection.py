@@ -6,7 +6,7 @@ import pytest
 
 from helpers import rt_te, rt_tm, transfer_matrix_slab
 from slabshift import (Polarization, PoleError, Slab, fresnel_r, rtilde, slab_R,
-                       slab_T, snell_kz, snell_kzd)
+                       slab_T, slab_denominator, snell_kz, snell_kzd)
 from slabshift.modes import find_trapped_modes
 
 TE, TM = Polarization.TE, Polarization.TM
@@ -81,7 +81,6 @@ def test_slab_pole_raises():
 def test_no_poles_on_real_axis():
     # multiple-reflection denominator stays bounded away from zero for
     # propagating (real k_z) waves; poles live on the imaginary axis only
-    from slabshift import slab_denominator
     rng = np.random.default_rng(13)
     for _ in range(200):
         k_z, k_par = rng.uniform(0.01, 6.0, size=2)
@@ -309,3 +308,34 @@ def test_rtilde_domain_errors():
         rtilde(TM, 1.0, 0.5, -1.0, 2.0)
     with pytest.raises(ValueError):
         rtilde(TM, 1.0, 0.5, 1.0, 0.9)
+    # NaN passed the s < 0 and t < 0 | t > 1 tests and came back as NaN
+    for s, t, match in [(math.nan, 0.5, "s must be non-negative"),
+                        ([1.0, math.nan], 0.5, "s must be non-negative"),
+                        (1.0, math.nan, "t must lie in"),
+                        (1.0, [math.nan, 1.0], "t must lie in")]:
+        with pytest.raises(ValueError, match=match):
+            rtilde(TE, s, t, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("L", [-1.0, math.nan, math.inf])
+def test_slab_amplitudes_reject_a_thickness_out_of_range(L):
+    # -1 gave a number, NaN and inf gave nan+nanj
+    for fn in (slab_R, slab_T, slab_denominator):
+        with pytest.raises(ValueError, match="thickness L"):
+            fn(TE, 1.0, 1.0, L, 2.0)
+
+
+def test_fresnel_r_rejects_an_index_below_one():
+    # it returned 0.0 for n < 1 where snell_kzd raises
+    for pol in (TE, TM):
+        with pytest.raises(ValueError, match="n >= 1"):
+            fresnel_r(pol, 1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("k_par, k_z", [
+    (math.inf, 1.0), (1e200, 1.0), (1.0, math.inf), (math.nan, 1.0),
+    (1.0, complex(math.nan, 0.0)),
+])
+def test_snell_kzd_rejects_a_wave_number_that_is_not_finite(k_par, k_z):
+    with pytest.raises(ValueError, match="not a finite wave number"):
+        snell_kzd(k_par, k_z, 2.0)
