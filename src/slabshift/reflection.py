@@ -60,6 +60,8 @@ __all__ = [
 
 # |denominator| below this (relative to its terms) counts as a pole hit
 _POLE_TOL = 1e-12
+_OUT_OF_RANGE = ("the slab coefficients at k_z = {!r}, k_par = {!r}, L = {!r} "
+                 "are not finite doubles")
 
 
 class Polarization(enum.Enum):
@@ -125,29 +127,40 @@ def slab_denominator(pol: Polarization, k_z: complex, k_par: float, L: float,
 
 def _interface(pol: Polarization, k_z: complex, k_par: float, L: float,
                n: float) -> tuple:
-    """(k_zd, r, exp(2 i k_zd L)), or a ValueError unless 0 <= L < inf."""
+    """(k_zd, r, exp(2 i k_zd L)), or a ValueError unless 0 <= L < inf and
+    the phase is finite."""
     if not 0.0 <= L < math.inf:
         raise ValueError(f"slab thickness L must be in [0, inf), got {L}")
     k_zd = snell_kzd(k_par, k_z, n)
     r = fresnel_r(pol, k_z, k_zd, n)
-    return k_zd, r, cmath.exp(2.0j * k_zd * L)
+    try:
+        return k_zd, r, cmath.exp(2.0j * k_zd * L)
+    except (OverflowError, ValueError):
+        raise ValueError(_OUT_OF_RANGE.format(k_z, k_par, L)) from None
 
 
 def _slab_amplitudes(pol: Polarization, k_z: complex, k_par: float, L: float,
                      n: float) -> tuple:
-    """(R, T, I, J, k_zd) of the closed forms above."""
+    """(R, T, I, J, k_zd) of the closed forms above, or a ValueError where
+    one of them is not a finite double."""
     k_zd, r, phase = _interface(pol, k_z, k_par, L, n)
     den = 1.0 - r * r * phase
     if abs(den) <= _POLE_TOL * (1.0 + abs(r * r * phase)):
         raise PoleError(
             f"slab coefficient evaluated at a trapped-mode pole "
             f"(k_z={k_z}, k_par={k_par})", k_z=k_z, k_par=k_par)
-    R = r * (1.0 - phase) / den * cmath.exp(-1.0j * k_z * L)
-    T = (1.0 - r * r) / den * cmath.exp(1.0j * (k_zd - k_z) * L)
     inside = (1.0 + r) / (den * (1.0 if pol is Polarization.TE else n))
-    I = inside * cmath.exp(0.5j * (k_zd - k_z) * L)
-    J = -r * inside * cmath.exp(0.5j * (3.0 * k_zd - k_z) * L)
-    return R, T, I, J, k_zd
+    try:
+        amplitudes = (
+            r * (1.0 - phase) / den * cmath.exp(-1.0j * k_z * L),
+            (1.0 - r * r) / den * cmath.exp(1.0j * (k_zd - k_z) * L),
+            inside * cmath.exp(0.5j * (k_zd - k_z) * L),
+            -r * inside * cmath.exp(0.5j * (3.0 * k_zd - k_z) * L))
+    except (OverflowError, ValueError):
+        amplitudes = (math.nan,)
+    if not all(map(cmath.isfinite, amplitudes)):
+        raise ValueError(_OUT_OF_RANGE.format(k_z, k_par, L))
+    return amplitudes + (k_zd,)
 
 
 def slab_R(pol: Polarization, k_z: complex, k_par: float, L: float,

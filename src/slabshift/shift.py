@@ -20,24 +20,28 @@ perfect mirror, and the physical shift follows from
 Numerically, W is integrated directly, as one vector-valued integral over
 ``u = 2 zeta s`` in ``[0, U]`` and t in ``[0, 1]``:
 
-    W_par = 1/8 Int Int u^3 e^{-u} (Rt_TM - t^2 Rt_TE) / (1 + (u t / 2 zeta)^2),
-    W_z   = 1/4 Int Int u^3 e^{-u} (1 - t^2) Rt_TM / (1 + (u t / 2 zeta)^2),
+    W_par = 1/8 Int Int u^3 e^{-u} (Rt_TM - t^2 Rt_TE) / (1 + s^2 t^2),
+    W_z   = 1/4 Int Int u^3 e^{-u} (1 - t^2) Rt_TM / (1 + s^2 t^2),
 
 both O(1), with ``U = 37 ln 10`` (:data:`slabshift.quadrature.CUTOFF`)
-where the weight has fallen 37 decades below its peak.  One call of the
-global GK15 x GK15 cubature of :mod:`slabshift.quadrature` yields the
-pair, and each of its integrand calls (one per round, or per 48 cells of
-a larger round) takes both polarizations' reflection coefficients from one
-:func:`rtilde` call, on the u and t node rows of its cells.  The seed
-cells (see :func:`_seed_cells`) are 24 geometric u strips, each cut in t
-at powers of two so that the first node of every ``t = 0`` cell lies
-inside the peak of ``1 / (1 + s^2 t^2)``.  The rule stops when each
-component's error is at most
+where the weight has fallen 37 decades below its peak.  At small zeta
+``1 / (1 + s^2 t^2)`` is a peak of width ``1 / s`` at ``t = 0``, which the
+variable v flattens (Davis & Rabinowitz, *Methods of Numerical
+Integration*, 1984): with ``A = asinh(s)``,
+
+    v = asinh(s t) / A in [0, 1],   dt / (1 + s^2 t^2) = A dv / (s cosh(v A)).
+
+One call of the global GK15 x GK15 cubature of :mod:`slabshift.quadrature`
+over (u, v) yields the pair, and each of its integrand calls (one per
+round, or per 48 cells of a larger round) takes both polarizations'
+reflection coefficients from one :func:`rtilde` call.  The seed cells are
+the 24 u strips of :func:`slabshift.quadrature.geometric_edges`, each all
+of ``[0, 1]`` in v.  The rule stops when each component's error is at most
 ``max(0.1 rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the floor shrinks
 with W's scale at small zeta.  ``max_subdivisions`` bounds the cell
-splits beyond the seeds.  ``W(1, 1, 2)`` takes 24 seed cells and
-two rounds: 38 cells evaluated (31 final) at 8,550 nodes, in 3
-reflection coefficient calls (17,100 coefficient values).
+splits beyond the seeds.  ``W(1, 1, 2)`` takes 24 seed cells and one
+round: 28 cells evaluated at 6,300 nodes, in 2 reflection coefficient
+calls (12,600 coefficient values).
 
 ``S_par`` and ``S_perp`` are views of the same cubature, ``W / (8 zeta^4)``.
 :func:`w_pair` reads W itself: the views underflow where W does not (at
@@ -53,7 +57,7 @@ import numpy as np
 
 from .core import (AtomSpec, EnergyShift, QuadratureSpec, ReducedParams, Slab,
                    WPair, _slab_nonzero, assemble_shift, finite_power, reduce)
-from .quadrature import _NODES, CUTOFF, adaptive_quad, geometric_edges
+from .quadrature import CUTOFF, adaptive_quad, geometric_edges
 from .reflection import Polarization, rtilde
 
 __all__ = [
@@ -70,10 +74,6 @@ __all__ = [
 # retarded limit
 W_SCALE = 8.0
 
-# smallest node of the GK15 rule on [0, 1]
-_T_FIRST = 0.5 * (1.0 - float(_NODES[-1]))
-
-
 class SDetail(namedtuple("SDetail",
                          "w err_w scale outer_panels inner_panels_max")):
     """One S integral, as its W component and diagnostics.
@@ -81,7 +81,7 @@ class SDetail(namedtuple("SDetail",
     ``w`` and ``err_w`` are the cubature's W component and its bound, and
     ``scale`` is ``8 zeta^4``; the S value and bound are their quotients.
     ``outer_panels`` counts the distinct u intervals of the final cells,
-    ``inner_panels_max`` the most t cells over one of them.
+    ``inner_panels_max`` the most v cells over one of them.
     """
 
     __slots__ = ()
@@ -93,32 +93,6 @@ class SDetail(namedtuple("SDetail",
     @property
     def err_est(self) -> float:
         return self.err_w / self.scale
-
-
-def _seed_cells(zeta: float, u_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper (u, t) corners of the seed cells of the W cubature.
-
-    The 24 u strips of :func:`geometric_edges` up to ``U = u_max``, so
-    that the first pass sees the weight ``u^3 e^-u`` on every scale.
-    Each strip has t edges at ``2^-k`` for ``k = 1..K``, with the smallest
-    ``K`` (from ``frexp``, exact) for which ``s_hi 2^-K t_1 <= 1``, where
-    ``s_hi = u_hi / (2 zeta)`` and ``t_1`` is the first GK15 node of
-    ``[0, 1]``.  The first node of every ``t = 0`` cell then lies inside
-    the peak of ``1 / (1 + s^2 t^2)``, of width ``1 / s``, at every s of
-    its strip; a split along either axis keeps that, so the rule's error
-    estimates there never miss the peak.
-    """
-    u_edges = geometric_edges(u_max)
-    depth = np.maximum(0, np.frexp(u_edges[1:] / (2.0 * zeta) * _T_FIRST)[1])
-    # cell j of a strip of depth K spans [2^-(K-j+1), 2^-(K-j)], and the
-    # first one [0, 2^-K]
-    strip = np.repeat(np.arange(depth.size), depth + 1)
-    j = np.arange(strip.size) - np.repeat(np.cumsum(depth + 1) - depth - 1,
-                                          depth + 1)
-    t_hi = np.ldexp(1.0, j - depth[strip])
-    t_lo = np.where(j == 0, 0.0, 0.5 * t_hi)
-    return (np.stack((u_edges[strip], t_lo), axis=1),
-            np.stack((u_edges[strip + 1], t_hi), axis=1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -135,19 +109,23 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
         # transparent slab: the integrand vanishes identically
         return (SDetail(0.0, 0.0, scale, 0, 0),) * 2
 
-    def integrand(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # u is (cells, 15, 1) and t (cells, 1, 15): the u-only and t-only
-        # factors are formed once per node row
+    def integrand(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # u is (cells, 15, 1) and v (cells, 1, 15); t = sinh(v A) / s,
+        # clamped to 1 where sinh(asinh(s)) / s rounds above it
         s = u / (2.0 * p.zeta)
+        a = np.arcsinh(s)
+        va = v * a
+        t = np.minimum(np.sinh(va) / s, 1.0)
         te, tm = rtilde((Polarization.TE, Polarization.TM), s, t, p.lam, p.n)
-        st = s * t
-        weight = u ** 3 * np.exp(-u) / (1.0 + st * st)
+        weight = u ** 3 * np.exp(-u) * (a / s) / np.cosh(va)
         w = np.empty((2,) + weight.shape)
         np.multiply(0.125 * weight, tm - t * t * te, out=w[0])
         np.multiply(0.25 * weight * (1.0 - t * t), tm, out=w[1])
         return w
 
-    lo, hi = _seed_cells(p.zeta, CUTOFF)
+    edges = geometric_edges(CUTOFF)
+    lo = np.stack((edges[:-1], np.zeros(edges.size - 1)), axis=1)
+    hi = np.stack((edges[1:], np.ones(edges.size - 1)), axis=1)
     # 0.1 rel_tol keeps the true error well inside rel_tol; the floor
     # shrinks as zeta^4 where W ~ zeta, so it never stops a small W early
     res = adaptive_quad(integrand, lo, hi, 0.1 * q.rel_tol,

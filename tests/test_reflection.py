@@ -7,7 +7,7 @@ import pytest
 from helpers import rt_te, rt_tm, transfer_matrix_slab
 from slabshift import (Polarization, PoleError, Slab, fresnel_r, rtilde, slab_R,
                        slab_T, slab_denominator, snell_kz, snell_kzd)
-from slabshift.modes import find_trapped_modes
+from slabshift.modes import find_trapped_modes, travelling_mode
 
 TE, TM = Polarization.TE, Polarization.TM
 
@@ -323,6 +323,21 @@ def test_slab_amplitudes_reject_a_thickness_out_of_range(L):
     for fn in (slab_R, slab_T, slab_denominator):
         with pytest.raises(ValueError, match="thickness L"):
             fn(TE, 1.0, 1.0, L, 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: slab_R(TE, 1.0, 1e150, 1e160, 2.0),
+    lambda: slab_denominator(TE, 1.0, 1e150, 1e160, 2.0),
+    lambda: travelling_mode("L", TE, 1e150, 1.0, Slab(2.0, 1e160)),
+    lambda: slab_R(TE, 800j, 0.0, 1.0, 2.0),
+    lambda: slab_T(TM, 800j, 0.0, 1.0, 2.0),
+], ids=["R", "denominator", "travelling_mode", "R_evanescent",
+        "T_evanescent"])
+def test_slab_phases_out_of_range_name_their_inputs(call):
+    # exp(2 i k_zd L) at an infinite phase raised a bare math domain error,
+    # and exp(-i k_z L) at an evanescent k_z with |k_z| L = 800 overflowed
+    with pytest.raises(ValueError, match=r"k_z = .*, k_par = .*, L = "):
+        call()
 
 
 def test_fresnel_r_rejects_an_index_below_one():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from helpers import brute_force_s
 from slabshift import (AtomSpec, QuadratureSpec, ReducedParams, Slab,
                        Transition, energy_shift, halfspace_S, s_parallel,
                        s_perp, w_pair)
+import slabshift.quadrature
 import slabshift.shift
 from slabshift.shift import W_SCALE, s_parallel_detailed, s_perp_detailed
 
@@ -53,7 +55,7 @@ def test_s_against_live_brute_force():
 def test_inner_quadrature_is_batched(monkeypatch):
     # machine-independent guard: the cubature evaluates the cells of a
     # round (up to 48 per call) in one integrand call, with one rtilde call
-    # for both polarizations: 24 seed cells and two refinement rounds, 38
+    # for both polarizations: 24 seed cells and one refinement round, 28
     # cells of 225 nodes evaluated, two coefficients per node
     counts = {"calls": 0, "nodes": 0}
     rtilde = slabshift.shift.rtilde
@@ -67,35 +69,46 @@ def test_inner_quadrature_is_batched(monkeypatch):
     monkeypatch.setattr(slabshift.shift, "rtilde", counting)
     slabshift.shift._s_pair.cache_clear()
     w_pair(P112)
-    assert counts["nodes"] == 17_100
-    assert counts["calls"] == 3
-
-
-# first node of the GK15 rule on [0, 1] (QUADPACK qk15)
-T_1 = 0.5 * (1.0 - 0.991455371120812639206854697526329)
+    assert counts["nodes"] == 12_600
+    assert counts["calls"] == 2
 
 
 @pytest.mark.parametrize("zeta", [1e-76, 1e-18, 1e-7, 1e-3, 1.0, 1e5])
 def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
-    # every cell at t = 0, seed or final, has its first node inside the
-    # peak of 1 / (1 + s^2 t^2), of width 1 / s, at every s of the cell:
-    # s_hi h_t t_1 <= 1; the seed cells tile [0, U] x [0, 1]
+    # the peak of 1 / (1 + s^2 t^2) at t = 0, of width 1 / s, is flattened
+    # by v = asinh(s t) / asinh(s): the seeds are the 24 geometric u strips,
+    # each all of [0, 1] in v, tiling [0, U] x [0, 1]; W meets its bound
+    # and the cells evaluated stay few where the peak is narrowest
     u_max = 37.0 * math.log(10.0)
-    results = []
+    seeds, evaluated = [], [0]
     cubature = slabshift.shift.adaptive_quad
-    monkeypatch.setattr(slabshift.shift, "adaptive_quad",
-                        lambda *a: results.append(cubature(*a)) or results[-1])
+    rtilde = slabshift.shift.rtilde
+
+    def recording(f, lo, hi, *rest):
+        seeds.append((lo, hi))
+        return cubature(f, lo, hi, *rest)
+
+    def counting(pol, s, t, *rest):
+        out = rtilde(pol, s, t, *rest)
+        evaluated[0] += out[0].size // 225
+        return out
+
+    monkeypatch.setattr(slabshift.shift, "adaptive_quad", recording)
+    monkeypatch.setattr(slabshift.shift, "rtilde", counting)
     slabshift.shift._s_pair.cache_clear()
-    w_pair(ReducedParams(zeta, 1.0, 2.0))
-    seeds = slabshift.shift._seed_cells(zeta, u_max)
-    final = (results[0].lo, results[0].hi)
-    for lo, hi in (seeds, final):
-        at_zero = lo[:, 1] == 0.0
-        s_hi = hi[at_zero, 0] / (2.0 * zeta)
-        assert np.all(s_hi * hi[at_zero, 1] * T_1 <= 1.0)
-    assert np.count_nonzero(seeds[0][:, 1] == 0.0) == 24
-    area = math.fsum(np.prod(seeds[1] - seeds[0], axis=1))
+    p = ReducedParams(zeta, 1.0, 2.0)
+    got = w_pair(p)
+    (lo, hi), = seeds
+    edges = slabshift.quadrature.geometric_edges(u_max)
+    assert np.array_equal(lo, np.stack((edges[:-1], np.zeros(24)), axis=1))
+    assert np.array_equal(hi, np.stack((edges[1:], np.ones(24)), axis=1))
+    area = math.fsum(np.prod(hi - lo, axis=1))
     assert area == pytest.approx(u_max, rel=1e-14)
+    assert evaluated[0] <= (230 if zeta < 1e-7 else 110)
+    monkeypatch.undo()
+    ref = w_pair(p, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
+    assert abs(got.w_par - ref.w_par) <= got.err_par
+    assert abs(got.w_z - ref.w_z) <= got.err_z
 
 
 def test_err_est_respects_tolerance_contract():
@@ -338,6 +351,23 @@ def test_halfspace_w_within_err_est_of_a_1d_oracle(zeta):
     ref_par, ref_z = _halfspace_w(zeta, 2.0)
     for rel_tol in (1e-6, 1e-10):
         w = w_pair(ReducedParams(zeta, math.inf, 2.0),
+                   QuadratureSpec(rel_tol=rel_tol))
+        assert abs(w.w_par - ref_par) <= w.err_par, rel_tol
+        assert abs(w.w_z - ref_z) <= w.err_z, rel_tol
+
+
+# (zeta, lam, n, W_par, W_z) in 30 digits from the reflection series of
+# tests/make_w_table.py, which shares no code with the cubature
+W_TABLE = [tuple(map(float, line.split(","))) for line in
+           Path(__file__).with_name("w_table.csv").read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("zeta, lam, n, ref_par, ref_z", W_TABLE,
+                         ids=[f"{z!r}-{l!r}-{n!r}" for z, l, n, *_ in W_TABLE])
+def test_w_within_err_est_of_the_reflection_series_table(zeta, lam, n,
+                                                         ref_par, ref_z):
+    for rel_tol in (1e-6, 1e-8, 1e-10):
+        w = w_pair(ReducedParams(zeta, lam, n),
                    QuadratureSpec(rel_tol=rel_tol))
         assert abs(w.w_par - ref_par) <= w.err_par, rel_tol
         assert abs(w.w_z - ref_z) <= w.err_z, rel_tol
