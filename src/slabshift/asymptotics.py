@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (NONRETARDED_TWO_ZETA, RETARDED_TWO_ZETA, AtomSpec,
                    EnergyShift, QuadratureSpec, ReducedParams, RegimeReport,
                    Slab, _positive_finite, _slab_nonzero, _slab_shift,
@@ -118,17 +116,17 @@ def nonretarded_k_integral(atom: AtomSpec, slab: Slab, Z: float,
     beta = _beta(slab.n)
     beta2 = beta * beta
 
-    def integrand(k: np.ndarray) -> np.ndarray:
+    def integrand(k: list) -> list:
         # (1 - e)/(1 - beta^2 e) with e = exp(-2kL) = 1 - g, free of
         # cancellation at small kL; g = 1 where 2kL overflows and at L = inf
-        with np.errstate(over="ignore"):
-            g = -np.expm1(-2.0 * k * slab.L)
-        return k * k * np.exp(-2.0 * Z * k) * (g / (1.0 - beta2 + beta2 * g))
+        g = [-math.expm1(-2.0 * x * slab.L) for x in k]
+        return [x * x * math.exp(-2.0 * Z * x)
+                * (y / (1.0 - beta2 + beta2 * y)) for x, y in zip(k, g)]
 
-    # the seeds of the W cubature's u axis, at k = u / (2 Z)
-    edges = geometric_edges(CUTOFF / (2.0 * Z))
-    res = adaptive_quad(integrand, edges[:-1, None], edges[1:, None],
-                        q.rel_tol, q.abs_tol, q.max_subdivisions)
+    # all 24 geometric seeds up to k = U / (2 Z)
+    cells = [(x,) for x in geometric_edges(CUTOFF / (2.0 * Z))]
+    res = adaptive_quad(integrand, cells[:-1], cells[1:], q.rel_tol,
+                        q.abs_tol, q.max_subdivisions)
     pref = -beta / (16.0 * math.pi) * res.value
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
                 for tr in atom.transitions]

@@ -8,8 +8,8 @@ count) and the flags it reads, as :func:`build_parser` registers them and
 README's table lists them; any other flag is an input error.  Exit codes:
 0 ok, 2 input error, 3 a quadrature or the image series did not converge,
 4 partial sweep failure.  ``SLABSHIFT_JOBS`` sets the default worker
-count.  :func:`main` runs numpy's OpenBLAS on one thread unless
-``OPENBLAS_NUM_THREADS`` is already set.
+count.  Only ``modes`` loads numpy; :func:`main` runs its OpenBLAS on one
+thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 
 :func:`run` is the process entry point, of ``python -m slabshift.cli`` and
 of the ``slabshift`` console script: it turns the cyclic garbage collector
@@ -22,9 +22,9 @@ The module itself loads only the standard library that the parser needs,
 the package's lazy namespace and :mod:`slabshift.errors`: ``--help`` and
 flag errors load no ``core``.  Each command binds the library names it
 runs (:func:`_bind`) when it runs, so an input error found before any
-integral loads no numpy either.  The value types are namedtuples: their
-``_fields``, ``_field_defaults`` and ``_asdict()`` are the config keys
-and the manifest's ``quad`` entry.
+integral loads no compute module either.  The value types are
+namedtuples: their ``_fields``, ``_field_defaults`` and ``_asdict()`` are
+the config keys and the manifest's ``quad`` entry.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment::
 
@@ -605,8 +605,9 @@ def run() -> None:
     """Run :func:`main` on ``sys.argv`` and exit with its code.
 
     The cyclic garbage collector is off for the whole command: reference
-    counting still frees every array, and the collections that loading
-    numpy would trigger find next to nothing in a process this short.
+    counting still frees every list and array, and the collections that
+    a command's allocations (numpy's import, for ``modes``) would trigger
+    find next to nothing in a process this short.
     Freezing the heap moves every tracked object into the permanent
     generation, which the collections of interpreter shutdown skip; atexit
     handlers and the flushing of stdout still run.

@@ -1,7 +1,7 @@
 """Adaptive Gauss-Kronrod quadrature over an interval or a rectangle.
 
 One rule serves both.  The domain is tiled by seed cells (intervals in
-1D, rectangles in 2D; the shift's integrals seed every exponential axis
+1D, rectangles in 2D; the shift's integrals seed their exponential axis
 with :func:`geometric_edges` up to :data:`CUTOFF`), and each cell is
 integrated with the 15-point Gauss-Kronrod rule (QUADPACK ``qk15``)
 along every axis: 15 nodes per interval, the 225-node product
@@ -25,13 +25,12 @@ returned result, both sides taken with ``math.fsum``, and on
 :class:`ConvergenceError` carrying the best estimate when the budget of
 ``max_subdivisions`` splits beyond the seed cells runs out.
 
-In 1D the integrand takes the flat node array, ``f(x)``.  In 2D it takes
-the nodes of each axis as rows that broadcast to the cells' node grid,
-``f(u, t)`` with ``u`` of shape ``(cells, 15, 1)`` and ``t`` of shape
-``(cells, 1, 15)``, so factors of one variable are formed once per row.
-What it returns is broadcast to the nodes, with any leading axes taken as
-the components of a vector-valued integrand: an elementwise integrand,
-a constant or a function of one variable alone all work.
+The module is plain Python on floats and lists.  In 1D the integrand
+takes the list of nodes, ``f(x)``.  In 2D it takes each cell's 15 nodes
+per axis as two lists, ``f(u, v)``, and returns its values on each
+cell's grid, u-major: cell ``c``'s value at ``(u[15 c + i],
+v[15 c + j])`` sits at ``225 c + 15 i + j``.  A vector-valued integrand
+returns one such list per component.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ import math
 import sys
 from collections import namedtuple
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import ConvergenceError
 
@@ -59,13 +56,9 @@ _WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204
         0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
 _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-# mirrored to ascending order, where the Gauss-7 nodes are _NODES[1::2];
-# column 0 of _WEIGHTS holds the Kronrod weights, column 1 the Gauss
-# weights at their nodes and zero elsewhere
-_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_WEIGHTS = np.zeros((_NODES.size, 2))
-_WEIGHTS[:, 0] = _WGK + _WGK[-2::-1]
-_WEIGHTS[1::2, 1] = _WG + _WG[-2::-1]
+# the 15 nodes in ascending order; the Gauss-7 nodes are _NODES[1::2]
+_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_SIZE = len(_NODES)
 # most nodes in one integrand call (48 cells of 225 nodes in 2D): larger
 # rounds go in several calls, which bounds the memory of the temporaries
 _MAX_NODES = 10_800
@@ -74,160 +67,175 @@ _MAX_NODES = 10_800
 CUTOFF = 37.0 * math.log(10.0)
 
 
-def geometric_edges(upper: float) -> np.ndarray:
+def geometric_edges(upper: float) -> list[float]:
     """Seed edges 0, then ``upper 2^-k`` for k = 23..0: the first pass sees
     an integrand such as ``u^3 e^-u`` on every scale of ``[0, upper]``."""
-    edges = upper * np.ldexp(1.0, np.arange(-24, 1))
-    edges[0] = 0.0
-    return edges
+    return [0.0] + [math.ldexp(upper, -k) for k in range(23, -1, -1)]
 
 
 class QuadResult(namedtuple("QuadResult", "value err_est lo hi")):
     """Value and error bound, floats or one tuple entry per component.
 
-    The final cells' corners are the rows of the arrays ``lo`` and ``hi``;
-    ``panels`` counts them.
+    The final cells' corners are the tuples of ``lo`` and ``hi``, one
+    entry per axis; ``panels`` counts them.
     """
 
     __slots__ = ()
 
     @property
     def panels(self) -> int:
-        return self.lo.shape[0]
+        return len(self.lo)
 
 
-def _eval_cells(f: Callable[..., np.ndarray], lo: np.ndarray,
-                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and per-axis errors of every cell ``[lo[i], hi[i]]``.
+def _kronrod_gauss(y: Sequence[float], wk=_WGK, wg=_WG) -> tuple[float, float]:
+    """The Kronrod and the Gauss sum of the values at the 15 nodes of one
+    axis, each pair of mirrored nodes added first, as in ``qk15``."""
+    a0, a1, a2, a3, a4, a5, a6, mid, b6, b5, b4, b3, b2, b1, b0 = y
+    k0, k1, k2, k3, k4, k5, k6, k7 = wk
+    g0, g1, g2, g3 = wg
+    s1, s3, s5 = a1 + b1, a3 + b3, a5 + b5
+    return (k0 * (a0 + b0) + k1 * s1 + k2 * (a2 + b2) + k3 * s3
+            + k4 * (a4 + b4) + k5 * s5 + k6 * (a6 + b6) + k7 * mid,
+            g0 * s1 + g1 * s3 + g2 * s5 + g3 * mid)
 
-    ``lo`` and ``hi`` have one row per cell and one column per axis.  One
-    integrand call sees the nodes of all the cells: flat, cell by cell, in
-    1D, and as the rows ``(cells, 15, 1)`` and ``(cells, 1, 15)`` in 2D.
-    The value array has the integrand's component axes (if any) followed
-    by one entry per cell; the error array adds one entry per axis.  A
-    cell's sums run over its own nodes only, so its value does not depend
-    on which cells share the call.
+
+def _eval_cells(f: Callable[..., Sequence], lo: list[tuple],
+                hi: list[tuple]) -> tuple[list, list, bool]:
+    """Values and per-axis errors of every cell ``[lo[i], hi[i]]``, and
+    whether the integrand is scalar.
+
+    One integrand call sees the nodes of all the cells.  The values and
+    errors have one list per component of the integrand, with one entry
+    per cell: its value, and the tuple of its axis errors.  A cell's sums
+    run over its own nodes only, so its value does not depend on which
+    cells share the call.
     """
-    cells, dims = lo.shape
-    size = _NODES.size
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, :, None] + half[:, :, None] * _NODES
-    if dims == 1:
-        grid = (cells * size,)
-        y = f(x[:, 0].ravel())
-    else:
-        grid = (cells, size, size)
-        y = f(x[:, 0, :, None], x[:, 1, None, :])
-    y = np.asarray(y, dtype=float)
-    y = np.broadcast_to(y, np.broadcast_shapes(y.shape, grid))
-    lead = y.shape[:-len(grid)]
-    # the last axis with both weight sets, (..., nodes) -> (..., [K, G]);
-    # in 2D then the first axis, -> (..., [KK, GK, KG, GG]) with the first
-    # letter the rule along the first axis
-    sums = (y.reshape(-1, size) @ _WEIGHTS).reshape(
-        lead + (cells,) + (size,) * (dims - 1) + (2,))
-    if dims == 2:
-        sums = (np.swapaxes(sums, -1, -2) @ _WEIGHTS).reshape(
-            lead + (cells, 4))
-    volume = half.prod(axis=1)
-    kk = sums[..., 0]
-    return (kk * volume,
-            np.abs(sums[..., 1:1 + dims] - kk[..., None]) * volume[:, None])
+    dims = len(lo[0])
+    halves = [tuple(0.5 * (b - a) for a, b in zip(l, h))
+              for l, h in zip(lo, hi)]
+    volumes = list(map(math.prod, halves))
+    rows = [[c + w * x for c, w in ((0.5 * (l[k] + h[k]), half[k])
+                                    for l, h, half in zip(lo, hi, halves))
+             for x in _NODES] for k in range(dims)]
+    y = f(*rows)
+    scalar = isinstance(y[0], (int, float))
+    comps = [y] if scalar else y
+    if any(len(ys) != len(lo) * _SIZE ** dims for ys in comps):
+        raise ValueError(f"the integrand must return {_SIZE ** dims} values "
+                         "per cell for each component")
+    vals, errs = [], []
+    for ys in comps:
+        # the sums along the last axis, one pair per run of 15 values
+        sums = list(map(_kronrod_gauss, [ys[i:i + _SIZE]
+                                         for i in range(0, len(ys), _SIZE)]))
+        if dims == 2:
+            # then along u: K x K and G x K from the Kronrod sums of the
+            # cell's 15 u rows, K x G from their Gauss sums
+            cells = []
+            for i in range(0, len(sums), _SIZE):
+                k_rows, g_rows = zip(*sums[i:i + _SIZE])
+                kk, gk = _kronrod_gauss(k_rows)
+                cells.append((kk, gk, _kronrod_gauss(g_rows)[0]))
+            sums = cells
+        vals.append([kk * v for (kk, *_), v in zip(sums, volumes)])
+        errs.append([tuple(abs(g - kk) * v for g in gs)
+                     for (kk, *gs), v in zip(sums, volumes)])
+    return vals, errs, scalar
 
 
-def _eval_round(f: Callable[..., np.ndarray], lo: np.ndarray,
-                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eval_round(f: Callable[..., Sequence], lo: list[tuple],
+                hi: list[tuple]) -> tuple[list, list, bool]:
     """:func:`_eval_cells` of all the cells of one round, in integrand
     calls of at most ``_MAX_NODES`` nodes each."""
-    step = max(1, _MAX_NODES // _NODES.size ** lo.shape[1])
-    parts = [_eval_cells(f, lo[i:i + step], hi[i:i + step])
-             for i in range(0, lo.shape[0], step)]
-    return (np.concatenate([v for v, _ in parts], axis=-1),
-            np.concatenate([e for _, e in parts], axis=-2))
+    step = max(1, _MAX_NODES // _SIZE ** len(lo[0]))
+    vals, errs, scalar = zip(*(_eval_cells(f, lo[i:i + step], hi[i:i + step])
+                               for i in range(0, len(lo), step)))
+    return ([sum(v, []) for v in zip(*vals)], [sum(e, []) for e in zip(*errs)],
+            scalar[0])
 
 
-def adaptive_quad(f: Callable[..., np.ndarray], a, b, rel_tol: float,
+def adaptive_quad(f: Callable[..., Sequence], a, b, rel_tol: float,
                   abs_tol: float | Sequence[float],
                   max_subdivisions: int) -> QuadResult:
-    """Integrate a vectorized integrand to the given tolerance.
+    """Integrate a list-valued integrand to the given tolerance.
 
     With floats ``a < b`` the domain is the interval [a, b], one seed
-    cell.  With arrays, ``a`` and ``b`` are the lower and upper corners of
-    the seed cells, one row per cell and one column per axis (1 or 2); the
-    cells tile the domain.
+    cell.  With sequences, ``a`` and ``b`` are the lower and upper corners
+    of the seed cells, one row per cell and one entry per axis (1 or 2);
+    the cells tile the domain.
 
     ``abs_tol`` is one floor for every component or one per component.
     ``max_subdivisions`` bounds the splits beyond the seed cells; when they
     are spent, :class:`ConvergenceError` carries the best estimate and
     error bound of the component furthest from its tolerance.
     """
-    if np.ndim(a) == 0:
+    if isinstance(a, (int, float)):
         a, b = [[a]], [[b]]
-    lo = np.array(a, dtype=float)
-    hi = np.array(b, dtype=float)
-    if not (lo.ndim == 2 and lo.shape[1] in (1, 2)
-            and lo.shape == hi.shape and np.all(hi > lo)):
+    lo = [tuple(map(float, row)) for row in a]
+    hi = [tuple(map(float, row)) for row in b]
+    if not (lo and len(lo) == len(hi)
+            and all(len(l) == len(h) == len(lo[0]) for l, h in zip(lo, hi))
+            and len(lo[0]) in (1, 2)
+            and all(y > x for l, h in zip(lo, hi) for x, y in zip(l, h))):
         raise ValueError("need a < b, or seed cells with 1 or 2 axes and "
                          "lo < hi on every axis")
-    val, err = _eval_round(f, lo, hi)
-    scalar = val.ndim == 1
-    val = val.reshape(-1, lo.shape[0])
-    err = err.reshape(val.shape + (lo.shape[1],))
-    floor = np.broadcast_to(np.asarray(abs_tol, dtype=float), val.shape[:1])
+    dims = len(lo[0])
+    val, err, scalar = _eval_round(f, lo, hi)
+    floor = ([float(abs_tol)] * len(val) if isinstance(abs_tol, (int, float))
+             else [float(x) for x in abs_tol])
+    if len(floor) != len(val):
+        raise ValueError("abs_tol needs one floor per component")
     splits = 0
 
     while True:
-        cell_err = err.sum(axis=2)
-        tol = np.maximum(rel_tol * np.abs(val.sum(axis=1)), floor)
-        if np.all(cell_err.sum(axis=1) <= tol):
-            # confirm the test on the exactly rounded sums it promises
-            value = [math.fsum(row) for row in val.tolist()]
-            err_est = [math.fsum(row) for row in cell_err.tolist()]
-            if all(e <= max(rel_tol * abs(v), fl)
-                   for v, e, fl in zip(value, err_est, floor)):
-                if scalar:
-                    value, err_est = value[0], err_est[0]
-                else:
-                    value, err_est = tuple(value), tuple(err_est)
-                return QuadResult(value, err_est, lo, hi)
+        cell_err = [[sum(e) for e in ek] for ek in err]
+        # the test on the exactly rounded sums it promises
+        value = [math.fsum(vk) for vk in val]
+        err_est = [math.fsum(ek) for ek in cell_err]
+        tol = [max(rel_tol * abs(v), fl) for v, fl in zip(value, floor)]
+        if all(e <= t for e, t in zip(err_est, tol)):
+            out = (lambda x: x[0]) if scalar else tuple
+            return QuadResult(out(value), out(err_est), tuple(lo), tuple(hi))
 
         # each cell's error over its component's tolerance, worst first;
         # split until the unsplit cells fit in half of every tolerance
-        ratio = cell_err / np.maximum(tol, sys.float_info.min)[:, None]
-        order = np.argsort(-ratio.max(axis=0), kind="stable")
-        unsplit = np.cumsum(ratio[:, order[::-1]], axis=1)[:, ::-1]
-        fits = np.append(np.all(unsplit <= 0.5, axis=0), True)
-        count = min(max(1, int(np.argmax(fits))),
-                    max_subdivisions - splits)
+        ratio = [[e / max(t, sys.float_info.min) for e in ek]
+                 for ek, t in zip(cell_err, tol)]
+        worst = [max(r) for r in zip(*ratio)]
+        order = sorted(range(len(lo)), key=worst.__getitem__, reverse=True)
+        unsplit = [0.0] * len(ratio)
+        count = 1
+        for j in range(len(order) - 1, -1, -1):
+            unsplit = [acc + r[order[j]] for acc, r in zip(unsplit, ratio)]
+            if not all(acc <= 0.5 for acc in unsplit):
+                count = j + 1
+                break
+        count = min(count, max_subdivisions - splits)
         if count <= 0:
-            worst = int(np.argmax(ratio.sum(axis=1)))
-            value, bound = math.fsum(val[worst]), math.fsum(cell_err[worst])
+            k = max(range(len(ratio)), key=lambda k: sum(ratio[k]))
             raise ConvergenceError(
                 f"quadrature needed more than {max_subdivisions} "
-                f"subdivisions (best estimate {value!r}, error bound "
-                f"{bound!r})", estimate=value, err_est=bound)
+                f"subdivisions (best estimate {value[k]!r}, error bound "
+                f"{err_est[k]!r})", estimate=value[k], err_est=err_est[k])
         pick = order[:count]
-        rows = np.arange(count)
-        # bisect along the larger axis error of the component driving
-        # the cell
-        driver = np.argmax(ratio[:, pick], axis=0)
-        axis = np.argmax(err[driver, pick], axis=1)
-        p_lo, p_hi = lo[pick], hi[pick]
-        mid = 0.5 * (p_lo[rows, axis] + p_hi[rows, axis])
-        left_hi, right_lo = p_hi.copy(), p_lo.copy()
-        left_hi[rows, axis] = mid
-        right_lo[rows, axis] = mid
-        new_lo = np.concatenate((p_lo, right_lo))
-        new_hi = np.concatenate((left_hi, p_hi))
-        new_val, new_err = _eval_round(f, new_lo, new_hi)
-        keep = np.ones(lo.shape[0], dtype=bool)
-        keep[pick] = False
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        val = np.concatenate((val[:, keep], new_val.reshape(val.shape[0], -1)),
-                             axis=1)
-        err = np.concatenate((err[:, keep],
-                              new_err.reshape(err.shape[0], -1, lo.shape[1])),
-                             axis=1)
+        left_hi, right_lo = [], []
+        for c in pick:
+            # bisect along the larger axis error of the component driving
+            # the cell
+            comp = max(range(len(ratio)), key=lambda k: ratio[k][c])
+            cell = err[comp][c]
+            axis = max(range(dims), key=cell.__getitem__)
+            l, h = lo[c], hi[c]
+            mid = (0.5 * (l[axis] + h[axis]),)
+            left_hi.append(h[:axis] + mid + h[axis + 1:])
+            right_lo.append(l[:axis] + mid + l[axis + 1:])
+        new_lo = [lo[c] for c in pick] + right_lo
+        new_hi = left_hi + [hi[c] for c in pick]
+        new_val, new_err, _ = _eval_round(f, new_lo, new_hi)
+        picked = set(pick)
+        keep = [c for c in range(len(lo)) if c not in picked]
+        lo = [lo[c] for c in keep] + new_lo
+        hi = [hi[c] for c in keep] + new_hi
+        val = [[vk[c] for c in keep] + nv for vk, nv in zip(val, new_val)]
+        err = [[ek[c] for c in keep] + ne for ek, ne in zip(err, new_err)]
         splits += count
-

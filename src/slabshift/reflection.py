@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
-
-import numpy as np
 
 from .core import _index
 from .errors import PoleError
@@ -183,13 +182,15 @@ def rtilde(pol: Polarization | tuple[Polarization, ...], s, t, lam: float,
            n: float):
     """Contour reflection coefficient in the quadrature variables (s, t).
 
-    Vectorized over ``s`` and ``t``, broadcast together; the terms that
-    depend on t alone are formed before broadcasting.  ``pol`` is one
-    :class:`Polarization`, or a tuple of them for one leading row per
-    polarization, all from one ``g`` and one ``e``.  Finite ``lam`` gives
-    ``num*e / (a*e + b*(2 - e)) = num / (a + b*coth(Lam))`` with
-    ``e = -expm1(-2*Lam)`` in [0, 1]: an exact 0 at Lam = 0, and once e
-    rounds to 1 the half-space value, which ``lam = math.inf`` selects.
+    ``s`` and ``t`` are each a float or a sequence of floats; sequences
+    pair entry by entry, and a float pairs with every entry of the other.
+    ``pol`` is one :class:`Polarization`, giving a float for two floats and
+    a list otherwise, or a tuple of them, giving a tuple with one such
+    result per polarization, all from one ``g`` and one ``e`` per node.
+    Finite ``lam`` gives ``num*e / (a*e + b*(2 - e)) = num / (a +
+    b*coth(Lam))`` with ``e = -expm1(-2*Lam)`` in [0, 1]: an exact 0 at
+    Lam = 0, and once e rounds to 1 the half-space value, which
+    ``lam = math.inf`` selects.
     """
     _index(n)
     if not lam >= 0.0:
@@ -201,36 +202,43 @@ def rtilde(pol: Polarization | tuple[Polarization, ...], s, t, lam: float,
     if not math.isfinite(n4):
         raise ValueError(f"n = {n!r} is out of range: n**4 must be a finite "
                          "double")
-    s_arr = np.asarray(s, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = s_arr.ndim == 0 and t_arr.ndim == 0
-    if not np.all(s_arr >= 0.0):
-        raise ValueError("s must be non-negative")
-    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
-        raise ValueError("t must lie in [0, 1]")
-
     pols = pol if isinstance(pol, tuple) else (pol,)
-    out = np.zeros((len(pols),) + np.broadcast_shapes(s_arr.shape,
-                                                      t_arr.shape))
-    tt = (n * n - 1.0) * t_arr * t_arr
-    g = np.sqrt(1.0 + tt)
-    if 0.0 < lam < math.inf:
-        e = -np.expm1(-2.0 * lam * s_arr * g)
-        rest = 2.0 - e
-    for i, p in enumerate(pols):
-        # R = num / (a + b coth(Lam)); num, a and b depend on t alone
-        if p is Polarization.TE:
-            num, a, b = -tt, 2.0 + tt, 2.0 * g
-        elif p is Polarization.TM:
-            num, a, b = n4 - 1.0 - tt, n4 + 1.0 + tt, 2.0 * n * n * g
-        else:
-            raise ValueError("pol must be a Polarization or a tuple of them, "
-                             f"got {pol!r}")
-        if math.isinf(lam):
-            np.divide(num, a + b, out=out[i, ...])
-        elif lam > 0.0:
-            np.divide(num * e, a * e + b * rest, out=out[i, ...])
+    if not all(isinstance(p, Polarization) for p in pols):
+        raise ValueError("pol must be a Polarization or a tuple of them, "
+                         f"got {pol!r}")
+    scalar = isinstance(s, float | int) and isinstance(t, float | int)
+    s, t = ([x] if isinstance(x, float | int)
+            else x if type(x) is list else list(map(float, x)) for x in (s, t))
+    # min, max and sum run at C speed; a NaN anywhere makes the sum NaN
+    if not (min(s, default=0.0) >= 0.0 and not math.isnan(sum(s))):
+        raise ValueError("s must be non-negative")
+    if not (min(t, default=0.0) >= 0.0 and max(t, default=0.0) <= 1.0
+            and not math.isnan(sum(t))):
+        raise ValueError("t must lie in [0, 1]")
+    size = len(t) if len(t) != 1 else len(s)
+    s, t = (x * size if len(x) == 1 else x for x in (s, t))
+    if len(s) != len(t):
+        raise ValueError("s and t must be floats or sequences of one length")
 
-    if isinstance(pol, tuple):
-        return out
-    return float(out[0]) if scalar else out[0]
+    if lam == 0.0:
+        te, tm = [0.0] * size, [0.0] * size
+    else:
+        # R = num / (a + b coth(Lam)), with num = -tt, a = 2 + tt and
+        # b = 2 g for TE, and n^4 - 1 - tt, n^4 + 1 + tt and 2 n^2 g for
+        # TM; at lam = inf, e = -expm1(-inf) = 1 gives num / (a + b)
+        c, k, b = n * n - 1.0, -2.0 * lam, 2.0 * n * n
+        n4m, n4p = n4 - 1.0, n4 + 1.0
+        if math.isinf(lam):
+            s = itertools.repeat(1.0)  # at s = 0, k s would be NaN
+        te, tm = [], []
+        te_add, tm_add = te.append, tm.append
+        for x, y in zip(s, t):
+            tt = c * y * y
+            g = math.sqrt(1.0 + tt)
+            e = -math.expm1(k * x * g)
+            rest = 2.0 - e
+            te_add(-tt * e / ((2.0 + tt) * e + 2.0 * g * rest))
+            tm_add((n4m - tt) * e / ((n4p + tt) * e + b * g * rest))
+    rows = {Polarization.TE: te, Polarization.TM: tm}
+    out = tuple(rows[p][0] if scalar else rows[p] for p in pols)
+    return out if isinstance(pol, tuple) else out[0]

@@ -34,14 +34,16 @@ Integration*, 1984): with ``A = asinh(s)``,
 One call of the global GK15 x GK15 cubature of :mod:`slabshift.quadrature`
 over (u, v) yields the pair, and each of its integrand calls (one per
 round, or per 48 cells of a larger round) takes both polarizations'
-reflection coefficients from one :func:`rtilde` call.  The seed cells are
-the 24 u strips of :func:`slabshift.quadrature.geometric_edges`, each all
-of ``[0, 1]`` in v.  The rule stops when each component's error is at most
+reflection coefficients from one :func:`rtilde` call.  All of it is plain
+Python on floats and lists: a W command loads no numpy.  The seed cells
+are 12 u strips, ``0, U 2^-11, ..., U`` (the top 12 edges of
+:func:`slabshift.quadrature.geometric_edges`), each all of ``[0, 1]`` in
+v.  The rule stops when each component's error is at most
 ``max(0.1 rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the floor shrinks
 with W's scale at small zeta.  ``max_subdivisions`` bounds the cell
-splits beyond the seeds.  ``W(1, 1, 2)`` takes 24 seed cells and one
-round: 28 cells evaluated at 6,300 nodes, in 2 reflection coefficient
-calls (12,600 coefficient values).
+splits beyond the seeds.  ``W(1, 1, 2)`` takes 12 seed cells and one
+round: 16 cells evaluated at 3,600 nodes, in 2 reflection coefficient
+calls (7,200 coefficient values).
 
 ``S_par`` and ``S_perp`` are views of the same cubature, ``W / (8 zeta^4)``.
 :func:`w_pair` reads W itself: the views underflow where W does not (at
@@ -51,9 +53,8 @@ calls (12,600 coefficient values).
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
-
-import numpy as np
+import math
+from collections import Counter, namedtuple
 
 from .core import (AtomSpec, EnergyShift, QuadratureSpec, ReducedParams, Slab,
                    WPair, _slab_nonzero, assemble_shift, finite_power, reduce)
@@ -109,30 +110,44 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
         # transparent slab: the integrand vanishes identically
         return (SDetail(0.0, 0.0, scale, 0, 0),) * 2
 
-    def integrand(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # u is (cells, 15, 1) and v (cells, 1, 15); t = sinh(v A) / s,
-        # clamped to 1 where sinh(asinh(s)) / s rounds above it
-        s = u / (2.0 * p.zeta)
-        a = np.arcsinh(s)
-        va = v * a
-        t = np.minimum(np.sinh(va) / s, 1.0)
-        te, tm = rtilde((Polarization.TE, Polarization.TM), s, t, p.lam, p.n)
-        weight = u ** 3 * np.exp(-u) * (a / s) / np.cosh(va)
-        w = np.empty((2,) + weight.shape)
-        np.multiply(0.125 * weight, tm - t * t * te, out=w[0])
-        np.multiply(0.25 * weight * (1.0 - t * t), tm, out=w[1])
-        return w
+    two_zeta, lam, n = 2.0 * p.zeta, p.lam, p.n
 
-    edges = geometric_edges(CUTOFF)
-    lo = np.stack((edges[:-1], np.zeros(edges.size - 1)), axis=1)
-    hi = np.stack((edges[1:], np.ones(edges.size - 1)), axis=1)
+    def integrand(u: list, v: list) -> tuple[list, list]:
+        # 15 u and 15 v nodes per cell, values u-major on each cell's
+        # grid; t = sinh(v A) / s, clamped to 1 where sinh(asinh(s)) / s
+        # rounds above it
+        s_grid, t_grid, w_grid = [], [], []
+        s_add, t_add, w_add = s_grid.append, t_grid.append, w_grid.append
+        for c in range(0, len(u), 15):
+            v_row = v[c:c + 15]
+            for x in u[c:c + 15]:
+                s = x / two_zeta
+                a = math.asinh(s)
+                w = x ** 3 * math.exp(-x) * (a / s)
+                for y in v_row:
+                    y *= a
+                    s_add(s)
+                    t_add(math.sinh(y) / s)
+                    w_add(w / math.cosh(y))
+        if max(t_grid) > 1.0:
+            t_grid = [min(t, 1.0) for t in t_grid]
+        te, tm = rtilde((Polarization.TE, Polarization.TM), s_grid, t_grid,
+                        lam, n)
+        return ([0.125 * w * (m - t * t * e)
+                 for w, t, e, m in zip(w_grid, t_grid, te, tm)],
+                [0.25 * w * (1.0 - t * t) * m
+                 for w, t, m in zip(w_grid, t_grid, tm)])
+
+    # 12 u strips: 0, then U 2^-11 .. U, each all of [0, 1] in v
+    edges = [0.0] + geometric_edges(CUTOFF)[-12:]
+    lo = [(x, 0.0) for x in edges[:-1]]
+    hi = [(x, 1.0) for x in edges[1:]]
     # 0.1 rel_tol keeps the true error well inside rel_tol; the floor
     # shrinks as zeta^4 where W ~ zeta, so it never stops a small W early
     res = adaptive_quad(integrand, lo, hi, 0.1 * q.rel_tol,
                         q.abs_tol * min(1.0, scale), q.max_subdivisions)
-    _, per_u = np.unique(np.stack((res.lo[:, 0], res.hi[:, 0]), axis=1),
-                         axis=0, return_counts=True)
-    return tuple(SDetail(w, err, scale, per_u.size, int(per_u.max()))
+    per_u = Counter((a[0], b[0]) for a, b in zip(res.lo, res.hi))
+    return tuple(SDetail(w, err, scale, len(per_u), max(per_u.values()))
                  for w, err in zip(res.value, res.err_est))
 
 

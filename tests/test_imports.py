@@ -169,6 +169,29 @@ def test_modes_loads_no_shift_or_quadrature():
     assert not loaded & {"slabshift.shift", "slabshift.quadrature"}
 
 
+@pytest.mark.parametrize("argv", [
+    ARGV["wfun"], ARGV["shift"], ARGV["sweep"] + ["--jobs", "1"],
+    ARGV["asympt"],
+    ["asympt", "--n", "1e4", "--thickness", "0.01", "--distance", "1",
+     "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+], ids=["wfun", "shift", "sweep", "asympt", "asympt-k-integral"])
+def test_w_commands_load_no_numpy(argv):
+    # the W cubature, the reflection coefficient and the k integral are
+    # plain Python: numpy's import would cost more than the W pairs
+    loaded = _loaded("from slabshift.cli import main\n"
+                     f"assert main({argv + ['--output', os.devnull]!r}) "
+                     "== 0\n")
+    assert "slabshift.quadrature" in loaded
+    assert "numpy" not in loaded
+
+
+def test_numpy_loads_with_modes_only():
+    assert "numpy" in _loaded(_after_main(ARGV["modes"]
+                                          + ["--output", os.devnull]))
+    loaded = _loaded("import slabshift.shift, slabshift.asymptotics")
+    assert "slabshift.reflection" in loaded and "numpy" not in loaded
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("axis, fixed", [
     ("zeta", ["--lam", "1", "--n", "2"]),

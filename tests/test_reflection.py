@@ -92,8 +92,8 @@ def test_no_poles_on_real_axis():
 def test_rtilde_transparent():
     s = np.linspace(0.0, 5.0, 7)
     t = np.linspace(0.0, 1.0, 7)
-    assert np.all(rtilde(TE, s, t, 2.0, 1.0) == 0.0)
-    assert np.all(rtilde(TM, s, t, 2.0, 1.0) == 0.0)
+    assert all(r == 0.0 for r in rtilde(TE, s, t, 2.0, 1.0))
+    assert all(r == 0.0 for r in rtilde(TM, s, t, 2.0, 1.0))
 
 
 def test_rtilde_zero_thickness_and_zero_s():
@@ -117,8 +117,8 @@ def test_rtilde_bounds():
     t = rng.uniform(0.0, 1.0, size=200)
     for lam in (0.01, 1.0, 100.0, math.inf):
         for n in (1.2, 2.0, 8.0):
-            r_tm = rtilde(TM, s, t, lam, n)
-            r_te = rtilde(TE, s, t, lam, n)
+            r_tm = np.asarray(rtilde(TM, s, t, lam, n))
+            r_te = np.asarray(rtilde(TE, s, t, lam, n))
             assert np.all((r_tm >= 0.0) & (r_tm < 1.0))
             assert np.all((r_te <= 0.0) & (r_te > -1.0))
 
@@ -136,7 +136,7 @@ def test_rtilde_monotone_in_lam():
     lams = [0.1, 0.5, 2.0, 10.0, math.inf]
     prev_tm = prev_te = None
     for lam in lams:
-        cur_tm = rtilde(TM, s, t, lam, 2.0)
+        cur_tm = np.asarray(rtilde(TM, s, t, lam, 2.0))
         cur_te = np.abs(rtilde(TE, s, t, lam, 2.0))
         if prev_tm is not None:
             assert np.all(cur_tm >= prev_tm - 1e-15)
@@ -251,9 +251,9 @@ def test_rtilde_reaches_halfspace_value_exactly():
                               rtilde(pol, 50.0, t, math.inf, 2.0))
 
 
-# the cubature's nodes: u along (cells, 15, 1) and t along (cells, 1, 15)
-S_ROWS = np.geomspace(1e-3, 30.0, 3 * 15).reshape(3, 15, 1)
-T_ROWS = np.linspace(0.0, 1.0, 3 * 15).reshape(3, 1, 15)
+# nodes as the cubature passes them: one s and one t per node
+S_NODES = np.geomspace(1e-3, 30.0, 45).tolist()
+T_NODES = np.linspace(0.0, 1.0, 45).tolist()
 LAMS = [0.0, 1e-3, 1.0, 1e3, math.inf]
 
 
@@ -264,10 +264,10 @@ def _bits(a):
 @pytest.mark.parametrize("lam", LAMS)
 @pytest.mark.parametrize("n", [1.0, 1.5, 4.0])
 def test_rtilde_of_both_polarizations_is_two_single_calls(lam, n):
-    both = rtilde((TE, TM), S_ROWS, T_ROWS, lam, n)
-    assert both.shape == (2, 3, 15, 15)
+    both = rtilde((TE, TM), S_NODES, T_NODES, lam, n)
+    assert type(both) is tuple and [len(r) for r in both] == [45, 45]
     for row, pol in zip(both, (TE, TM)):
-        assert _bits(row) == _bits(rtilde(pol, S_ROWS, T_ROWS, lam, n))
+        assert _bits(row) == _bits(rtilde(pol, S_NODES, T_NODES, lam, n))
     # scalar nodes give one value per polarization
     pair = rtilde((TE, TM), 0.7, 0.3, lam, n)
     assert _bits(pair) == _bits([rtilde(TE, 0.7, 0.3, lam, n),
@@ -277,19 +277,49 @@ def test_rtilde_of_both_polarizations_is_two_single_calls(lam, n):
 @pytest.mark.parametrize("lam", LAMS)
 @pytest.mark.parametrize("n", [1.0, 1.5, 4.0])
 def test_rtilde_on_node_rows_matches_flat_nodes_bit_for_bit(lam, n):
-    # the t-only terms are formed before broadcasting; the values must be
-    # those of the materialised node arrays the cubature once passed
-    s_flat, t_flat = (np.broadcast_to(x, (3, 15, 15)).ravel()
-                      for x in (S_ROWS, T_ROWS))
+    # sequences pair entry by entry, and a float (a row's one s) pairs
+    # with every entry: the values are those of per-node float calls
     for pol in (TE, TM, (TE, TM)):
-        rows = rtilde(pol, S_ROWS, T_ROWS, lam, n)
-        flat = rtilde(pol, s_flat, t_flat, lam, n)
-        assert rows.shape == flat.shape[:-1] + (3, 15, 15)
-        assert _bits(rows) == _bits(flat)
-    # s with more axes than t, and scalar nodes
-    assert rtilde(TM, np.ones((4, 2)), np.full(2, 0.5), lam, n).shape == (4, 2)
+        nodes = rtilde(pol, S_NODES, T_NODES, lam, n)
+        single = [rtilde(pol, s, t, lam, n)
+                  for s, t in zip(S_NODES, T_NODES)]
+        if isinstance(pol, tuple):
+            single = list(zip(*single))
+        assert _bits(nodes) == _bits(single)
+        assert _bits(rtilde(pol, 0.7, T_NODES, lam, n)) == _bits(
+            rtilde(pol, [0.7] * 45, T_NODES, lam, n))
+        assert _bits(rtilde(pol, tuple(S_NODES), 0.5, lam, n)) == _bits(
+            rtilde(pol, S_NODES, [0.5] * 45, lam, n))
     for pol in (TE, TM):
         assert type(rtilde(pol, 0.7, 0.3, lam, n)) is float
+        assert type(rtilde(pol, [0.7], 0.3, lam, n)) is list
+        assert rtilde(pol, [], 0.3, lam, n) == rtilde(pol, 0.7, (), lam, n) == []
+    with pytest.raises(ValueError, match="one length"):
+        rtilde(TE, S_NODES[:2], T_NODES[:3], lam, n)
+
+
+@pytest.mark.parametrize("size", [22, 100_000])
+@pytest.mark.parametrize("lam", [1.0, math.inf])
+def test_rtilde_takes_the_tracers_linspace_rows(size, lam):
+    # perfbench times rtilde(pol, 0.7, np.linspace(...), lam, 2.0) and
+    # counts np.size of what it returns
+    t = np.linspace(0.0, 1.0, size)
+    single = [rtilde((TE, TM), 0.7, x, lam, 2.0) for x in t.tolist()]
+    for k, pol in enumerate((TE, TM)):
+        assert _bits(rtilde(pol, 0.7, t, lam, 2.0)) == _bits(
+            [pair[k] for pair in single])
+    both = rtilde((TE, TM), 0.7, t, lam, 2.0)
+    assert _bits(both) == _bits(list(zip(*single)))
+    assert np.size(both) == 2 * size
+    for pol in (TE, TM, (TE, TM)):
+        with pytest.raises(ValueError, match="s must be non-negative"):
+            rtilde(pol, math.nan, t, lam, 2.0)
+        bad = t.copy()
+        bad[size // 2] = math.nan
+        with pytest.raises(ValueError, match="t must lie in"):
+            rtilde(pol, 0.7, bad, lam, 2.0)
+        with pytest.raises(ValueError, match="s must be non-negative"):
+            rtilde(pol, np.where(np.isnan(bad), math.nan, 0.7), t, lam, 2.0)
 
 
 @pytest.mark.parametrize("pol", ["TE", [TE, TM], (TE, "TM"), None])

@@ -4,6 +4,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_force_s
 from slabshift import (AtomSpec, QuadratureSpec, ReducedParams, Slab,
@@ -55,7 +57,7 @@ def test_s_against_live_brute_force():
 def test_inner_quadrature_is_batched(monkeypatch):
     # machine-independent guard: the cubature evaluates the cells of a
     # round (up to 48 per call) in one integrand call, with one rtilde call
-    # for both polarizations: 24 seed cells and one refinement round, 28
+    # for both polarizations: 12 seed cells and one refinement round, 16
     # cells of 225 nodes evaluated, two coefficients per node
     counts = {"calls": 0, "nodes": 0}
     rtilde = slabshift.shift.rtilde
@@ -69,16 +71,17 @@ def test_inner_quadrature_is_batched(monkeypatch):
     monkeypatch.setattr(slabshift.shift, "rtilde", counting)
     slabshift.shift._s_pair.cache_clear()
     w_pair(P112)
-    assert counts["nodes"] == 12_600
+    assert counts["nodes"] == 7_200
     assert counts["calls"] == 2
 
 
 @pytest.mark.parametrize("zeta", [1e-76, 1e-18, 1e-7, 1e-3, 1.0, 1e5])
 def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
     # the peak of 1 / (1 + s^2 t^2) at t = 0, of width 1 / s, is flattened
-    # by v = asinh(s t) / asinh(s): the seeds are the 24 geometric u strips,
-    # each all of [0, 1] in v, tiling [0, U] x [0, 1]; W meets its bound
-    # and the cells evaluated stay few where the peak is narrowest
+    # by v = asinh(s t) / asinh(s): the seeds are the 12 u strips 0,
+    # U 2^-11, ..., U, each all of [0, 1] in v, tiling [0, U] x [0, 1]; W
+    # meets its bound and the cells evaluated stay few where the peak is
+    # narrowest
     u_max = 37.0 * math.log(10.0)
     seeds, evaluated = [], [0]
     cubature = slabshift.shift.adaptive_quad
@@ -90,7 +93,7 @@ def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
 
     def counting(pol, s, t, *rest):
         out = rtilde(pol, s, t, *rest)
-        evaluated[0] += out[0].size // 225
+        evaluated[0] += len(out[0]) // 225
         return out
 
     monkeypatch.setattr(slabshift.shift, "adaptive_quad", recording)
@@ -99,12 +102,13 @@ def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
     p = ReducedParams(zeta, 1.0, 2.0)
     got = w_pair(p)
     (lo, hi), = seeds
-    edges = slabshift.quadrature.geometric_edges(u_max)
-    assert np.array_equal(lo, np.stack((edges[:-1], np.zeros(24)), axis=1))
-    assert np.array_equal(hi, np.stack((edges[1:], np.ones(24)), axis=1))
-    area = math.fsum(np.prod(hi - lo, axis=1))
+    edges = [0.0] + [math.ldexp(u_max, -k) for k in range(11, -1, -1)]
+    assert edges[1:] == slabshift.quadrature.geometric_edges(u_max)[-12:]
+    assert lo == [(e, 0.0) for e in edges[:-1]]
+    assert hi == [(e, 1.0) for e in edges[1:]]
+    area = math.fsum((b[0] - a[0]) * (b[1] - a[1]) for a, b in zip(lo, hi))
     assert area == pytest.approx(u_max, rel=1e-14)
-    assert evaluated[0] <= (230 if zeta < 1e-7 else 110)
+    assert evaluated[0] <= (170 if zeta < 1e-7 else 90)
     monkeypatch.undo()
     ref = w_pair(p, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
     assert abs(got.w_par - ref.w_par) <= got.err_par
@@ -177,6 +181,32 @@ def test_monotone_in_n():
     vals = [s_perp(ReducedParams(1.0, 1.0, n), q)[0]
             for n in (1.2, 1.6, 2.5, 4.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+_LOG = {"allow_nan": False, "allow_infinity": False}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(log_zeta=st.floats(-4.0, 3.0, **_LOG),
+       log_lam=st.floats(-3.0, 3.0, **_LOG).flatmap(
+           lambda a: st.tuples(st.just(a), st.floats(a, 3.0, **_LOG))),
+       n=st.floats(1.01, 10.0, **_LOG).flatmap(
+           lambda a: st.tuples(st.just(a), st.floats(a, 10.0, **_LOG))))
+def test_w_is_monotone_in_lam_and_n_and_below_the_halfspace(log_zeta, log_lam,
+                                                           n):
+    # W grows with the slab's thickness and index, and stays positive and
+    # below the half-space pair, each within the two results' summed bounds
+    zeta = 10.0 ** log_zeta
+    lam = tuple(10.0 ** x for x in log_lam)
+    base = w_pair(ReducedParams(zeta, lam[0], n[0]))
+    thicker = w_pair(ReducedParams(zeta, lam[1], n[0]))
+    denser = w_pair(ReducedParams(zeta, lam[0], n[1]))
+    half = w_pair(ReducedParams(zeta, math.inf, n[0]))
+    assert base.w_par > 0.0 and base.w_z > 0.0
+    for lo, hi in ((base, thicker), (base, denser), (base, half),
+                   (thicker, half)):
+        assert lo.w_par <= hi.w_par + lo.err_par + hi.err_par
+        assert lo.w_z <= hi.w_z + lo.err_z + hi.err_z
 
 
 def test_w_pair_scaling_and_values():
