@@ -19,8 +19,8 @@ refractive index (non-dispersive, non-absorbing).  The package provides
 Natural units hbar = c = epsilon_0 = 1 throughout; see
 :mod:`slabshift.units` for the eV-nm boundary conversions.
 
-The namespace is lazy: ``import slabshift`` loads no numpy, and each name
-in ``__all__`` imports its home module on first access.
+The package is plain Python on the standard library.  The namespace is
+lazy: each name in ``__all__`` imports its home module on first access.
 """
 
 from __future__ import annotations

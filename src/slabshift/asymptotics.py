@@ -4,8 +4,8 @@ These serve two purposes: quick estimates in their regimes of validity,
 and independent oracles for the exact double integral.
 
 The retardation classification (:func:`classify_regime`, its
-:class:`RegimeReport` and thresholds) lives in :mod:`slabshift.core`, which
-loads no numpy, and is re-exported here.
+:class:`RegimeReport` and thresholds) lives in :mod:`slabshift.core` and
+is re-exported here.
 """
 
 from __future__ import annotations

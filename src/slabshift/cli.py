@@ -8,8 +8,7 @@ count) and the flags it reads, as :func:`build_parser` registers them and
 README's table lists them; any other flag is an input error.  Exit codes:
 0 ok, 2 input error, 3 a quadrature or the image series did not converge,
 4 partial sweep failure.  ``SLABSHIFT_JOBS`` sets the default worker
-count.  Only ``modes`` loads numpy; :func:`main` runs its OpenBLAS on one
-thread unless ``OPENBLAS_NUM_THREADS`` is already set.
+count.
 
 :func:`run` is the process entry point, of ``python -m slabshift.cli`` and
 of the ``slabshift`` console script: it turns the cyclic garbage collector
@@ -67,7 +66,7 @@ from .errors import ConvergenceError
 def _bind(*names: str) -> None:
     """Bind package names here, where still unset, from their home modules:
     each command binds the ones it runs, so the parser loads no library
-    module and input errors load no numpy."""
+    module and input errors load no compute module."""
     for name in names:
         module = importlib.import_module(f"{__package__}.{_HOME[name]}")
         globals().setdefault(name, getattr(module, name))
@@ -569,11 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if "numpy" not in sys.modules:
-        # one BLAS thread per CLI process (the --jobs workers inherit it):
-        # numpy's OpenBLAS otherwise starts a worker at import that burns
-        # CPU and that slabshift's 3-term dot products never use
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code; the process environment is left as it is."""
     args = build_parser().parse_args(argv)
     # an input error is a ValueError, from the CLI's checks or from the
     # library's, such as a point outside the range W can be taken at
@@ -605,9 +601,9 @@ def run() -> None:
     """Run :func:`main` on ``sys.argv`` and exit with its code.
 
     The cyclic garbage collector is off for the whole command: reference
-    counting still frees every list and array, and the collections that
-    a command's allocations (numpy's import, for ``modes``) would trigger
-    find next to nothing in a process this short.
+    counting still frees every list and tuple, and the collections that
+    a command's allocations would trigger find next to nothing in a
+    process this short.
     Freezing the heap moves every tracked object into the permanent
     generation, which the collections of interpreter shutdown skip; atexit
     handlers and the flushing of stdout still run.

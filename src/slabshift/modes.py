@@ -29,7 +29,7 @@ S/A label refers to the parity of the scalar part under z -> -z).  The
 left side of each relation decreases and the right side increases along
 every tan/cot branch, so each branch holds at most one root and plain
 bisection between branch edges is complete and unconditionally robust.
-The solver bisects the brackets of all branches together, as arrays.
+The solver bisects each branch's bracket in turn, in plain Python.
 
 Wave vectors are taken in the x-z plane (k_par along x); fields for any
 other azimuth follow by rotation.  A mode is stored as one table: per
@@ -45,8 +45,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-
-import numpy as np
 
 from .core import Slab, _positive_finite, finite_power
 from .reflection import Polarization, _slab_amplitudes, slab_denominator
@@ -77,32 +75,28 @@ class TrappedMode(namedtuple("TrappedMode",
     __slots__ = ()
 
 
-def _dispersion_sides(pol: Polarization, parity: str, k_zd: np.ndarray,
-                      k_par: float, slab: Slab) -> tuple[np.ndarray, np.ndarray]:
-    """(kappa(k_zd), rhs(k_zd)) of one dispersion relation, elementwise."""
-    n = slab.n
-    kappa = np.sqrt(np.maximum((n * n - 1.0) * k_par * k_par - k_zd ** 2,
-                               0.0)) / n
-    theta = 0.5 * k_zd * slab.L
-    if parity == "S":
-        rhs = k_zd * np.tan(theta)
-    elif parity == "A":
-        rhs = -k_zd / np.tan(theta)
-    else:
+def _dispersion_sides(pol: Polarization, parity: str, k_par: float,
+                      slab: Slab):
+    """The function k_zd -> (kappa(k_zd), rhs(k_zd)) of one dispersion
+    relation, on one float."""
+    if parity not in ("S", "A"):
         raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
-    if pol is Polarization.TM:
-        rhs = rhs / (n * n)
-    return kappa, rhs
+    n, L = slab.n, slab.L
+    kappa_sq = (n * n - 1.0) * k_par * k_par
+    scale = n * n if pol is Polarization.TM else 1.0
+
+    def sides(k_zd: float) -> tuple[float, float]:
+        tan = math.tan(0.5 * k_zd * L)
+        return (math.sqrt(max(kappa_sq - k_zd * k_zd, 0.0)) / n,
+                (k_zd * tan if parity == "S" else -k_zd / tan) / scale)
+
+    return sides
 
 
-def dispersion_mismatch(pol: Polarization, parity: str, k_zd, k_par: float,
-                        slab: Slab):
-    """kappa(k_zd) - rhs(k_zd); zero exactly on a trapped mode.
-
-    Vectorized over ``k_zd`` for scanning.
-    """
-    kappa, rhs = _dispersion_sides(pol, parity, np.asarray(k_zd, dtype=float),
-                                   k_par, slab)
+def dispersion_mismatch(pol: Polarization, parity: str, k_zd: float,
+                        k_par: float, slab: Slab) -> float:
+    """kappa(k_zd) - rhs(k_zd); zero exactly on a trapped mode."""
+    kappa, rhs = _dispersion_sides(pol, parity, k_par, slab)(k_zd)
     return kappa - rhs
 
 
@@ -112,11 +106,9 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
 
     Returns the complete, ascending-in-k_zd list of roots in
     (0, sqrt(n^2-1) k_par); the list is empty below cutoff.  Every branch
-    is bracketed by its edges, and all the brackets are bisected together,
-    one ``dispersion_mismatch`` call per step.
+    is bracketed by its edges and bisected on its own.
     """
-    if parity not in ("S", "A"):
-        raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
+    sides = _dispersion_sides(pol, parity, k_par, slab)
     _positive_finite(k_par, "k_par")
     n, L = slab.n, slab.L
     if n == 1.0 or L == 0.0 or math.isinf(L):
@@ -133,42 +125,42 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
                          f"relation, more than the {MAX_BRANCHES} allowed")
     # else the dispersion relations' (n^2 - 1) k_par^2 leaves the doubles
     finite_power(k_par, 2, "k_par", n * n - 1.0)
-    theta_start = offset + math.pi * np.arange(
-        math.ceil((theta_max - offset) / math.pi) + 1)
-    theta_start = theta_start[theta_start < theta_max]
-    theta_end = np.minimum(theta_start + 0.5 * math.pi, theta_max)
-    lo = 2.0 * theta_start / L
-    hi = 2.0 * theta_end / L
-    # nudge off the branch edges where tan/cot are singular or zero
-    eps = 1e-12 * (hi - lo) + 1e-300
-    lo = lo + eps
-    hi = np.minimum(np.where(theta_end < theta_max, hi - eps, hi), k_zd_max)
-    lo, hi = lo[hi > lo], hi[hi > lo]
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return dispersion_mismatch(pol, parity, x, k_par, slab)
-
-    # no sign change on a branch means its root lies beyond cutoff
-    crossing = (g(lo) > 0.0) & (g(hi) < 0.0)
-    lo, hi = lo[crossing], hi[crossing]
-    live = np.ones(lo.size, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        live &= (mid != lo) & (mid != hi)
-        if not live.any():
+    modes = []
+    for m in range(math.ceil((theta_max - offset) / math.pi) + 1):
+        theta_start = offset + math.pi * m
+        if not theta_start < theta_max:
             break
-        up = g(mid) > 0.0
-        lo = np.where(live & up, mid, lo)
-        hi = np.where(live & ~up, mid, hi)
-        live &= hi - lo > 1e-15 * hi
-    root = 0.5 * (lo + hi)
-    kappa, rhs = _dispersion_sides(pol, parity, root, k_par, slab)
-    residual = np.abs(kappa - rhs) / np.maximum(np.maximum(kappa, np.abs(rhs)),
-                                                kappa0)
-    return [TrappedMode(pol=pol, parity=parity, k_par=k_par, k_zd=k, kappa=q,
-                        residual=r)
-            for k, q, r in zip(root.tolist(), kappa.tolist(),
-                               residual.tolist())]
+        theta_end = min(theta_start + 0.5 * math.pi, theta_max)
+        lo = 2.0 * theta_start / L
+        hi = 2.0 * theta_end / L
+        # nudge off the branch edges where tan/cot are singular or zero
+        eps = 1e-12 * (hi - lo) + 1e-300
+        lo = lo + eps
+        hi = min(hi - eps if theta_end < theta_max else hi, k_zd_max)
+        # kappa > rhs below the root and kappa < rhs above it; no sign
+        # change on a branch means its root lies beyond cutoff
+        kappa_lo, rhs_lo = sides(lo)
+        kappa_hi, rhs_hi = sides(hi)
+        if not (hi > lo and kappa_lo > rhs_lo and kappa_hi < rhs_hi):
+            continue
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            kappa, rhs = sides(mid)
+            if kappa > rhs:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-15 * hi:
+                break
+        root = 0.5 * (lo + hi)
+        kappa, rhs = sides(root)
+        residual = abs(kappa - rhs) / max(kappa, abs(rhs), kappa0)
+        modes.append(TrappedMode(pol=pol, parity=parity, k_par=k_par,
+                                 k_zd=root, kappa=kappa, residual=residual))
+    return modes
 
 
 def pole_alignment_check(mode: TrappedMode, slab: Slab) -> float:
@@ -178,15 +170,13 @@ def pole_alignment_check(mode: TrappedMode, slab: Slab) -> float:
     dispersion root sits from the reflection-coefficient pole; a true root
     scores at the root-refinement level (~1e-12).
     """
-    k_z = 1j * mode.kappa
-    d0 = slab_denominator(mode.pol, k_z, mode.k_par, slab.L, slab.n)
+    def d(kappa: float) -> complex:
+        return slab_denominator(mode.pol, 1j * kappa, mode.k_par, slab.L,
+                                slab.n)
+
     h = 1e-6 * mode.kappa
-    d_plus = slab_denominator(mode.pol, 1j * (mode.kappa + h), mode.k_par,
-                              slab.L, slab.n)
-    d_minus = slab_denominator(mode.pol, 1j * (mode.kappa - h), mode.k_par,
-                               slab.L, slab.n)
-    grad = abs(d_plus - d_minus) / (2.0 * h)
-    return abs(d0) / (grad * mode.kappa)
+    grad = abs(d(mode.kappa + h) - d(mode.kappa - h)) / (2.0 * h)
+    return abs(d(mode.kappa)) / (grad * mode.kappa)
 
 
 class ModeField(namedtuple("ModeField", "slab k_par regions")):
@@ -203,35 +193,38 @@ class ModeField(namedtuple("ModeField", "slab k_par regions")):
         half = 0.5 * self.slab.L
         return _REGION_TAGS[0 if z < -half else 2 if z > half else 1]
 
-    def field(self, x: float, y: float, z: float) -> np.ndarray:
-        """Complex electric mode vector at a point (region chosen by z)."""
+    def field(self, x: float, y: float, z: float) -> tuple:
+        """Complex electric mode vector, a 3-tuple, at a point (region chosen
+        by z)."""
         return self.field_in(self.region_tag(z), x, y, z)
 
-    def field_in(self, tag: str, x: float, y: float, z: float) -> np.ndarray:
+    def field_in(self, tag: str, x: float, y: float, z: float) -> tuple:
         """Evaluate one region's expansion regardless of z (for limits
         toward an interface)."""
-        return self._sum(tag, x, z, lambda k_z, e: np.asarray(e, dtype=complex))
+        return self._sum(tag, x, z, lambda k_z, e: e)
 
     def scalar(self, x: float, y: float, z: float) -> complex:
         """Scalar part of the mode (polarization vectors stripped)."""
         return self.scalar_in(self.region_tag(z), x, y, z)
 
     def scalar_in(self, tag: str, x: float, y: float, z: float) -> complex:
-        return self._sum(tag, x, z, lambda k_z, e: 1.0)
+        return self._sum(tag, x, z, lambda k_z, e: (1.0,))[0]
 
-    def curl_in(self, tag: str, x: float, y: float, z: float) -> np.ndarray:
-        """Analytic curl of the region expansion: sum c (i k x e) exp(i k.r)."""
-        return self._sum(tag, x, z, lambda k_z, e: 1j * np.cross(
-            np.array([self.k_par, 0.0, k_z], dtype=complex),
-            np.asarray(e, dtype=complex)))
+    def curl_in(self, tag: str, x: float, y: float, z: float) -> tuple:
+        """Analytic curl of the region expansion: sum c (i k x e) exp(i k.r)
+        with k = (k_par, 0, k_z)."""
+        k_par = self.k_par
+        return self._sum(tag, x, z, lambda k_z, e: (
+            -1j * k_z * e[1], 1j * (k_z * e[0] - k_par * e[2]),
+            1j * k_par * e[1]))
 
-    def _sum(self, tag: str, x: float, z: float, vector):
-        """sum over the region's waves of amplitude * exp(i k.r) * vector."""
-        out = 0.0j
-        for amplitude, k_z, e in self.regions[_REGION_TAGS.index(tag)]:
-            phase = cmath.exp(1j * (self.k_par * x + k_z * z))
-            out = out + (amplitude * phase) * vector(k_z, e)
-        return out
+    def _sum(self, tag: str, x: float, z: float, vector) -> tuple:
+        """sum over the region's waves of amplitude * exp(i k.r) * vector,
+        component by component."""
+        waves = self.regions[_REGION_TAGS.index(tag)]
+        terms = [[amplitude * cmath.exp(1j * (self.k_par * x + k_z * z)) * v
+                  for v in vector(k_z, e)] for amplitude, k_z, e in waves]
+        return tuple(sum(column, 0j) for column in zip(*terms))
 
 
 def _mode_field(pol: Polarization, k_par: float, omega: float, slab: Slab,
@@ -293,19 +286,16 @@ def trapped_mode(mode: TrappedMode, slab: Slab) -> ModeField:
     k_par, k_zd, kappa = mode.k_par, mode.k_zd, mode.kappa
     theta = 0.5 * k_zd * L
     omega = math.sqrt(k_par * k_par + k_zd * k_zd) / n
-    sgn = 1.0 if mode.parity == "S" else -1.0
-
     if mode.parity == "S":
-        L_coef = 2.0 * math.cos(theta) * math.exp(0.5 * kappa * L)
+        sgn, L_coef = 1.0, 2.0 * math.cos(theta) * math.exp(0.5 * kappa * L)
     else:
-        L_coef = 2.0j * math.sin(theta) * math.exp(0.5 * kappa * L)
-    if mode.pol is Polarization.TM:
-        L_coef = n * L_coef
+        sgn, L_coef = -1.0, 2.0j * math.sin(theta) * math.exp(0.5 * kappa * L)
 
     if mode.pol is Polarization.TE:
         M = 1.0 / (4.0 * math.pi * math.sqrt(
             n * n * L / 2.0 + (k_par / omega) ** 2 / kappa))
     else:
+        L_coef = n * L_coef
         M = 1.0 / (4.0 * math.pi * math.sqrt(
             n * n * L / 2.0
             + n * n * k_par * k_par / (kappa * (k_par * k_par

@@ -102,16 +102,19 @@ def fresnel_r(pol: Polarization, k_z: complex, k_zd: complex,
     """Single-interface Fresnel reflection amplitude vacuum -> dielectric."""
     _index(n)
     if pol is Polarization.TE:
-        num = k_z - k_zd
-        den = k_z + k_zd
+        num, den = k_z - k_zd, k_z + k_zd
     else:
-        num = n * n * k_z - k_zd
-        den = n * n * k_z + k_zd
-    scale = max(abs(k_z), abs(k_zd), 1.0)
-    if abs(den) <= 1e-15 * scale:
+        num, den = n * n * k_z - k_zd, n * n * k_z + k_zd
+    return _as_wave_component(num / _fresnel_den(pol, den, k_z, k_zd))
+
+
+def _fresnel_den(pol: Polarization, den: complex, k_z: complex,
+                 k_zd: complex) -> complex:
+    """The Fresnel denominator, or a PoleError where it vanishes."""
+    if abs(den) <= 1e-15 * max(abs(k_z), abs(k_zd), 1.0):
         raise PoleError(f"vanishing Fresnel denominator for {pol.value}",
                         k_z=k_z)
-    return _as_wave_component(num / den)
+    return den
 
 
 def slab_denominator(pol: Polarization, k_z: complex, k_par: float, L: float,
@@ -127,11 +130,20 @@ def slab_denominator(pol: Polarization, k_z: complex, k_par: float, L: float,
 def _interface(pol: Polarization, k_z: complex, k_par: float, L: float,
                n: float) -> tuple:
     """(k_zd, r, exp(2 i k_zd L)), or a ValueError unless 0 <= L < inf and
-    the phase is finite."""
+    the phase is finite.  r's numerator is a difference of squares over
+    the denominator, -(n^2 - 1)(k_par^2 + k_z^2) for TE and
+    (n^2 - 1)(n^2 k_z^2 - k_par^2) for TM, formed as products that keep
+    their digits where k_zd -> k_z (TE) or n^2 k_z (TM)."""
     if not 0.0 <= L < math.inf:
         raise ValueError(f"slab thickness L must be in [0, inf), got {L}")
     k_zd = snell_kzd(k_par, k_z, n)
-    r = fresnel_r(pol, k_z, k_zd, n)
+    if pol is Polarization.TE:
+        num = -(n * n - 1.0) * (k_par + 1j * k_z) * (k_par - 1j * k_z)
+        den = k_z + k_zd
+    else:
+        num = (n * n - 1.0) * (n * k_z - k_par) * (n * k_z + k_par)
+        den = n * n * k_z + k_zd
+    r = num / _fresnel_den(pol, den, k_z, k_zd) ** 2
     try:
         return k_zd, r, cmath.exp(2.0j * k_zd * L)
     except (OverflowError, ValueError):
@@ -151,7 +163,7 @@ def _slab_amplitudes(pol: Polarization, k_z: complex, k_par: float, L: float,
     inside = (1.0 + r) / (den * (1.0 if pol is Polarization.TE else n))
     try:
         amplitudes = (
-            r * (1.0 - phase) / den * cmath.exp(-1.0j * k_z * L),
+            -r * _phase_minus_one(k_zd, L) / den * cmath.exp(-1.0j * k_z * L),
             (1.0 - r * r) / den * cmath.exp(1.0j * (k_zd - k_z) * L),
             inside * cmath.exp(0.5j * (k_zd - k_z) * L),
             -r * inside * cmath.exp(0.5j * (3.0 * k_zd - k_z) * L))
@@ -160,6 +172,14 @@ def _slab_amplitudes(pol: Polarization, k_z: complex, k_par: float, L: float,
     if not all(map(cmath.isfinite, amplitudes)):
         raise ValueError(_OUT_OF_RANGE.format(k_z, k_par, L))
     return amplitudes + (k_zd,)
+
+
+def _phase_minus_one(k_zd: complex, L: float) -> complex:
+    """exp(2 i k_zd L) - 1, without the cancellation of small k_zd L:
+    e^{x + i y} - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y."""
+    x, y = -2.0 * L * k_zd.imag, 2.0 * L * k_zd.real
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                   math.exp(x) * math.sin(y))
 
 
 def slab_R(pol: Polarization, k_z: complex, k_par: float, L: float,

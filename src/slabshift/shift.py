@@ -35,7 +35,7 @@ One call of the global GK15 x GK15 cubature of :mod:`slabshift.quadrature`
 over (u, v) yields the pair, and each of its integrand calls (one per
 round, or per 48 cells of a larger round) takes both polarizations'
 reflection coefficients from one :func:`rtilde` call.  All of it is plain
-Python on floats and lists: a W command loads no numpy.  The seed cells
+Python on floats and lists.  The seed cells
 are 12 u strips, ``0, U 2^-11, ..., U`` (the top 12 edges of
 :func:`slabshift.quadrature.geometric_edges`), each all of ``[0, 1]`` in
 v.  The rule stops when each component's error is at most

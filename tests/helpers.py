@@ -111,13 +111,13 @@ def sign_scan_root_count(pol, parity: str, k_par: float, slab,
     """Count dispersion-relation roots by dense sign scanning.
 
     Scans each continuity interval of the tan/cot branch structure
-    separately so singularity jumps are never mistaken for crossings.
+    separately so singularity jumps are never mistaken for crossings; the
+    relations are written out with numpy, one array per interval.
     """
-    from slabshift.modes import dispersion_mismatch
-
     n, L = slab.n, slab.L
     if n == 1.0 or L == 0.0:
         return 0
+    scale = n * n if pol.value == "TM" else 1.0
     k_zd_max = math.sqrt(n * n - 1.0) * k_par
     theta_max = 0.5 * k_zd_max * L
     # tan singular at (m + 1/2) pi; -cot singular at m pi (m >= 1); theta = 0
@@ -135,7 +135,12 @@ def sign_scan_root_count(pol, parity: str, k_par: float, slab,
     for lo, hi in zip(edges[:-1], edges[1:]):
         pad = 1e-9 * (hi - lo)
         theta = np.linspace(lo + pad, hi - pad, points_per_branch)
-        g = dispersion_mismatch(pol, parity, 2.0 * theta / L, k_par, slab)
+        k_zd = 2.0 * theta / L
+        kappa = np.sqrt(np.maximum((n * n - 1.0) * k_par ** 2 - k_zd ** 2,
+                                   0.0)) / n
+        rhs = (k_zd * np.tan(theta) if parity == "S"
+               else -k_zd / np.tan(theta))
+        g = kappa - rhs / scale
         count += int(np.sum(np.diff(np.sign(g)) != 0))
     return count
 

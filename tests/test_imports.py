@@ -105,7 +105,7 @@ def test_sweep_of_more_than_a_million_points_exits_2_before_numpy():
             "1000001", "--lam", "1", "--n", "2"]
     loaded = _loaded("from slabshift.cli import main\n"
                      f"assert main({argv!r}) == 2\n")
-    assert "numpy" not in loaded
+    assert not loaded & COMPUTE
 
 
 @pytest.mark.parametrize("code", [
@@ -174,22 +174,32 @@ def test_modes_loads_no_shift_or_quadrature():
     ARGV["asympt"],
     ["asympt", "--n", "1e4", "--thickness", "0.01", "--distance", "1",
      "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
-], ids=["wfun", "shift", "sweep", "asympt", "asympt-k-integral"])
-def test_w_commands_load_no_numpy(argv):
-    # the W cubature, the reflection coefficient and the k integral are
-    # plain Python: numpy's import would cost more than the W pairs
+    ARGV["modes"],
+], ids=["wfun", "shift", "sweep", "asympt", "asympt-k-integral", "modes"])
+def test_no_command_loads_numpy(argv):
+    # the W cubature, the reflection coefficients, the k integral and the
+    # mode solver are plain Python, so no command pays numpy's import
     loaded = _loaded("from slabshift.cli import main\n"
                      f"assert main({argv + ['--output', os.devnull]!r}) "
                      "== 0\n")
-    assert "slabshift.quadrature" in loaded
+    assert "slabshift.reflection" in loaded
     assert "numpy" not in loaded
 
 
-def test_numpy_loads_with_modes_only():
-    assert "numpy" in _loaded(_after_main(ARGV["modes"]
-                                          + ["--output", os.devnull]))
-    loaded = _loaded("import slabshift.shift, slabshift.asymptotics")
-    assert "slabshift.reflection" in loaded and "numpy" not in loaded
+def test_no_module_imports_numpy():
+    # the package has no runtime dependency
+    package = Path(slabshift.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert package / "modes.py" in sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert "numpy" not in roots, source.name
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -265,9 +275,6 @@ def test_traced_names_are_cli_attributes_that_commands_call():
     assert all(calls[name] > 0 for name in TRACED), calls
 
 
-# A CLI process pins numpy's OpenBLAS to one thread before numpy loads;
-# these run with no thread count set unless a test sets one.
-NO_BLAS_ENV = {k: v for k, v in ENV.items() if k != "OPENBLAS_NUM_THREADS"}
 WFUN_SMALL = ["wfun", "--zeta", "1", "--lam", "1", "--n", "2"]
 
 
@@ -280,44 +287,26 @@ def _stdout(code: str, env: dict[str, str]) -> str:
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count threads")
 def test_cli_process_runs_one_thread():
+    # ... and sets no environment variable for it
     out = _stdout(
         "import os\n"
-        "from slabshift.cli import main\n"
-        f"rc = main({WFUN_SMALL!r} + ['--output', {os.devnull!r}])\n"
-        "print(rc, len(os.listdir('/proc/self/task')),"
-        " os.environ['OPENBLAS_NUM_THREADS'])\n", NO_BLAS_ENV)
-    assert out == "0 1 1\n"
-
-
-def test_cli_keeps_a_thread_count_the_user_set():
-    out = _stdout(
-        "import os\n"
-        "from slabshift.cli import main\n"
-        f"rc = main({WFUN_SMALL!r} + ['--output', {os.devnull!r}])\n"
-        "print(rc, os.environ['OPENBLAS_NUM_THREADS'])\n",
-        {**NO_BLAS_ENV, "OPENBLAS_NUM_THREADS": "2"})
-    assert out == "0 2\n"
-
-
-def test_in_process_main_after_numpy_leaves_the_environment_alone():
-    out = _stdout(
-        "import os\n"
-        "import numpy\n"
         "from slabshift.cli import main\n"
         "before = dict(os.environ)\n"
-        f"rc = main({WFUN_SMALL!r} + ['--output', {os.devnull!r}])\n"
-        "print(rc, dict(os.environ) == before)\n", NO_BLAS_ENV)
-    assert out == "0 True\n"
+        f"for argv in ({WFUN_SMALL!r}, {ARGV['modes']!r}):\n"
+        f"    assert main(argv + ['--output', {os.devnull!r}]) == 0\n"
+        "print(len(os.listdir('/proc/self/task')),"
+        " dict(os.environ) == before)\n", ENV)
+    assert out == "1 True\n"
 
 
 def test_one_thread_sweep_is_the_same_for_any_worker_count():
-    # the workers of --jobs 2 inherit the one-thread setting
+    # a sweep's rows do not depend on how many processes compute them
     argv = [sys.executable, "-m", "slabshift.cli", "sweep", "--axis", "zeta",
             "--lo", "0.5", "--hi", "2", "--points", "3", "--lam", "1",
             "--n", "2", "--rel-tol", "1e-6"]
     outs = []
     for jobs in ("1", "2"):
-        proc = subprocess.run(argv + ["--jobs", jobs], env=NO_BLAS_ENV,
+        proc = subprocess.run(argv + ["--jobs", jobs], env=ENV,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outs.append([line for line in proc.stdout.splitlines()

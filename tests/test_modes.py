@@ -201,8 +201,8 @@ def test_travelling_te_curl_continuity():
         f = travelling_mode("L", TE, k_par, k_z, slab)
         for z, vac in ((-slab.L / 2.0, "left_vacuum"),
                        (slab.L / 2.0, "right_vacuum")):
-            b_vac = f.curl_in(vac, 0.1, 0.2, z)
-            b_slab = f.curl_in("slab", 0.1, 0.2, z)
+            b_vac = np.asarray(f.curl_in(vac, 0.1, 0.2, z))
+            b_slab = np.asarray(f.curl_in("slab", 0.1, 0.2, z))
             scale = max(np.abs(b_vac).max(), np.abs(b_slab).max())
             assert np.abs(b_vac - b_slab).max() / scale < 1e-10
 
@@ -289,8 +289,8 @@ def test_trapped_te_curl_continuity():
         f = trapped_mode(modes[0], SLAB)
         for z, vac in ((-SLAB.L / 2.0, "left_vacuum"),
                        (SLAB.L / 2.0, "right_vacuum")):
-            b_vac = f.curl_in(vac, 0.0, 0.0, z)
-            b_slab = f.curl_in("slab", 0.0, 0.0, z)
+            b_vac = np.asarray(f.curl_in(vac, 0.0, 0.0, z))
+            b_slab = np.asarray(f.curl_in("slab", 0.0, 0.0, z))
             scale = max(np.abs(b_vac).max(), np.abs(b_slab).max())
             assert np.abs(b_vac - b_slab).max() / scale < 1e-10
 

@@ -203,12 +203,13 @@ def test_rtilde_is_the_wick_rotated_slab_amplitude():
     # with E_ji = 1 the contour coefficient is the physical amplitude at
     # imaginary frequency, k_z = i s and k_par = s sqrt(1 - t^2), with its
     # reference plane moved from the slab centre to the near surface.
-    # slab_R rounds where rtilde does not: k_zd = i s g comes from terms of
-    # size n^2 s^2, then cancels in r_TE ~ 1 - g ~ (n^2 - 1) t^2 / 2 (and in
-    # r_TM ~ n^2 - g), and 1 - exp(2 i k_zd L) = 1 - exp(-2 Lam) cancels at
-    # small Lam.  The tolerance is eps times that condition number; where
-    # it exceeds 1e-12, slab_R's formula in mpmath, 30 digits beyond those
-    # the cancellation takes, must agree to 1e-13 as well
+    # slab_R's inputs round where rtilde's do not: the rounding of
+    # k_par = s sqrt(1 - t^2) enters k_par^2 + k_z^2 = -s^2 t^2, to which
+    # r_TE is proportional (condition ~ 1/t^2; r_TM's is n^2 / (n^2 - g)),
+    # and 1 - exp(-2 Lam) is small at small Lam.  The tolerance is eps
+    # times that condition number; where it exceeds 1e-12, slab_R's
+    # formula in mpmath, 30 digits beyond those the cancellation takes,
+    # must agree to 1e-13 as well
     rng = np.random.default_rng(2009)
     eps = np.finfo(float).eps
     for i in range(4000):
@@ -240,6 +241,35 @@ def _wick_rotated_slab_R(pol, s, t, lam, n):
     phase = mpmath.exp(2j * k_zd * L)
     R = r * (1 - phase) / (1 - r * r * phase) * mpmath.exp(-1j * k_z * L)
     return float(mpmath.re(R * mpmath.exp(-s * L)))
+
+
+def _slab_R_60_digits(pol, k_z, k_par, L, n):
+    """slab_R's closed form in 60-digit mpmath, the float inputs exact."""
+    with mpmath.workdps(60):
+        k_z = mpmath.mpc(k_z)
+        k_par, L, n = (mpmath.mpf(x) for x in (k_par, L, n))
+        k_zd = mpmath.sqrt((n * n - 1) * k_par * k_par + n * n * k_z * k_z)
+        m = 1 if pol is TE else n * n
+        r = (m * k_z - k_zd) / (m * k_z + k_zd)
+        phase = mpmath.exp(2j * k_zd * L)
+        return complex(r * (1 - phase) / (1 - r * r * phase)
+                       * mpmath.exp(-1j * k_z * L))
+
+
+@pytest.mark.parametrize("pol, k_z, k_par, L", [
+    # k_z - k_zd cancels as k_z -> i k_par: off by 1.7e-14, 2.6e-9 and
+    # 1.0e-12 before it was taken as a difference of squares
+    *[(TE, 1j, math.sqrt(1.0 - t * t), 1.0) for t in (1e-2, 1e-4, 1e-6)],
+    # n^2 k_z - k_zd cancels as k_par -> n k_z: off by 8.5e-11 and 1.3e-10
+    *[(TM, 0.6, 1.2 * (1.0 + d), 1.0) for d in (1e-6, 1e-9)],
+    # 1 - exp(2 i k_zd L) cancels at small k_zd L: off by 4.7e-12 and
+    # 1.6e-9 before it went through expm1
+    *[(pol, 0.7, 0.4, L) for pol in (TE, TM) for L in (1e-6, 1e-9)],
+])
+def test_slab_r_keeps_its_digits_where_its_formula_cancels(pol, k_z, k_par,
+                                                          L):
+    want = _slab_R_60_digits(pol, k_z, k_par, L, 2.0)
+    assert abs(slab_R(pol, k_z, k_par, L, 2.0) - want) <= 1e-15 * abs(want)
 
 
 def test_rtilde_reaches_halfspace_value_exactly():
