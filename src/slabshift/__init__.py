@@ -44,8 +44,8 @@ _EXPORTS = {
                     "nonretarded_shift", "nonretarded_thin_shift",
                     "retarded_thin_shift"),
     "electrostatics": ("image_series_shift", "phi_H"),
-    "modes": ("dispersion_mismatch", "find_trapped_modes",
-              "pole_alignment_check", "trapped_mode", "travelling_mode"),
+    "modes": ("find_trapped_modes", "pole_alignment_check", "trapped_mode",
+              "travelling_mode"),
     "units": ("HBARC_EV_NM", "inv_nm_to_ev"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -116,18 +116,17 @@ def nonretarded_k_integral(atom: AtomSpec, slab: Slab, Z: float,
     beta = _beta(slab.n)
     beta2 = beta * beta
 
-    def integrand(k: list) -> list:
+    def integrand(k: list) -> tuple[list]:
         # (1 - e)/(1 - beta^2 e) with e = exp(-2kL) = 1 - g, free of
         # cancellation at small kL; g = 1 where 2kL overflows and at L = inf
         g = [-math.expm1(-2.0 * x * slab.L) for x in k]
-        return [x * x * math.exp(-2.0 * Z * x)
-                * (y / (1.0 - beta2 + beta2 * y)) for x, y in zip(k, g)]
+        return ([x * x * math.exp(-2.0 * Z * x)
+                 * (y / (1.0 - beta2 + beta2 * y)) for x, y in zip(k, g)],)
 
     # all 24 geometric seeds up to k = U / (2 Z)
     cells = [(x,) for x in geometric_edges(CUTOFF / (2.0 * Z))]
-    res = adaptive_quad(integrand, cells[:-1], cells[1:], q.rel_tol,
-                        q.abs_tol, q.max_subdivisions)
-    pref = -beta / (16.0 * math.pi) * res.value
+    res = adaptive_quad(integrand, cells[:-1], cells[1:], q.rel_tol, q.abs_tol)
+    pref = -beta / (16.0 * math.pi) * res.value[0]
     contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
                 for tr in atom.transitions]
     return _slab_shift(contribs, slab)

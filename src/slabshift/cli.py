@@ -7,8 +7,7 @@ takes ``--output FILE`` and ``--jobs N`` (only ``sweep`` uses the worker
 count) and the flags it reads, as :func:`build_parser` registers them and
 README's table lists them; any other flag is an input error.  Exit codes:
 0 ok, 2 input error, 3 a quadrature or the image series did not converge,
-4 partial sweep failure.  ``SLABSHIFT_JOBS`` sets the default worker
-count.
+4 partial sweep failure.
 
 :func:`run` is the process entry point, of ``python -m slabshift.cli`` and
 of the ``slabshift`` console script: it turns the cyclic garbage collector
@@ -54,7 +53,6 @@ import argparse
 import gc
 import importlib
 import math
-import os
 import re
 import sys
 from collections import namedtuple
@@ -116,16 +114,14 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get_number(cfg: dict[str, object], key: str,
-                kind: type = float) -> float | int:
-    """``cfg[key]`` as a ``kind`` (float or int); errors name the key."""
+def _get_number(cfg: dict[str, object], key: str) -> float:
+    """``cfg[key]`` as a float; errors name the key."""
     if key not in cfg:
         raise ValueError(f"missing required field: {key}")
     try:
-        return kind(cfg[key])
+        return float(cfg[key])
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"field {key} is not {what}: {cfg[key]!r}") from None
+        raise ValueError(f"field {key} is not a number: {cfg[key]!r}") from None
 
 
 class RunInput(namedtuple("RunInput", "atom slab Z quad inputs")):
@@ -186,12 +182,12 @@ def build_run_input(cfg: dict[str, str]) -> RunInput:
 
 
 def _quad_spec(cfg: dict[str, object]) -> QuadratureSpec:
-    """The spec's fields are the one table of ``quad.*`` keys: each that
-    ``cfg`` sets takes the type of its default."""
+    """The spec's fields are the one table of ``quad.*`` keys, each a
+    float; a field ``cfg`` does not set keeps its default."""
     _bind("QuadratureSpec")
     return QuadratureSpec(**{
-        name: _get_number(cfg, f"quad.{name}", type(default))
-        for name, default in QuadratureSpec._field_defaults.items()
+        name: _get_number(cfg, f"quad.{name}")
+        for name in QuadratureSpec._fields
         if cfg.get(f"quad.{name}") is not None})
 
 
@@ -239,8 +235,7 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
     lines = [f"# slabshift {command}", f"# version = {__version__}",
              f"# timestamp = {manifest['timestamp']}"]
     lines += [f"# {k} = {v}" for k, v in manifest["inputs"].items()]
-    lines += [f"# quad.{k} = {v:g}" if isinstance(v, float)
-              else f"# quad.{k} = {v}"
+    lines += [f"# quad.{k} = {v:g}"
               for k, v in manifest.get("quad", {}).items()]
     lines.append(",".join(header))
     for row in rows:
@@ -486,10 +481,8 @@ def _add_common(parser: argparse.ArgumentParser, *, fmt: bool = True,
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
     # only sweep reads --jobs, yet every subcommand accepts it:
     # perfbench/workloads.draw appends --jobs 1 to every command it runs
-    parser.add_argument("--jobs", type=_positive(int),
-                        default=os.environ.get("SLABSHIFT_JOBS", "1"),
-                        help="worker processes for sweeps "
-                             "(default: SLABSHIFT_JOBS or 1)")
+    parser.add_argument("--jobs", type=_positive(int), default=1,
+                        help="worker processes for sweeps (default: 1)")
     if rel_tol:
         parser.add_argument("--rel-tol", dest="quad.rel_tol",
                             type=_positive(float),

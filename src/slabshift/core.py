@@ -65,12 +65,6 @@ def _index(n: float) -> None:
         raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
 
 
-def _count(x: int, what: str) -> None:
-    """A ValueError naming ``what`` unless ``x`` is an int of at least 1."""
-    if not (isinstance(x, int) and x >= 1):
-        raise ValueError(f"{what} must be an integer >= 1, got {x!r}")
-
-
 class _Checked:
     """Base of a checked value type, listed before its namedtuple:
     :meth:`_check` runs on every construction, ``_make``, ``_replace`` and
@@ -142,13 +136,13 @@ class AtomSpec(_Checked, namedtuple("AtomSpec", "transitions")):
 
 
 class QuadratureSpec(_Checked, namedtuple(
-        "QuadratureSpec", "rel_tol abs_tol max_subdivisions",
-        defaults=(1e-8, 1e-14, 2000))):
-    """Tolerances and budgets for the shift quadrature.
+        "QuadratureSpec", "rel_tol abs_tol", defaults=(1e-8, 1e-14))):
+    """Tolerances for the shift quadrature.
 
-    ``max_subdivisions``, an int, is the number of cell splits allowed
-    beyond the seed cells.  The cut-off of the exponential axis is the
-    constant :data:`slabshift.quadrature.CUTOFF`.
+    The budget of cell splits beyond the seed cells and the cut-off of
+    the exponential axis are the constants
+    :data:`slabshift.quadrature.MAX_SUBDIVISIONS` and
+    :data:`slabshift.quadrature.CUTOFF`.
     """
 
     __slots__ = ()
@@ -156,7 +150,6 @@ class QuadratureSpec(_Checked, namedtuple(
     def _check(self):
         _positive_finite(self.rel_tol, "rel_tol")
         _positive_finite(self.abs_tol, "abs_tol")
-        _count(self.max_subdivisions, "max_subdivisions")
 
 
 class ReducedParams(_Checked, namedtuple("ReducedParams", "zeta lam n")):

@@ -44,11 +44,11 @@ from .errors import ConvergenceError
 __all__ = ["phi_H", "image_series_shift", "image_series_converges"]
 
 # a series stops once its tail majorant is at most TAIL_TOL times its sum,
-# or fails after MAX_TERMS terms; :func:`image_series_converges` lets it
-# run at most _FEW_TERMS terms
+# or fails after MAX_TERMS terms: a longer series is still exact in
+# principle, but near a mirror its running sum drifts by rounding (1.5e-13
+# to 9.7e-13 relative at n = 300 to 1e4, L/Z = 0.1 or 1)
 TAIL_TOL = 1e-14
-MAX_TERMS = 10 ** 6
-_FEW_TERMS = 10 ** 4
+MAX_TERMS = 10 ** 4
 
 
 def _beta(n: float) -> float:
@@ -115,21 +115,18 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
 
 
 def image_series_converges(slab: Slab, Z: float) -> bool:
-    """False if the distance series cannot meet ``TAIL_TOL`` in few terms.
+    """False if the distance series cannot meet ``TAIL_TOL`` in
+    ``MAX_TERMS`` terms.
 
     Partial sums stay below 1/Z^3 (Z > 0) and the majorant falls with m, so
-    a majorant above TAIL_TOL/Z^3 at term M means the loop runs past M
-    terms; the 1e-6 margin covers its rounding.  M is ``MAX_TERMS``, capped
-    at ``_FEW_TERMS``: a longer series is still exact in principle, but near
-    a mirror its running sum drifts by rounding (1.5e-13 to 9.7e-13
-    relative at n = 300 to 1e4, L/Z = 0.1 or 1) and takes 26-300 ms.
+    a majorant above TAIL_TOL/Z^3 at term M = ``MAX_TERMS`` means the loop
+    runs past M terms; the 1e-6 margin covers its rounding.
     """
     z3 = finite_power(Z, 3, "atom-surface distance Z")
     beta = _beta(slab.n)
     beta2 = beta * beta
-    m = min(MAX_TERMS, _FEW_TERMS)
-    last = beta2 ** m * _bracket(Z, slab.L, m) / (1.0 - beta2) \
-        if beta2 < 1.0 else math.inf
+    last = (beta2 ** MAX_TERMS * _bracket(Z, slab.L, MAX_TERMS)
+            / (1.0 - beta2)) if beta2 < 1.0 else math.inf
     return last <= (1.0 + 1e-6) * TAIL_TOL / z3
 
 

@@ -52,7 +52,6 @@ from .reflection import Polarization, _slab_amplitudes, slab_denominator
 __all__ = [
     "TrappedMode",
     "ModeField",
-    "dispersion_mismatch",
     "find_trapped_modes",
     "pole_alignment_check",
     "travelling_mode",
@@ -91,13 +90,6 @@ def _dispersion_sides(pol: Polarization, parity: str, k_par: float,
                 (k_zd * tan if parity == "S" else -k_zd / tan) / scale)
 
     return sides
-
-
-def dispersion_mismatch(pol: Polarization, parity: str, k_zd: float,
-                        k_par: float, slab: Slab) -> float:
-    """kappa(k_zd) - rhs(k_zd); zero exactly on a trapped mode."""
-    kappa, rhs = _dispersion_sides(pol, parity, k_par, slab)(k_zd)
-    return kappa - rhs
 
 
 def find_trapped_modes(pol: Polarization, parity: str, k_par: float,

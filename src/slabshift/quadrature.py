@@ -23,14 +23,14 @@ The contract is the tolerance, not the rule: callers rely on
 ``err_est <= max(rel_tol * |value|, abs_tol)`` of every component of the
 returned result, both sides taken with ``math.fsum``, and on
 :class:`ConvergenceError` carrying the best estimate when the budget of
-``max_subdivisions`` splits beyond the seed cells runs out.
+:data:`MAX_SUBDIVISIONS` splits beyond the seed cells runs out.
 
 The module is plain Python on floats and lists.  In 1D the integrand
 takes the list of nodes, ``f(x)``.  In 2D it takes each cell's 15 nodes
 per axis as two lists, ``f(u, v)``, and returns its values on each
 cell's grid, u-major: cell ``c``'s value at ``(u[15 c + i],
-v[15 c + j])`` sits at ``225 c + 15 i + j``.  A vector-valued integrand
-returns one such list per component.
+v[15 c + j])`` sits at ``225 c + 15 i + j``.  Every integrand returns a
+tuple of such lists, one per component.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ _SIZE = len(_NODES)
 # most nodes in one integrand call (48 cells of 225 nodes in 2D): larger
 # rounds go in several calls, which bounds the memory of the temporaries
 _MAX_NODES = 10_800
+# splits allowed beyond the seed cells: at rel_tol 1e-14, W took at most
+# 268 and the k integral 7 on the grids of README's numerical notes
+MAX_SUBDIVISIONS = 2000
 # where the weight e^-u has fallen 37 decades below its peak: the end of
 # the u axis of W and of 2Zk in the non-retarded k integral
 CUTOFF = 37.0 * math.log(10.0)
@@ -74,7 +77,7 @@ def geometric_edges(upper: float) -> list[float]:
 
 
 class QuadResult(namedtuple("QuadResult", "value err_est lo hi")):
-    """Value and error bound, floats or one tuple entry per component.
+    """Value and error bound, tuples with one entry per component.
 
     The final cells' corners are the tuples of ``lo`` and ``hi``, one
     entry per axis; ``panels`` counts them.
@@ -99,10 +102,9 @@ def _kronrod_gauss(y: Sequence[float], wk=_WGK, wg=_WG) -> tuple[float, float]:
             g0 * s1 + g1 * s3 + g2 * s5 + g3 * mid)
 
 
-def _eval_cells(f: Callable[..., Sequence], lo: list[tuple],
-                hi: list[tuple]) -> tuple[list, list, bool]:
-    """Values and per-axis errors of every cell ``[lo[i], hi[i]]``, and
-    whether the integrand is scalar.
+def _eval_cells(f: Callable[..., tuple], lo: list[tuple],
+                hi: list[tuple]) -> tuple[list, list]:
+    """Values and per-axis errors of every cell ``[lo[i], hi[i]]``.
 
     One integrand call sees the nodes of all the cells.  The values and
     errors have one list per component of the integrand, with one entry
@@ -118,13 +120,12 @@ def _eval_cells(f: Callable[..., Sequence], lo: list[tuple],
                                     for l, h, half in zip(lo, hi, halves))
              for x in _NODES] for k in range(dims)]
     y = f(*rows)
-    scalar = isinstance(y[0], (int, float))
-    comps = [y] if scalar else y
-    if any(len(ys) != len(lo) * _SIZE ** dims for ys in comps):
-        raise ValueError(f"the integrand must return {_SIZE ** dims} values "
-                         "per cell for each component")
+    if not (isinstance(y, tuple)
+            and all(len(ys) == len(lo) * _SIZE ** dims for ys in y)):
+        raise ValueError(f"the integrand must return a tuple with "
+                         f"{_SIZE ** dims} values per cell for each component")
     vals, errs = [], []
-    for ys in comps:
+    for ys in y:
         # the sums along the last axis, one pair per run of 15 values
         sums = list(map(_kronrod_gauss, [ys[i:i + _SIZE]
                                          for i in range(0, len(ys), _SIZE)]))
@@ -140,62 +141,53 @@ def _eval_cells(f: Callable[..., Sequence], lo: list[tuple],
         vals.append([kk * v for (kk, *_), v in zip(sums, volumes)])
         errs.append([tuple(abs(g - kk) * v for g in gs)
                      for (kk, *gs), v in zip(sums, volumes)])
-    return vals, errs, scalar
+    return vals, errs
 
 
-def _eval_round(f: Callable[..., Sequence], lo: list[tuple],
-                hi: list[tuple]) -> tuple[list, list, bool]:
+def _eval_round(f: Callable[..., tuple], lo: list[tuple],
+                hi: list[tuple]) -> tuple[list, list]:
     """:func:`_eval_cells` of all the cells of one round, in integrand
     calls of at most ``_MAX_NODES`` nodes each."""
     step = max(1, _MAX_NODES // _SIZE ** len(lo[0]))
-    vals, errs, scalar = zip(*(_eval_cells(f, lo[i:i + step], hi[i:i + step])
-                               for i in range(0, len(lo), step)))
-    return ([sum(v, []) for v in zip(*vals)], [sum(e, []) for e in zip(*errs)],
-            scalar[0])
+    vals, errs = zip(*(_eval_cells(f, lo[i:i + step], hi[i:i + step])
+                       for i in range(0, len(lo), step)))
+    return [sum(v, []) for v in zip(*vals)], [sum(e, []) for e in zip(*errs)]
 
 
-def adaptive_quad(f: Callable[..., Sequence], a, b, rel_tol: float,
-                  abs_tol: float | Sequence[float],
-                  max_subdivisions: int) -> QuadResult:
-    """Integrate a list-valued integrand to the given tolerance.
+def adaptive_quad(f: Callable[..., tuple], lo: Sequence[Sequence[float]],
+                  hi: Sequence[Sequence[float]], rel_tol: float,
+                  abs_tol: float) -> QuadResult:
+    """Integrate a vector-valued integrand to the given tolerance.
 
-    With floats ``a < b`` the domain is the interval [a, b], one seed
-    cell.  With sequences, ``a`` and ``b`` are the lower and upper corners
-    of the seed cells, one row per cell and one entry per axis (1 or 2);
-    the cells tile the domain.
-
-    ``abs_tol`` is one floor for every component or one per component.
-    ``max_subdivisions`` bounds the splits beyond the seed cells; when they
+    ``lo`` and ``hi`` are the lower and upper corners of the seed cells,
+    one row per cell and one entry per axis (1 or 2); the cells tile the
+    domain.  The integrand returns a tuple of value lists, one per
+    component, and the result's ``value`` and ``err_est`` have one entry
+    per component.  ``abs_tol`` is the floor of every component's
+    tolerance.  When :data:`MAX_SUBDIVISIONS` splits beyond the seed cells
     are spent, :class:`ConvergenceError` carries the best estimate and
     error bound of the component furthest from its tolerance.
     """
-    if isinstance(a, (int, float)):
-        a, b = [[a]], [[b]]
-    lo = [tuple(map(float, row)) for row in a]
-    hi = [tuple(map(float, row)) for row in b]
+    lo = [tuple(map(float, row)) for row in lo]
+    hi = [tuple(map(float, row)) for row in hi]
     if not (lo and len(lo) == len(hi)
             and all(len(l) == len(h) == len(lo[0]) for l, h in zip(lo, hi))
             and len(lo[0]) in (1, 2)
             and all(y > x for l, h in zip(lo, hi) for x, y in zip(l, h))):
-        raise ValueError("need a < b, or seed cells with 1 or 2 axes and "
-                         "lo < hi on every axis")
+        raise ValueError("need seed cells with 1 or 2 axes and lo < hi on "
+                         "every axis")
     dims = len(lo[0])
-    val, err, scalar = _eval_round(f, lo, hi)
-    floor = ([float(abs_tol)] * len(val) if isinstance(abs_tol, (int, float))
-             else [float(x) for x in abs_tol])
-    if len(floor) != len(val):
-        raise ValueError("abs_tol needs one floor per component")
+    val, err = _eval_round(f, lo, hi)
     splits = 0
 
     while True:
         cell_err = [[sum(e) for e in ek] for ek in err]
         # the test on the exactly rounded sums it promises
-        value = [math.fsum(vk) for vk in val]
-        err_est = [math.fsum(ek) for ek in cell_err]
-        tol = [max(rel_tol * abs(v), fl) for v, fl in zip(value, floor)]
+        value = tuple(math.fsum(vk) for vk in val)
+        err_est = tuple(math.fsum(ek) for ek in cell_err)
+        tol = [max(rel_tol * abs(v), abs_tol) for v in value]
         if all(e <= t for e, t in zip(err_est, tol)):
-            out = (lambda x: x[0]) if scalar else tuple
-            return QuadResult(out(value), out(err_est), tuple(lo), tuple(hi))
+            return QuadResult(value, err_est, tuple(lo), tuple(hi))
 
         # each cell's error over its component's tolerance, worst first;
         # split until the unsplit cells fit in half of every tolerance
@@ -210,11 +202,11 @@ def adaptive_quad(f: Callable[..., Sequence], a, b, rel_tol: float,
             if not all(acc <= 0.5 for acc in unsplit):
                 count = j + 1
                 break
-        count = min(count, max_subdivisions - splits)
+        count = min(count, MAX_SUBDIVISIONS - splits)
         if count <= 0:
             k = max(range(len(ratio)), key=lambda k: sum(ratio[k]))
             raise ConvergenceError(
-                f"quadrature needed more than {max_subdivisions} "
+                f"quadrature needed more than {MAX_SUBDIVISIONS} "
                 f"subdivisions (best estimate {value[k]!r}, error bound "
                 f"{err_est[k]!r})", estimate=value[k], err_est=err_est[k])
         pick = order[:count]
@@ -231,7 +223,7 @@ def adaptive_quad(f: Callable[..., Sequence], a, b, rel_tol: float,
             right_lo.append(l[:axis] + mid + l[axis + 1:])
         new_lo = [lo[c] for c in pick] + right_lo
         new_hi = left_hi + [hi[c] for c in pick]
-        new_val, new_err, _ = _eval_round(f, new_lo, new_hi)
+        new_val, new_err = _eval_round(f, new_lo, new_hi)
         picked = set(pick)
         keep = [c for c in range(len(lo)) if c not in picked]
         lo = [lo[c] for c in keep] + new_lo

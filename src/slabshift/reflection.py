@@ -97,24 +97,30 @@ def snell_kz(k_par: float, k_zd: complex, n: float) -> complex | float:
     return _as_wave_component(val)
 
 
-def fresnel_r(pol: Polarization, k_z: complex, k_zd: complex,
+def fresnel_r(pol: Polarization, k_z: complex, k_par: float,
               n: float) -> complex | float:
     """Single-interface Fresnel reflection amplitude vacuum -> dielectric."""
-    _index(n)
+    return _as_wave_component(_fresnel(pol, k_z, k_par, n)[1])
+
+
+def _fresnel(pol: Polarization, k_z: complex, k_par: float,
+             n: float) -> tuple:
+    """(k_zd, r) of one interface, or a PoleError where r's denominator
+    vanishes.  r's numerator is a difference of squares over the
+    denominator, -(n^2 - 1)(k_par^2 + k_z^2) for TE and
+    (n^2 - 1)(n^2 k_z^2 - k_par^2) for TM, formed as products that keep
+    their digits where k_zd -> k_z (TE) or n^2 k_z (TM)."""
+    k_zd = snell_kzd(k_par, k_z, n)
     if pol is Polarization.TE:
-        num, den = k_z - k_zd, k_z + k_zd
+        num = -(n * n - 1.0) * (k_par + 1j * k_z) * (k_par - 1j * k_z)
+        den = k_z + k_zd
     else:
-        num, den = n * n * k_z - k_zd, n * n * k_z + k_zd
-    return _as_wave_component(num / _fresnel_den(pol, den, k_z, k_zd))
-
-
-def _fresnel_den(pol: Polarization, den: complex, k_z: complex,
-                 k_zd: complex) -> complex:
-    """The Fresnel denominator, or a PoleError where it vanishes."""
+        num = (n * n - 1.0) * (n * k_z - k_par) * (n * k_z + k_par)
+        den = n * n * k_z + k_zd
     if abs(den) <= 1e-15 * max(abs(k_z), abs(k_zd), 1.0):
         raise PoleError(f"vanishing Fresnel denominator for {pol.value}",
                         k_z=k_z)
-    return den
+    return k_zd, num / den ** 2
 
 
 def slab_denominator(pol: Polarization, k_z: complex, k_par: float, L: float,
@@ -130,20 +136,10 @@ def slab_denominator(pol: Polarization, k_z: complex, k_par: float, L: float,
 def _interface(pol: Polarization, k_z: complex, k_par: float, L: float,
                n: float) -> tuple:
     """(k_zd, r, exp(2 i k_zd L)), or a ValueError unless 0 <= L < inf and
-    the phase is finite.  r's numerator is a difference of squares over
-    the denominator, -(n^2 - 1)(k_par^2 + k_z^2) for TE and
-    (n^2 - 1)(n^2 k_z^2 - k_par^2) for TM, formed as products that keep
-    their digits where k_zd -> k_z (TE) or n^2 k_z (TM)."""
+    the phase is finite."""
     if not 0.0 <= L < math.inf:
         raise ValueError(f"slab thickness L must be in [0, inf), got {L}")
-    k_zd = snell_kzd(k_par, k_z, n)
-    if pol is Polarization.TE:
-        num = -(n * n - 1.0) * (k_par + 1j * k_z) * (k_par - 1j * k_z)
-        den = k_z + k_zd
-    else:
-        num = (n * n - 1.0) * (n * k_z - k_par) * (n * k_z + k_par)
-        den = n * n * k_z + k_zd
-    r = num / _fresnel_den(pol, den, k_z, k_zd) ** 2
+    k_zd, r = _fresnel(pol, k_z, k_par, n)
     try:
         return k_zd, r, cmath.exp(2.0j * k_zd * L)
     except (OverflowError, ValueError):

@@ -40,8 +40,9 @@ are 12 u strips, ``0, U 2^-11, ..., U`` (the top 12 edges of
 :func:`slabshift.quadrature.geometric_edges`), each all of ``[0, 1]`` in
 v.  The rule stops when each component's error is at most
 ``max(0.1 rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the floor shrinks
-with W's scale at small zeta.  ``max_subdivisions`` bounds the cell
-splits beyond the seeds.  ``W(1, 1, 2)`` takes 12 seed cells and one
+with W's scale at small zeta.
+:data:`slabshift.quadrature.MAX_SUBDIVISIONS` bounds the cell splits
+beyond the seeds.  ``W(1, 1, 2)`` takes 12 seed cells and one
 round: 16 cells evaluated at 3,600 nodes, in 2 reflection coefficient
 calls (7,200 coefficient values).
 
@@ -145,7 +146,7 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
     # 0.1 rel_tol keeps the true error well inside rel_tol; the floor
     # shrinks as zeta^4 where W ~ zeta, so it never stops a small W early
     res = adaptive_quad(integrand, lo, hi, 0.1 * q.rel_tol,
-                        q.abs_tol * min(1.0, scale), q.max_subdivisions)
+                        q.abs_tol * min(1.0, scale))
     per_u = Counter((a[0], b[0]) for a, b in zip(res.lo, res.hi))
     return tuple(SDetail(w, err, scale, len(per_u), max(per_u.values()))
                  for w, err in zip(res.value, res.err_est))

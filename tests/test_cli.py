@@ -16,6 +16,7 @@ from slabshift import (AtomSpec, HBARC_EV_NM, QuadratureSpec, ReducedParams,
 import slabshift.asymptotics
 import slabshift.cli
 import slabshift.electrostatics
+import slabshift.quadrature
 import slabshift.shift
 from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL,
                            _config_from_args, _fmt, _sweep_grid, build_parser,
@@ -313,10 +314,11 @@ def test_asympt_retarded_deviation_reported(config_path, capsys):
         raise AssertionError("no retarded-thin line in report")
 
 
-def test_convergence_failure_exit_code(tmp_path, capsys):
+def test_convergence_failure_exit_code(tmp_path, monkeypatch, capsys):
     path = tmp_path / "tight.txt"
-    path.write_text(CONFIG + "quad.rel_tol = 1e-15\n"
-                    "quad.max_subdivisions = 4\n")
+    path.write_text(CONFIG + "quad.rel_tol = 1e-15\n")
+    monkeypatch.setattr(slabshift.quadrature, "MAX_SUBDIVISIONS", 4)
+    slabshift.shift._s_pair.cache_clear()
     code = main(["shift", "--config", str(path)])
     err = capsys.readouterr().err
     assert code == 3
@@ -340,14 +342,6 @@ def test_series_failure_reports_a_finite_bound(monkeypatch, capsys):
     assert math.isfinite(bound) and bound > 0.0
 
 
-def test_jobs_default_from_environment(monkeypatch):
-    monkeypatch.setenv("SLABSHIFT_JOBS", "7")
-    args = build_parser().parse_args(
-        ["sweep", "--axis", "zeta", "--lo", "1", "--hi", "2", "--points", "2",
-         "--lam", "1", "--n", "2"])
-    assert args.jobs == 7
-
-
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "slabshift.cli", "wfun", "--zeta", "1",
@@ -365,23 +359,20 @@ ASYMPT = ["asympt", "--n", "2", "--thickness", "1", "--distance", "8",
           "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"]
 
 
-@pytest.mark.parametrize("argv, env, flag", [
-    (["wfun", "--zeta", "8", "--lam", "abc", "--n", "2"], None, "--lam"),
-    (SWEEP[:-4] + ["--n", "2", "--lam", "abc"], None, "--lam"),
-    (WFUN, "abc", "--jobs"),
-    (MODES, "2.5", "--jobs"),
-    (SWEEP + ["--jobs", "0"], None, "--jobs"),
-    (SWEEP + ["--jobs", "-3"], None, "--jobs"),
-    (WFUN + ["--rel-tol", "0"], None, "--rel-tol"),
-    (WFUN + ["--rel-tol", "-0.001"], None, "--rel-tol"),
-    (ASYMPT + ["--rel-tol", "nan"], None, "--rel-tol"),
+@pytest.mark.parametrize("argv, flag", [
+    (["wfun", "--zeta", "8", "--lam", "abc", "--n", "2"], "--lam"),
+    (SWEEP[:-4] + ["--n", "2", "--lam", "abc"], "--lam"),
+    (WFUN + ["--jobs", "abc"], "--jobs"),
+    (MODES + ["--jobs", "2.5"], "--jobs"),
+    (SWEEP + ["--jobs", "0"], "--jobs"),
+    (SWEEP + ["--jobs", "-3"], "--jobs"),
+    (WFUN + ["--rel-tol", "0"], "--rel-tol"),
+    (WFUN + ["--rel-tol", "-0.001"], "--rel-tol"),
+    (ASYMPT + ["--rel-tol", "nan"], "--rel-tol"),
     (["wfun", "--zeta", "1e-7", "--lam", "1", "--n", "2", "--rel-tol", "inf"],
-     None, "--rel-tol"),
+     "--rel-tol"),
 ])
-def test_outside_input_is_an_input_error(argv, env, flag, monkeypatch,
-                                         capsys):
-    if env is not None:
-        monkeypatch.setenv("SLABSHIFT_JOBS", env)
+def test_outside_input_is_an_input_error(argv, flag, capsys):
     assert _exit_code(argv) == EXIT_INPUT
     assert f"error: argument {flag}" in capsys.readouterr().err
 
@@ -581,7 +572,7 @@ def test_exact_zero_shift_prints_no_negative_zero(slab, capsys):
 
 
 @pytest.mark.parametrize("line", ["quad.rel_tol = abc",
-                                  "quad.max_subdivisions = 0"])
+                                  "quad.abs_tol = 0"])
 def test_bad_quadrature_config_is_an_input_error(line, tmp_path, capsys):
     path = tmp_path / "cfg.txt"
     path.write_text(CONFIG + line + "\n")
@@ -592,14 +583,13 @@ def test_bad_quadrature_config_is_an_input_error(line, tmp_path, capsys):
 QUAD_CONFIG_ERRORS = [
     ("rel_tol", "inf", "rel_tol must be positive and finite, got inf"),
     ("abs_tol", "inf", "abs_tol must be positive and finite, got inf"),
-    # the cut-off is a constant now, and its old key an unknown one
+    # the cut-off and the split budget are constants now, and their old
+    # keys unknown ones
     ("s_cutoff_decades", "nan", "unknown config key: quad.s_cutoff_decades"),
     ("s_cutoff_decades", "inf", "unknown config key: quad.s_cutoff_decades"),
     ("s_cutoff_decades", "37", "unknown config key: quad.s_cutoff_decades"),
-    ("max_subdivisions", "0", "max_subdivisions must be an integer >= 1, "
-                              "got 0"),
-    ("max_subdivisions", "1.5",
-     "field quad.max_subdivisions is not an integer: '1.5'"),
+    ("max_subdivisions", "0", "unknown config key: quad.max_subdivisions"),
+    ("max_subdivisions", "1.5", "unknown config key: quad.max_subdivisions"),
     ("rel_tol", "abc", "field quad.rel_tol is not a number: 'abc'"),
 ]
 

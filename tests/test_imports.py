@@ -21,7 +21,6 @@ from helpers import readme_table
 
 SRC = str(Path(slabshift.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": SRC}
-ENV.pop("SLABSHIFT_JOBS", None)
 
 # the names perfbench/tracing.py wraps on slabshift.cli that the commands
 # of ARGV call, each of them; the tracer also wraps halfspace_S there,
@@ -200,6 +199,19 @@ def test_no_module_imports_numpy():
             else:
                 continue
             assert "numpy" not in roots, source.name
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a flag or a config key, which the manifest records
+    for source in sorted(Path(slabshift.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Attribute):
+                read = (getattr(node.value, "id", None), node.attr)
+                assert read not in {("os", "environ"), ("os", "getenv")}, \
+                    source.name
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                assert not names & {"environ", "getenv"}, source.name
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -33,7 +33,7 @@ def test_all_names_resolve_and_star_import_succeeds(name):
 
 def test_every_exported_class_and_function_is_defined_in_its_home():
     # a re-export would make the lazy namespace load the module it was
-    # taken from, not the numpy-free home _EXPORTS names
+    # taken from, not the home that _EXPORTS names
     for home, names in slabshift._EXPORTS.items():
         module = importlib.import_module(f"slabshift.{home}")
         for name in names:
@@ -46,8 +46,7 @@ def test_every_exported_class_and_function_is_defined_in_its_home():
 # up as an edit here.  OPTIONS are the settable values; the rest carry a
 # result's error bounds, an exception's payload or the QuadratureSpec slot.
 OPTIONS = {
-    "QuadratureSpec": {"rel_tol": 1e-8, "abs_tol": 1e-14,
-                       "max_subdivisions": 2000},
+    "QuadratureSpec": {"rel_tol": 1e-8, "abs_tol": 1e-14},
     "dipole_sq_from_momentum": {"m": 1.0},
 }
 CARRIERS = {

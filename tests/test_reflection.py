@@ -36,16 +36,15 @@ def test_snell_principal_branch():
 
 
 def test_fresnel_no_interface():
-    assert fresnel_r(TE, 1.3, 1.3, 1.0) == 0.0
-    assert fresnel_r(TM, 1.3, 1.3, 1.0) == 0.0
+    assert fresnel_r(TE, 1.3, 0.7, 1.0) == 0.0
+    assert fresnel_r(TM, 1.3, 0.7, 1.0) == 0.0
 
 
 def test_fresnel_normal_incidence():
     # k_par = 0 so k_zd = n k_z
     k_z, n = 0.9, 2.0
-    k_zd = snell_kzd(0.0, k_z, n)
-    assert fresnel_r(TE, k_z, k_zd, n) == pytest.approx(-1.0 / 3.0, rel=1e-14)
-    assert fresnel_r(TM, k_z, k_zd, n) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert fresnel_r(TE, k_z, 0.0, n) == pytest.approx(-1.0 / 3.0, rel=1e-14)
+    assert fresnel_r(TM, k_z, 0.0, n) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_slab_no_slab_limits():
@@ -243,8 +242,9 @@ def _wick_rotated_slab_R(pol, s, t, lam, n):
     return float(mpmath.re(R * mpmath.exp(-s * L)))
 
 
-def _slab_R_60_digits(pol, k_z, k_par, L, n):
-    """slab_R's closed form in 60-digit mpmath, the float inputs exact."""
+def _r_and_slab_R_60_digits(pol, k_z, k_par, L, n):
+    """fresnel_r's and slab_R's closed forms in 60-digit mpmath, the float
+    inputs exact."""
     with mpmath.workdps(60):
         k_z = mpmath.mpc(k_z)
         k_par, L, n = (mpmath.mpf(x) for x in (k_par, L, n))
@@ -252,13 +252,14 @@ def _slab_R_60_digits(pol, k_z, k_par, L, n):
         m = 1 if pol is TE else n * n
         r = (m * k_z - k_zd) / (m * k_z + k_zd)
         phase = mpmath.exp(2j * k_zd * L)
-        return complex(r * (1 - phase) / (1 - r * r * phase)
-                       * mpmath.exp(-1j * k_z * L))
+        return complex(r), complex(r * (1 - phase) / (1 - r * r * phase)
+                                   * mpmath.exp(-1j * k_z * L))
 
 
 @pytest.mark.parametrize("pol, k_z, k_par, L", [
-    # k_z - k_zd cancels as k_z -> i k_par: off by 1.7e-14, 2.6e-9 and
-    # 1.0e-12 before it was taken as a difference of squares
+    # k_z - k_zd cancels as k_z -> i k_par: slab_R and fresnel_r were off
+    # by 1.7e-14, 2.6e-9 and 1.0e-12 before it was taken as a difference
+    # of squares
     *[(TE, 1j, math.sqrt(1.0 - t * t), 1.0) for t in (1e-2, 1e-4, 1e-6)],
     # n^2 k_z - k_zd cancels as k_par -> n k_z: off by 8.5e-11 and 1.3e-10
     *[(TM, 0.6, 1.2 * (1.0 + d), 1.0) for d in (1e-6, 1e-9)],
@@ -268,8 +269,10 @@ def _slab_R_60_digits(pol, k_z, k_par, L, n):
 ])
 def test_slab_r_keeps_its_digits_where_its_formula_cancels(pol, k_z, k_par,
                                                           L):
-    want = _slab_R_60_digits(pol, k_z, k_par, L, 2.0)
+    want_r, want = _r_and_slab_R_60_digits(pol, k_z, k_par, L, 2.0)
     assert abs(slab_R(pol, k_z, k_par, L, 2.0) - want) <= 1e-15 * abs(want)
+    assert abs(fresnel_r(pol, k_z, k_par, 2.0) - want_r) <= \
+        1e-15 * abs(want_r)
 
 
 def test_rtilde_reaches_halfspace_value_exactly():

@@ -115,6 +115,28 @@ def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
     assert abs(got.w_z - ref.w_z) <= got.err_z
 
 
+@pytest.mark.parametrize("zeta", [1e-76, 1e-7, 1.0, 1e6])
+def test_split_budget_has_headroom_at_the_corners(zeta, monkeypatch):
+    # the budget is a constant, so it must not be what stops a tight W:
+    # at rel_tol 1e-13 the splits beyond the 12 seeds stay within a
+    # quarter of it (195 at zeta 1e-76)
+    splits = []
+    cubature = slabshift.shift.adaptive_quad
+
+    def recording(f, lo, hi, *rest):
+        res = cubature(f, lo, hi, *rest)
+        splits.append(res.panels - 12)
+        return res
+
+    monkeypatch.setattr(slabshift.shift, "adaptive_quad", recording)
+    slabshift.shift._s_pair.cache_clear()
+    for lam in (1e-3, 1.0, math.inf):
+        for n in (1.01, 30.0):
+            w_pair(ReducedParams(zeta, lam, n), QuadratureSpec(rel_tol=1e-13))
+    assert len(splits) == 6
+    assert max(splits) <= slabshift.quadrature.MAX_SUBDIVISIONS // 4
+
+
 def test_err_est_respects_tolerance_contract():
     q = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
     for fn in (s_parallel, s_perp):
