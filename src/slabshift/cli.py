@@ -208,6 +208,17 @@ def _config_from_args(args: argparse.Namespace) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # the report document
 
+def _utc_now() -> str:
+    """The time now in UTC, as ``datetime.now(timezone.utc).isoformat()``
+    writes it (microseconds dropped when zero), without loading
+    :mod:`datetime`."""
+    import time
+
+    seconds, micro = divmod(time.time_ns() // 1000, 10 ** 6)
+    return (time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+            + (f".{micro:06d}" if micro else "") + "+00:00")
+
+
 def _report(fmt: str, command: str, inputs: dict[str, object],
             quad: QuadratureSpec | None, header: list[str],
             rows: list[dict[str, object]]) -> str:
@@ -218,10 +229,8 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
     ``#`` lines, then the ``header`` columns of each row; JSON adds the
     rows whole, with NaN as null.
     """
-    from datetime import datetime, timezone
-
     manifest = {"command": command, "version": __version__,
-                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "timestamp": _utc_now(),
                 "inputs": {k: str(inputs[k]) for k in sorted(inputs)}}
     if quad is not None:
         manifest["quad"] = quad._asdict()
@@ -235,7 +244,7 @@ def _report(fmt: str, command: str, inputs: dict[str, object],
     lines = [f"# slabshift {command}", f"# version = {__version__}",
              f"# timestamp = {manifest['timestamp']}"]
     lines += [f"# {k} = {v}" for k, v in manifest["inputs"].items()]
-    lines += [f"# quad.{k} = {v:g}"
+    lines += [f"# quad.{k} = {v!r}"
               for k, v in manifest.get("quad", {}).items()]
     lines.append(",".join(header))
     for row in rows:

@@ -248,10 +248,11 @@ def rtilde(pol: Polarization | tuple[Polarization, ...], s, t, lam: float,
             s = itertools.repeat(1.0)  # at s = 0, k s would be NaN
         te, tm = [], []
         te_add, tm_add = te.append, tm.append
+        sqrt, expm1 = math.sqrt, math.expm1
         for x, y in zip(s, t):
             tt = c * y * y
-            g = math.sqrt(1.0 + tt)
-            e = -math.expm1(k * x * g)
+            g = sqrt(1.0 + tt)
+            e = -expm1(k * x * g)
             rest = 2.0 - e
             te_add(-tt * e / ((2.0 + tt) * e + 2.0 * g * rest))
             tm_add((n4m - tt) * e / ((n4p + tt) * e + b * g * rest))

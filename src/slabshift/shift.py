@@ -46,6 +46,20 @@ beyond the seeds.  ``W(1, 1, 2)`` takes 12 seed cells and one
 round: 16 cells evaluated at 3,600 nodes, in 2 reflection coefficient
 calls (7,200 coefficient values).
 
+Only zeta sets a cell's node geometry: ``s``, ``t`` and the weight
+``u^3 e^{-u} (A / s) / cosh(v A)`` of its 225 nodes (lam and n enter
+through ``Rt`` alone).  The geometry memo keeps it for one zeta at a
+time, keyed by the cell's exact 15 u and 15 v nodes, and takes no cell
+beyond the first :data:`_MEMO_CELLS` (64, about 1.1 MB); a new zeta
+starts an empty memo.  So the 13 W pairs of a 12-point lam sweep at
+zeta 1 build each of their about 20 distinct cells once, and a point of
+a zeta sweep shares its cells with its half-space partner.  Each
+integrand call joins its cells' geometry and makes one :func:`rtilde`
+call over every node, so W's bits do not depend on what the memo holds.
+Under threads the memo stays consistent: a cell's entry is added whole,
+never changed, and the same whoever builds it; threads racing at the cap
+may each add one cell beyond it.
+
 ``S_par`` and ``S_perp`` are views of the same cubature, ``W / (8 zeta^4)``.
 :func:`w_pair` reads W itself: the views underflow where W does not (at
 ``zeta = 1e70, lam = 1, n = 2``, ``S_par`` is 0.0 and ``W_par`` 3.075e-70).
@@ -97,6 +111,42 @@ class SDetail(namedtuple("SDetail",
         return self.err_w / self.scale
 
 
+# most cells the geometry memo holds, at about 17.5 KB each: a lam sweep
+# at zeta >= 1e-3 evaluates at most about 62 distinct cells
+_MEMO_CELLS = 64
+
+
+@functools.lru_cache(maxsize=1)
+def _geometry_memo(zeta: float) -> dict:
+    """The cell geometries of one zeta, keyed by each cell's 15 u and 15 v
+    nodes; empty when a new zeta first reads it."""
+    return {}
+
+
+def _cell_geometry(two_zeta: float, u_row: list,
+                   v_row: list) -> tuple[list, list, list]:
+    """s, t and the weight at one cell's 225 nodes, u-major.
+
+    With ``s = u / 2 zeta`` and ``A = asinh(s)``, ``t = sinh(v A) / s``,
+    clamped to 1 where ``sinh(asinh(s)) / s`` rounds above it, and the
+    weight is ``u^3 e^-u (A / s) / cosh(v A)``.
+    """
+    s_cell, t_cell, w_cell = [], [], []
+    s_add, t_add, w_add = s_cell.append, t_cell.append, w_cell.append
+    for x in u_row:
+        s = x / two_zeta
+        a = math.asinh(s)
+        w = x ** 3 * math.exp(-x) * (a / s)
+        for y in v_row:
+            y *= a
+            s_add(s)
+            t_add(math.sinh(y) / s)
+            w_add(w / math.cosh(y))
+    if max(t_cell) > 1.0:
+        t_cell = [min(t, 1.0) for t in t_cell]
+    return s_cell, t_cell, w_cell
+
+
 @functools.lru_cache(maxsize=1)
 def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
     """(S_par, S_perp) as two views of one cubature of (W_par, W_z).
@@ -112,26 +162,23 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
         return (SDetail(0.0, 0.0, scale, 0, 0),) * 2
 
     two_zeta, lam, n = 2.0 * p.zeta, p.lam, p.n
+    memo = _geometry_memo(p.zeta)
 
     def integrand(u: list, v: list) -> tuple[list, list]:
-        # 15 u and 15 v nodes per cell, values u-major on each cell's
-        # grid; t = sinh(v A) / s, clamped to 1 where sinh(asinh(s)) / s
-        # rounds above it
+        # 15 u and 15 v nodes per cell; each cell's geometry comes from
+        # the memo, and R~ of every node from one rtilde call
         s_grid, t_grid, w_grid = [], [], []
-        s_add, t_add, w_add = s_grid.append, t_grid.append, w_grid.append
         for c in range(0, len(u), 15):
-            v_row = v[c:c + 15]
-            for x in u[c:c + 15]:
-                s = x / two_zeta
-                a = math.asinh(s)
-                w = x ** 3 * math.exp(-x) * (a / s)
-                for y in v_row:
-                    y *= a
-                    s_add(s)
-                    t_add(math.sinh(y) / s)
-                    w_add(w / math.cosh(y))
-        if max(t_grid) > 1.0:
-            t_grid = [min(t, 1.0) for t in t_grid]
+            u_row, v_row = u[c:c + 15], v[c:c + 15]
+            key = (*u_row, *v_row)
+            cell = memo.get(key)
+            if cell is None:
+                cell = _cell_geometry(two_zeta, u_row, v_row)
+                if len(memo) < _MEMO_CELLS:
+                    memo[key] = cell
+            s_grid += cell[0]
+            t_grid += cell[1]
+            w_grid += cell[2]
         te, tm = rtilde((Polarization.TE, Polarization.TM), s_grid, t_grid,
                         lam, n)
         return ([0.125 * w * (m - t * t * e)

@@ -655,6 +655,46 @@ def test_csv_and_json_carry_one_document(argv, tmp_path):
                 assert row[key] == str(value)
 
 
+@pytest.mark.parametrize("flag, written", [
+    ([], {"quad.rel_tol": "1e-08", "quad.abs_tol": "1e-14"}),
+    (["--rel-tol", "1.23456789e-7"],
+     {"quad.rel_tol": "1.23456789e-07", "quad.abs_tol": "1e-14"}),
+])
+def test_csv_manifest_writes_every_digit_of_the_spec(flag, written,
+                                                     tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--axis", "lambda", "--lo", "0.5", "--hi", "2",
+                 "--points", "2", "--zeta", "1", "--n", "2", *flag,
+                 "--output", str(out)]) == EXIT_OK
+    manifest = _manifest(out.read_text())
+    assert {k: manifest[k] for k in written} == written
+
+
+@pytest.mark.parametrize("ns", [0, 1_600_000_000_123_456_789,
+                                1_700_000_000_000_000_999,
+                                4_102_444_799_999_999_000])
+def test_manifest_timestamp_is_what_datetime_writes(ns, monkeypatch):
+    import time
+    from datetime import datetime, timezone
+
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    seconds, micro = divmod(ns // 1000, 10 ** 6)
+    expected = datetime.fromtimestamp(seconds, timezone.utc).replace(
+        microsecond=micro).isoformat()
+    assert slabshift.cli._utc_now() == expected
+
+
+def test_manifest_timestamp_is_now_in_utc(tmp_path):
+    from datetime import datetime, timezone
+
+    out = tmp_path / "modes.csv"
+    before = datetime.now(timezone.utc)
+    assert main(MODES + ["--output", str(out)]) == EXIT_OK
+    stamp = datetime.fromisoformat(_manifest(out.read_text())["timestamp"])
+    assert stamp.utcoffset().total_seconds() == 0.0
+    assert before.replace(microsecond=0) <= stamp <= datetime.now(timezone.utc)
+
+
 def test_shift_json_document_matches_library(config_path, tmp_path):
     out = tmp_path / "shift.json"
     assert main(["shift", "--config", config_path, "--format", "json",

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -73,6 +74,90 @@ def test_inner_quadrature_is_batched(monkeypatch):
     w_pair(P112)
     assert counts["nodes"] == 7_200
     assert counts["calls"] == 2
+
+
+def _lam_grid(points: int) -> list[float]:
+    return [10.0 ** (-2.0 + 4.0 * i / (points - 1)) for i in range(points)]
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """How often each cell's geometry is built, by its 15 u and 15 v
+    nodes, from an empty memo on."""
+    built = Counter()
+    geometry = slabshift.shift._cell_geometry
+
+    def counting(two_zeta, u_row, v_row):
+        built[(*u_row, *v_row)] += 1
+        return geometry(two_zeta, u_row, v_row)
+
+    monkeypatch.setattr(slabshift.shift, "_cell_geometry", counting)
+    slabshift.shift._s_pair.cache_clear()
+    slabshift.shift._geometry_memo.cache_clear()
+    return built
+
+
+@pytest.mark.parametrize("zeta", [1e-76, 1e-3, 1.0, 1e6])
+def test_geometry_memo_keeps_every_bit(zeta, monkeypatch):
+    # the memo holds what depends on zeta alone: W, its bounds and its
+    # cells are the same on an empty memo and on one that other lam and n
+    # at the same zeta filled
+    cubature, cells = slabshift.shift.adaptive_quad, []
+
+    def recording(*args):
+        res = cubature(*args)
+        cells.append((res.lo, res.hi))
+        return res
+
+    def point():
+        slabshift.shift._s_pair.cache_clear()
+        return repr(w_pair(ReducedParams(zeta, 1.0, 2.0))), cells[-1]
+
+    monkeypatch.setattr(slabshift.shift, "adaptive_quad", recording)
+    slabshift.shift._geometry_memo.cache_clear()
+    cold = point()
+    slabshift.shift._geometry_memo.cache_clear()
+    for lam, n in [(0.1, 2.0), (math.inf, 1.5), (10.0, 30.0), (1e-3, 2.0)]:
+        w_pair(ReducedParams(zeta, lam, n))
+    assert slabshift.shift._geometry_memo(zeta)
+    assert point() == cold
+
+
+def test_geometry_memo_never_exceeds_its_cap(monkeypatch):
+    # a long lam sweep at the smallest zeta evaluates more distinct cells
+    # than the memo holds: it fills to the cap and stops there, and the
+    # cells past it are built on every call
+    built = _count_builds(monkeypatch)
+    cap, zeta = slabshift.shift._MEMO_CELLS, 1e-76
+    memo = slabshift.shift._geometry_memo(zeta)
+    sizes = []
+    # 20 points at the default rel_tol, then one at 1e-13, where a point
+    # evaluates the most cells
+    for lam, rel_tol in ([(lam, 1e-8) for lam in _lam_grid(20)]
+                         + [(1.0, 1e-13)]):
+        w_pair(ReducedParams(zeta, lam, 2.0), QuadratureSpec(rel_tol=rel_tol))
+        sizes.append(len(memo))
+    assert max(sizes) == cap
+    assert len(built) > 2 * cap
+    assert all(built[key] == 1 for key in memo)
+
+
+def test_a_lam_sweep_builds_each_cell_geometry_once(monkeypatch):
+    # the 13 W pairs of a 12-point lam sweep share one zeta: every
+    # distinct cell's geometry is built once, however many pairs
+    # evaluate it
+    built, evaluated = _count_builds(monkeypatch), [0]
+    rtilde = slabshift.shift.rtilde
+
+    def cells(pol, s, t, lam, n):
+        evaluated[0] += len(s) // 225
+        return rtilde(pol, s, t, lam, n)
+
+    monkeypatch.setattr(slabshift.shift, "rtilde", cells)
+    for lam in _lam_grid(12) + [math.inf]:
+        w_pair(ReducedParams(1.0, lam, 2.0))
+    assert set(built.values()) == {1}
+    assert len(built) <= slabshift.shift._MEMO_CELLS
+    assert evaluated[0] > 5 * len(built)
 
 
 @pytest.mark.parametrize("zeta", [1e-76, 1e-18, 1e-7, 1e-3, 1.0, 1e5])
