@@ -453,6 +453,15 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
         lines.append(f"{label}: out of range" if value is None else
                      f"{label}: {_fmt(value)} "
                      f"rel_deviation={finite(rel_dev(value))}")
+        if label == "non-retarded (image series)":
+            # the label names the form, this line the route that
+            # nonretarded_shift took; it holds no number, so it adds no
+            # `label: value` line
+            from .electrostatics import image_series_converges
+
+            lines.append("non-retarded route: " + (
+                "image series" if image_series_converges(run.slab, run.Z)
+                else "k integral"))
     for i, tr in enumerate(run.atom.transitions):
         regime = classify_regime(reduce(run.slab, tr, run.Z))
         # a half-space's L/Z is inf; a finite L's may leave the doubles

@@ -63,7 +63,7 @@ _SIZE = len(_NODES)
 # rounds go in several calls, which bounds the memory of the temporaries
 _MAX_NODES = 10_800
 # splits allowed beyond the seed cells: at rel_tol 1e-14, W took at most
-# 268 and the k integral 7 on the grids of README's numerical notes
+# 184 and the k integral 7 on the grids of README's numerical notes
 MAX_SUBDIVISIONS = 2000
 # where the weight e^-u has fallen 37 decades below its peak: the end of
 # the u axis of W and of 2Zk in the non-retarded k integral

@@ -36,15 +36,16 @@ over (u, v) yields the pair, and each of its integrand calls (one per
 round, or per 48 cells of a larger round) takes both polarizations'
 reflection coefficients from one :func:`rtilde` call.  All of it is plain
 Python on floats and lists.  The seed cells
-are 12 u strips, ``0, U 2^-11, ..., U`` (the top 12 edges of
+are 8 u strips, ``0, U 2^-7, ..., U`` (the top 8 edges of
 :func:`slabshift.quadrature.geometric_edges`), each all of ``[0, 1]`` in
 v.  The rule stops when each component's error is at most
-``max(0.1 rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the floor shrinks
-with W's scale at small zeta.
+``max(rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the GK15 bound
+overstates the true error (at rel_tol 1e-6 to 1e-10 the worst true error
+on a 120-point grid is 0.018 of it), and the floor shrinks with W's scale
+at small zeta.
 :data:`slabshift.quadrature.MAX_SUBDIVISIONS` bounds the cell splits
-beyond the seeds.  ``W(1, 1, 2)`` takes 12 seed cells and one
-round: 16 cells evaluated at 3,600 nodes, in 2 reflection coefficient
-calls (7,200 coefficient values).
+beyond the seeds.  ``W(1, 1, 2)`` ends on its 8 seed cells: 1,800 nodes
+in one reflection coefficient call (3,600 coefficient values).
 
 Only zeta sets a cell's node geometry: ``s``, ``t`` and the weight
 ``u^3 e^{-u} (A / s) / cosh(v A)`` of its 225 nodes (lam and n enter
@@ -52,7 +53,7 @@ through ``Rt`` alone).  The geometry memo keeps it for one zeta at a
 time, keyed by the cell's exact 15 u and 15 v nodes, and takes no cell
 beyond the first :data:`_MEMO_CELLS` (64, about 1.1 MB); a new zeta
 starts an empty memo.  So the 13 W pairs of a 12-point lam sweep at
-zeta 1 build each of their about 20 distinct cells once, and a point of
+zeta 1 build each of their about 10 distinct cells once, and a point of
 a zeta sweep shares its cells with its half-space partner.  Each
 integrand call joins its cells' geometry and makes one :func:`rtilde`
 call over every node, so W's bits do not depend on what the memo holds.
@@ -112,7 +113,8 @@ class SDetail(namedtuple("SDetail",
 
 
 # most cells the geometry memo holds, at about 17.5 KB each: a lam sweep
-# at zeta >= 1e-3 evaluates at most about 62 distinct cells
+# at zeta >= 1e-7 evaluates at most about 54 distinct cells (48 at zeta
+# 1e-3, n 2)
 _MEMO_CELLS = 64
 
 
@@ -186,13 +188,15 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
                 [0.25 * w * (1.0 - t * t) * m
                  for w, t, m in zip(w_grid, t_grid, tm)])
 
-    # 12 u strips: 0, then U 2^-11 .. U, each all of [0, 1] in v
-    edges = [0.0] + geometric_edges(CUTOFF)[-12:]
+    # 8 u strips: 0, then U 2^-7 .. U, each all of [0, 1] in v; a lam
+    # sweep evaluates fewer cells than with 4, 6, 10 or 12
+    edges = [0.0] + geometric_edges(CUTOFF)[-8:]
     lo = [(x, 0.0) for x in edges[:-1]]
     hi = [(x, 1.0) for x in edges[1:]]
-    # 0.1 rel_tol keeps the true error well inside rel_tol; the floor
-    # shrinks as zeta^4 where W ~ zeta, so it never stops a small W early
-    res = adaptive_quad(integrand, lo, hi, 0.1 * q.rel_tol,
+    # the GK15 bound overstates the true error, so W stops at rel_tol
+    # itself; the floor shrinks as zeta^4 where W ~ zeta, so it never stops
+    # a small W early
+    res = adaptive_quad(integrand, lo, hi, q.rel_tol,
                         q.abs_tol * min(1.0, scale))
     per_u = Counter((a[0], b[0]) for a, b in zip(res.lo, res.hi))
     return tuple(SDetail(w, err, scale, len(per_u), max(per_u.values()))

@@ -108,3 +108,14 @@ def test_image_series_runs_only_where_it_can_converge(stratum, entry,
         assert len(seen) == 1
         assert (got.value, got.per_transition) == (direct.value,
                                                   direct.per_transition)
+
+
+@pytest.mark.parametrize("stratum, entry", ASYMPT_ENTRIES)
+def test_asympt_names_the_non_retarded_route(stratum, entry):
+    # near a perfect mirror the non-retarded line keeps its image-series
+    # label but comes from the k integral; the route line says which
+    route = "k integral" if stratum == "asympt-mirror" else "image series"
+    replay = tracing.call_main(slabshift.cli.main,
+                               workloads.point_op(stratum, entry).argv)
+    assert replay.rc == 0, replay.stderr
+    assert f"\nnon-retarded route: {route}\n" in replay.stdout

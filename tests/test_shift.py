@@ -58,8 +58,8 @@ def test_s_against_live_brute_force():
 def test_inner_quadrature_is_batched(monkeypatch):
     # machine-independent guard: the cubature evaluates the cells of a
     # round (up to 48 per call) in one integrand call, with one rtilde call
-    # for both polarizations: 12 seed cells and one refinement round, 16
-    # cells of 225 nodes evaluated, two coefficients per node
+    # for both polarizations: W(1, 1, 2) ends on its 8 seed cells, 1,800
+    # nodes in one round, two coefficients per node
     counts = {"calls": 0, "nodes": 0}
     rtilde = slabshift.shift.rtilde
 
@@ -72,8 +72,8 @@ def test_inner_quadrature_is_batched(monkeypatch):
     monkeypatch.setattr(slabshift.shift, "rtilde", counting)
     slabshift.shift._s_pair.cache_clear()
     w_pair(P112)
-    assert counts["nodes"] == 7_200
-    assert counts["calls"] == 2
+    assert counts["nodes"] == 3_600
+    assert counts["calls"] == 1
 
 
 def _lam_grid(points: int) -> list[float]:
@@ -160,11 +160,28 @@ def test_a_lam_sweep_builds_each_cell_geometry_once(monkeypatch):
     assert evaluated[0] > 5 * len(built)
 
 
+def test_a_lam_sweep_evaluates_few_cells(monkeypatch):
+    # machine-independent guard on W's cost: the 13 W pairs of a 12-point
+    # lam sweep at zeta 1, n 2 evaluate at most 110 cells (they take 106)
+    evaluated = [0]
+    rtilde = slabshift.shift.rtilde
+
+    def cells(pol, s, t, lam, n):
+        evaluated[0] += len(s) // 225
+        return rtilde(pol, s, t, lam, n)
+
+    monkeypatch.setattr(slabshift.shift, "rtilde", cells)
+    slabshift.shift._s_pair.cache_clear()
+    for lam in _lam_grid(12) + [math.inf]:
+        w_pair(ReducedParams(1.0, lam, 2.0))
+    assert evaluated[0] <= 110
+
+
 @pytest.mark.parametrize("zeta", [1e-76, 1e-18, 1e-7, 1e-3, 1.0, 1e5])
 def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
     # the peak of 1 / (1 + s^2 t^2) at t = 0, of width 1 / s, is flattened
-    # by v = asinh(s t) / asinh(s): the seeds are the 12 u strips 0,
-    # U 2^-11, ..., U, each all of [0, 1] in v, tiling [0, U] x [0, 1]; W
+    # by v = asinh(s t) / asinh(s): the seeds are the 8 u strips 0,
+    # U 2^-7, ..., U, each all of [0, 1] in v, tiling [0, U] x [0, 1]; W
     # meets its bound and the cells evaluated stay few where the peak is
     # narrowest
     u_max = 37.0 * math.log(10.0)
@@ -187,8 +204,8 @@ def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
     p = ReducedParams(zeta, 1.0, 2.0)
     got = w_pair(p)
     (lo, hi), = seeds
-    edges = [0.0] + [math.ldexp(u_max, -k) for k in range(11, -1, -1)]
-    assert edges[1:] == slabshift.quadrature.geometric_edges(u_max)[-12:]
+    edges = [0.0] + [math.ldexp(u_max, -k) for k in range(7, -1, -1)]
+    assert edges[1:] == slabshift.quadrature.geometric_edges(u_max)[-8:]
     assert lo == [(e, 0.0) for e in edges[:-1]]
     assert hi == [(e, 1.0) for e in edges[1:]]
     area = math.fsum((b[0] - a[0]) * (b[1] - a[1]) for a, b in zip(lo, hi))
@@ -203,14 +220,14 @@ def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
 @pytest.mark.parametrize("zeta", [1e-76, 1e-7, 1.0, 1e6])
 def test_split_budget_has_headroom_at_the_corners(zeta, monkeypatch):
     # the budget is a constant, so it must not be what stops a tight W:
-    # at rel_tol 1e-13 the splits beyond the 12 seeds stay within a
-    # quarter of it (195 at zeta 1e-76)
+    # at rel_tol 1e-13 the splits beyond the seeds stay within a quarter
+    # of it (140 at zeta 1e-76)
     splits = []
     cubature = slabshift.shift.adaptive_quad
 
     def recording(f, lo, hi, *rest):
         res = cubature(f, lo, hi, *rest)
-        splits.append(res.panels - 12)
+        splits.append(res.panels - len(lo))
         return res
 
     monkeypatch.setattr(slabshift.shift, "adaptive_quad", recording)
