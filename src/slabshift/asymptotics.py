@@ -97,8 +97,6 @@ def nonretarded_shift(atom: AtomSpec, slab: Slab, Z: float,
     the series' term budget cannot suffice, it takes
     :func:`nonretarded_k_integral` with ``q`` instead.
     """
-    # the shift goes as 1/Z^3: both routes need that power to be a double
-    finite_power(Z, 3, "atom-surface distance Z")
     if image_series_converges(slab, Z):
         return image_series_shift(atom, slab, Z)
     return nonretarded_k_integral(atom, slab, Z, q)
@@ -115,13 +113,16 @@ def nonretarded_k_integral(atom: AtomSpec, slab: Slab, Z: float,
         return EnergyShift([0.0] * len(atom.transitions))
     beta = _beta(slab.n)
     beta2 = beta * beta
+    # 1 - beta^2, exactly: formed as a difference it rounds to 0 once n
+    # passes about 1e8.5, and the thickness drops out of the integrand
+    gap = (2.0 * slab.n / (slab.n * slab.n + 1.0)) ** 2
 
     def integrand(k: list) -> tuple[list]:
         # (1 - e)/(1 - beta^2 e) with e = exp(-2kL) = 1 - g, free of
         # cancellation at small kL; g = 1 where 2kL overflows and at L = inf
         g = [-math.expm1(-2.0 * x * slab.L) for x in k]
-        return ([x * x * math.exp(-2.0 * Z * x)
-                 * (y / (1.0 - beta2 + beta2 * y)) for x, y in zip(k, g)],)
+        return ([x * x * math.exp(-2.0 * Z * x) * (y / (gap + beta2 * y))
+                 for x, y in zip(k, g)],)
 
     # all 24 geometric seeds up to k = U / (2 Z)
     cells = [(x,) for x in geometric_edges(CUTOFF / (2.0 * Z))]

@@ -386,6 +386,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_modes(args: argparse.Namespace) -> tuple[str, int]:
     from .core import _positive_finite
 
+    # find_trapped_modes checks k_par too, but only once slabshift.modes
+    # is loaded: an input error loads no compute module
     _positive_finite(args.k_par, "k_par")
     _bind("Slab")
     slab = Slab(n=args.n, L=args.thickness)

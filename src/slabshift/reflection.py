@@ -120,7 +120,8 @@ def _fresnel(pol: Polarization, k_z: complex, k_par: float,
     if abs(den) <= 1e-15 * max(abs(k_z), abs(k_zd), 1.0):
         raise PoleError(f"vanishing Fresnel denominator for {pol.value}",
                         k_z=k_z)
-    return k_zd, num / den ** 2
+    # den ** 2 overflows where |den| passes about 1.3e154, r does not
+    return k_zd, num / den / den
 
 
 def slab_denominator(pol: Polarization, k_z: complex, k_par: float, L: float,

@@ -49,17 +49,18 @@ in one reflection coefficient call (3,600 coefficient values).
 
 Only zeta sets a cell's node geometry: ``s``, ``t`` and the weight
 ``u^3 e^{-u} (A / s) / cosh(v A)`` of its 225 nodes (lam and n enter
-through ``Rt`` alone).  The geometry memo keeps it for one zeta at a
-time, keyed by the cell's exact 15 u and 15 v nodes, and takes no cell
-beyond the first :data:`_MEMO_CELLS` (64, about 1.1 MB); a new zeta
-starts an empty memo.  So the 13 W pairs of a 12-point lam sweep at
-zeta 1 build each of their about 10 distinct cells once, and a point of
-a zeta sweep shares its cells with its half-space partner.  Each
-integrand call joins its cells' geometry and makes one :func:`rtilde`
-call over every node, so W's bits do not depend on what the memo holds.
-Under threads the memo stays consistent: a cell's entry is added whole,
-never changed, and the same whoever builds it; threads racing at the cap
-may each add one cell beyond it.
+through ``Rt`` alone).  The geometry memo keeps every cell of one zeta
+at a time, keyed by the cell's exact 15 u and 15 v nodes; a new zeta
+starts an empty memo.  A zeta's distinct cells level off however long
+the sweep: at the default tolerance a lam sweep at n 2 holds 10 at zeta
+1, 48 at 1e-3 and 96 at 1e-76 (about 1.7 MB, at 17.5 KB a cell), and at
+rel_tol 1e-13 at most 288 (about 5 MB).  So the 13 W pairs of a 12-point
+lam sweep build each distinct cell once, and a point of a zeta sweep
+shares its cells with its half-space partner.  Each integrand call
+joins its cells' geometry and makes one :func:`rtilde` call over every
+node, so W's bits do not depend on what the memo holds.  Under threads
+the memo stays consistent: a cell's entry is added whole, never
+changed, and the same whoever builds it.
 
 ``S_par`` and ``S_perp`` are views of the same cubature, ``W / (8 zeta^4)``.
 :func:`w_pair` reads W itself: the views underflow where W does not (at
@@ -110,12 +111,6 @@ class SDetail(namedtuple("SDetail",
     @property
     def err_est(self) -> float:
         return self.err_w / self.scale
-
-
-# most cells the geometry memo holds, at about 17.5 KB each: a lam sweep
-# at zeta >= 1e-7 evaluates at most about 54 distinct cells (48 at zeta
-# 1e-3, n 2)
-_MEMO_CELLS = 64
 
 
 @functools.lru_cache(maxsize=1)
@@ -175,9 +170,7 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
             key = (*u_row, *v_row)
             cell = memo.get(key)
             if cell is None:
-                cell = _cell_geometry(two_zeta, u_row, v_row)
-                if len(memo) < _MEMO_CELLS:
-                    memo[key] = cell
+                cell = memo[key] = _cell_geometry(two_zeta, u_row, v_row)
             s_grid += cell[0]
             t_grid += cell[1]
             w_grid += cell[2]

@@ -300,6 +300,37 @@ def test_nonretarded_where_beta_rounds_to_one():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def _mpmath_k_integral(n, L, Z):
+    # the k integral of nonretarded_shift in 40 digits, split at each
+    # decade of k from 1e-8 / Z on, so the knee where 2kL meets 1 - beta^2
+    # falls inside a resolved piece
+    with mpmath.workdps(40):
+        n2 = mpmath.mpf(n) ** 2
+        beta = (n2 - 1) / (n2 + 1)
+        L, Z = mpmath.mpf(L), mpmath.mpf(Z)
+
+        def f(k):
+            e = mpmath.exp(-2 * k * L)
+            return k * k * mpmath.exp(-2 * Z * k) * (1 - e) / (1 - beta ** 2 * e)
+
+        edges = [0] + [mpmath.mpf(10) ** j / Z for j in range(-8, 3)]
+        dipole_sum = 2 * 1.0 + 2.0  # 2 mu_perp^2 + mu_par^2 of ATOM
+        return float(-beta / (16 * mpmath.pi) * dipole_sum
+                     * mpmath.quad(f, edges + [mpmath.inf]))
+
+
+@pytest.mark.parametrize("n, ratio", [(1e4, 0.01), (1e9, 1e-20),
+                                      (1e9, 1e-16), (1e12, 1e-22)])
+def test_k_integral_keeps_the_thickness_near_a_mirror(n, ratio):
+    # past n of about 1e8.5, 1 - beta^2 formed as a difference rounds to 0
+    # and the thickness dropped out: at n = 1e9 the shift was 134x too
+    # large for L/Z = 1e-20 and 2% off for 1e-16
+    Z = 1.0
+    got = nonretarded_k_integral(ATOM, Slab(n=n, L=ratio * Z), Z).value
+    assert got == pytest.approx(_mpmath_k_integral(n, ratio * Z, Z),
+                                rel=1e-12, abs=0.0)
+
+
 def test_nonretarded_k_integral_route_is_logged_silently(caplog, capfd):
     # near a mirror the default route takes the k integral: it prints
     # nothing on either stream and leaves no log record, even at DEBUG

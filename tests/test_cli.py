@@ -409,6 +409,10 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
      "--e-ji", "1e-77", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
     ["shift", "--n", "2", "--thickness", "1", "--distance", "1e-80",
      "--e-ji", "1e80", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+    # beta^2 rounds to 1 and 2kL underflows: the k integrand was 0/0, a
+    # ZeroDivisionError traceback; now W's underflow is the input error
+    ["asympt", "--n", "1e30", "--thickness", "5e-324", "--distance", "1e30",
+     "--e-ji", "1e8", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
 ])
 def test_extreme_input_is_an_input_error(argv):
     # where the float powers of zeta or n leave the doubles: every warning

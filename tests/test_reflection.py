@@ -47,6 +47,15 @@ def test_fresnel_normal_incidence():
     assert fresnel_r(TM, k_z, 0.0, n) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("pol, want", [(TE, -0.2), (TM, 0.2)])
+def test_fresnel_keeps_r_where_its_denominator_squared_overflows(pol, want):
+    # |k_z + k_zd| = 1.5e154: its square leaves the doubles, and squaring it
+    # raised OverflowError, although r = -/+(n - 1)/(n + 1) at normal
+    # incidence
+    assert fresnel_r(pol, 6e153, 0.0, 1.5) == pytest.approx(want, rel=1e-15)
+    assert math.isfinite(abs(slab_R(pol, 6e153, 0.0, 1e-160, 1.5)))
+
+
 def test_slab_no_slab_limits():
     assert slab_R(TE, 1.0, 0.5, 0.0, 2.0) == 0.0
     assert slab_T(TE, 1.0, 0.5, 0.0, 2.0) == 1.0

@@ -122,41 +122,26 @@ def test_geometry_memo_keeps_every_bit(zeta, monkeypatch):
     assert point() == cold
 
 
-def test_geometry_memo_never_exceeds_its_cap(monkeypatch):
-    # a long lam sweep at the smallest zeta evaluates more distinct cells
-    # than the memo holds: it fills to the cap and stops there, and the
-    # cells past it are built on every call
-    built = _count_builds(monkeypatch)
-    cap, zeta = slabshift.shift._MEMO_CELLS, 1e-76
-    memo = slabshift.shift._geometry_memo(zeta)
-    sizes = []
-    # 20 points at the default rel_tol, then one at 1e-13, where a point
-    # evaluates the most cells
-    for lam, rel_tol in ([(lam, 1e-8) for lam in _lam_grid(20)]
-                         + [(1.0, 1e-13)]):
-        w_pair(ReducedParams(zeta, lam, 2.0), QuadratureSpec(rel_tol=rel_tol))
-        sizes.append(len(memo))
-    assert max(sizes) == cap
-    assert len(built) > 2 * cap
-    assert all(built[key] == 1 for key in memo)
-
-
-def test_a_lam_sweep_builds_each_cell_geometry_once(monkeypatch):
+@pytest.mark.parametrize("zeta, rel_tol, cells", [
+    (1.0, 1e-8, 10), (1e-3, 1e-10, 93), (1e-76, 1e-8, 96)])
+def test_a_lam_sweep_builds_each_cell_geometry_once(zeta, rel_tol, cells,
+                                                    monkeypatch):
     # the 13 W pairs of a 12-point lam sweep share one zeta: every
-    # distinct cell's geometry is built once, however many pairs
-    # evaluate it
+    # distinct cell's geometry is built once, however many pairs evaluate
+    # it, and the memo keeps every one of them
     built, evaluated = _count_builds(monkeypatch), [0]
     rtilde = slabshift.shift.rtilde
 
-    def cells(pol, s, t, lam, n):
+    def counting(pol, s, t, lam, n):
         evaluated[0] += len(s) // 225
         return rtilde(pol, s, t, lam, n)
 
-    monkeypatch.setattr(slabshift.shift, "rtilde", cells)
+    monkeypatch.setattr(slabshift.shift, "rtilde", counting)
     for lam in _lam_grid(12) + [math.inf]:
-        w_pair(ReducedParams(1.0, lam, 2.0))
+        w_pair(ReducedParams(zeta, lam, 2.0), QuadratureSpec(rel_tol=rel_tol))
     assert set(built.values()) == {1}
-    assert len(built) <= slabshift.shift._MEMO_CELLS
+    assert set(slabshift.shift._geometry_memo(zeta)) == set(built)
+    assert len(built) == cells
     assert evaluated[0] > 5 * len(built)
 
 
