@@ -14,9 +14,9 @@ import math
 
 from .core import (NONRETARDED_TWO_ZETA, RETARDED_TWO_ZETA, AtomSpec,
                    EnergyShift, QuadratureSpec, ReducedParams, RegimeReport,
-                   Slab, _positive_finite, _slab_nonzero, _slab_shift,
-                   classify_regime, finite_power)
-from .electrostatics import _beta, image_series_converges, image_series_shift
+                   Slab, _beta, _contrast, _nonretarded, _positive_finite,
+                   _slab_nonzero, _slab_shift, classify_regime, finite_power)
+from .electrostatics import image_series_converges, image_series_shift
 from .quadrature import CUTOFF, adaptive_quad, geometric_edges
 from .shift import s_parallel, s_perp
 
@@ -55,7 +55,7 @@ def retarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     n2 = slab.n * slab.n
     z5 = finite_power(Z, 5, "atom-surface distance Z")
     # Z^5 divides last: 160 pi^2 n^2 Z^5 overflows for Z^5 near the top
-    pref = -(n2 - 1.0) * slab.L / (160.0 * math.pi ** 2 * n2)
+    pref = -_contrast(slab.n) * slab.L / (160.0 * math.pi ** 2 * n2)
     contribs = [
         pref * ((5.0 + 9.0 * n2) * tr.mu_par_sq
                 + 2.0 * (4.0 + 5.0 * n2) * tr.mu_perp_sq) / tr.E_ji / z5
@@ -78,8 +78,9 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
     """
     _positive_finite(alpha0, "alpha0")
     Slab(n, L)
+    # (14 eps^2 - 9)/eps - 5, without its cancellation as eps -> 1
     eps = n * n
-    bracket = (14.0 * eps * eps - 9.0) / eps - 5.0
+    bracket = (14.0 * eps + 9.0) * _contrast(n) / eps
     z5 = finite_power(Z, 5, "atom-surface distance Z")
     return _slab_nonzero(-alpha0 * L * bracket / (160.0 * math.pi ** 2) / z5,
                          n, L, "the thin-plate energy U")
@@ -111,26 +112,24 @@ def nonretarded_k_integral(atom: AtomSpec, slab: Slab, Z: float,
     # no slab: at L = 0 and beta^2 = 1 the integrand would be 0/0
     if slab.n == 1.0 or slab.L == 0.0:
         return EnergyShift([0.0] * len(atom.transitions))
-    beta = _beta(slab.n)
-    beta2 = beta * beta
-    # 1 - beta^2, exactly: formed as a difference it rounds to 0 once n
-    # passes about 1e8.5, and the thickness drops out of the integrand
-    gap = (2.0 * slab.n / (slab.n * slab.n + 1.0)) ** 2
+    # gap = 1 - beta^2 from core: formed as a difference it rounds to 0
+    # once n passes about 1e8.5, and the thickness drops out of the integrand
+    beta, gap = _beta(slab.n)
+    # where gap is 0 the slab is a mirror at any L > 0, as at L = inf, and
+    # 2kL may underflow
+    L = slab.L if gap else math.inf
 
     def integrand(k: list) -> tuple[list]:
         # (1 - e)/(1 - beta^2 e) with e = exp(-2kL) = 1 - g, free of
         # cancellation at small kL; g = 1 where 2kL overflows and at L = inf
-        g = [-math.expm1(-2.0 * x * slab.L) for x in k]
-        return ([x * x * math.exp(-2.0 * Z * x) * (y / (gap + beta2 * y))
+        g = [-math.expm1(-2.0 * x * L) for x in k]
+        return ([x * x * math.exp(-2.0 * Z * x) * (y / (gap + beta * beta * y))
                  for x, y in zip(k, g)],)
 
     # all 24 geometric seeds up to k = U / (2 Z)
     cells = [(x,) for x in geometric_edges(CUTOFF / (2.0 * Z))]
     res = adaptive_quad(integrand, cells[:-1], cells[1:], q.rel_tol, q.abs_tol)
-    pref = -beta / (16.0 * math.pi) * res.value[0]
-    contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
-                for tr in atom.transitions]
-    return _slab_shift(contribs, slab)
+    return _nonretarded(atom, slab, -beta / (16.0 * math.pi) * res.value[0])
 
 
 def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
@@ -142,7 +141,6 @@ def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     n2 = slab.n * slab.n
     z4 = finite_power(Z, 4, "atom-surface distance Z")
     # Z^4 divides last: 256 pi n^2 Z^4 overflows for Z^4 near the top
-    pref = -3.0 * (n2 * n2 - 1.0) * slab.L / (256.0 * math.pi * n2)
-    contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq) / z4
-                for tr in atom.transitions]
-    return _slab_shift(contribs, slab)
+    pref = (-3.0 * _contrast(slab.n) * (n2 + 1.0) * slab.L
+            / (256.0 * math.pi * n2))
+    return _nonretarded(atom, slab, pref, z4)

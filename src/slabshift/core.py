@@ -65,6 +65,26 @@ def _index(n: float) -> None:
         raise ValueError(f"refractive index must satisfy n >= 1, got {n}")
 
 
+# The slab enters the shift only through these two forms of its index: every
+# n^2 - 1, n^4 - 1, beta and 1 - beta^2 of the package is built from them.
+
+def _contrast(n: float) -> float:
+    """n^2 - 1 as (n - 1)(n + 1), which keeps its digits as n -> 1, where
+    n * n - 1 keeps the rounding error of n * n; inf once n^2 overflows."""
+    return (n - 1.0) * (n + 1.0)
+
+
+def _beta(n: float) -> tuple[float, float]:
+    """(beta, 1 - beta^2) with beta = (n^2 - 1)/(n^2 + 1), the image
+    charges' ratio: beta from :func:`_contrast`, and 1 - beta^2 as
+    (2n / (n^2 + 1))^2, so neither cancels.  Past the n whose n^2 overflows,
+    beta rounds to 1 and 1 - beta^2 is (2/n)^2, 0 at n = inf."""
+    n2 = n * n
+    if math.isinf(n2):
+        return 1.0, (2.0 / n) ** 2
+    return _contrast(n) / (n2 + 1.0), (2.0 * n / (n2 + 1.0)) ** 2
+
+
 class _Checked:
     """Base of a checked value type, listed before its namedtuple:
     :meth:`_check` runs on every construction, ``_make``, ``_replace`` and
@@ -295,6 +315,15 @@ def _slab_shift(contribs: Sequence[float], slab: Slab) -> EnergyShift:
                         for i, c in enumerate(contribs)])
 
 
+def _nonretarded(atom: AtomSpec, slab: Slab, pref: float,
+                 z4: float = 1.0) -> EnergyShift:
+    """:func:`_slab_shift` of ``pref (2 |mu_perp|^2 + |mu_par|^2) / z4`` per
+    transition: the dipole weighting of every non-retarded form, with
+    ``z4`` dividing last."""
+    return _slab_shift([pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq) / z4
+                        for tr in atom.transitions], slab)
+
+
 def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,
                    wfun: Sequence[WPair]) -> EnergyShift:
     """Assemble the physical shift from per-transition (W_par, W_z) pairs.
@@ -323,14 +352,17 @@ def dipole_sq_from_momentum(p_sq: float, E_ji: float,
     |mu_sigma|^2 = 4 pi alpha |p_sigma|^2 / (m^2 E_ji^2)   (epsilon_0 = 1)
 
     with alpha the fine-structure constant ``FINE_STRUCTURE``.  ``m`` is
-    the electron mass in the same natural units as ``E_ji``.
+    the electron mass in the same natural units as ``E_ji``.  A ValueError
+    where the square is not a finite normal double or +0 (see
+    :func:`finite_normal`).
     """
     if not 0.0 <= p_sq < math.inf:
         raise ValueError(f"momentum square must be non-negative and finite, "
                          f"got {p_sq}")
     _positive_finite(E_ji, "transition energy")
     _positive_finite(m, "electron mass m")
-    return 4.0 * math.pi * FINE_STRUCTURE * p_sq / (m * m * E_ji * E_ji)
+    mu_sq = 4.0 * math.pi * FINE_STRUCTURE * p_sq / (m * m * E_ji * E_ji)
+    return finite_normal(mu_sq, "the dipole-moment square")
 
 
 def static_polarizability(atom: AtomSpec) -> float:

@@ -8,9 +8,11 @@ charges generated by repeated reflections between the two interfaces:
             [ 1/sqrt(rho^2 + (z+z'-L+2mL)^2)
               - 1/sqrt(rho^2 + (z+z'+L+2mL)^2) ],
 
-with beta = (n^2-1)/(n^2+1).  Contracting the mixed second derivatives of
-Phi_H with the dipole fluctuations at the atom's position gives the
-non-retarded shift in closed form,
+with beta = (n^2-1)/(n^2+1); beta and 1 - beta^2 come from
+``core._beta``, which keeps both free of cancellation as n -> 1 and of
+overflow as n -> inf (beta = 1 once n^2 overflows).  Contracting the
+mixed second derivatives of Phi_H with the dipole fluctuations at the
+atom's position gives the non-retarded shift in closed form,
 
     Delta E = -(beta / 64 pi) sum_j (2 |mu_perp|^2 + |mu_par|^2)
               sum_{m>=0} beta^{2m} [ 1/(Z+mL)^3 - 1/(Z+(m+1)L)^3 ],
@@ -38,7 +40,8 @@ from __future__ import annotations
 
 import math
 
-from .core import AtomSpec, EnergyShift, Slab, _slab_shift, finite_power
+from .core import (AtomSpec, EnergyShift, Slab, _beta, _nonretarded,
+                   finite_power)
 from .errors import ConvergenceError
 
 __all__ = ["phi_H", "image_series_shift", "image_series_converges"]
@@ -49,10 +52,6 @@ __all__ = ["phi_H", "image_series_shift", "image_series_converges"]
 # to 9.7e-13 relative at n = 300 to 1e4, L/Z = 0.1 or 1)
 TAIL_TOL = 1e-14
 MAX_TERMS = 10 ** 4
-
-
-def _beta(n: float) -> float:
-    return (n * n - 1.0) / (n * n + 1.0)
 
 
 def phi_H(rho: float, z: float, z_prime: float, slab: Slab) -> float:
@@ -67,7 +66,7 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab) -> float:
                          "(z, z' > L/2)")
     if slab.n == 1.0:
         return 0.0
-    beta = _beta(slab.n)
+    beta, gap = _beta(slab.n)
     a0 = z + z_prime - slab.L
     L = slab.L
 
@@ -84,8 +83,8 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab) -> float:
             return b_m
         return 4.0 * L / (3.0 * math.sqrt(3.0) * rho * rho)
 
-    return _image_sum(bracket, bound, beta * beta, "image series for phi_H",
-                      scale=-beta / (4.0 * math.pi))
+    return _image_sum(bracket, bound, beta * beta, gap,
+                      "image series for phi_H", scale=-beta / (4.0 * math.pi))
 
 
 def image_series_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
@@ -96,22 +95,19 @@ def image_series_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
         return EnergyShift([0.0] * len(atom.transitions))
     # the brackets go as 1/Z^3
     finite_power(Z, 3, "atom-surface distance Z")
-    beta = _beta(slab.n)
+    beta, gap = _beta(slab.n)
     dipole_sum = math.fsum(2.0 * tr.mu_perp_sq + tr.mu_par_sq
                            for tr in atom.transitions)
     try:
         # L = inf keeps one term: the loop's majorant is 0/0 for a mirror
         series = _bracket(Z, slab.L, 0) if math.isinf(slab.L) else \
             _image_sum(lambda m: _bracket(Z, slab.L, m), lambda m, b_m: b_m,
-                       beta * beta, "image series")
+                       beta * beta, gap, "image series")
     except ConvergenceError as exc:
         scale = beta / (64.0 * math.pi) * dipole_sum
         raise ConvergenceError(str(exc), estimate=-scale * exc.estimate,
                                err_est=scale * exc.err_est) from None
-    pref = -beta / (64.0 * math.pi) * series
-    contribs = [pref * (2.0 * tr.mu_perp_sq + tr.mu_par_sq)
-                for tr in atom.transitions]
-    return _slab_shift(contribs, slab)
+    return _nonretarded(atom, slab, -beta / (64.0 * math.pi) * series)
 
 
 def image_series_converges(slab: Slab, Z: float) -> bool:
@@ -123,10 +119,9 @@ def image_series_converges(slab: Slab, Z: float) -> bool:
     runs past M terms; the 1e-6 margin covers its rounding.
     """
     z3 = finite_power(Z, 3, "atom-surface distance Z")
-    beta = _beta(slab.n)
-    beta2 = beta * beta
-    last = (beta2 ** MAX_TERMS * _bracket(Z, slab.L, MAX_TERMS)
-            / (1.0 - beta2)) if beta2 < 1.0 else math.inf
+    beta, gap = _beta(slab.n)
+    last = ((beta * beta) ** MAX_TERMS * _bracket(Z, slab.L, MAX_TERMS)
+            / gap) if beta < 1.0 else math.inf
     return last <= (1.0 + 1e-6) * TAIL_TOL / z3
 
 
@@ -145,10 +140,11 @@ def _bracket(Z: float, L: float, m: int) -> float:
     return (L / b) * (1.0 + q + q * q) / (a * a * a)
 
 
-def _image_sum(bracket, bound, beta2: float, what: str,
+def _image_sum(bracket, bound, beta2: float, gap: float, what: str,
                scale: float = 1.0) -> float:
     """``scale * sum_m beta2^m bracket(m)``, stopped by the tail majorant;
-    ``bound(m, bracket(m))`` bounds every bracket from m on."""
+    ``bound(m, bracket(m))`` bounds every bracket from m on, and ``gap`` is
+    1 - beta2."""
     if not beta2 < 1.0:
         raise ValueError(f"{what}: beta^2 = {beta2!r} is not below 1 (n above "
                          "about 1e8), so its tail has no bound")
@@ -159,7 +155,7 @@ def _image_sum(bracket, bound, beta2: float, what: str,
         total += weight * b_next
         weight *= beta2
         b_next = bracket(m + 1)
-        tail = weight * bound(m + 1, b_next) / (1.0 - beta2)
+        tail = weight * bound(m + 1, b_next) / gap
         if tail <= TAIL_TOL * abs(total):
             return scale * total + 0.0  # a zero sum is +0, not -0
     raise ConvergenceError(

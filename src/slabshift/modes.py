@@ -46,7 +46,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .core import Slab, _positive_finite, finite_power
+from .core import Slab, _contrast, _positive_finite, finite_power
 from .reflection import Polarization, _slab_amplitudes, slab_denominator
 
 __all__ = [
@@ -81,7 +81,7 @@ def _dispersion_sides(pol: Polarization, parity: str, k_par: float,
     if parity not in ("S", "A"):
         raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
     n, L = slab.n, slab.L
-    kappa_sq = (n * n - 1.0) * k_par * k_par
+    kappa_sq = _contrast(n) * k_par * k_par
     scale = n * n if pol is Polarization.TM else 1.0
 
     def sides(k_zd: float) -> tuple[float, float]:
@@ -105,7 +105,7 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
     n, L = slab.n, slab.L
     if n == 1.0 or L == 0.0 or math.isinf(L):
         return []
-    k_zd_max = math.sqrt(n * n - 1.0) * k_par
+    k_zd_max = math.sqrt(_contrast(n)) * k_par
     theta_max = 0.5 * k_zd_max * L
     kappa0 = k_zd_max / n
 
@@ -116,7 +116,7 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
                          f"{theta_max / math.pi:.3g} branches per dispersion "
                          f"relation, more than the {MAX_BRANCHES} allowed")
     # else the dispersion relations' (n^2 - 1) k_par^2 leaves the doubles
-    finite_power(k_par, 2, "k_par", n * n - 1.0)
+    finite_power(k_par, 2, "k_par", _contrast(n))
 
     modes = []
     for m in range(math.ceil((theta_max - offset) / math.pi) + 1):

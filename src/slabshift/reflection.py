@@ -43,7 +43,7 @@ import enum
 import itertools
 import math
 
-from .core import _index
+from .core import _contrast, _index, finite_power
 from .errors import PoleError
 
 __all__ = [
@@ -83,7 +83,7 @@ def snell_kzd(k_par: float, k_z: complex, n: float) -> complex | float:
     Principal square root (Re >= 0); positive root for real positive input.
     """
     _index(n)
-    val = cmath.sqrt((n * n - 1.0) * k_par * k_par + n * n * k_z * k_z)
+    val = cmath.sqrt(_contrast(n) * k_par * k_par + n * n * k_z * k_z)
     if not cmath.isfinite(val):
         raise ValueError(f"k_zd is {val} at k_par = {k_par!r}, k_z = {k_z!r}, "
                          f"n = {n!r}, not a finite wave number")
@@ -93,7 +93,10 @@ def snell_kzd(k_par: float, k_z: complex, n: float) -> complex | float:
 def snell_kz(k_par: float, k_zd: complex, n: float) -> complex | float:
     """Inverse of :func:`snell_kzd`: vacuum normal wave number from the slab one."""
     _index(n)
-    val = cmath.sqrt(k_zd * k_zd - (n * n - 1.0) * k_par * k_par) / n
+    val = cmath.sqrt(k_zd * k_zd - _contrast(n) * k_par * k_par) / n
+    if not cmath.isfinite(val):
+        raise ValueError(f"k_z is {val} at k_par = {k_par!r}, k_zd = "
+                         f"{k_zd!r}, n = {n!r}, not a finite wave number")
     return _as_wave_component(val)
 
 
@@ -112,10 +115,10 @@ def _fresnel(pol: Polarization, k_z: complex, k_par: float,
     their digits where k_zd -> k_z (TE) or n^2 k_z (TM)."""
     k_zd = snell_kzd(k_par, k_z, n)
     if pol is Polarization.TE:
-        num = -(n * n - 1.0) * (k_par + 1j * k_z) * (k_par - 1j * k_z)
+        num = -_contrast(n) * (k_par + 1j * k_z) * (k_par - 1j * k_z)
         den = k_z + k_zd
     else:
-        num = (n * n - 1.0) * (n * k_z - k_par) * (n * k_z + k_par)
+        num = _contrast(n) * (n * k_z - k_par) * (n * k_z + k_par)
         den = n * n * k_z + k_zd
     if abs(den) <= 1e-15 * max(abs(k_z), abs(k_zd), 1.0):
         raise PoleError(f"vanishing Fresnel denominator for {pol.value}",
@@ -207,18 +210,14 @@ def rtilde(pol: Polarization | tuple[Polarization, ...], s, t, lam: float,
     Finite ``lam`` gives ``num*e / (a*e + b*(2 - e)) = num / (a +
     b*coth(Lam))`` with ``e = -expm1(-2*Lam)`` in [0, 1]: an exact 0 at
     Lam = 0, and once e rounds to 1 the half-space value, which
-    ``lam = math.inf`` selects.
+    ``lam = math.inf`` selects.  n^2 - 1 and n^4 - 1 are (n - 1)(n + 1) and
+    that times n^2 + 1, which keep their digits as n -> 1; ``n ** 4`` must
+    be a finite normal double (n up to about 1.16e77), else ValueError.
     """
     _index(n)
     if not lam >= 0.0:
         raise ValueError(f"lam must be non-negative, got {lam}")
-    try:
-        n4 = n ** 4
-    except OverflowError:
-        n4 = math.inf
-    if not math.isfinite(n4):
-        raise ValueError(f"n = {n!r} is out of range: n**4 must be a finite "
-                         "double")
+    n4 = finite_power(n, 4, "n")
     pols = pol if isinstance(pol, tuple) else (pol,)
     if not all(isinstance(p, Polarization) for p in pols):
         raise ValueError("pol must be a Polarization or a tuple of them, "
@@ -243,8 +242,8 @@ def rtilde(pol: Polarization | tuple[Polarization, ...], s, t, lam: float,
         # R = num / (a + b coth(Lam)), with num = -tt, a = 2 + tt and
         # b = 2 g for TE, and n^4 - 1 - tt, n^4 + 1 + tt and 2 n^2 g for
         # TM; at lam = inf, e = -expm1(-inf) = 1 gives num / (a + b)
-        c, k, b = n * n - 1.0, -2.0 * lam, 2.0 * n * n
-        n4m, n4p = n4 - 1.0, n4 + 1.0
+        c, k, b = _contrast(n), -2.0 * lam, 2.0 * n * n
+        n4m, n4p = c * (n * n + 1.0), n4 + 1.0
         if math.isinf(lam):
             s = itertools.repeat(1.0)  # at s = 0, k s would be NaN
         te, tm = [], []

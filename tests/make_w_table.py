@@ -35,10 +35,12 @@ from test_shift import _halfspace_w, _j  # noqa: E402
 TABLE = HERE / "w_table.csv"
 DIGITS = 30
 # (zeta, lam, n): zeta from 1e-3 to 1e3, every lam in {0.1, 1, 10, inf}
-# and n in {2, 5}
+# and n in {2, 5}; and n = 1 + 3e-9 at zeta 1, lam 1 and inf, where n^2 - 1
+# keeps its digits only as (n - 1)(n + 1)
 POINTS = [(1e-3, 0.1, 2.0), (1e-3, math.inf, 5.0), (0.1, 10.0, 2.0),
           (0.1, 1.0, 5.0), (1.0, 1.0, 2.0), (10.0, 0.1, 5.0),
-          (1e3, 10.0, 2.0), (1e3, math.inf, 5.0)]
+          (1e3, 10.0, 2.0), (1e3, math.inf, 5.0), (1.0, 1.0, 1.0 + 3e-9),
+          (1.0, math.inf, 1.0 + 3e-9)]
 
 
 def _series(t, zeta, lam, n2):

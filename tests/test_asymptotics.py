@@ -156,6 +156,31 @@ def test_buhmann_equals_retarded_thin_for_isotropic():
         assert u == pytest.approx(d, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("dn", [1e-12, 1e-8, 1e-4])
+def test_thin_forms_keep_their_digits_near_n_one(dn):
+    # n * n - 1 lost the (n - 1)^2 of n * n: buhmann_U was 2.6e-5 off,
+    # the two thin-slab laws 5e-9 and 8e-9
+    n, L, Z, mu = 1.0 + dn, 0.3, 4.0, 0.8
+    atom = AtomSpec([Transition(1.0, 2.0 * mu, mu)])
+    alpha0 = static_polarizability(atom)
+    with mpmath.workdps(50):
+        n2, L_, Z_ = mpmath.mpf(n) ** 2, mpmath.mpf(L), mpmath.mpf(Z)
+        want = {
+            "retarded": -(n2 - 1) * L_ / (160 * mpmath.pi ** 2 * n2 * Z_ ** 5)
+            * ((5 + 9 * n2) * 2 * mu + 2 * (4 + 5 * n2) * mu),
+            "U": -alpha0 * L_ / (160 * mpmath.pi ** 2 * Z_ ** 5)
+            * ((14 * n2 * n2 - 9) / n2 - 5),
+            "non-retarded": -3 * (n2 * n2 - 1) * L_
+            / (256 * mpmath.pi * n2 * Z_ ** 4) * (2 * mu + 2 * mu),
+        }
+    got = {"retarded": retarded_thin_shift(atom, Slab(n, L), Z).value,
+           "U": buhmann_U(alpha0, n, L, Z),
+           "non-retarded": nonretarded_thin_shift(atom, Slab(n, L), Z).value}
+    for form, value in got.items():
+        assert value == pytest.approx(float(want[form]), rel=1e-14,
+                                      abs=0.0), form
+
+
 def test_thin_plate_form_outside_the_doubles_is_a_value_error():
     # alpha0 L overflows; the shift at this slab is finite
     with pytest.raises(ValueError, match="U is -inf, not a finite double"):
@@ -297,6 +322,17 @@ def test_nonretarded_where_beta_rounds_to_one():
     Z = 1.3
     expected = -(2.0 * 1.0 + 2.0) / (64.0 * math.pi * Z ** 3)
     got = nonretarded_shift(ATOM, Slab(n=1e9, L=0.01), Z).value
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, L, Z", [(1e160, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                     (math.inf, 5e-324, 1e30)])
+def test_k_integral_past_the_overflow_of_n_squared_is_a_mirror(n, L, Z):
+    # beta was inf/inf = nan and the integral a ConvergenceError with a nan
+    # estimate; at n = inf, where 1 - beta^2 is 0, a 2kL that underflows
+    # must not make the integrand 0/0
+    expected = -(2.0 * 1.0 + 2.0) / (64.0 * math.pi * Z ** 3)
+    got = nonretarded_k_integral(ATOM, Slab(n=n, L=L), Z).value
     assert got == pytest.approx(expected, rel=1e-12)
 
 

@@ -413,6 +413,10 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     # ZeroDivisionError traceback; now W's underflow is the input error
     ["asympt", "--n", "1e30", "--thickness", "5e-324", "--distance", "1e30",
      "--e-ji", "1e8", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
+    # n^2 overflows: beta was inf/inf = nan, and the k integral's nan an
+    # exit 3; now W's n**4 is the input error
+    ["asympt", "--n", "1e160", "--thickness", "1", "--distance", "1",
+     "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
 ])
 def test_extreme_input_is_an_input_error(argv):
     # where the float powers of zeta or n leave the doubles: every warning
@@ -544,7 +548,9 @@ def test_asympt_prints_a_diagnostic_outside_the_doubles_as_out_of_range(
                  "--mu-par-sq", "1.73361e-21",
                  "--mu-perp-sq", "6.31114e-102"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "retarded thin slab: -3.4271252352238565e+269 " \
+    # 50-digit mpmath gives -3.42712523522274572e+269: these digits are 3e-17
+    # from it, where n * n - 1 made -3.4271252352238565e+269, 3.2e-13 off
+    assert "retarded thin slab: -3.4271252352227456e+269 " \
            "rel_deviation=out of range\n" in out
     assert out.endswith(" L/Z=out of range\n")
     assert "inf" not in out and "nan" not in out

@@ -2,13 +2,14 @@ import math
 import pickle
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from slabshift import (AtomSpec, EnergyShift, QuadratureSpec, ReducedParams,
                        Slab, Transition, WPair, assemble_shift,
                        dipole_sq_from_momentum, reduce, static_polarizability)
-from slabshift.core import finite_power
+from slabshift.core import _beta, finite_power
 from slabshift.units import FINE_STRUCTURE
 
 
@@ -194,6 +195,35 @@ def test_dipole_sq_round_trip():
     mu_sq = dipole_sq_from_momentum(p_sq, E, m=m)
     p_back = mu_sq * m * m * E * E / (4.0 * math.pi * alpha)
     assert p_back == pytest.approx(p_sq, rel=1e-14)
+
+
+@pytest.mark.parametrize("p_sq, E_ji, what", [
+    (1e300, 1e-10, "not a finite double"),  # was inf
+    (1e-300, 1e10, "below the normal doubles"),  # was the subnormal 9.2e-322
+])
+def test_dipole_sq_outside_the_doubles_is_a_value_error(p_sq, E_ji, what):
+    with pytest.raises(ValueError, match=what):
+        dipole_sq_from_momentum(p_sq, E_ji)
+
+
+@pytest.mark.parametrize("n", [1.0 + 1e-12, 1.5, 2.0, 1e4, 1e8, 1e160, 1e300])
+def test_beta_and_one_minus_beta_squared_match_700_digits(n):
+    # (n^2 - 1)/(n^2 + 1) was nan once n^2 overflowed, and 1 - beta^2 as a
+    # difference rounds to 0 past n of about 1e8.5; both to an ulp or two
+    # here, and 1 - beta^2 to within the subnormals' spacing where it is one.
+    # 1 - beta^2 is about 4/n^2, so at n = 1e300 the difference needs 600
+    # digits
+    with mpmath.workdps(700):
+        n2 = mpmath.mpf(n) ** 2
+        beta = (n2 - 1) / (n2 + 1)
+        want = float(beta), float(1 - beta * beta)
+    got = _beta(n)
+    assert got[0] == pytest.approx(want[0], rel=4.5e-16, abs=0.0)
+    assert got[1] == pytest.approx(want[1], rel=4.5e-16, abs=1e-323)
+
+
+def test_beta_of_an_infinite_index_is_a_mirror():
+    assert _beta(math.inf) == (1.0, 0.0)
 
 
 def test_dipole_sq_rejects_bad_domain():

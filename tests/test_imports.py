@@ -215,6 +215,64 @@ def test_no_module_reads_the_environment():
                 assert not names & {"environ", "getenv"}, source.name
 
 
+def _index_power(node, powers: set[str]) -> bool:
+    """Whether ``node`` is a power of the slab index ``n`` (or ``x.n``):
+    a product of the index and such powers, ``n ** 2``, ``n ** 4``, or a
+    name in ``powers``."""
+    if isinstance(node, ast.Name) and node.id in powers:
+        return True
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return all(_is_index(x) or _index_power(x, powers)
+                   for x in (node.left, node.right))
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and _is_index(node.left)
+            and getattr(node.right, "value", None) in (2, 4))
+
+
+def _is_index(node) -> bool:
+    return (getattr(node, "id", None) == "n"
+            or isinstance(node, ast.Attribute) and node.attr == "n")
+
+
+def _index_power_names(tree) -> set[str]:
+    """The names a module binds to a power of the index, n2 = n * n and
+    n4 = n2 * n2 alike, tuple assignments included."""
+    powers: set[str] = set()
+    while True:
+        found = set(powers)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                found |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                          and _index_power(v, powers)}
+        if found == powers:
+            return powers
+        powers = found
+
+
+@pytest.mark.parametrize("source", sorted(
+    p.name for p in Path(slabshift.__file__).parent.glob("*.py")
+    if p.name != "core.py"))
+def test_the_index_arithmetic_has_one_home_in_core(source):
+    # n * n - 1 keeps the rounding error of n * n, a large share of n^2 - 1
+    # near n = 1, and (n^2 - 1)/(n^2 + 1) is nan once n^2 overflows: core's
+    # _contrast and _beta form both, and every other module reads them
+    tree = ast.parse((Path(slabshift.__file__).parent / source).read_text())
+    powers = _index_power_names(tree)
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.FunctionDef)
+                    and node.name == "_beta"), f"{source}:{node.lineno}"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            assert not (getattr(node.right, "value", None) == 1
+                        and _index_power(node.left, powers)), \
+                f"{source}:{node.lineno}: {ast.unparse(node)}"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("axis, fixed", [
     ("zeta", ["--lam", "1", "--n", "2"]),

@@ -134,7 +134,8 @@ def test_rtilde_bounds():
 @pytest.mark.parametrize("n", [1e78, math.inf])
 def test_rtilde_rejects_n_whose_fourth_power_is_not_a_double(n):
     for pol in (TE, TM):
-        with pytest.raises(ValueError, match="n\\*\\*4 must be a finite double"):
+        with pytest.raises(ValueError,
+                           match="n\\*\\*4 must be a finite normal double"):
             rtilde(pol, 1.0, 0.5, 1.0, n)
 
 
@@ -169,7 +170,7 @@ RTILDE_TS = (0.0, 1e-3, 0.3, 0.77, 1.0)
 
 def _rtilde_at_lam(pol, big_lam, t, n):
     # lam = 1, with s chosen so that Lam = big_lam
-    s = big_lam / math.sqrt(1.0 + (n * n - 1.0) * t * t)
+    s = big_lam / math.sqrt(1.0 + (n - 1.0) * (n + 1.0) * t * t)
     return s, rtilde(pol, s, t, 1.0, n)
 
 
@@ -183,9 +184,9 @@ def test_rtilde_matches_longhand_coth_form(n):
                                             rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("n", [1.5, 2.0, 10.0, 1e2, 1e4])
+@pytest.mark.parametrize("n", [1.0 + 1e-9, 1.0 + 1e-6, 1.0001, 1.5, 2.0, 10.0,
+                               1e2, 1e4])
 def test_rtilde_matches_40_digit_coth_form(n):
-    # n**2 - 1 cancels near n = 1, so the 40-digit form starts at n = 1.5
     mpmath.mp.dps = 40
     try:
         for big_lam in RTILDE_LAMS:
@@ -426,3 +427,9 @@ def test_fresnel_r_rejects_an_index_below_one():
 def test_snell_kzd_rejects_a_wave_number_that_is_not_finite(k_par, k_z):
     with pytest.raises(ValueError, match="not a finite wave number"):
         snell_kzd(k_par, k_z, 2.0)
+
+
+def test_snell_kz_rejects_a_wave_number_that_is_not_finite():
+    # it returned (nan+infj), where snell_kzd raises for the same input
+    with pytest.raises(ValueError, match="not a finite wave number"):
+        snell_kz(1.0, 2.0, 1e200)
