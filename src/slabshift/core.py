@@ -353,15 +353,21 @@ def dipole_sq_from_momentum(p_sq: float, E_ji: float,
 
     with alpha the fine-structure constant ``FINE_STRUCTURE``.  ``m`` is
     the electron mass in the same natural units as ``E_ji``.  A ValueError
-    where the square is not a finite normal double or +0 (see
-    :func:`finite_normal`).
+    where the square is not a finite normal double (see
+    :func:`finite_normal`), or is 0 where ``p_sq`` is not.
     """
     if not 0.0 <= p_sq < math.inf:
         raise ValueError(f"momentum square must be non-negative and finite, "
                          f"got {p_sq}")
     _positive_finite(E_ji, "transition energy")
     _positive_finite(m, "electron mass m")
-    mu_sq = 4.0 * math.pi * FINE_STRUCTURE * p_sq / (m * m * E_ji * E_ji)
+    # p_sq / (m E)^2 as two divisions by m E: each quotient lies between
+    # p_sq and the result, so neither leaves the doubles before the result
+    m_E = m * E_ji
+    mu_sq = 4.0 * math.pi * FINE_STRUCTURE * (p_sq / m_E / m_E)
+    if mu_sq == 0.0 and p_sq > 0.0:
+        raise ValueError(f"the dipole-moment square is 0 at momentum square "
+                         f"{p_sq!r} > 0: it left the doubles")
     return finite_normal(mu_sq, "the dipole-moment square")
 
 

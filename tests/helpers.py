@@ -155,7 +155,10 @@ def bisect_roots_longhand(pol, parity: str, k_par: float, slab) -> list[float]:
 
     The relations are written out with ``math`` from the module formulas;
     each branch (theta in (m pi, m pi + pi/2) for S, shifted by pi/2 for A)
-    is bisected to adjacent floats when its ends differ in sign.
+    is bisected to adjacent floats when its ends differ in sign.  The ends
+    sit 8 ulps of theta inside the branch edges: a pad relative to the
+    branch width rounds away once theta passes about 1e4, which put the
+    upper end on the tan pole and dropped the branch.
     """
     n, L = slab.n, slab.L
     k_zd_max = math.sqrt(n * n - 1.0) * k_par
@@ -170,17 +173,19 @@ def bisect_roots_longhand(pol, parity: str, k_par: float, slab) -> list[float]:
         return kappa - rhs / scale
 
     roots = []
-    start = 0.0 if parity == "S" else 0.5 * math.pi
-    while start < theta_max:
+    offset = 0.0 if parity == "S" else 0.5 * math.pi
+    m = 0
+    while offset + m * math.pi < theta_max:
+        start = offset + m * math.pi
         end = min(start + 0.5 * math.pi, theta_max)
-        pad = 1e-12 * (end - start)
+        m += 1
+        pad = 8.0 * math.ulp(end)
         lo, hi = 2.0 * (start + pad) / L, 2.0 * (end - pad) / L
         if g(lo) > 0.0 > g(hi):
             while lo < 0.5 * (lo + hi) < hi:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
             roots.append(0.5 * (lo + hi))
-        start += math.pi
     return roots
 
 

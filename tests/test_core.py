@@ -188,6 +188,13 @@ def test_dipole_sq_quarter_at_double_energy():
     assert hi == pytest.approx(lo / 4.0, rel=1e-14)
 
 
+def test_dipole_sq_of_a_normal_square_past_an_overflowing_denominator():
+    # m^2 E^2 = 1e320 overflowed to inf, and the square 9.2e-22 read as 0
+    mu_sq = dipole_sq_from_momentum(1e300, 1e160)
+    assert mu_sq == pytest.approx(4.0 * math.pi * 7.2973525693e-3 * 1e-20,
+                                  rel=1e-14)
+
+
 def test_dipole_sq_round_trip():
     # invert |mu|^2 = 4 pi alpha |p|^2 / (m^2 E^2)
     alpha, m, E = 7.2973525693e-3, 3.1, 1.7
@@ -200,6 +207,7 @@ def test_dipole_sq_round_trip():
 @pytest.mark.parametrize("p_sq, E_ji, what", [
     (1e300, 1e-10, "not a finite double"),  # was inf
     (1e-300, 1e10, "below the normal doubles"),  # was the subnormal 9.2e-322
+    (1.0, 1e200, "is 0 at momentum square 1.0"),  # was 0.0, truly 9.2e-402
 ])
 def test_dipole_sq_outside_the_doubles_is_a_value_error(p_sq, E_ji, what):
     with pytest.raises(ValueError, match=what):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import slabshift.modes
 from helpers import bisect_roots_longhand, sign_scan_root_count
 from slabshift import Polarization, Slab, slab_R, slab_T
 from slabshift.modes import (find_trapped_modes, pole_alignment_check,
@@ -104,6 +105,66 @@ def test_many_branches_at_large_k_par():
         for m in modes:
             assert m.residual < 1e-10
             assert pole_alignment_check(m, SLAB) < 1e-8
+
+
+def _branch_count(parity, k_par, slab):
+    # branches that open below cutoff: theta_m = m pi (S) or m pi + pi/2 (A)
+    theta_max = 0.5 * math.sqrt(slab.n ** 2 - 1.0) * k_par * slab.L
+    offset = 0.0 if parity == "S" else 0.5 * math.pi
+    return math.ceil((theta_max - offset) / math.pi)
+
+
+@pytest.mark.parametrize("k_par", [2e4, 4e4])
+def test_every_branch_below_cutoff_yields_its_root(k_par):
+    # bisection with a pad of 1e-12 of the branch width found 5,330 of the
+    # 5,514 TE S roots at 2e4 and 8,252 of 11,027 at 4e4: past theta of
+    # about 1e4 the pad rounded away and the bracket's end sat on the pole
+    for pol in (TE, TM):
+        for parity in ("S", "A"):
+            found = find_trapped_modes(pol, parity, k_par, SLAB)
+            assert len(found) == _branch_count(parity, k_par, SLAB)
+            assert max(m.residual for m in found) < 1e-10
+    found = find_trapped_modes(TE, "S", k_par, SLAB)
+    assert len(found) == sign_scan_root_count(TE, "S", k_par, SLAB, 20)
+    if k_par == 2e4:
+        ref = bisect_roots_longhand(TM, "A", k_par, SLAB)
+        found = find_trapped_modes(TM, "A", k_par, SLAB)
+        assert [m.k_zd for m in found] == pytest.approx(ref, rel=1e-12)
+
+
+def test_every_branch_yields_its_root_at_k_par_1e5():
+    # 23,990 of 27,567 before; one relation, about 0.1 s
+    found = find_trapped_modes(TE, "S", 1e5, SLAB)
+    assert len(found) == _branch_count("S", 1e5, SLAB) == 27567
+
+
+class _CountingMath:
+    """``math`` with every call of tan, atan and atan2 counted: one per
+    evaluation of a dispersion relation in either form."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        function = getattr(math, name)
+        if name not in ("tan", "atan", "atan2"):
+            return function
+
+        def counted(*args):
+            self.calls += 1
+            return function(*args)
+        return counted
+
+
+def test_few_evaluations_per_root(monkeypatch):
+    # Newton's method takes about 3 steps per root, plus the residual's
+    # one; bisection took about 45
+    counting = _CountingMath()
+    monkeypatch.setattr(slabshift.modes, "math", counting)
+    roots = sum(len(find_trapped_modes(pol, parity, 2000.0, SLAB))
+                for pol in (TE, TM) for parity in ("S", "A"))
+    assert roots == 2206
+    assert counting.calls <= 6 * roots
 
 
 def test_pole_alignment():
