@@ -54,8 +54,9 @@ def retarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     """
     n2 = slab.n * slab.n
     z5 = finite_power(Z, 5, "atom-surface distance Z")
-    # Z^5 divides last: 160 pi^2 n^2 Z^5 overflows for Z^5 near the top
-    pref = -_contrast(slab.n) * slab.L / (160.0 * math.pi ** 2 * n2)
+    # (n^2 - 1)/n^2 before the rest: 160 pi^2 n^2 overflows past n ~ 3.4e152;
+    # Z^5 divides last: 160 pi^2 Z^5 overflows for Z^5 near the top
+    pref = -(_contrast(slab.n) / n2) * slab.L / (160.0 * math.pi ** 2)
     contribs = [
         pref * ((5.0 + 9.0 * n2) * tr.mu_par_sq
                 + 2.0 * (4.0 + 5.0 * n2) * tr.mu_perp_sq) / tr.E_ji / z5

@@ -439,8 +439,6 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
     def rel_dev(approx: float) -> float:
         if approx == full.value:
             return 0.0
-        if full.value == 0.0:
-            return math.nan
         return abs(approx - full.value) / abs(full.value)
 
     def finite(x: float) -> str:

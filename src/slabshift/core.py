@@ -364,7 +364,10 @@ def dipole_sq_from_momentum(p_sq: float, E_ji: float,
     # p_sq / (m E)^2 as two divisions by m E: each quotient lies between
     # p_sq and the result, so neither leaves the doubles before the result
     m_E = m * E_ji
-    mu_sq = 4.0 * math.pi * FINE_STRUCTURE * (p_sq / m_E / m_E)
+    # an m E that underflows to 0 leaves a p_sq > 0 square past the doubles
+    ratio = (p_sq / m_E / m_E if m_E > 0.0 else
+             math.inf if p_sq > 0.0 else 0.0)
+    mu_sq = 4.0 * math.pi * FINE_STRUCTURE * ratio
     if mu_sq == 0.0 and p_sq > 0.0:
         raise ValueError(f"the dipole-moment square is 0 at momentum square "
                          f"{p_sq!r} > 0: it left the doubles")

@@ -64,7 +64,7 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab) -> float:
     if not (z > slab.L / 2.0 and z_prime > slab.L / 2.0):
         raise ValueError("phi_H requires both heights above the near surface "
                          "(z, z' > L/2)")
-    if slab.n == 1.0:
+    if slab.n == 1.0:  # beta = 0 times a sum that may be inf or NaN below
         return 0.0
     beta, gap = _beta(slab.n)
     a0 = z + z_prime - slab.L
@@ -81,7 +81,7 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab) -> float:
         # the brackets from m on fall from b_m only past the turn
         if math.sqrt(2.0) * (a0 + 2.0 * m * L) >= rho:
             return b_m
-        return 4.0 * L / (3.0 * math.sqrt(3.0) * rho * rho)
+        return 4.0 / (3.0 * math.sqrt(3.0)) * (L / rho) / rho
 
     return _image_sum(bracket, bound, beta * beta, gap,
                       "image series for phi_H", scale=-beta / (4.0 * math.pi))

@@ -80,24 +80,6 @@ class TrappedMode(namedtuple("TrappedMode",
     __slots__ = ()
 
 
-def _dispersion_sides(pol: Polarization, parity: str, k_par: float,
-                      slab: Slab):
-    """The function k_zd -> (kappa(k_zd), rhs(k_zd)) of one dispersion
-    relation, on one float."""
-    if parity not in ("S", "A"):
-        raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
-    n, L = slab.n, slab.L
-    kappa_sq = _contrast(n) * k_par * k_par
-    scale = n * n if pol is Polarization.TM else 1.0
-
-    def sides(k_zd: float) -> tuple[float, float]:
-        tan = math.tan(0.5 * k_zd * L)
-        return (math.sqrt(max(kappa_sq - k_zd * k_zd, 0.0)) / n,
-                (k_zd * tan if parity == "S" else -k_zd / tan) / scale)
-
-    return sides
-
-
 def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
                        slab: Slab) -> list[TrappedMode]:
     """All trapped modes of one polarization/parity at fixed k_par.
@@ -107,7 +89,8 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
     below cutoff holds exactly one root, found by Newton's method on the
     branch's arctangent form, kept inside the branch by bisection.
     """
-    sides = _dispersion_sides(pol, parity, k_par, slab)
+    if parity not in ("S", "A"):
+        raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
     _positive_finite(k_par, "k_par")
     n, L = slab.n, slab.L
     if n == 1.0 or L == 0.0 or math.isinf(L):
@@ -124,6 +107,8 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
                          f"relation, more than the {MAX_BRANCHES} allowed")
     # else the dispersion relations' (n^2 - 1) k_par^2 leaves the doubles
     finite_power(k_par, 2, "k_par", _contrast(n))
+    kappa_sq = _contrast(n) * k_par * k_par
+    scale = n * n if pol is Polarization.TM else 1.0
 
     # in theta = k_zd L/2 = theta_m + phi on branch m, both parities read
     # h(phi) = phi - atan(w/theta) = 0 with w = scale q/n, q = kappa n L/2
@@ -167,11 +152,14 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
                 break
             phi += step
         root = 2.0 * theta / L
-        kappa, rhs = sides(root)
+        # the independent tan/cot check: both sides of the relation at root
+        tan = math.tan(0.5 * root * L)
+        kappa = math.sqrt(max(kappa_sq - root * root, 0.0)) / n
+        rhs = (root * tan if parity == "S" else -root / tan) / scale
         residual = abs(kappa - rhs) / max(kappa, abs(rhs), kappa0)
-        # kappa0 q/theta_max keeps its digits near cutoff, where sides'
-        # kappa cancels; where the root rounds onto cutoff (q = 0), the
-        # tan/cot side still gives kappa
+        # kappa0 q/theta_max keeps its digits near cutoff, where the
+        # check's kappa cancels; where the root rounds onto cutoff (q = 0),
+        # the tan/cot side still gives kappa
         kappa = kappa0 * (q / theta_max) if q > 0.0 else rhs
         modes.append(TrappedMode(pol=pol, parity=parity, k_par=k_par,
                                  k_zd=root, kappa=kappa, residual=residual))

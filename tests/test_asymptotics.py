@@ -181,6 +181,18 @@ def test_thin_forms_keep_their_digits_near_n_one(dn):
                                       abs=0.0), form
 
 
+@pytest.mark.parametrize("n", [3e152, 1e153])
+def test_retarded_thin_law_holds_where_160_pi2_n2_overflows(n):
+    # 160 pi^2 n^2 overflowed past n ~ 3.4e152, and the shift read 0: an
+    # "underflowed" ValueError
+    got = retarded_thin_shift(ATOM, Slab(n=n, L=1.0), 1.0).value
+    with mpmath.workdps(40):
+        n2 = mpmath.mpf(n) ** 2
+        want = -(n2 - 1) / (160 * mpmath.pi ** 2 * n2) * (
+            (5 + 9 * n2) * 2 + 2 * (4 + 5 * n2) * 1)
+    assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+
 def test_thin_plate_form_outside_the_doubles_is_a_value_error():
     # alpha0 L overflows; the shift at this slab is finite
     with pytest.raises(ValueError, match="U is -inf, not a finite double"):

@@ -14,7 +14,9 @@ every pool op of every workload through ``perfbench/gate.py`` against
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,6 +77,26 @@ def test_traced_replay_reports_every_layer():
     assert metrics["reflection.rtilde.calls"] > 0
     # wfun 1, and the sweep's 3 points plus its 1 half-space point
     assert metrics["shift.w_pair.calls"] == 5
+
+
+def test_traced_benchmark_run_ends_in_a_well_formed_line():
+    # the whole traced command, as the benchmark runs it: the kernel
+    # timings, cli.import_s and the overhead ratio come from run.py itself,
+    # outside the replay above
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload",
+         "sweep-lambda", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert set(result["metrics"]) == set(run.PER_LAYER)
+    not_numbers = {key: metric["value"]
+                   for key, metric in result["metrics"].items()
+                   if isinstance(metric["value"], bool)
+                   or not isinstance(metric["value"], numbers.Real)
+                   or not math.isfinite(metric["value"])}
+    assert not_numbers == {}
 
 
 @pytest.mark.parametrize("op", POOL_OPS, ids=lambda op: op.key)

@@ -590,6 +590,47 @@ def test_bad_quadrature_config_is_an_input_error(line, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("slabshift: input error: ")
 
 
+NO_TRANSITIONS = "".join(line + "\n" for line in CONFIG.splitlines()
+                         if not line.startswith("atom."))
+# (config text, the error it gives); CONFIG's seven lines come first
+CONFIG_ERRORS = [
+    (CONFIG + "slab.n 2.0\n",
+     "line 8: expected 'key = value', got 'slab.n 2.0'"),
+    (CONFIG + "slab n = 2.0\n", "line 8: malformed key 'slab n'"),
+    (CONFIG + "units = SI\n", "units must be 'natural' or 'eV-nm', got 'SI'"),
+    (NO_TRANSITIONS, "missing required field: atom.transitions[0].E_ji"),
+    (CONFIG + "atom.transitions[2].E_ji = 1.0\n",
+     "atom.transitions indices must be contiguous from 0"),
+    (CONFIG + "geometry.Z = 0\n", "geometry.Z must be positive, got 0.0"),
+    (CONFIG + "geometry.Z = -1\n", "geometry.Z must be positive, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("text, message", CONFIG_ERRORS,
+                         ids=["no-equals", "malformed-key", "units",
+                              "no-transition", "gap-in-indices", "zero-Z",
+                              "negative-Z"])
+def test_config_faults_are_input_errors_that_name_them(text, message,
+                                                       tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    assert main(["shift", "--config", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"slabshift: input error: {message}\n"
+
+
+def test_unreadable_config_and_log_grid_from_zero_are_input_errors(tmp_path,
+                                                                   capsys):
+    assert main(["shift", "--config", str(tmp_path / "none.cfg")]) == \
+        EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        "slabshift: input error: cannot read config file: ")
+    assert main(["sweep", "--axis", "zeta", "--scale", "log", "--lo", "0",
+                 "--hi", "2", "--points", "3", "--lam", "1", "--n", "2"]) == \
+        EXIT_INPUT
+    assert capsys.readouterr().err == \
+        "slabshift: input error: log scale needs lo > 0\n"
+
+
 QUAD_CONFIG_ERRORS = [
     ("rel_tol", "inf", "rel_tol must be positive and finite, got inf"),
     ("abs_tol", "inf", "abs_tol must be positive and finite, got inf"),

@@ -214,6 +214,15 @@ def test_dipole_sq_outside_the_doubles_is_a_value_error(p_sq, E_ji, what):
         dipole_sq_from_momentum(p_sq, E_ji)
 
 
+def test_dipole_sq_whose_m_e_underflows_is_a_value_error():
+    # m E underflows to 0: the square, past the doubles, was a bare
+    # ZeroDivisionError; a zero momentum square still gives 0
+    with pytest.raises(ValueError, match="is inf, not a finite double"):
+        dipole_sq_from_momentum(1.0, 1e-200, m=1e-200)
+    got = dipole_sq_from_momentum(0.0, 1e-200, m=1e-200)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
 @pytest.mark.parametrize("n", [1.0 + 1e-12, 1.5, 2.0, 1e4, 1e8, 1e160, 1e300])
 def test_beta_and_one_minus_beta_squared_match_700_digits(n):
     # (n^2 - 1)/(n^2 + 1) was nan once n^2 overflowed, and 1 - beta^2 as a
@@ -294,6 +303,12 @@ def test_static_polarizability_rejects_anisotropic():
 def test_reduced_params_rejects_zeta_outside_the_positive_doubles(zeta):
     with pytest.raises(ValueError, match="zeta must be positive and finite"):
         ReducedParams(zeta=zeta, lam=1.0, n=2.0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -math.inf, math.nan])
+def test_reduced_params_rejects_a_negative_or_nan_lam(lam):
+    with pytest.raises(ValueError, match="lam must be non-negative"):
+        ReducedParams(zeta=1.0, lam=lam, n=2.0)
 
 
 @pytest.mark.parametrize("field, value, match", [

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,35 @@ ATOM = AtomSpec([Transition(E_ji=1.0, mu_par_sq=2.0, mu_perp_sq=1.0)])
 
 def test_phi_transparent():
     assert phi_H(0.5, 1.0, 1.0, Slab(n=1.0, L=1.0)) == 0.0
+
+
+@pytest.mark.parametrize("rho, z, z_prime, L", [
+    (0.0, 1e307, 1.7e308, 1.0),  # z + z' overflows: every image is at inf
+    (0.0, 5e-324, 5e-324, 5e-324),  # 1/|(rho, d)| overflows
+])
+def test_phi_transparent_where_the_image_sum_leaves_the_doubles(rho, z,
+                                                                z_prime, L):
+    # the general path's sum is nan or inf here at every n; its factor beta
+    # is 0 at n = 1, and phi_H's n = 1 branch answers that 0 unsummed
+    got = phi_H(rho, z, z_prime, Slab(n=1.0, L=L))
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("rho, z, L, n", [(1e-170, 1e-200, 1e-200, 1.5),
+                                          (1e-170, 1e-200, 1e-300, 2.0)])
+def test_phi_where_rho_squared_underflows_matches_the_series(rho, z, L, n):
+    # the brackets' bound before their turn divided by rho * rho, which
+    # underflows to 0 here: a bare ZeroDivisionError
+    got = phi_H(rho, z, z, Slab(n=n, L=L))
+    with mpmath.workdps(40):
+        rho_, z_, L_, n_ = map(mpmath.mpf, (rho, z, L, n))
+        beta = (n_ ** 2 - 1) / (n_ ** 2 + 1)
+        want = -beta / (4 * mpmath.pi) * mpmath.nsum(
+            lambda m: beta ** (2 * m) * (
+                1 / mpmath.hypot(rho_, 2 * z_ - L_ + 2 * m * L_)
+                - 1 / mpmath.hypot(rho_, 2 * z_ + L_ + 2 * m * L_)),
+            [0, mpmath.inf])
+    assert got == pytest.approx(float(want), rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [2.0, 1e9])  # beta^2 rounds to 1 at 1e9

@@ -413,6 +413,12 @@ def test_slab_phases_out_of_range_name_their_inputs(call):
         call()
 
 
+def test_fresnel_r_raises_at_its_pole():
+    # TE's k_z + k_zd vanishes at k_z = -1j, k_par = 1, n = 2: k_zd = 1j
+    with pytest.raises(PoleError, match="vanishing Fresnel denominator"):
+        fresnel_r(TE, -1j, 1.0, 2.0)
+
+
 def test_fresnel_r_rejects_an_index_below_one():
     # it returned 0.0 for n < 1 where snell_kzd raises
     for pol in (TE, TM):

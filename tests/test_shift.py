@@ -510,3 +510,33 @@ def test_w_within_err_est_of_the_reflection_series_table(zeta, lam, n,
                    QuadratureSpec(rel_tol=rel_tol))
         assert abs(w.w_par - ref_par) <= w.err_par, rel_tol
         assert abs(w.w_z - ref_z) <= w.err_z, rel_tol
+
+
+# the 120-point grid: every zeta regime, lam from thin to a half-space, and
+# n from glass to near a mirror
+GRID_120 = [ReducedParams(zeta, lam, n)
+            for zeta in (1e-7, 1e-5, 1e-3, 0.1, 10.0, 1e3)
+            for lam in (1e-3, 0.1, 1.0, 10.0, math.inf)
+            for n in (1.5, 2.0, 5.0, 30.0)]
+
+
+@pytest.fixture(scope="module")
+def grid_120_refs():
+    tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    return [w_pair(p, tight) for p in GRID_120]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
+def test_err_est_bounds_the_true_error_on_the_120_point_grid(rel_tol,
+                                                             grid_120_refs):
+    # |W - W_ref| <= err per component; the worst ratio found at the
+    # default abs_tol was 0.0096, 0.018 and 0.0069 at these rel_tol
+    worst = (0.0, None, None)
+    for p, ref in zip(GRID_120, grid_120_refs):
+        w = w_pair(p, QuadratureSpec(rel_tol=rel_tol))
+        for name, got, want, err in (("W_par", w.w_par, ref.w_par, w.err_par),
+                                     ("W_z", w.w_z, ref.w_z, w.err_z)):
+            ratio = abs(got - want) / err if got != want else 0.0
+            worst = max(worst, (ratio, p, name), key=lambda r: r[0])
+    ratio, p, name = worst
+    assert ratio <= 1.0, f"{name} at {tuple(p)}: |W - W_ref| = {ratio:.3g} err"
