@@ -1,30 +1,22 @@
 """Closed-form and reduced-form limits of the slab shift.
 
 These serve two purposes: quick estimates in their regimes of validity,
-and independent oracles for the exact double integral.
-
-The retardation classification (:func:`classify_regime`, its
-:class:`RegimeReport` and thresholds) lives in :mod:`slabshift.core` and
-is re-exported here.
+and independent oracles for the exact double integral.  Where they
+apply is judged by :func:`slabshift.core.classify_regime`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import (NONRETARDED_TWO_ZETA, RETARDED_TWO_ZETA, AtomSpec,
-                   EnergyShift, QuadratureSpec, ReducedParams, RegimeReport,
-                   Slab, _beta, _contrast, _nonretarded, _positive_finite,
-                   _slab_nonzero, _slab_shift, classify_regime, finite_power)
+from .core import (AtomSpec, EnergyShift, QuadratureSpec, ReducedParams, Slab,
+                   _beta, _contrast, _nonretarded, _positive_finite,
+                   _slab_nonzero, _slab_shift, finite_power)
 from .electrostatics import image_series_converges, image_series_shift
 from .quadrature import CUTOFF, adaptive_quad, geometric_edges
 from .shift import s_parallel, s_perp
 
 __all__ = [
-    "RETARDED_TWO_ZETA",
-    "NONRETARDED_TWO_ZETA",
-    "RegimeReport",
-    "classify_regime",
     "halfspace_S",
     "retarded_thin_shift",
     "buhmann_U",

@@ -30,8 +30,6 @@ import sys
 from collections import namedtuple
 from typing import Sequence
 
-from .units import FINE_STRUCTURE
-
 __all__ = [
     "Slab",
     "Transition",
@@ -44,7 +42,6 @@ __all__ = [
     "assemble_shift",
     "finite_power",
     "finite_normal",
-    "dipole_sq_from_momentum",
     "static_polarizability",
     "RETARDED_TWO_ZETA",
     "NONRETARDED_TWO_ZETA",
@@ -343,35 +340,6 @@ def assemble_shift(atom: AtomSpec, slab: Slab, Z: float,
         for tr, w in zip(atom.transitions, wfun)
     ]
     return _slab_shift(contribs, slab)
-
-
-def dipole_sq_from_momentum(p_sq: float, E_ji: float,
-                            m: float = 1.0) -> float:
-    """Convert a momentum-matrix-element square to a dipole-moment square.
-
-    |mu_sigma|^2 = 4 pi alpha |p_sigma|^2 / (m^2 E_ji^2)   (epsilon_0 = 1)
-
-    with alpha the fine-structure constant ``FINE_STRUCTURE``.  ``m`` is
-    the electron mass in the same natural units as ``E_ji``.  A ValueError
-    where the square is not a finite normal double (see
-    :func:`finite_normal`), or is 0 where ``p_sq`` is not.
-    """
-    if not 0.0 <= p_sq < math.inf:
-        raise ValueError(f"momentum square must be non-negative and finite, "
-                         f"got {p_sq}")
-    _positive_finite(E_ji, "transition energy")
-    _positive_finite(m, "electron mass m")
-    # p_sq / (m E)^2 as two divisions by m E: each quotient lies between
-    # p_sq and the result, so neither leaves the doubles before the result
-    m_E = m * E_ji
-    # an m E that underflows to 0 leaves a p_sq > 0 square past the doubles
-    ratio = (p_sq / m_E / m_E if m_E > 0.0 else
-             math.inf if p_sq > 0.0 else 0.0)
-    mu_sq = 4.0 * math.pi * FINE_STRUCTURE * ratio
-    if mu_sq == 0.0 and p_sq > 0.0:
-        raise ValueError(f"the dipole-moment square is 0 at momentum square "
-                         f"{p_sq!r} > 0: it left the doubles")
-    return finite_normal(mu_sq, "the dipole-moment square")
 
 
 def static_polarizability(atom: AtomSpec) -> float:

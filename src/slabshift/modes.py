@@ -1,10 +1,35 @@
-"""Electromagnetic field modes of the dielectric slab.
+"""Electromagnetic field modes of the dielectric slab, and its
+real-frequency reflection and transmission amplitudes.
+
+The modes work in the physical wave numbers ``k_par`` and ``k_z``
+(vacuum); the normal wave number inside the slab follows from Snell's
+law,
+
+    k_zd = sqrt((n^2 - 1) k_par^2 + n^2 k_z^2),
+
+with the single-interface amplitudes
+
+    r_TE = (k_z - k_zd) / (k_z + k_zd),
+    r_TM = (n^2 k_z - k_zd) / (n^2 k_z + k_zd),
+
+and, for a wave e^{i k_z z} incident on the slab |z| <= L/2, the sums of
+its multiple reflections, with D = 1 - r^2 e^{2 i k_zd L},
+
+    R = r (1 - e^{2 i k_zd L}) / D * e^{-i k_z L},
+    T = (1 - r^2) / D * e^{i (k_zd - k_z) L},
+    I = (1 + r) / (v D) * e^{i (k_zd - k_z) L/2},
+    J = -r (1 + r) / (v D) * e^{i (3 k_zd - k_z) L/2},
+
+for the waves I e^{i k_zd z} and J e^{-i k_zd z} inside; v = n for TM,
+whose mode scalar carries n in the slab, and 1 for TE.  The shift itself
+reads R only through its Wick rotation,
+:func:`slabshift.reflection.rtilde`.
 
 Travelling modes are incident/reflected/transmitted plane-wave solutions
 of real vacuum wave numbers (k_par, k_z > 0), with the amplitudes R, T
-and inside I, J of the closed forms in :mod:`slabshift.reflection`;
-trapped modes are discrete solutions bound by total internal reflection,
-oscillatory inside the slab and evanescent (e^{-kappa |z|}) outside.
+and inside I, J above; trapped modes are discrete solutions bound by
+total internal reflection, oscillatory inside the slab and evanescent
+(e^{-kappa |z|}) outside.
 Every mode is the product of a polarization vector and a piecewise scalar
 function; the momentum-space polarization vectors are
 
@@ -52,10 +77,17 @@ import cmath
 import math
 from collections import namedtuple
 
-from .core import Slab, _contrast, _positive_finite, finite_power
-from .reflection import Polarization, _slab_amplitudes, slab_denominator
+from .core import Slab, _contrast, _index, _positive_finite, finite_power
+from .errors import PoleError
+from .reflection import Polarization
 
 __all__ = [
+    "snell_kzd",
+    "snell_kz",
+    "fresnel_r",
+    "slab_denominator",
+    "slab_R",
+    "slab_T",
     "TrappedMode",
     "ModeField",
     "find_trapped_modes",
@@ -70,6 +102,139 @@ MODE_NORMALIZATION = (2.0 * math.pi) ** -1.5  # travelling-mode prefactor
 MAX_BRANCHES = 250_000
 
 _REGION_TAGS = ("left_vacuum", "slab", "right_vacuum")
+
+# |denominator| below this (relative to its terms) counts as a pole hit
+_POLE_TOL = 1e-12
+_OUT_OF_RANGE = ("the slab coefficients at k_z = {!r}, k_par = {!r}, L = {!r} "
+                 "are not finite doubles")
+
+
+def _as_wave_component(value: complex) -> complex | float:
+    """Drop a zero imaginary part so real inputs give real outputs."""
+    if isinstance(value, complex) and value.imag == 0.0:
+        return value.real
+    return value
+
+
+def snell_kzd(k_par: float, k_z: complex, n: float) -> complex | float:
+    """Normal wave number inside the dielectric from the vacuum one.
+
+    Principal square root (Re >= 0); positive root for real positive input.
+    """
+    _index(n)
+    val = cmath.sqrt(_contrast(n) * k_par * k_par + n * n * k_z * k_z)
+    if not cmath.isfinite(val):
+        raise ValueError(f"k_zd is {val} at k_par = {k_par!r}, k_z = {k_z!r}, "
+                         f"n = {n!r}, not a finite wave number")
+    return _as_wave_component(val)
+
+
+def snell_kz(k_par: float, k_zd: complex, n: float) -> complex | float:
+    """Inverse of :func:`snell_kzd`: vacuum normal wave number from the slab one."""
+    _index(n)
+    val = cmath.sqrt(k_zd * k_zd - _contrast(n) * k_par * k_par) / n
+    if not cmath.isfinite(val):
+        raise ValueError(f"k_z is {val} at k_par = {k_par!r}, k_zd = "
+                         f"{k_zd!r}, n = {n!r}, not a finite wave number")
+    return _as_wave_component(val)
+
+
+def fresnel_r(pol: Polarization, k_z: complex, k_par: float,
+              n: float) -> complex | float:
+    """Single-interface Fresnel reflection amplitude vacuum -> dielectric."""
+    return _as_wave_component(_fresnel(pol, k_z, k_par, n)[1])
+
+
+def _fresnel(pol: Polarization, k_z: complex, k_par: float,
+             n: float) -> tuple:
+    """(k_zd, r) of one interface, or a PoleError where r's denominator
+    vanishes.  r's numerator is a difference of squares over the
+    denominator, -(n^2 - 1)(k_par^2 + k_z^2) for TE and
+    (n^2 - 1)(n^2 k_z^2 - k_par^2) for TM, formed as products that keep
+    their digits where k_zd -> k_z (TE) or n^2 k_z (TM)."""
+    k_zd = snell_kzd(k_par, k_z, n)
+    if pol is Polarization.TE:
+        num = -_contrast(n) * (k_par + 1j * k_z) * (k_par - 1j * k_z)
+        den = k_z + k_zd
+    else:
+        num = _contrast(n) * (n * k_z - k_par) * (n * k_z + k_par)
+        den = n * n * k_z + k_zd
+    if abs(den) <= 1e-15 * max(abs(k_z), abs(k_zd), 1.0):
+        raise PoleError(f"vanishing Fresnel denominator for {pol.value}",
+                        k_z=k_z)
+    # den ** 2 overflows where |den| passes about 1.3e154, r does not
+    return k_zd, num / den / den
+
+
+def slab_denominator(pol: Polarization, k_z: complex, k_par: float, L: float,
+                     n: float) -> complex:
+    """Multiple-reflection denominator 1 - r^2 exp(2 i k_zd L).
+
+    Its zeros on the imaginary k_z axis are the trapped-mode poles.
+    """
+    _, r, phase = _interface(pol, k_z, k_par, L, n)
+    return 1.0 - r * r * phase
+
+
+def _interface(pol: Polarization, k_z: complex, k_par: float, L: float,
+               n: float) -> tuple:
+    """(k_zd, r, exp(2 i k_zd L)), or a ValueError unless 0 <= L < inf and
+    the phase is finite."""
+    if not 0.0 <= L < math.inf:
+        raise ValueError(f"slab thickness L must be in [0, inf), got {L}")
+    k_zd, r = _fresnel(pol, k_z, k_par, n)
+    try:
+        return k_zd, r, cmath.exp(2.0j * k_zd * L)
+    except (OverflowError, ValueError):
+        raise ValueError(_OUT_OF_RANGE.format(k_z, k_par, L)) from None
+
+
+def _slab_amplitudes(pol: Polarization, k_z: complex, k_par: float, L: float,
+                     n: float) -> tuple:
+    """(R, T, I, J, k_zd) of the closed forms above, or a ValueError where
+    one of them is not a finite double."""
+    k_zd, r, phase = _interface(pol, k_z, k_par, L, n)
+    den = 1.0 - r * r * phase
+    if abs(den) <= _POLE_TOL * (1.0 + abs(r * r * phase)):
+        raise PoleError(
+            f"slab coefficient evaluated at a trapped-mode pole "
+            f"(k_z={k_z}, k_par={k_par})", k_z=k_z, k_par=k_par)
+    inside = (1.0 + r) / (den * (1.0 if pol is Polarization.TE else n))
+    try:
+        amplitudes = (
+            -r * _phase_minus_one(k_zd, L) / den * cmath.exp(-1.0j * k_z * L),
+            (1.0 - r * r) / den * cmath.exp(1.0j * (k_zd - k_z) * L),
+            inside * cmath.exp(0.5j * (k_zd - k_z) * L),
+            -r * inside * cmath.exp(0.5j * (3.0 * k_zd - k_z) * L))
+    except (OverflowError, ValueError):
+        amplitudes = (math.nan,)
+    if not all(map(cmath.isfinite, amplitudes)):
+        raise ValueError(_OUT_OF_RANGE.format(k_z, k_par, L))
+    return amplitudes + (k_zd,)
+
+
+def _phase_minus_one(k_zd: complex, L: float) -> complex:
+    """exp(2 i k_zd L) - 1, without the cancellation of small k_zd L:
+    e^{x + i y} - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y."""
+    x, y = -2.0 * L * k_zd.imag, 2.0 * L * k_zd.real
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                   math.exp(x) * math.sin(y))
+
+
+def slab_R(pol: Polarization, k_z: complex, k_par: float, L: float,
+           n: float) -> complex | float:
+    """Slab reflection amplitude (vanishes for L = 0 or n = 1)."""
+    if L == 0.0 or n == 1.0:
+        return 0.0
+    return _as_wave_component(_slab_amplitudes(pol, k_z, k_par, L, n)[0])
+
+
+def slab_T(pol: Polarization, k_z: complex, k_par: float, L: float,
+           n: float) -> complex | float:
+    """Slab transmission amplitude (unity for L = 0 or n = 1)."""
+    if L == 0.0 or n == 1.0:
+        return 1.0
+    return _as_wave_component(_slab_amplitudes(pol, k_z, k_par, L, n)[1])
 
 
 class TrappedMode(namedtuple("TrappedMode",
@@ -157,10 +322,15 @@ def find_trapped_modes(pol: Polarization, parity: str, k_par: float,
         kappa = math.sqrt(max(kappa_sq - root * root, 0.0)) / n
         rhs = (root * tan if parity == "S" else -root / tan) / scale
         residual = abs(kappa - rhs) / max(kappa, abs(rhs), kappa0)
-        # kappa0 q/theta_max keeps its digits near cutoff, where the
-        # check's kappa cancels; where the root rounds onto cutoff (q = 0),
-        # the tan/cot side still gives kappa
-        kappa = kappa0 * (q / theta_max) if q > 0.0 else rhs
+        # kappa from the form less sensitive to theta's last ulp: d ln/d
+        # theta is theta/q^2 for kappa0 q/theta_max and at most 1/theta +
+        # 2/|sin 2 theta| for the tan/cot side, compared here times
+        # q^2 theta |sin 2 theta|/theta_max^2, in ratios at most about 1;
+        # the tan/cot side wins at q = 0, and the q form at theta = 0
+        a, b = q / theta_max, theta / theta_max
+        sin2 = abs(math.sin(2.0 * theta))
+        kappa = (rhs if a * a * (sin2 + 2.0 * theta) < b * b * sin2
+                 else kappa0 * a)
         modes.append(TrappedMode(pol=pol, parity=parity, k_par=k_par,
                                  k_zd=root, kappa=kappa, residual=residual))
     return modes

@@ -79,13 +79,14 @@ def test_traced_replay_reports_every_layer():
     assert metrics["shift.w_pair.calls"] == 5
 
 
-def test_traced_benchmark_run_ends_in_a_well_formed_line():
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_traced_benchmark_run_ends_in_a_well_formed_line(workload):
     # the whole traced command, as the benchmark runs it: the kernel
     # timings, cli.import_s and the overhead ratio come from run.py itself,
     # outside the replay above
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload",
-         "sweep-lambda", "--seed", "1", "--seconds", "1", "--trace", "1"],
+         workload, "--seed", "1", "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])

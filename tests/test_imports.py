@@ -215,6 +215,53 @@ def test_no_module_reads_the_environment():
                 assert not names & {"environ", "getenv"}, source.name
 
 
+MODULE_SOURCES = sorted(Path(slabshift.__file__).parent.glob("*.py"))
+
+
+def _top_level_names(tree) -> set[str]:
+    """The names a module binds in its own body, imports excluded."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {n.id for target in node.targets
+                      for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+# the package's __all__ is the lazy namespace, which __getattr__ resolves
+@pytest.mark.parametrize("source", [p for p in MODULE_SOURCES
+                                    if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_all_lists_only_names_the_module_defines(source):
+    # a name re-exported from another module has two import paths, and the
+    # lazy namespace would load the module it was taken from
+    tree = ast.parse(source.read_text())
+    listed = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)]
+    for names in listed:
+        assert set(names) <= _top_level_names(tree), \
+            sorted(set(names) - _top_level_names(tree))
+
+
+@pytest.mark.parametrize("source", MODULE_SOURCES, ids=lambda p: p.name)
+def test_private_names_are_imported_only_from_core_or_the_package(source):
+    # core holds the shared private helpers; any other module's private
+    # name is its own layer's, and a second module that reads it straddles
+    # two layers
+    for node in ast.walk(ast.parse(source.read_text())):
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        private = [alias.name for alias in node.names
+                   if alias.name.startswith("_")
+                   and not alias.name.startswith("__")]
+        assert not private or node.module in (None, "core"), \
+            f"{source.name}:{node.lineno}: {node.module}.{private}"
+
+
 def _index_power(node, powers: set[str]) -> bool:
     """Whether ``node`` is a power of the slab index ``n`` (or ``x.n``):
     a product of the index and such powers, ``n ** 2``, ``n ** 4``, or a
@@ -315,7 +362,7 @@ def test_lazy_namespace_resolves_every_public_name():
         "exec('from slabshift import *', namespace)\n"
         "assert all(namespace[n] is values[n] for n in slabshift.__all__)\n"
         "from slabshift import classify_regime, w_pair\n"
-        "from slabshift.asymptotics import classify_regime as again\n"
+        "from slabshift.core import classify_regime as again\n"
         "assert again is classify_regime\n"
         "try:\n"
         "    slabshift.no_such_name\n"

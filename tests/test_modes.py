@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -138,6 +139,66 @@ def test_every_branch_yields_its_root_at_k_par_1e5():
     assert len(found) == _branch_count("S", 1e5, SLAB) == 27567
 
 
+def _kappa_60_digits(pol, parity, k_par, slab, m):
+    """kappa of the root on branch m in 60-digit mpmath: the branch's
+    arctangent form solved in q = kappa n L/2 = sqrt(theta_max^2 -
+    theta^2), which stays smooth at cutoff, by a bracketing solver."""
+    with mpmath.workdps(60):
+        k_par, n, L = (mpmath.mpf(x) for x in (k_par, slab.n, slab.L))
+        theta_max = mpmath.sqrt((n - 1) * (n + 1)) * k_par * L / 2
+        w_per_q = n if pol is TM else 1 / n
+        theta_m = mpmath.pi * (m if parity == "S" else m + mpmath.mpf(0.5))
+        theta_end = min(theta_m + mpmath.pi / 2, theta_max)
+
+        def h(q):
+            theta = mpmath.sqrt(theta_max ** 2 - q ** 2)
+            return theta - theta_m - mpmath.atan2(w_per_q * q, theta)
+
+        q = mpmath.findroot(h, (mpmath.sqrt(theta_max ** 2 - theta_end ** 2),
+                                mpmath.sqrt(theta_max ** 2 - theta_m ** 2)),
+                            solver="anderson")
+        return float(2 * q / (n * L))
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_kappa_of_a_root_ulps_from_cutoff_keeps_its_digits(pol):
+    # theta_max is 2.5e-5 and the root lies a few ulps of theta below it:
+    # kappa0 q / theta_max read 2.507549864872851e-13 for both, 7.7% off,
+    # where the tan/cot side keeps every digit
+    slab = Slab(n=1.0000000085109029, L=0.004582633485018568)
+    k_par = 0.08343747380021259
+    (mode,) = find_trapped_modes(pol, "S", k_par, slab)
+    want = _kappa_60_digits(pol, "S", k_par, slab, 0)
+    assert want == pytest.approx(
+        {TE: 2.7152702020578855e-13, TM: 2.7152701558390845e-13}[pol],
+        rel=1e-15)
+    assert abs(mode.kappa - want) <= 1e-15 * want
+
+
+def test_kappa_of_the_root_nearest_cutoff_matches_60_digits():
+    # n - 1 from 1e-12 to 1 and theta_max from 1e-7 to 10: kappa0 q /
+    # theta_max alone was up to 1.3e-3 off on these 136 roots, and more
+    # than 1e-13 off on 71 of them
+    rng = np.random.default_rng(43)
+    checked = 0
+    for _ in range(60):
+        n = 1.0 + 10.0 ** rng.uniform(-12.0, 0.0)
+        L, theta_max = 10.0 ** rng.uniform([-3.0, -7.0], [3.0, 1.0])
+        slab = Slab(n=float(n), L=float(L))
+        k_par = float(2.0 * theta_max / (math.sqrt((n - 1.0) * (n + 1.0)) * L))
+        for pol in (TE, TM):
+            for parity in ("S", "A"):
+                modes = find_trapped_modes(pol, parity, k_par, slab)
+                if not modes:
+                    continue
+                want = _kappa_60_digits(pol, parity, k_par, slab,
+                                        len(modes) - 1)
+                assert abs(modes[-1].kappa - want) <= 1e-13 * want, \
+                    (pol, parity, k_par, slab)
+                checked += 1
+    assert checked == 136
+
+
 class _CountingMath:
     """``math`` with every call of tan, atan and atan2 counted: one per
     evaluation of a dispersion relation in either form."""
@@ -273,7 +334,7 @@ def test_slab_amplitudes_solve_the_interface_system():
     # z = +L/2, tangential E and B for TE; for TM (tangential E and normal
     # D) the slab columns carry n in the value rows and 1/n in the
     # derivative rows
-    from slabshift.reflection import _slab_amplitudes
+    from slabshift.modes import _slab_amplitudes
     rng = np.random.default_rng(47)
     for _ in range(10):
         k_par, k_z = rng.uniform(0.05, 4.0, size=2)
