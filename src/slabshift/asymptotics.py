@@ -71,9 +71,10 @@ def buhmann_U(alpha0: float, n: float, L: float, Z: float) -> float:
     """
     _positive_finite(alpha0, "alpha0")
     Slab(n, L)
-    # (14 eps^2 - 9)/eps - 5, without its cancellation as eps -> 1
+    # (14 eps^2 - 9)/eps - 5, without its cancellation as eps -> 1, and with
+    # (eps - 1)/eps first: 14 eps (eps - 1) overflows past n ~ 6.0e76
     eps = n * n
-    bracket = (14.0 * eps + 9.0) * _contrast(n) / eps
+    bracket = (14.0 * eps + 9.0) * (_contrast(n) / eps)
     z5 = finite_power(Z, 5, "atom-surface distance Z")
     return _slab_nonzero(-alpha0 * L * bracket / (160.0 * math.pi ** 2) / z5,
                          n, L, "the thin-plate energy U")
@@ -133,7 +134,8 @@ def nonretarded_thin_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
     """
     n2 = slab.n * slab.n
     z4 = finite_power(Z, 4, "atom-surface distance Z")
-    # Z^4 divides last: 256 pi n^2 Z^4 overflows for Z^4 near the top
-    pref = (-3.0 * _contrast(slab.n) * (n2 + 1.0) * slab.L
-            / (256.0 * math.pi * n2))
+    # (n^2 - 1)/n^2 first: 3 (n^4 - 1) overflows past n ~ 8.8e76; Z^4 divides
+    # last: 256 pi Z^4 overflows for Z^4 near the top
+    pref = (-3.0 * (_contrast(slab.n) / n2) * (n2 + 1.0) * slab.L
+            / (256.0 * math.pi))
     return _nonretarded(atom, slab, pref, z4)

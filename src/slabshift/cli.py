@@ -411,13 +411,11 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
     _bind("static_polarizability", "reduce", "classify_regime",
           "energy_shift", "retarded_thin_shift", "nonretarded_shift",
           "nonretarded_thin_shift", "buhmann_U")
-    try:
-        alpha0 = static_polarizability(run.atom)
-    except ValueError:  # the thin-plate form takes isotropic atoms only
-        alpha0 = None
     # Z^5 is the highest power of Z a form divides by: a distance past it is
     # an input error before anything runs
     finite_power(run.Z, 5, "atom-surface distance Z")
+    full = energy_shift(run.atom, run.slab, run.Z, run.quad).value
+    lines = [f"full integral: {_fmt(full)}"]
     forms = [
         ("retarded thin slab",
          lambda: retarded_thin_shift(run.atom, run.slab, run.Z).value),
@@ -425,34 +423,28 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[str, int]:
          lambda: nonretarded_shift(run.atom, run.slab, run.Z, run.quad).value),
         ("non-retarded thin slab",
          lambda: nonretarded_thin_shift(run.atom, run.slab, run.Z).value)]
-    if alpha0 is not None:
+    try:
+        alpha0 = static_polarizability(run.atom)
+    except ValueError:  # the thin-plate form takes isotropic atoms only
+        lines.append("thin-plate polarizability form: skipped "
+                     "(anisotropic atom)")
+    else:
         forms.append(("thin-plate polarizability form",
                       lambda: buhmann_U(alpha0, run.slab.n, run.slab.L, run.Z)))
-    comparisons = []
-    for label, form in forms:
-        try:
-            comparisons.append((label, form()))
-        except ValueError:  # the form leaves the doubles; the integral may not
-            comparisons.append((label, None))
-    full = energy_shift(run.atom, run.slab, run.Z, run.quad)
-
-    def rel_dev(approx: float) -> float:
-        if approx == full.value:
-            return 0.0
-        return abs(approx - full.value) / abs(full.value)
 
     def finite(x: float) -> str:
         # a diagnostic that leaves the doubles, as a closed form may
         return _fmt(x) if math.isfinite(x) else "out of range"
 
-    lines = [f"full integral: {_fmt(full.value)}"]
-    if alpha0 is None:
-        lines.append("thin-plate polarizability form: skipped "
-                     "(anisotropic atom)")
-    for label, value in comparisons:
-        lines.append(f"{label}: out of range" if value is None else
-                     f"{label}: {_fmt(value)} "
-                     f"rel_deviation={finite(rel_dev(value))}")
+    for label, form in forms:
+        try:
+            value = form()
+        except ValueError:  # the form leaves the doubles; the integral may not
+            lines.append(f"{label}: out of range")
+        else:
+            # equal values deviate by 0: at n = 1 or L = 0 both are 0
+            dev = 0.0 if value == full else abs(value - full) / abs(full)
+            lines.append(f"{label}: {_fmt(value)} rel_deviation={finite(dev)}")
         if label == "non-retarded (image series)":
             # the label names the form, this line the route that
             # nonretarded_shift took; it holds no number, so it adds no

@@ -184,13 +184,27 @@ def test_thin_forms_keep_their_digits_near_n_one(dn):
 @pytest.mark.parametrize("n", [3e152, 1e153])
 def test_retarded_thin_law_holds_where_160_pi2_n2_overflows(n):
     # 160 pi^2 n^2 overflowed past n ~ 3.4e152, and the shift read 0: an
-    # "underflowed" ValueError
-    got = retarded_thin_shift(ATOM, Slab(n=n, L=1.0), 1.0).value
+    # "underflowed" ValueError; the thin-plate form and the non-retarded
+    # thin law raised past n ~ 6.0e76 and 8.8e76, where 14 n^4 and
+    # 3 (n^4 - 1) overflow
+    alpha0 = static_polarizability(ATOM)
+    got = {"retarded": retarded_thin_shift(ATOM, Slab(n=n, L=1.0), 1.0).value,
+           "U": buhmann_U(alpha0, n, 1.0, 1.0),
+           "non-retarded": nonretarded_thin_shift(ATOM, Slab(n=n, L=1.0),
+                                                  1.0).value}
     with mpmath.workdps(40):
         n2 = mpmath.mpf(n) ** 2
-        want = -(n2 - 1) / (160 * mpmath.pi ** 2 * n2) * (
-            (5 + 9 * n2) * 2 + 2 * (4 + 5 * n2) * 1)
-    assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
+        want = {
+            "retarded": -(n2 - 1) / (160 * mpmath.pi ** 2 * n2) * (
+                (5 + 9 * n2) * 2 + 2 * (4 + 5 * n2) * 1),
+            "U": -alpha0 / (160 * mpmath.pi ** 2) * ((14 * n2 * n2 - 9) / n2
+                                                     - 5),
+            "non-retarded": -3 * (n2 * n2 - 1) / (256 * mpmath.pi * n2) * (
+                2 * 1 + 2),
+        }
+    for form, value in got.items():
+        assert value == pytest.approx(float(want[form]), rel=1e-15,
+                                      abs=0.0), form
 
 
 def test_thin_plate_form_outside_the_doubles_is_a_value_error():

@@ -539,6 +539,29 @@ def test_asympt_full_integral_outside_the_doubles_names_zeta(capsys):
         "slabshift: input error: zeta = 9.95")
 
 
+def test_asympt_takes_no_form_when_the_full_integral_fails(monkeypatch,
+                                                           capsys):
+    # the full integral runs first, and its error is the command's: no
+    # asymptote is taken for a problem the integral rejects
+    def full_integral(*args):
+        raise ValueError("the full integral failed")
+    monkeypatch.setattr(slabshift.cli, "energy_shift", full_integral)
+    calls = []
+    for name in ("retarded_thin_shift", "nonretarded_shift",
+                 "nonretarded_thin_shift", "buhmann_U"):
+        form = getattr(slabshift.cli, name)
+        monkeypatch.setattr(slabshift.cli, name,
+                            lambda *args, _name=name, _form=form:
+                            calls.append(_name) or _form(*args))
+    # an isotropic atom, so the thin-plate form would run too
+    code = main(["asympt", "--n", "2", "--thickness", "1", "--distance", "8",
+                 "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "slabshift: input error: the full integral failed\n")
+    assert calls == []
+
+
 def test_asympt_prints_a_diagnostic_outside_the_doubles_as_out_of_range(
         capsys):
     # lam = L E_ji overflows to inf, a half-space, so L/Z reads inf for a
