@@ -64,11 +64,13 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab) -> float:
     if not (z > slab.L / 2.0 and z_prime > slab.L / 2.0):
         raise ValueError("phi_H requires both heights above the near surface "
                          "(z, z' > L/2)")
-    if slab.n == 1.0:  # beta = 0 times a sum that may be inf or NaN below
-        return 0.0
     beta, gap = _beta(slab.n)
-    a0 = z + z_prime - slab.L
-    L = slab.L
+    # phi_H is homogeneous of degree -1 in its lengths: sum with the
+    # largest scaled into [1/2, 1) by a power of two, which is exact, so no
+    # image distance or bracket leaves the doubles; scale back at the end
+    k = math.frexp(max(rho, z, z_prime, slab.L))[1]
+    rho, L = math.ldexp(rho, -k), math.ldexp(slab.L, -k)
+    a0 = math.ldexp(z, -k) + math.ldexp(z_prime, -k) - L
 
     def bracket(m: int) -> float:
         # 1/h1 - 1/h2 = (h2^2 - h1^2) / (h1 h2 (h1 + h2)), free of
@@ -83,8 +85,23 @@ def phi_H(rho: float, z: float, z_prime: float, slab: Slab) -> float:
             return b_m
         return 4.0 / (3.0 * math.sqrt(3.0)) * (L / rho) / rho
 
-    return _image_sum(bracket, bound, beta * beta, gap,
-                      "image series for phi_H", scale=-beta / (4.0 * math.pi))
+    def unscaled(phi: float) -> float:
+        try:
+            return math.ldexp(phi, -k)
+        except OverflowError:
+            raise ValueError(f"phi_H is {phi!r} * 2^{-k}, beyond the largest "
+                             "double (about 1.8e308)") from None
+
+    try:
+        # a tail below 2^-1075 once scaled back cannot move the result
+        phi = _image_sum(bracket, bound, beta * beta, gap,
+                         "image series for phi_H",
+                         scale=-beta / (4.0 * math.pi),
+                         floor=math.ldexp(1.0, k - 1075))
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), estimate=unscaled(exc.estimate),
+                               err_est=unscaled(exc.err_est)) from None
+    return unscaled(phi) + 0.0  # a zero is +0, not -0
 
 
 def image_series_shift(atom: AtomSpec, slab: Slab, Z: float) -> EnergyShift:
@@ -141,9 +158,10 @@ def _bracket(Z: float, L: float, m: int) -> float:
 
 
 def _image_sum(bracket, bound, beta2: float, gap: float, what: str,
-               scale: float = 1.0) -> float:
-    """``scale * sum_m beta2^m bracket(m)``, stopped by the tail majorant;
-    ``bound(m, bracket(m))`` bounds every bracket from m on, and ``gap`` is
+               scale: float = 1.0, floor: float = 0.0) -> float:
+    """``scale * sum_m beta2^m bracket(m)``, stopped once the tail majorant
+    is at most ``TAIL_TOL`` times the sum or ``floor``; ``bound(m,
+    bracket(m))`` bounds every bracket from m on, and ``gap`` is
     1 - beta2."""
     if not beta2 < 1.0:
         raise ValueError(f"{what}: beta^2 = {beta2!r} is not below 1 (n above "
@@ -156,7 +174,7 @@ def _image_sum(bracket, bound, beta2: float, gap: float, what: str,
         weight *= beta2
         b_next = bracket(m + 1)
         tail = weight * bound(m + 1, b_next) / gap
-        if tail <= TAIL_TOL * abs(total):
+        if tail <= max(TAIL_TOL * abs(total), floor):
             return scale * total + 0.0  # a zero sum is +0, not -0
     raise ConvergenceError(
         f"{what} did not converge within {MAX_TERMS} terms",

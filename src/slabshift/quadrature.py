@@ -15,9 +15,9 @@ Refinement is global, in rounds, after DCUHRE (Berntsen, Espelid & Genz,
 ACM TOMS 17 (1991) 437) and Genz & Malik (1980).  Each round ranks the
 cells by error over tolerance and bisects the worst of them, each along
 its axis of larger error, until the cells left unsplit fit in half the
-tolerance.  All children of a round go to the integrand in one call (or
-in calls of at most ``_MAX_NODES`` nodes), so the call count follows the
-depth of the refinement, not the number of cells.
+tolerance.  All children of a round go to the integrand in one call, so
+the call count follows the depth of the refinement, not the number of
+cells.
 
 The contract is the tolerance, not the rule: callers rely on
 ``err_est <= max(rel_tol * |value|, abs_tol)`` of every component of the
@@ -59,9 +59,6 @@ _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
 # the 15 nodes in ascending order; the Gauss-7 nodes are _NODES[1::2]
 _NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
 _SIZE = len(_NODES)
-# most nodes in one integrand call (48 cells of 225 nodes in 2D): larger
-# rounds go in several calls, which bounds the memory of the temporaries
-_MAX_NODES = 10_800
 # splits allowed beyond the seed cells: at rel_tol 1e-14, W took at most
 # 184 and the k integral 7 on the grids of README's numerical notes
 MAX_SUBDIVISIONS = 2000
@@ -144,16 +141,6 @@ def _eval_cells(f: Callable[..., tuple], lo: list[tuple],
     return vals, errs
 
 
-def _eval_round(f: Callable[..., tuple], lo: list[tuple],
-                hi: list[tuple]) -> tuple[list, list]:
-    """:func:`_eval_cells` of all the cells of one round, in integrand
-    calls of at most ``_MAX_NODES`` nodes each."""
-    step = max(1, _MAX_NODES // _SIZE ** len(lo[0]))
-    vals, errs = zip(*(_eval_cells(f, lo[i:i + step], hi[i:i + step])
-                       for i in range(0, len(lo), step)))
-    return [sum(v, []) for v in zip(*vals)], [sum(e, []) for e in zip(*errs)]
-
-
 def adaptive_quad(f: Callable[..., tuple], lo: Sequence[Sequence[float]],
                   hi: Sequence[Sequence[float]], rel_tol: float,
                   abs_tol: float) -> QuadResult:
@@ -177,7 +164,7 @@ def adaptive_quad(f: Callable[..., tuple], lo: Sequence[Sequence[float]],
         raise ValueError("need seed cells with 1 or 2 axes and lo < hi on "
                          "every axis")
     dims = len(lo[0])
-    val, err = _eval_round(f, lo, hi)
+    val, err = _eval_cells(f, lo, hi)
     splits = 0
 
     while True:
@@ -223,9 +210,8 @@ def adaptive_quad(f: Callable[..., tuple], lo: Sequence[Sequence[float]],
             right_lo.append(l[:axis] + mid + l[axis + 1:])
         new_lo = [lo[c] for c in pick] + right_lo
         new_hi = left_hi + [hi[c] for c in pick]
-        new_val, new_err = _eval_round(f, new_lo, new_hi)
-        picked = set(pick)
-        keep = [c for c in range(len(lo)) if c not in picked]
+        new_val, new_err = _eval_cells(f, new_lo, new_hi)
+        keep = sorted(order[count:])
         lo = [lo[c] for c in keep] + new_lo
         hi = [hi[c] for c in keep] + new_hi
         val = [[vk[c] for c in keep] + nv for vk, nv in zip(val, new_val)]

@@ -33,10 +33,9 @@ Integration*, 1984): with ``A = asinh(s)``,
 
 One call of the global GK15 x GK15 cubature of :mod:`slabshift.quadrature`
 over (u, v) yields the pair, and each of its integrand calls (one per
-round, or per 48 cells of a larger round) takes both polarizations'
-reflection coefficients from one :func:`rtilde` call.  All of it is plain
-Python on floats and lists.  The seed cells
-are 8 u strips, ``0, U 2^-7, ..., U`` (the top 8 edges of
+round) takes both polarizations' reflection coefficients from one
+:func:`rtilde` call.  All of it is plain Python on floats and lists.  The
+seed cells are 8 u strips, ``0, U 2^-7, ..., U`` (the top 8 edges of
 :func:`slabshift.quadrature.geometric_edges`), each all of ``[0, 1]`` in
 v.  The rule stops when each component's error is at most
 ``max(rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the GK15 bound

@@ -24,10 +24,30 @@ def test_phi_transparent():
 ])
 def test_phi_transparent_where_the_image_sum_leaves_the_doubles(rho, z,
                                                                 z_prime, L):
-    # the general path's sum is nan or inf here at every n; its factor beta
-    # is 0 at n = 1, and phi_H's n = 1 branch answers that 0 unsummed
+    # the unscaled sum is nan or inf here at every n; summed in scaled
+    # lengths it is finite, and its factor beta is 0 at n = 1
     got = phi_H(rho, z, z_prime, Slab(n=1.0, L=L))
     assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+# each ran all 10^4 terms into a ConvergenceError with a NaN estimate and
+# bound; the sums are from 40-digit mpmath, of the bracket form phi_H uses
+@pytest.mark.parametrize("z, z_prime, L, want", [
+    # z + z' overflows, and the sum, -2.2e-618, underflows to +0
+    (1e307, 1.7e308, 1.0, 0.0),
+    # an image distance a0 + 2L overflows
+    (6e307, 6e307, 1e308, -1.4015718682950129e-309),
+])
+def test_phi_where_a_length_nears_the_largest_double(z, z_prime, L, want):
+    got = phi_H(0.0, z, z_prime, Slab(n=1.5, L=L))
+    assert abs(got - want) <= 5e-324  # one subnormal step
+    assert got != 0.0 or math.copysign(1.0, got) == 1.0
+
+
+def test_phi_beyond_the_largest_double_is_a_value_error():
+    # the sum is about -4.26e321; it returned -inf
+    with pytest.raises(ValueError, match="beyond the largest double"):
+        phi_H(0.0, 5e-324, 5e-324, Slab(n=1.5, L=5e-324))
 
 
 @pytest.mark.parametrize("rho, z, L, n", [(1e-170, 1e-200, 1e-200, 1.5),

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 from pathlib import Path
@@ -200,6 +201,19 @@ def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
     ref = w_pair(p, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
     assert abs(got.w_par - ref.w_par) <= got.err_par
     assert abs(got.w_z - ref.w_z) <= got.err_z
+
+
+def test_cell_geometry_clamps_t_to_one():
+    # at v = 1, t = sinh(asinh(s)) / s is 1 in exact arithmetic but rounds
+    # above it for about 40% of s; every such t comes back as 1.0
+    two_zeta = 2e-3
+    u_row = [3.0, 3.25, 3.5, 4.0, 4.25, 5.25, 7.25, 7.5, 8.0, 9.25, 9.5,
+             9.75, 10.75, 11.25, 11.5]
+    assert all(math.sinh(math.asinh(s)) / s > 1.0
+               for s in (u / two_zeta for u in u_row))
+    _, t, w = slabshift.shift._cell_geometry(two_zeta, u_row, [1.0] * 15)
+    assert t == [1.0] * 225
+    assert all(math.isfinite(x) for x in w)
 
 
 @pytest.mark.parametrize("zeta", [1e-76, 1e-7, 1.0, 1e6])
@@ -493,6 +507,76 @@ def test_halfspace_w_within_err_est_of_a_1d_oracle(zeta):
                    QuadratureSpec(rel_tol=rel_tol))
         assert abs(w.w_par - ref_par) <= w.err_par, rel_tol
         assert abs(w.w_z - ref_z) <= w.err_z, rel_tol
+
+
+def _retarded_w(rho, n):
+    """(W_par, W_z) in the retarded limit zeta -> inf at fixed rho = lam/zeta
+    = L/Z, as 1D t integrals in 20 digits.
+
+    There ``1/(1 + s^2 t^2) -> 1`` and ``Lam = rho u g / 2``, so each term
+    of the reflection series of ``make_w_table.py``, ``Rt = num/(a + b)
+    Sum_k q^k (x^k - x^{k+1})`` with ``x = e^{-2 Lam}``, has a closed u
+    integral, ``Int u^3 e^{-u} x^k du = 6/(1 + k rho g)^4``:
+
+        W_par -> 1/8 Int_0^1 (R_TM S_TM - t^2 R_TE S_TE) dt,
+        W_z   -> 1/4 Int_0^1 (1 - t^2) R_TM S_TM dt,
+
+    with ``R = num/(a + b)`` and ``S = Sum_k q^k [6/(1 + k rho g)^4 - 6/(1 +
+    (k + 1) rho g)^4]`` per polarization.
+    """
+    with mpmath.workdps(20):
+        rho, n2 = mpmath.mpf(rho), mpmath.mpf(n) ** 2
+
+        @functools.cache
+        def coefficients(t):
+            g = mpmath.sqrt(1 + (n2 - 1) * t * t)
+            tt = g * g - 1
+            out = []
+            for num, a, b in ((-tt, 2 + tt, 2 * g),
+                              (n2 * n2 - 1 - tt, n2 * n2 + 1 + tt, 2 * n2 * g)):
+                q = (a - b) / (a + b)
+                total, k, f = mpmath.mpf(0), 0, mpmath.mpf(6)
+                while True:
+                    f_next = 6 / (1 + (k + 1) * rho * g) ** 4
+                    total += q ** k * (f - f_next)
+                    k, f = k + 1, f_next
+                    # the tail is below q^k f / (1 - q), as f falls in k
+                    if q ** k * f <= mpmath.eps * (1 - q) * abs(total):
+                        break
+                out.append(num / (a + b) * total)
+            return out
+
+        def par(t):
+            te, tm = coefficients(t)
+            return tm - t * t * te
+
+        def perp(t):
+            return (1 - t * t) * coefficients(t)[1]
+
+        return (float(mpmath.quad(par, [0, 1]) / 8),
+                float(mpmath.quad(perp, [0, 1]) / 4))
+
+
+@pytest.mark.parametrize("n", [2.0, 5.0])
+@pytest.mark.parametrize("rho", [0.01, 0.3, 3.0])
+def test_w_approaches_the_retarded_limit_at_fixed_l_over_z(rho, n):
+    # the next term of 1/(1 + s^2 t^2), with s = u / (2 zeta), is
+    # -u^2 t^2 / (4 zeta^2): W / W_ret - 1 falls 100x per decade of zeta
+    # (-2.52e-2, -2.73e-4, -2.73e-6 for W_par at n 2, rho 0.01)
+    refs = _retarded_w(rho, n)
+    devs, gaps = [], []
+    for zeta in (10.0, 100.0, 1e3):
+        w = w_pair(ReducedParams(zeta, rho * zeta, n),
+                   QuadratureSpec(rel_tol=1e-10))
+        devs.append([w.w_par / refs[0] - 1.0, w.w_z / refs[1] - 1.0])
+        gaps.append([abs(w.w_par - refs[0]) / w.err_par,
+                     abs(w.w_z - refs[1]) / w.err_z])
+    falls = [[a / b for a, b in zip(*pair)] for pair in zip(devs, devs[1:])]
+    note = f"W / W_ret - 1 {devs}, gaps {gaps} err_est"
+    # the fall is W's, not its cubature error's: every gap spans many
+    # err_est (at least 1.4e4 at zeta 1e3)
+    assert min(min(g) for g in gaps) > 1e3, note
+    assert all(80.0 <= f <= 120.0 for pair in falls for f in pair), note
 
 
 # (zeta, lam, n, W_par, W_z) in 30 digits from the reflection series of
