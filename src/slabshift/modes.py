@@ -240,7 +240,16 @@ def slab_T(pol: Polarization, k_z: complex, k_par: float, L: float,
 class TrappedMode(namedtuple("TrappedMode",
                              "pol parity k_par k_zd kappa residual")):
     """One root of a slab dispersion relation; ``parity`` is "S" or "A",
-    that of the scalar part."""
+    that of the scalar part.
+
+    ``residual`` compares the two sides of the tan/cot relation at the
+    root in kappa units, ``|kappa - rhs| / max(kappa, |rhs|, kappa0)``,
+    with the kappa side formed as ``sqrt((n^2 - 1) k_par^2 - k_zd^2) / n``.
+    Near cutoff it carries kappa's sensitivity to theta (``theta / q^2``
+    per ulp of theta), not the root's error: at (n, L, k_par) =
+    (1 + 1e-15, 1e-10, 1) it is 1.33e-8, while ``kappa`` matches that of a
+    60-digit root to 1e-15.
+    """
 
     __slots__ = ()
 

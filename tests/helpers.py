@@ -45,7 +45,7 @@ def composite_gauss(f, a: float, b: float, panels: int) -> float:
 
 # ---------------------------------------------------------------------------
 # contour reflection coefficients and the S double integrals, written out
-# longhand
+# longhand and read as W
 
 # n^2 - 1 as (n - 1)(n + 1): n * n - 1 keeps the rounding error of n * n,
 # a large share of n^2 - 1 near n = 1; n^4 - 1 = (n^2 - 1)(n^2 + 1)
@@ -65,24 +65,23 @@ def rt_tm(s, t, lam, n):
             / (n ** 4 + 1.0 + c * t * t + 2.0 * n * n * g * coth))
 
 
-def brute_force_s(kind: str, zeta: float, lam: float, n: float, s_max: float,
-                  s_panels: int, t_panels: int, chunk: int = 512) -> float:
-    """Tensor-product fixed-rule evaluation of S_par or S_perp."""
+def brute_force_w(zeta: float, lam: float, n: float, s_max: float,
+                  s_panels: int, t_panels: int,
+                  chunk: int = 512) -> tuple[float, float]:
+    """(W_par, W_z) = 8 zeta^4 (S_par, S_perp), both S integrals in one pass
+    of a tensor-product fixed rule in (s, t)."""
     s_nodes, s_weights = _panel_nodes(np.linspace(0.0, s_max, s_panels + 1))
     t_nodes, t_weights = _panel_nodes(np.linspace(0.0, 1.0, t_panels + 1))
-    pref = 0.25 if kind == "par" else 0.5
-    total = 0.0
+    t, par, perp = t_nodes[None, :], 0.0, 0.0
     for i0 in range(0, len(s_nodes), chunk):
         s = s_nodes[i0:i0 + chunk][:, None]
-        ws = s_weights[i0:i0 + chunk][:, None]
-        t = t_nodes[None, :]
-        if kind == "par":
-            combo = rt_tm(s, t, lam, n) - t * t * rt_te(s, t, lam, n)
-        else:
-            combo = (1.0 - t * t) * rt_tm(s, t, lam, n)
-        f = s ** 3 / (s * s * t * t + 1.0) * combo * np.exp(-2.0 * zeta * s)
-        total += float(np.sum(ws * t_weights[None, :] * f))
-    return pref * total
+        weight = (s_weights[i0:i0 + chunk][:, None] * t_weights[None, :]
+                  * s ** 3 / (s * s * t * t + 1.0) * np.exp(-2.0 * zeta * s))
+        tm = rt_tm(s, t, lam, n)
+        par += float(np.sum(weight * (tm - t * t * rt_te(s, t, lam, n))))
+        perp += float(np.sum(weight * (1.0 - t * t) * tm))
+    # S_par and S_perp are 1/4 and 1/2 of their sums
+    return 2.0 * zeta ** 4 * par, 4.0 * zeta ** 4 * perp
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,22 @@
 
 Run from the repository root as ``PYTHONPATH=src python tests/make_cost_ledger.py``
 (about a second).  It measures every point ``test_cost_ledger.py`` pins and
-prints the Markdown tables that README's numerical notes quote:
+prints the Markdown tables that README's numerical notes quote.
 
-* W at n = 2, read by wrapping ``shift.adaptive_quad`` and the integrand
-  it is handed, on an empty ``_s_pair`` cache.  A point's triple is
-  (final cells, cells evaluated, integrand calls): the cells the cubature
-  ends on, the cells whose 15 x 15 nodes it evaluated (each split
-  evaluates both halves), and the rounds in which it called the
-  integrand.
-* The non-retarded k integral at the benchmark's ``asympt-mirror`` entry
+:func:`cubature_costs` is the one reader of a cubature's work, here and in
+the tests that count cells: it wraps a module's ``adaptive_quad`` and the
+integrand each call is handed, so it sees the cells whatever the integrand
+computes them with.  A cubature's triple is (final cells, cells evaluated,
+integrand calls): the cells it ends on, the cells whose nodes it evaluated
+(each split evaluates both halves), and the rounds in which it called the
+integrand.  The ledger holds:
+
+* W at n = 2, on an empty ``_s_pair`` cache;
+* the non-retarded k integral at the benchmark's ``asympt-mirror`` entry
   (n 1e4, L 0.01, Z 1, unit E_ji, default tolerance), the one pool entry
-  that takes it, as the same triple through ``asymptotics.adaptive_quad``
-  (each cell an interval of 15 nodes).
-* The trapped-mode solver at k_par 2000, n 2, L 1, over both
+  that takes it, through ``asymptotics.adaptive_quad`` (each cell an
+  interval of 15 nodes);
+* the trapped-mode solver at k_par 2000, n 2, L 1, over both
   polarizations and parities: roots, ``atan2`` calls and ``tan`` calls,
   read by wrapping ``modes.math``.
 
@@ -22,8 +25,9 @@ A change that moves a count edits its pin in ``test_cost_ledger.py`` and
 pastes this script's output into README, where a test compares them.
 """
 
+import contextlib
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 import slabshift.asymptotics
 import slabshift.modes
@@ -38,45 +42,67 @@ MIRROR = (AtomSpec([Transition(1.0, 2.0, 1.0)]), Slab(1e4, 0.01), 1.0)
 MODES_K_PAR, MODES_SLAB = 2000.0, Slab(2.0, 1.0)
 
 
-def _cubature_cost(module, run) -> tuple[int, int, int]:
-    """(final cells, cells evaluated, integrand calls) of the one
-    ``adaptive_quad`` call that ``run()`` makes through ``module``."""
-    cubature = module.adaptive_quad
-    evaluated, calls, final = [0], [0], []
+class Cubature(namedtuple("Cubature", "lo hi result evaluated calls")):
+    """One ``adaptive_quad`` call: the corners of its seed cells, its
+    :class:`~slabshift.quadrature.QuadResult` (whose ``lo`` and ``hi`` are
+    the final cells), the cells it evaluated and its integrand calls."""
 
-    def counting(f):
-        def integrand(*nodes):
-            calls[0] += 1
-            evaluated[0] += len(nodes[0]) // 15
-            return f(*nodes)
-        return integrand
+    __slots__ = ()
+
+    def strips(self) -> tuple[int, int]:
+        """The distinct first-axis intervals of the final cells, and the
+        most final cells over one of them."""
+        per_strip = Counter((a[0], b[0])
+                            for a, b in zip(self.result.lo, self.result.hi))
+        return len(per_strip), max(per_strip.values())
+
+
+@contextlib.contextmanager
+def cubature_costs(module):
+    """The list of every ``adaptive_quad`` call made through ``module``
+    while the block runs, one :class:`Cubature` each, in call order."""
+    cubature, costs = module.adaptive_quad, []
 
     def recording(f, lo, hi, *rest):
-        res = cubature(counting(f), lo, hi, *rest)
-        final.append(len(res.lo))
+        work = [0, 0]
+
+        def integrand(*nodes):
+            # 15 nodes per cell along the first axis, in 1D and 2D alike
+            work[0] += len(nodes[0]) // 15
+            work[1] += 1
+            return f(*nodes)
+
+        res = cubature(integrand, lo, hi, *rest)
+        costs.append(Cubature(lo, hi, res, *work))
         return res
 
     module.adaptive_quad = recording
     try:
-        run()
+        yield costs
     finally:
         module.adaptive_quad = cubature
-    assert len(final) == 1
-    return final[0], evaluated[0], calls[0]
+
+
+def _triple(module, run) -> tuple[int, int, int]:
+    """The triple of the one cubature that ``run()`` makes through
+    ``module``."""
+    with cubature_costs(module) as costs:
+        run()
+    (cost,) = costs
+    return cost.result.panels, cost.evaluated, cost.calls
 
 
 def w_cost(zeta: float, lam: float, rel_tol: float) -> tuple[int, int, int]:
     """The triple of one cold W at n = 2."""
     slabshift.shift._s_pair.cache_clear()
-    return _cubature_cost(slabshift.shift, lambda: w_pair(
+    return _triple(slabshift.shift, lambda: w_pair(
         ReducedParams(zeta, lam, 2.0), QuadratureSpec(rel_tol=rel_tol)))
 
 
 def mirror_cost() -> tuple[int, int, int]:
     """The triple of the non-retarded k integral at the mirror entry."""
-    return _cubature_cost(slabshift.asymptotics,
-                          lambda: slabshift.asymptotics.nonretarded_shift(
-                              *MIRROR))
+    return _triple(slabshift.asymptotics,
+                   lambda: slabshift.asymptotics.nonretarded_shift(*MIRROR))
 
 
 class _CountingMath:

@@ -13,17 +13,17 @@ import math
 
 import numpy as np
 
-from helpers import brute_force_s, sign_scan_root_count
+from helpers import brute_force_w, sign_scan_root_count
+from make_cost_ledger import cubature_costs
 from slabshift import (AtomSpec, Polarization, QuadratureSpec, ReducedParams,
                        Slab, Transition, buhmann_U, energy_shift,
                        image_series_shift, nonretarded_k_integral,
                        nonretarded_shift, nonretarded_thin_shift,
-                       retarded_thin_shift, s_parallel, s_perp,
-                       static_polarizability, w_pair)
+                       retarded_thin_shift, static_polarizability, w_pair)
+import slabshift.shift
 from slabshift.cli import main as cli_main
 from slabshift.modes import (find_trapped_modes, pole_alignment_check,
                              trapped_mode, travelling_mode)
-from slabshift.shift import s_parallel_detailed, s_perp_detailed
 
 TE, TM = Polarization.TE, Polarization.TM
 ATOM = AtomSpec([Transition(E_ji=1.0, mu_par_sq=2.0, mu_perp_sq=1.0)])
@@ -106,11 +106,10 @@ def test_criterion_04_dual_oracle_electrostatics():
 
 def test_criterion_05_halfspace_convergence():
     q = QuadratureSpec(rel_tol=1e-10)
-    worst = 0.0
-    for fn in (s_parallel, s_perp):
-        thick = fn(ReducedParams(1.0, 200.0, 2.0), q)[0]
-        hs = fn(ReducedParams(1.0, math.inf, 2.0), q)[0]
-        worst = max(worst, abs(thick - hs) / abs(hs))
+    thick = w_pair(ReducedParams(1.0, 200.0, 2.0), q)
+    hs = w_pair(ReducedParams(1.0, math.inf, 2.0), q)
+    worst = max(abs(thick.w_par - hs.w_par) / abs(hs.w_par),
+                abs(thick.w_z - hs.w_z) / abs(hs.w_z))
     _report(5, "lam=200 matches coth=1 half-space to 1e-6, both polarizations",
             worst < 1e-6, f"worst {worst:.2e}")
 
@@ -225,22 +224,23 @@ ORACLE_T_PANELS = {0.5: 80, 1.0: 70, 8.0: 40}
 
 
 def test_criterion_10_quadrature_oracle():
+    # the oracle takes 10x the u strips of W's final cells along s, and 10x
+    # the most v cells over one strip along t
     worst = 0.0
     for zeta in (0.5, 1.0, 8.0):
         for lam in (0.5, 1.0, 10.0):
             for n in (1.5, 2.0, 5.0):
-                p = ReducedParams(zeta, lam, n)
-                s_max = 37.0 * math.log(10.0) / (2.0 * zeta)
-                for kind, detailed in (("par", s_parallel_detailed),
-                                       ("perp", s_perp_detailed)):
-                    d = detailed(p)
-                    brute = brute_force_s(
-                        kind, zeta, lam, n, s_max,
-                        max(10 * d.outer_panels, 240),
-                        max(10 * d.inner_panels_max, ORACLE_T_PANELS[zeta]))
-                    worst = max(worst, abs(d.value - brute) / abs(brute))
-    _report(10, "adaptive S matches 10x fixed tensor rule to 1e-7 "
-                "(27-point grid, both integrals)",
+                with cubature_costs(slabshift.shift) as costs:
+                    w = w_pair(ReducedParams(zeta, lam, n))
+                strips, most = costs[0].strips()
+                brute = brute_force_w(
+                    zeta, lam, n, 37.0 * math.log(10.0) / (2.0 * zeta),
+                    max(10 * strips, 240),
+                    max(10 * most, ORACLE_T_PANELS[zeta]))
+                worst = max(worst, abs(w.w_par - brute[0]) / abs(brute[0]),
+                            abs(w.w_z - brute[1]) / abs(brute[1]))
+    _report(10, "adaptive W matches 10x fixed tensor rule to 1e-7 "
+                "(27-point grid, both components)",
             worst < 1e-7, f"worst {worst:.2e}")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from slabshift import (AtomSpec, QuadratureSpec, ReducedParams, Slab,
                        Transition, WPair, assemble_shift, buhmann_U,
-                       classify_regime, energy_shift, halfspace_S,
+                       classify_regime, energy_shift,
                        nonretarded_k_integral, nonretarded_shift,
                        nonretarded_thin_shift, phi_H,
                        retarded_thin_shift, static_polarizability, w_pair)
@@ -39,17 +39,15 @@ def test_classify_regime():
 
 
 def test_halfspace_transparent():
-    assert halfspace_S(1.0, 1.0) == (0.0, 0.0)
+    assert w_pair(ReducedParams(1.0, math.inf, 1.0)) == WPair(0.0, 0.0)
 
 
 def test_halfspace_agrees_with_thick_slab():
     q = QuadratureSpec(rel_tol=1e-10)
-    from slabshift import s_parallel, s_perp
-    hs_par, hs_perp = halfspace_S(1.0, 2.0, q)
-    thick_par = s_parallel(ReducedParams(1.0, 200.0, 2.0), q)[0]
-    thick_perp = s_perp(ReducedParams(1.0, 200.0, 2.0), q)[0]
-    assert thick_par == pytest.approx(hs_par, rel=1e-6)
-    assert thick_perp == pytest.approx(hs_perp, rel=1e-6)
+    hs = w_pair(ReducedParams(1.0, math.inf, 2.0), q)
+    thick = w_pair(ReducedParams(1.0, 200.0, 2.0), q)
+    assert thick.w_par == pytest.approx(hs.w_par, rel=1e-6)
+    assert thick.w_z == pytest.approx(hs.w_z, rel=1e-6)
 
 
 def _retarded_halfspace_series(n):

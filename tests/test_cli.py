@@ -10,9 +10,9 @@ import mpmath
 import pytest
 
 from helpers import README, readme_table
+from make_cost_ledger import cubature_costs
 from slabshift import (AtomSpec, HBARC_EV_NM, QuadratureSpec, ReducedParams,
-                       Slab, Transition, energy_shift, halfspace_S, reduce,
-                       w_pair)
+                       Slab, Transition, energy_shift, reduce, w_pair)
 import slabshift.asymptotics
 import slabshift.cli
 import slabshift.electrostatics
@@ -21,7 +21,6 @@ import slabshift.shift
 from slabshift.cli import (EXIT_INPUT, EXIT_OK, EXIT_PARTIAL,
                            _config_from_args, _fmt, _sweep_grid, build_parser,
                            build_run_input, main, parse_config_text)
-from slabshift.shift import W_SCALE
 
 CONFIG = """\
 units = natural
@@ -213,31 +212,21 @@ def test_sweep_err_est_covers_the_halfspace_columns(tmp_path):
     assert rows[0]["err_est"] == hs.err_est
 
 
-def test_halfspace_sweep_computes_each_s_integral_once(monkeypatch,
-                                                       tmp_path):
+def test_halfspace_sweep_computes_each_s_integral_once(tmp_path):
     # at lam = inf the W pair is the half-space column: one cubature of
     # (W_par, W_z) per point, not three
-    calls = []
-    cubature = slabshift.shift.adaptive_quad
-    monkeypatch.setattr(slabshift.shift, "adaptive_quad",
-                        lambda *a: calls.append(a) or cubature(*a))
     out = tmp_path / "s.csv"
-    assert main(["sweep", "--axis", "zeta", "--lo", "0.5", "--hi", "2",
-                 "--points", "3", "--lam", "inf", "--n", "2", "--rel-tol",
-                 "1e-6", "--jobs", "1", "--output", str(out)]) == EXIT_OK
-    assert len(calls) == 3
-    monkeypatch.undo()
+    with cubature_costs(slabshift.shift) as costs:
+        assert main(["sweep", "--axis", "zeta", "--lo", "0.5", "--hi", "2",
+                     "--points", "3", "--lam", "inf", "--n", "2", "--rel-tol",
+                     "1e-6", "--jobs", "1", "--output", str(out)]) == EXIT_OK
+    assert len(costs) == 3
 
-    # both column pairs are the half-space W pair, bit for bit, and the
-    # separate half-space route reads the same cubature as W / (8 zeta^4);
-    # 8 zeta^4 halfspace_S is not checked, as it need not round back to W
+    # both column pairs are the half-space W pair, bit for bit
     q = QuadratureSpec(rel_tol=1e-6)
     rows = []
     for zeta in _sweep_grid(0.5, 2.0, 3, "linear"):
         wp = w_pair(ReducedParams(zeta=zeta, lam=math.inf, n=2.0), q)
-        scale = W_SCALE * zeta ** 4
-        assert halfspace_S(zeta, 2.0, q) == (wp.w_par / scale,
-                                             wp.w_z / scale)
         rows.append(",".join(
             [_fmt(x) for x in (zeta, wp.w_par, wp.w_z, wp.w_par, wp.w_z,
                                wp.err_est)] + ["ok"]))
@@ -318,7 +307,6 @@ def test_convergence_failure_exit_code(tmp_path, monkeypatch, capsys):
     path = tmp_path / "tight.txt"
     path.write_text(CONFIG + "quad.rel_tol = 1e-15\n")
     monkeypatch.setattr(slabshift.quadrature, "MAX_SUBDIVISIONS", 4)
-    slabshift.shift._s_pair.cache_clear()
     code = main(["shift", "--config", str(path)])
     err = capsys.readouterr().err
     assert code == 3

@@ -9,51 +9,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_s
+from helpers import brute_force_w
+from make_cost_ledger import cubature_costs
 from slabshift import (AtomSpec, QuadratureSpec, ReducedParams, Slab,
-                       Transition, energy_shift, halfspace_S, s_parallel,
-                       s_perp, w_pair)
+                       Transition, WPair, energy_shift, w_pair)
 import slabshift.quadrature
 import slabshift.shift
-from slabshift.shift import W_SCALE, s_parallel_detailed, s_perp_detailed
 
 # frozen via the brute-force tensor-product oracle at 10x the adaptive
 # panel counts (agreement was at machine precision)
-S_PAR_112 = 0.030522189679570592
-S_PERP_112 = 0.04516275059509128
+W_PAR_112 = 0.24417751743656474
+W_Z_112 = 0.36130200476073027
 
 P112 = ReducedParams(zeta=1.0, lam=1.0, n=2.0)
+ZERO = WPair(0.0, 0.0)
 
 
 def test_transparent_slab_is_exact_zero():
-    p = ReducedParams(zeta=1.0, lam=1.0, n=1.0)
-    assert s_parallel(p) == (0.0, 0.0)
-    assert s_perp(p) == (0.0, 0.0)
+    assert w_pair(ReducedParams(zeta=1.0, lam=1.0, n=1.0)) == ZERO
 
 
 def test_zero_thickness_is_exact_zero():
-    p = ReducedParams(zeta=1.0, lam=0.0, n=2.0)
-    assert s_parallel(p) == (0.0, 0.0)
-    assert s_perp(p) == (0.0, 0.0)
+    assert w_pair(ReducedParams(zeta=1.0, lam=0.0, n=2.0)) == ZERO
 
 
 def test_s_values_against_frozen_oracle():
-    val_par, err_par = s_parallel(P112)
-    val_perp, err_perp = s_perp(P112)
-    assert val_par == pytest.approx(S_PAR_112, rel=1e-7)
-    assert val_perp == pytest.approx(S_PERP_112, rel=1e-7)
-    assert abs(val_par - S_PAR_112) <= err_par + 1e-15
-    assert abs(val_perp - S_PERP_112) <= err_perp + 1e-15
+    w = w_pair(P112)
+    assert w.w_par == pytest.approx(W_PAR_112, rel=1e-7)
+    assert w.w_z == pytest.approx(W_Z_112, rel=1e-7)
+    assert abs(w.w_par - W_PAR_112) <= w.err_par + 8e-15
+    assert abs(w.w_z - W_Z_112) <= w.err_z + 8e-15
 
 
 def test_s_against_live_brute_force():
-    d = s_parallel_detailed(P112)
+    with cubature_costs(slabshift.shift) as costs:
+        w = w_pair(P112)
+    strips, most = costs[0].strips()
     s_max = 37.0 * math.log(10.0) / 2.0
     # at least 4 x 7 t panels, whatever the adaptive rule uses, so the
     # oracle cannot coarsen with it
-    brute = brute_force_s("par", 1.0, 1.0, 2.0, s_max,
-                          4 * d.outer_panels, 4 * max(d.inner_panels_max, 7))
-    assert d.value == pytest.approx(brute, rel=1e-9)
+    brute = brute_force_w(1.0, 1.0, 2.0, s_max, 4 * strips, 4 * max(most, 7))
+    assert (w.w_par, w.w_z) == pytest.approx(brute, rel=1e-9)
 
 
 def test_inner_quadrature_is_batched(monkeypatch):
@@ -71,7 +67,6 @@ def test_inner_quadrature_is_batched(monkeypatch):
         return out
 
     monkeypatch.setattr(slabshift.shift, "rtilde", counting)
-    slabshift.shift._s_pair.cache_clear()
     w_pair(P112)
     assert counts["nodes"] == 3_600
     assert counts["calls"] == 1
@@ -83,7 +78,7 @@ def _lam_grid(points: int) -> list[float]:
 
 def _count_builds(monkeypatch) -> Counter:
     """How often each cell's geometry is built, by its 15 u and 15 v
-    nodes, from an empty memo on."""
+    nodes."""
     built = Counter()
     geometry = slabshift.shift._cell_geometry
 
@@ -92,35 +87,34 @@ def _count_builds(monkeypatch) -> Counter:
         return geometry(two_zeta, u_row, v_row)
 
     monkeypatch.setattr(slabshift.shift, "_cell_geometry", counting)
-    slabshift.shift._s_pair.cache_clear()
-    slabshift.shift._geometry_memo.cache_clear()
     return built
 
 
 @pytest.mark.parametrize("zeta", [1e-76, 1e-3, 1.0, 1e6])
-def test_geometry_memo_keeps_every_bit(zeta, monkeypatch):
+def test_geometry_memo_keeps_every_bit(zeta):
     # the memo holds what depends on zeta alone: W, its bounds and its
     # cells are the same on an empty memo and on one that other lam and n
     # at the same zeta filled
-    cubature, cells = slabshift.shift.adaptive_quad, []
-
-    def recording(*args):
-        res = cubature(*args)
-        cells.append((res.lo, res.hi))
-        return res
-
     def point():
         slabshift.shift._s_pair.cache_clear()
-        return repr(w_pair(ReducedParams(zeta, 1.0, 2.0))), cells[-1]
+        with cubature_costs(slabshift.shift) as costs:
+            w = w_pair(ReducedParams(zeta, 1.0, 2.0))
+        return repr(w), costs[0].result.lo, costs[0].result.hi
 
-    monkeypatch.setattr(slabshift.shift, "adaptive_quad", recording)
-    slabshift.shift._geometry_memo.cache_clear()
     cold = point()
     slabshift.shift._geometry_memo.cache_clear()
     for lam, n in [(0.1, 2.0), (math.inf, 1.5), (10.0, 30.0), (1e-3, 2.0)]:
         w_pair(ReducedParams(zeta, lam, n))
     assert slabshift.shift._geometry_memo(zeta)
     assert point() == cold
+
+
+def _lam_sweep_cells(zeta: float, q: QuadratureSpec) -> int:
+    """The cells the 13 W pairs of a 12-point lam sweep at n 2 evaluate."""
+    with cubature_costs(slabshift.shift) as costs:
+        for lam in _lam_grid(12) + [math.inf]:
+            w_pair(ReducedParams(zeta, lam, 2.0), q)
+    return sum(cost.evaluated for cost in costs)
 
 
 @pytest.mark.parametrize("zeta, rel_tol, cells", [
@@ -130,74 +124,40 @@ def test_a_lam_sweep_builds_each_cell_geometry_once(zeta, rel_tol, cells,
     # the 13 W pairs of a 12-point lam sweep share one zeta: every
     # distinct cell's geometry is built once, however many pairs evaluate
     # it, and the memo keeps every one of them
-    built, evaluated = _count_builds(monkeypatch), [0]
-    rtilde = slabshift.shift.rtilde
-
-    def counting(pol, s, t, lam, n):
-        evaluated[0] += len(s) // 225
-        return rtilde(pol, s, t, lam, n)
-
-    monkeypatch.setattr(slabshift.shift, "rtilde", counting)
-    for lam in _lam_grid(12) + [math.inf]:
-        w_pair(ReducedParams(zeta, lam, 2.0), QuadratureSpec(rel_tol=rel_tol))
+    built = _count_builds(monkeypatch)
+    evaluated = _lam_sweep_cells(zeta, QuadratureSpec(rel_tol=rel_tol))
     assert set(built.values()) == {1}
     assert set(slabshift.shift._geometry_memo(zeta)) == set(built)
     assert len(built) == cells
-    assert evaluated[0] > 5 * len(built)
+    assert evaluated > 5 * len(built)
 
 
-def test_a_lam_sweep_evaluates_few_cells(monkeypatch):
+def test_a_lam_sweep_evaluates_few_cells():
     # machine-independent guard on W's cost: the 13 W pairs of a 12-point
     # lam sweep at zeta 1, n 2 evaluate at most 110 cells (they take 106)
-    evaluated = [0]
-    rtilde = slabshift.shift.rtilde
-
-    def cells(pol, s, t, lam, n):
-        evaluated[0] += len(s) // 225
-        return rtilde(pol, s, t, lam, n)
-
-    monkeypatch.setattr(slabshift.shift, "rtilde", cells)
-    slabshift.shift._s_pair.cache_clear()
-    for lam in _lam_grid(12) + [math.inf]:
-        w_pair(ReducedParams(1.0, lam, 2.0))
-    assert evaluated[0] <= 110
+    assert _lam_sweep_cells(1.0, QuadratureSpec()) <= 110
 
 
 @pytest.mark.parametrize("zeta", [1e-76, 1e-18, 1e-7, 1e-3, 1.0, 1e5])
-def test_t_zero_cells_resolve_the_peak(zeta, monkeypatch):
+def test_t_zero_cells_resolve_the_peak(zeta):
     # the peak of 1 / (1 + s^2 t^2) at t = 0, of width 1 / s, is flattened
     # by v = asinh(s t) / asinh(s): the seeds are the 8 u strips 0,
     # U 2^-7, ..., U, each all of [0, 1] in v, tiling [0, U] x [0, 1]; W
     # meets its bound and the cells evaluated stay few where the peak is
     # narrowest
     u_max = 37.0 * math.log(10.0)
-    seeds, evaluated = [], [0]
-    cubature = slabshift.shift.adaptive_quad
-    rtilde = slabshift.shift.rtilde
-
-    def recording(f, lo, hi, *rest):
-        seeds.append((lo, hi))
-        return cubature(f, lo, hi, *rest)
-
-    def counting(pol, s, t, *rest):
-        out = rtilde(pol, s, t, *rest)
-        evaluated[0] += len(out[0]) // 225
-        return out
-
-    monkeypatch.setattr(slabshift.shift, "adaptive_quad", recording)
-    monkeypatch.setattr(slabshift.shift, "rtilde", counting)
-    slabshift.shift._s_pair.cache_clear()
     p = ReducedParams(zeta, 1.0, 2.0)
-    got = w_pair(p)
-    (lo, hi), = seeds
+    with cubature_costs(slabshift.shift) as costs:
+        got = w_pair(p)
+    (cost,) = costs
     edges = [0.0] + [math.ldexp(u_max, -k) for k in range(7, -1, -1)]
     assert edges[1:] == slabshift.quadrature.geometric_edges(u_max)[-8:]
-    assert lo == [(e, 0.0) for e in edges[:-1]]
-    assert hi == [(e, 1.0) for e in edges[1:]]
-    area = math.fsum((b[0] - a[0]) * (b[1] - a[1]) for a, b in zip(lo, hi))
+    assert cost.lo == [(e, 0.0) for e in edges[:-1]]
+    assert cost.hi == [(e, 1.0) for e in edges[1:]]
+    area = math.fsum((b[0] - a[0]) * (b[1] - a[1])
+                     for a, b in zip(cost.lo, cost.hi))
     assert area == pytest.approx(u_max, rel=1e-14)
-    assert evaluated[0] <= (170 if zeta < 1e-7 else 90)
-    monkeypatch.undo()
+    assert cost.evaluated <= (170 if zeta < 1e-7 else 90)
     ref = w_pair(p, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
     assert abs(got.w_par - ref.w_par) <= got.err_par
     assert abs(got.w_z - ref.w_z) <= got.err_z
@@ -217,32 +177,31 @@ def test_cell_geometry_clamps_t_to_one():
 
 
 @pytest.mark.parametrize("zeta", [1e-76, 1e-7, 1.0, 1e6])
-def test_split_budget_has_headroom_at_the_corners(zeta, monkeypatch):
+def test_split_budget_has_headroom_at_the_corners(zeta):
     # the budget is a constant, so it must not be what stops a tight W:
     # at rel_tol 1e-13 the splits beyond the seeds stay within a quarter
     # of it (140 at zeta 1e-76)
-    splits = []
-    cubature = slabshift.shift.adaptive_quad
+    with cubature_costs(slabshift.shift) as costs:
+        for lam in (1e-3, 1.0, math.inf):
+            for n in (1.01, 30.0):
+                w_pair(ReducedParams(zeta, lam, n),
+                       QuadratureSpec(rel_tol=1e-13))
+    assert len(costs) == 6
+    assert max(cost.result.panels - len(cost.lo) for cost in costs) \
+        <= slabshift.quadrature.MAX_SUBDIVISIONS // 4
 
-    def recording(f, lo, hi, *rest):
-        res = cubature(f, lo, hi, *rest)
-        splits.append(res.panels - len(lo))
-        return res
 
-    monkeypatch.setattr(slabshift.shift, "adaptive_quad", recording)
-    slabshift.shift._s_pair.cache_clear()
-    for lam in (1e-3, 1.0, math.inf):
-        for n in (1.01, 30.0):
-            w_pair(ReducedParams(zeta, lam, n), QuadratureSpec(rel_tol=1e-13))
-    assert len(splits) == 6
-    assert max(splits) <= slabshift.quadrature.MAX_SUBDIVISIONS // 4
+def _meets_its_tolerance(w: WPair, zeta: float, q: QuadratureSpec) -> bool:
+    """Each component's bound within ``max(rel_tol |W_k|, abs_tol min(1,
+    8 zeta^4))``, the cubature's stopping test."""
+    floor = q.abs_tol * min(1.0, 8.0 * zeta ** 4)
+    return all(err <= max(q.rel_tol * abs(val), floor)
+               for val, err in ((w.w_par, w.err_par), (w.w_z, w.err_z)))
 
 
 def test_err_est_respects_tolerance_contract():
     q = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
-    for fn in (s_parallel, s_perp):
-        val, err = fn(P112, q)
-        assert err <= max(q.rel_tol * abs(val), q.abs_tol)
+    assert _meets_its_tolerance(w_pair(P112, q), P112.zeta, q)
 
 
 # (zeta, lam, n) from the small-zeta rows that stop at their seed panel
@@ -261,9 +220,7 @@ def test_err_est_bounds_the_true_error(zeta, lam, n):
     got = w_pair(p)
     assert abs(got.w_par - ref.w_par) <= got.err_est
     assert abs(got.w_z - ref.w_z) <= got.err_est
-    q = QuadratureSpec()
-    for d in (s_parallel_detailed(p), s_perp_detailed(p)):
-        assert d.err_est <= max(q.rel_tol * abs(d.value), q.abs_tol)
+    assert _meets_its_tolerance(got, zeta, QuadratureSpec())
 
 
 @pytest.mark.parametrize("lam", [1.0, math.inf])
@@ -286,22 +243,20 @@ def test_positivity():
         p = ReducedParams(zeta=rng.uniform(0.3, 5.0),
                           lam=rng.uniform(0.05, 10.0),
                           n=rng.uniform(1.05, 4.0))
-        assert s_parallel(p, q)[0] > 0.0
-        assert s_perp(p, q)[0] > 0.0
+        w = w_pair(p, q)
+        assert w.w_par > 0.0 and w.w_z > 0.0
 
 
 def test_monotone_in_lam_and_below_halfspace():
     q = QuadratureSpec(rel_tol=1e-9)
-    vals = [s_perp(ReducedParams(1.0, lam, 2.0), q)[0]
-            for lam in (0.2, 1.0, 5.0, 25.0)]
+    vals = [w_pair(ReducedParams(1.0, lam, 2.0), q).w_z
+            for lam in (0.2, 1.0, 5.0, 25.0, math.inf)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-    hs = halfspace_S(1.0, 2.0, q)[1]
-    assert vals[-1] < hs
 
 
 def test_monotone_in_n():
     q = QuadratureSpec(rel_tol=1e-9)
-    vals = [s_perp(ReducedParams(1.0, 1.0, n), q)[0]
+    vals = [w_pair(ReducedParams(1.0, 1.0, n), q).w_z
             for n in (1.2, 1.6, 2.5, 4.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -333,21 +288,49 @@ def test_w_is_monotone_in_lam_and_n_and_below_the_halfspace(log_zeta, log_lam,
 
 
 def test_w_pair_scaling_and_values():
-    wp = w_pair(P112)
-    par, _ = s_parallel(P112)
-    perp, _ = s_perp(P112)
-    assert wp.w_par == pytest.approx(W_SCALE * par, rel=1e-14)
-    assert wp.w_z == pytest.approx(W_SCALE * perp, rel=1e-14)
-    assert wp.err_est >= 0.0
+    # the one test of the S views: each is W / (8 zeta^4), value and bound,
+    # bit for bit, at a slab, a transparent half-space, a half-space, and
+    # zeta 1e70, where S_par underflows to 0.0 and W_par is 3.075e-70; and
+    # where 8 zeta^4 leaves the doubles, each raises the error W does
+    from slabshift import halfspace_S, s_parallel, s_perp
+    from slabshift.shift import s_parallel_detailed, s_perp_detailed
+
+    for zeta, lam, n in [(1.0, 1.0, 2.0), (1.0, math.inf, 1.0),
+                         (1.0, math.inf, 2.0), (1e70, 1.0, 2.0)]:
+        p = ReducedParams(zeta, lam, n)
+        with cubature_costs(slabshift.shift) as costs:
+            w = w_pair(p)
+        scale = 8.0 * zeta ** 4
+        par = (w.w_par / scale, w.err_par / scale)
+        perp = (w.w_z / scale, w.err_z / scale)
+        detail = (s_parallel_detailed(p), s_perp_detailed(p))
+        assert s_parallel(p) == (detail[0].value, detail[0].err_est) == par
+        assert s_perp(p) == (detail[1].value, detail[1].err_est) == perp
+        if lam == math.inf:
+            assert halfspace_S(zeta, n) == (par[0], perp[0])
+        strips = costs[0].strips() if costs else (0, 0)
+        assert all((d.outer_panels, d.inner_panels_max) == strips
+                   for d in detail)
+        assert w.err_est >= 0.0
+    assert par[0] == 0.0 < w.w_par
+
+    for zeta in (1e-78, 6.9e76):
+        p = ReducedParams(zeta, math.inf, 2.0)
+        with pytest.raises(ValueError, match=r"8\*zeta\*\*4") as want:
+            w_pair(p)
+        for view in (s_parallel, s_perp, s_parallel_detailed, s_perp_detailed,
+                     lambda p: halfspace_S(p.zeta, p.n)):
+            with pytest.raises(ValueError) as got:
+                view(p)
+            assert str(got.value) == str(want.value)
 
 
 def test_w_pair_below_halfspace_at_zeta8():
     q = QuadratureSpec(rel_tol=1e-8)
     wp = w_pair(ReducedParams(8.0, 1.0, 2.0), q)
-    hs_par, hs_perp = halfspace_S(8.0, 2.0, q)
-    scale = W_SCALE * 8.0 ** 4
-    assert 0.0 < wp.w_par < scale * hs_par
-    assert 0.0 < wp.w_z < scale * hs_perp
+    hs = w_pair(ReducedParams(8.0, math.inf, 2.0), q)
+    assert 0.0 < wp.w_par < hs.w_par
+    assert 0.0 < wp.w_z < hs.w_z
     assert 0.0 < wp.w_par < 1.0 and 0.0 < wp.w_z < 1.0
 
 
@@ -400,9 +383,10 @@ def test_energy_shift_matches_direct_s_form():
     slab = Slab(n=2.0, L=0.5)
     Z = 0.5
     shift = energy_shift(atom, slab, Z)
-    p = ReducedParams(zeta=1.0, lam=1.0, n=2.0)
+    # S = W / (8 zeta^4), at zeta 1
+    w = w_pair(ReducedParams(zeta=1.0, lam=1.0, n=2.0))
     direct = -(1.0 / (2.0 * math.pi ** 2)) * 2.0 ** 3 * (
-        s_parallel(p)[0] * 0.7 + s_perp(p)[0] * 1.3)
+        w.w_par * 0.7 + w.w_z * 1.3) / 8.0
     assert shift.value == pytest.approx(direct, rel=1e-12)
 
 
@@ -440,8 +424,8 @@ def test_energy_shift_large_lam_matches_halfspace():
     atom = AtomSpec([Transition(1.0, 1.0, 1.0)])
     q = QuadratureSpec(rel_tol=1e-10)
     full = energy_shift(atom, Slab(n=2.0, L=200.0), 1.0, q)
-    hs_par, hs_perp = halfspace_S(1.0, 2.0, q)
-    hs_val = -(1.0 / (2.0 * math.pi ** 2)) * (hs_par + hs_perp)
+    hs = w_pair(ReducedParams(1.0, math.inf, 2.0), q)
+    hs_val = -(1.0 / (2.0 * math.pi ** 2)) * (hs.w_par + hs.w_z) / 8.0
     assert full.value == pytest.approx(hs_val, rel=1e-6)
 
 
