@@ -291,27 +291,37 @@ def test_w_pair_scaling_and_values():
     # the one test of the S views: each is W / (8 zeta^4), value and bound,
     # bit for bit, at a slab, a transparent half-space, a half-space, and
     # zeta 1e70, where S_par underflows to 0.0 and W_par is 3.075e-70; and
-    # where 8 zeta^4 leaves the doubles, each raises the error W does
+    # where 8 zeta^4 leaves the doubles, each raises the error W does.
+    # Each point is read at the default spec, at rel_tol 1e-6 and at
+    # rel_tol 1e-10, whose W differs below zeta 1e60, so a view that drops
+    # its spec reads the wrong cubature
     from slabshift import halfspace_S, s_parallel, s_perp
     from slabshift.shift import s_parallel_detailed, s_perp_detailed
 
+    specs = (None, QuadratureSpec(rel_tol=1e-6), QuadratureSpec(rel_tol=1e-10))
     for zeta, lam, n in [(1.0, 1.0, 2.0), (1.0, math.inf, 1.0),
-                         (1.0, math.inf, 2.0), (1e70, 1.0, 2.0)]:
+                         (0.5, math.inf, 2.0), (1.25, math.inf, 2.0),
+                         (2.0, math.inf, 2.0), (1e70, 1.0, 2.0)]:
         p = ReducedParams(zeta, lam, n)
-        with cubature_costs(slabshift.shift) as costs:
-            w = w_pair(p)
-        scale = 8.0 * zeta ** 4
-        par = (w.w_par / scale, w.err_par / scale)
-        perp = (w.w_z / scale, w.err_z / scale)
-        detail = (s_parallel_detailed(p), s_perp_detailed(p))
-        assert s_parallel(p) == (detail[0].value, detail[0].err_est) == par
-        assert s_perp(p) == (detail[1].value, detail[1].err_est) == perp
-        if lam == math.inf:
-            assert halfspace_S(zeta, n) == (par[0], perp[0])
-        strips = costs[0].strips() if costs else (0, 0)
-        assert all((d.outer_panels, d.inner_panels_max) == strips
-                   for d in detail)
-        assert w.err_est >= 0.0
+        ws = []
+        for q in specs:
+            with cubature_costs(slabshift.shift) as costs:
+                w = w_pair(p, q)
+            ws.append(w)
+            scale = 8.0 * zeta ** 4
+            par = (w.w_par / scale, w.err_par / scale)
+            perp = (w.w_z / scale, w.err_z / scale)
+            detail = (s_parallel_detailed(p, q), s_perp_detailed(p, q))
+            assert s_parallel(p, q) == (detail[0].value,
+                                        detail[0].err_est) == par
+            assert s_perp(p, q) == (detail[1].value, detail[1].err_est) == perp
+            if lam == math.inf:
+                assert halfspace_S(zeta, n, q) == (par[0], perp[0])
+            strips = costs[0].strips() if costs else (0, 0)
+            assert all((d.outer_panels, d.inner_panels_max) == strips
+                       for d in detail)
+            assert w.err_est >= 0.0
+        assert n == 1.0 or zeta > 1e60 or ws[2] != ws[0]
     assert par[0] == 0.0 < w.w_par
 
     for zeta in (1e-78, 6.9e76):
@@ -319,10 +329,11 @@ def test_w_pair_scaling_and_values():
         with pytest.raises(ValueError, match=r"8\*zeta\*\*4") as want:
             w_pair(p)
         for view in (s_parallel, s_perp, s_parallel_detailed, s_perp_detailed,
-                     lambda p: halfspace_S(p.zeta, p.n)):
-            with pytest.raises(ValueError) as got:
-                view(p)
-            assert str(got.value) == str(want.value)
+                     lambda p, q=None: halfspace_S(p.zeta, p.n, q)):
+            for q in specs:
+                with pytest.raises(ValueError) as got:
+                    view(p, q)
+                assert str(got.value) == str(want.value)
 
 
 def test_w_pair_below_halfspace_at_zeta8():
