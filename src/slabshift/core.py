@@ -156,8 +156,10 @@ class QuadratureSpec(_Checked, namedtuple(
         "QuadratureSpec", "rel_tol abs_tol", defaults=(1e-8, 1e-14))):
     """Tolerances for the shift quadrature.
 
-    The budget of cell splits beyond the seed cells and the cut-off of
-    the exponential axis are the constants
+    ``rel_tol`` alone ends W's cubature, whose integrands are
+    non-negative; ``abs_tol`` floors the tolerance of the non-retarded k
+    integral only.  The budget of cell splits beyond the seed cells and
+    the cut-off of the exponential axis are the constants
     :data:`slabshift.quadrature.MAX_SUBDIVISIONS` and
     :data:`slabshift.quadrature.CUTOFF`.
     """

@@ -38,10 +38,12 @@ round) takes both polarizations' reflection coefficients from one
 seed cells are 8 u strips, ``0, U 2^-7, ..., U`` (the top 8 edges of
 :func:`slabshift.quadrature.geometric_edges`), each all of ``[0, 1]`` in
 v.  The rule stops when each component's error is at most
-``max(rel_tol |W_k|, abs_tol min(1, 8 zeta^4))``: the GK15 bound
-overstates the true error (at rel_tol 1e-6 to 1e-10 the worst true error
-on a 120-point grid is 0.018 of it), and the floor shrinks with W's scale
-at small zeta.
+``rel_tol |W_k|``, with no absolute floor (DCUHRE's relative test,
+Berntsen, Espelid & Genz, ACM TOMS 17 (1991) 437): both integrands are
+non-negative (at ``t <= 1``, ``Rt_TM >= 0 >= Rt_TE``), so ``|W_k|`` is
+the integral of ``|f_k|``.  The GK15 bound overstates the true error (at
+rel_tol 1e-6 to 1e-10 the worst true error on a 120-point grid is 0.018
+of it).
 :data:`slabshift.quadrature.MAX_SUBDIVISIONS` bounds the cell splits
 beyond the seeds.  ``W(1, 1, 2)`` ends on its 8 seed cells: 1,800 nodes
 in one reflection coefficient call (3,600 coefficient values).
@@ -61,7 +63,11 @@ node, so W's bits do not depend on what the memo holds.  Under threads
 the memo stays consistent: a cell's entry is added whole, never
 changed, and the same whoever builds it.
 
-``S_par`` and ``S_perp`` are views of the same cubature, ``W / (8 zeta^4)``.
+W's own range in zeta is where its nodes ``s = u / (2 zeta)`` are
+finite doubles: ``2 zeta`` and ``U / (2 zeta)`` finite, about ``2.4e-307
+<= zeta <= 9e307``.  ``S_par`` and ``S_perp`` are views of the same
+cubature, ``W / (8 zeta^4)``, and narrower: ``zeta^4`` must be a normal
+double and ``8 zeta^4`` finite (about ``1.2e-77 < zeta < 6.9e76``).
 :func:`w_pair` reads W itself: the views underflow where W does not (at
 ``zeta = 1e70, lam = 1, n = 2``, ``S_par`` is 0.0 and ``W_par`` 3.075e-70).
 """
@@ -92,24 +98,16 @@ __all__ = [
 W_SCALE = 8.0
 
 class SDetail(namedtuple("SDetail",
-                         "w err_w scale outer_panels inner_panels_max")):
-    """One S integral, as its W component and diagnostics.
+                         "w err_w outer_panels inner_panels_max")):
+    """One component of W's cubature, with diagnostics.
 
-    ``w`` and ``err_w`` are the cubature's W component and its bound, and
-    ``scale`` is ``8 zeta^4``; the S value and bound are their quotients.
-    ``outer_panels`` counts the distinct u intervals of the final cells,
-    ``inner_panels_max`` the most v cells over one of them.
+    ``w`` and ``err_w`` are the W component and its bound; the S views
+    divide them by ``8 zeta^4`` themselves.  ``outer_panels`` counts the
+    distinct u intervals of the final cells, ``inner_panels_max`` the most
+    v cells over one of them.
     """
 
     __slots__ = ()
-
-    @property
-    def value(self) -> float:
-        return self.w / self.scale
-
-    @property
-    def err_est(self) -> float:
-        return self.err_w / self.scale
 
 
 @functools.lru_cache(maxsize=1)
@@ -145,19 +143,21 @@ def _cell_geometry(two_zeta: float, u_row: list,
 
 @functools.lru_cache(maxsize=1)
 def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
-    """(S_par, S_perp) as two views of one cubature of (W_par, W_z).
+    """(W_par, W_z) from one cubature, as the details of S_par and S_perp.
 
-    The last pair is kept, so reading both views of one point, as
+    The last pair is kept, so reading both components of one point, as
     :func:`w_pair` and ``halfspace_S`` do, runs the cubature once.
     """
-    # zeta^4 must be a normal double, and 8 zeta^4 finite, for the S views
-    # W / (8 zeta^4) to be read back as W
-    scale = finite_power(p.zeta, 4, "zeta", W_SCALE)
-    if p.n == 1.0 or p.lam == 0.0:
-        # transparent slab: the integrand vanishes identically
-        return (SDetail(0.0, 0.0, scale, 0, 0),) * 2
-
     two_zeta, lam, n = 2.0 * p.zeta, p.lam, p.n
+    # W's nodes s = u / (2 zeta), for u up to U, must be finite doubles
+    if not max(two_zeta, CUTOFF / two_zeta) < math.inf:
+        raise ValueError(f"zeta = {p.zeta!r} is out of range: 2*zeta and "
+                         f"U/(2*zeta), U = {CUTOFF:.4g}, must be finite "
+                         "doubles")
+    if n == 1.0 or lam == 0.0:
+        # transparent slab: the integrand vanishes identically
+        return (SDetail(0.0, 0.0, 0, 0),) * 2
+
     memo = _geometry_memo(p.zeta)
 
     def integrand(u: list, v: list) -> tuple[list, list]:
@@ -185,13 +185,11 @@ def _s_pair(p: ReducedParams, q: QuadratureSpec) -> tuple[SDetail, SDetail]:
     edges = [0.0] + geometric_edges(CUTOFF)[-8:]
     lo = [(x, 0.0) for x in edges[:-1]]
     hi = [(x, 1.0) for x in edges[1:]]
-    # the GK15 bound overstates the true error, so W stops at rel_tol
-    # itself; the floor shrinks as zeta^4 where W ~ zeta, so it never stops
-    # a small W early
-    res = adaptive_quad(integrand, lo, hi, q.rel_tol,
-                        q.abs_tol * min(1.0, scale))
+    # both integrands are non-negative, so rel_tol alone ends the
+    # cubature: no absolute floor (q.abs_tol floors the k integral only)
+    res = adaptive_quad(integrand, lo, hi, q.rel_tol, 0.0)
     per_u = Counter((a[0], b[0]) for a, b in zip(res.lo, res.hi))
-    return tuple(SDetail(w, err, scale, len(per_u), max(per_u.values()))
+    return tuple(SDetail(w, err, len(per_u), max(per_u.values()))
                  for w, err in zip(res.value, res.err_est))
 
 
@@ -205,18 +203,26 @@ def s_perp_detailed(p: ReducedParams,
     return _s_pair(p, q or QuadratureSpec())[1]
 
 
+def _s_view(detailed, p: ReducedParams,
+            q: QuadratureSpec | None) -> tuple[float, float]:
+    """``W / (8 zeta^4)`` and its bound, for the component ``detailed``."""
+    # zeta^4 must be a normal double, and 8 zeta^4 finite, for the view to
+    # be read back as W
+    scale = finite_power(p.zeta, 4, "zeta", W_SCALE)
+    d = detailed(p, q)
+    return d.w / scale, d.err_w / scale
+
+
 def s_parallel(p: ReducedParams,
                q: QuadratureSpec | None = None) -> tuple[float, float]:
     """Dimensionless S_par(zeta, lam, n) and its error bound."""
-    d = s_parallel_detailed(p, q)
-    return d.value, d.err_est
+    return _s_view(s_parallel_detailed, p, q)
 
 
 def s_perp(p: ReducedParams,
            q: QuadratureSpec | None = None) -> tuple[float, float]:
     """Dimensionless S_perp(zeta, lam, n) and its error bound."""
-    d = s_perp_detailed(p, q)
-    return d.value, d.err_est
+    return _s_view(s_perp_detailed, p, q)
 
 
 def w_pair(p: ReducedParams, q: QuadratureSpec | None = None) -> WPair:

@@ -35,7 +35,7 @@ import slabshift.shift
 from slabshift import (AtomSpec, Polarization, QuadratureSpec, ReducedParams,
                        Slab, Transition, w_pair)
 
-ZETAS = (1e-76, 1e-20, 1e-7, 1e-3, 0.1, 1.0, 1e3)
+ZETAS = (1e-300, 1e-76, 1e-20, 1e-7, 1e-3, 0.1, 1.0, 1e3, 1e300)
 # the (rel_tol, lam) of each column of W's table
 W_COLUMNS = ((1e-8, 1.0), (1e-8, math.inf), (1e-8, 1e-3), (1e-10, 1.0))
 MIRROR = (AtomSpec([Transition(1.0, 2.0, 1.0)]), Slab(1e4, 0.01), 1.0)
@@ -140,7 +140,7 @@ def _counts(counts) -> str:
 
 
 def _num(x: float) -> str:
-    return f"{x:g}".replace("e-0", "e-")
+    return f"{x:g}".replace("e-0", "e-").replace("e+", "e")
 
 
 def table(w: dict, mirror: tuple, modes: tuple) -> str:

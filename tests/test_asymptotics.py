@@ -38,18 +38,6 @@ def test_classify_regime():
     assert rep.lambda_over_zeta == pytest.approx(1.5)
 
 
-def test_halfspace_transparent():
-    assert w_pair(ReducedParams(1.0, math.inf, 1.0)) == WPair(0.0, 0.0)
-
-
-def test_halfspace_agrees_with_thick_slab():
-    q = QuadratureSpec(rel_tol=1e-10)
-    hs = w_pair(ReducedParams(1.0, math.inf, 2.0), q)
-    thick = w_pair(ReducedParams(1.0, 200.0, 2.0), q)
-    assert thick.w_par == pytest.approx(hs.w_par, rel=1e-6)
-    assert thick.w_z == pytest.approx(hs.w_z, rel=1e-6)
-
-
 def _retarded_halfspace_series(n):
     """W(zeta, inf, n) = W_inf + c2 / zeta^2 + c4 / zeta^4 + ..., with mpmath.
 

@@ -373,8 +373,9 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["wfun", "--zeta", "1e200", "--lam", "1", "--n", "2"],
-    ["wfun", "--zeta", "1e-200", "--lam", "1", "--n", "2"],
+    # 2 zeta, and U / (2 zeta), the scale of W's nodes
+    ["wfun", "--zeta", "1.7e308", "--lam", "1", "--n", "2"],
+    ["wfun", "--zeta", "1e-308", "--lam", "1", "--n", "2"],
     ["wfun", "--zeta", "inf", "--lam", "1", "--n", "2"],
     ["wfun", "--zeta", "1", "--lam", "1", "--n", "1e78"],
     ["shift", "--n", "2", "--thickness", "1", "--distance", "1e80",
@@ -407,8 +408,8 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
      "--e-ji", "1", "--mu-par-sq", "2", "--mu-perp-sq", "1"],
 ])
 def test_extreme_input_is_an_input_error(argv):
-    # where the float powers of zeta or n leave the doubles: every warning
-    # is an error, and the command still ends in a typed input error
+    # where zeta, or a float power of zeta, Z or n, leaves the doubles: every
+    # warning is an error, and the command still ends in a typed input error
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "slabshift.cli", *argv],
         capture_output=True, text=True, timeout=120)
@@ -517,14 +518,13 @@ def test_asympt_prints_a_form_outside_the_doubles_as_out_of_range(
 
 
 def test_asympt_full_integral_outside_the_doubles_names_zeta(capsys):
-    # the non-retarded thin form overflows here too; the full integral's
-    # zeta = Z E_ji = 9.95e78 is the input error
-    assert main(["asympt", "--n", "1.0000001", "--thickness", "1.7e308",
-                 "--distance", "4.08874e-16", "--e-ji", "2.4338e+94",
-                 "--mu-par-sq", "0.000257017",
-                 "--mu-perp-sq", "2.20255e-52"]) == EXIT_INPUT
+    # Z^5 and lam = L E_ji are normal doubles, yet the full integral's
+    # zeta = Z E_ji = 1e-308 leaves W's range: U / (2 zeta) overflows
+    assert main(["asympt", "--n", "2", "--thickness", "1",
+                 "--distance", "1e-60", "--e-ji", "1e-248",
+                 "--mu-par-sq", "2", "--mu-perp-sq", "1"]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith(
-        "slabshift: input error: zeta = 9.95")
+        "slabshift: input error: zeta = 1e-308 is out of range")
 
 
 def test_asympt_takes_no_form_when_the_full_integral_fails(monkeypatch,

@@ -16,19 +16,23 @@ from helpers import README
 from make_cost_ledger import (ZETAS, ledger, mirror_cost, modes_cost,
                               w_cost)
 
-DEFAULT = [(52, 96, 8), (39, 70, 6), (30, 52, 5), (24, 40, 4), (14, 20, 2),
-           (8, 8, 1), (8, 8, 1)]
+DEFAULT = [(66, 124, 11), (52, 96, 8), (39, 70, 6), (30, 52, 5), (24, 40, 4),
+           (14, 20, 2), (8, 8, 1), (8, 8, 1), (8, 8, 1)]
 # (rel_tol, lam): one triple per zeta of ZETAS
 LEDGER = {
     (1e-8, 1.0): DEFAULT,
     (1e-8, math.inf): DEFAULT,
-    (1e-8, 1e-3): DEFAULT[:3] + [(20, 32, 3), (12, 16, 2)] + DEFAULT[5:],
-    (1e-10, 1.0): [(74, 140, 10), (65, 122, 9), (53, 98, 7), (47, 86, 7),
-                   (25, 42, 4), (15, 22, 3), (10, 12, 2)],
+    (1e-8, 1e-3): DEFAULT[:4] + [(20, 32, 3), (12, 16, 2)] + DEFAULT[6:],
+    (1e-10, 1.0): [(82, 156, 27), (74, 140, 10), (65, 122, 9), (53, 98, 7),
+                   (47, 86, 7), (25, 42, 4), (15, 22, 3), (10, 12, 2),
+                   (10, 12, 3)],
 }
-POINTS = [(rel_tol, lam, zeta, triple)
-          for (rel_tol, lam), triples in LEDGER.items()
-          for zeta, triple in zip(ZETAS, triples)]
+# the pins at the ends of ZETAS, 1e-300 and 1e300, come last, so every
+# other pin keeps its test id
+POINTS = sorted(((rel_tol, lam, zeta, triple)
+                 for (rel_tol, lam), triples in LEDGER.items()
+                 for zeta, triple in zip(ZETAS, triples)),
+                key=lambda point: point[2] in (ZETAS[0], ZETAS[-1]))
 # the k integral's 24 seed cells take the mirror entry in one round
 MIRROR = (24, 24, 1)
 # about 3 atan2 steps per root, and one tan for its residual

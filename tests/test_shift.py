@@ -1,5 +1,7 @@
 import functools
 import math
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -26,7 +28,8 @@ ZERO = WPair(0.0, 0.0)
 
 
 def test_transparent_slab_is_exact_zero():
-    assert w_pair(ReducedParams(zeta=1.0, lam=1.0, n=1.0)) == ZERO
+    for lam in (1.0, math.inf):
+        assert w_pair(ReducedParams(zeta=1.0, lam=lam, n=1.0)) == ZERO
 
 
 def test_zero_thickness_is_exact_zero():
@@ -191,17 +194,31 @@ def test_split_budget_has_headroom_at_the_corners(zeta):
         <= slabshift.quadrature.MAX_SUBDIVISIONS // 4
 
 
-def _meets_its_tolerance(w: WPair, zeta: float, q: QuadratureSpec) -> bool:
-    """Each component's bound within ``max(rel_tol |W_k|, abs_tol min(1,
-    8 zeta^4))``, the cubature's stopping test."""
-    floor = q.abs_tol * min(1.0, 8.0 * zeta ** 4)
-    return all(err <= max(q.rel_tol * abs(val), floor)
+def _meets_its_tolerance(w: WPair, q: QuadratureSpec) -> bool:
+    """Each component's bound within ``rel_tol |W_k|``, the cubature's
+    stopping test: W has no absolute floor."""
+    return all(err <= q.rel_tol * abs(val)
                for val, err in ((w.w_par, w.err_par), (w.w_z, w.err_z)))
 
 
 def test_err_est_respects_tolerance_contract():
     q = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
-    assert _meets_its_tolerance(w_pair(P112, q), P112.zeta, q)
+    assert _meets_its_tolerance(w_pair(P112, q), q)
+
+
+def test_rel_tol_alone_bounds_w_near_n_1():
+    # near n = 1, W ~ (n - 1) is far below the abs_tol of 1e-14, which no
+    # longer floors W's tolerance: each bound is within rel_tol |W_k| (an
+    # abs_tol floor let it reach 1.0e-5 |W|), and still bounds the error
+    # against W at rel_tol 1e-13
+    tight = QuadratureSpec(rel_tol=1e-13)
+    for zeta in (0.01, 0.1, 0.3):
+        for n_minus_1 in (1e-9, 1e-12, 1e-15):
+            p = ReducedParams(zeta, 1.0, 1.0 + n_minus_1)
+            got, ref = w_pair(p), w_pair(p, tight)
+            assert _meets_its_tolerance(got, QuadratureSpec()), p
+            assert abs(got.w_par - ref.w_par) <= got.err_est, p
+            assert abs(got.w_z - ref.w_z) <= got.err_est, p
 
 
 # (zeta, lam, n) from the small-zeta rows that stop at their seed panel
@@ -220,7 +237,7 @@ def test_err_est_bounds_the_true_error(zeta, lam, n):
     got = w_pair(p)
     assert abs(got.w_par - ref.w_par) <= got.err_est
     assert abs(got.w_z - ref.w_z) <= got.err_est
-    assert _meets_its_tolerance(got, zeta, QuadratureSpec())
+    assert _meets_its_tolerance(got, QuadratureSpec())
 
 
 @pytest.mark.parametrize("lam", [1.0, math.inf])
@@ -234,6 +251,20 @@ def test_err_est_bounds_the_error_at_the_non_retarded_limit(zeta, n, lam):
     wp = w_pair(ReducedParams(zeta, lam, n))
     assert abs(wp.w_par - zeta * 0.25 * math.pi * beta) <= wp.err_est
     assert abs(wp.w_z - zeta * 0.5 * math.pi * beta) <= wp.err_est
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1.5, 2.0, 30.0])
+@pytest.mark.parametrize("lam", [1.0, math.inf])
+@pytest.mark.parametrize("zeta", [1e-100, 1e-200, 1e-300])
+def test_w_follows_the_non_retarded_law_far_below_the_s_views(zeta, lam, n):
+    # W -> (pi/4, pi/2) beta zeta holds at any small zeta, down to where
+    # W's nodes s = u / (2 zeta) leave the doubles, not only where the S
+    # views' 8 zeta^4 is a normal double; each component within its bound
+    beta = (n * n - 1.0) / (n * n + 1.0)
+    wp = w_pair(ReducedParams(zeta, lam, n))
+    assert abs(wp.w_par - 0.25 * math.pi * beta * zeta) <= wp.err_par
+    assert abs(wp.w_z - 0.5 * math.pi * beta * zeta) <= wp.err_z
 
 
 def test_positivity():
@@ -291,10 +322,11 @@ def test_w_pair_scaling_and_values():
     # the one test of the S views: each is W / (8 zeta^4), value and bound,
     # bit for bit, at a slab, a transparent half-space, a half-space, and
     # zeta 1e70, where S_par underflows to 0.0 and W_par is 3.075e-70; and
-    # where 8 zeta^4 leaves the doubles, each raises the error W does.
-    # Each point is read at the default spec, at rel_tol 1e-6 and at
-    # rel_tol 1e-10, whose W differs below zeta 1e60, so a view that drops
-    # its spec reads the wrong cubature
+    # where 8 zeta^4 leaves the doubles, W is returned and each view raises
+    # its 8*zeta**4 error.  The detailed components are W's.  Each point is
+    # read at the default spec, at rel_tol 1e-6 and at rel_tol 1e-10, whose
+    # W differs below zeta 1e60, so a view that drops its spec reads the
+    # wrong cubature
     from slabshift import halfspace_S, s_parallel, s_perp
     from slabshift.shift import s_parallel_detailed, s_perp_detailed
 
@@ -312,9 +344,9 @@ def test_w_pair_scaling_and_values():
             par = (w.w_par / scale, w.err_par / scale)
             perp = (w.w_z / scale, w.err_z / scale)
             detail = (s_parallel_detailed(p, q), s_perp_detailed(p, q))
-            assert s_parallel(p, q) == (detail[0].value,
-                                        detail[0].err_est) == par
-            assert s_perp(p, q) == (detail[1].value, detail[1].err_est) == perp
+            assert [d[:2] for d in detail] == [w[0::2], w[1::2]]
+            assert s_parallel(p, q) == par
+            assert s_perp(p, q) == perp
             if lam == math.inf:
                 assert halfspace_S(zeta, n, q) == (par[0], perp[0])
             strips = costs[0].strips() if costs else (0, 0)
@@ -326,14 +358,19 @@ def test_w_pair_scaling_and_values():
 
     for zeta in (1e-78, 6.9e76):
         p = ReducedParams(zeta, math.inf, 2.0)
-        with pytest.raises(ValueError, match=r"8\*zeta\*\*4") as want:
-            w_pair(p)
-        for view in (s_parallel, s_perp, s_parallel_detailed, s_perp_detailed,
-                     lambda p, q=None: halfspace_S(p.zeta, p.n, q)):
-            for q in specs:
+        for q in specs:
+            w = w_pair(p, q)
+            assert w.w_par > 0.0 and w.w_z > 0.0
+            assert [d[:2] for d in (s_parallel_detailed(p, q),
+                                    s_perp_detailed(p, q))] == [w[0::2],
+                                                                w[1::2]]
+            for view in (s_parallel, s_perp,
+                         lambda p, q=None: halfspace_S(p.zeta, p.n, q)):
                 with pytest.raises(ValueError) as got:
                     view(p, q)
-                assert str(got.value) == str(want.value)
+                assert str(got.value) == (f"zeta = {zeta!r} is out of range: "
+                                          "8*zeta**4 must be a finite normal "
+                                          "double")
 
 
 def test_w_pair_below_halfspace_at_zeta8():
@@ -347,15 +384,56 @@ def test_w_pair_below_halfspace_at_zeta8():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("zeta, lam, n", [
-    (1e200, 1.0, 2.0), (1e-200, 1.0, 2.0), (1e200, 0.0, 2.0),
-    (1e-200, 1.0, 1.0), (1.0, 1.0, 1e78), (1.0, math.inf, 1e78),
-    (6.9e76, 1.0, 2.0), (1e77, math.inf, 2.0),
+    (5e-324, 1.0, 2.0), (1e-308, math.inf, 2.0), (1.7e308, 1.0, 2.0),
+    (1e-308, 1.0, 1.0), (1.0, 1.0, 1e78), (1.0, math.inf, 1e78),
 ])
 def test_w_pair_rejects_powers_outside_the_doubles(zeta, lam, n):
-    # zeta^4 and 8 zeta^4 (the W scale of the S views) and s_max^3 (the
-    # outer weight) for zeta, n^4 (the TM coefficient) for n
-    with pytest.raises(ValueError, match="out of range"):
+    # 2 zeta and U / (2 zeta) (the scale of W's nodes s = u / (2 zeta))
+    # for zeta, transparent slab or not; n^4 (the TM coefficient) for n
+    name = "zeta" if n < 1e78 else "n"
+    with pytest.raises(ValueError, match=f"^{name} = .* is out of range: "):
         w_pair(ReducedParams(zeta, lam, n))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("zeta, lam, n", [
+    (1e200, 1.0, 2.0), (1e-200, 1.0, 2.0), (1e200, 0.0, 2.0),
+    (1e-200, 1.0, 1.0), (6.9e76, 1.0, 2.0), (1e77, math.inf, 2.0),
+])
+def test_w_pair_returns_w_where_the_s_views_leave_the_doubles(zeta, lam, n):
+    # where 8 zeta^4 is not a finite normal double, W itself still is, or
+    # is exactly 0 for a transparent slab
+    wp = w_pair(ReducedParams(zeta, lam, n))
+    if n == 1.0 or lam == 0.0:
+        assert wp == ZERO
+    else:
+        assert wp.w_par > 0.0 and wp.w_z > 0.0
+        assert _meets_its_tolerance(wp, QuadratureSpec())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e-3, 1.0, math.inf])
+def test_w_pair_gives_w_or_a_typed_error_across_the_doubles(lam):
+    # on a log grid of zeta from 5e-324 to 1.7e308, w_pair gives W inside
+    # W's range (2 zeta and U / (2 zeta) finite) and a ValueError naming
+    # zeta outside it; inside, only W's own underflow may raise.  Never a
+    # ZeroDivisionError, a ConvergenceError or rtilde's range error on t
+    low = slabshift.quadrature.CUTOFF / 2.0 / sys.float_info.max
+    ends = math.log(5e-324), math.log(1.7e308)
+    zetas = [math.exp(ends[0] + (ends[1] - ends[0]) * i / 32)
+             for i in range(1, 32)]
+    zetas += [5e-324, math.nextafter(low, 0.0), low, 1e307, 8.9e307, 1.7e308]
+    for zeta in zetas:
+        inside = low <= zeta and 2.0 * zeta < math.inf
+        try:
+            wp = w_pair(ReducedParams(zeta, lam, 2.0))
+        except ValueError as exc:
+            pattern = (r"W_(par|z) at .* below the normal doubles" if inside
+                       else r"zeta = .* is out of range: 2\*zeta")
+            assert re.match(pattern, str(exc)), (zeta, str(exc))
+        else:
+            assert inside, zeta
+            assert wp.w_par > 0.0 and wp.w_z > 0.0, zeta
 
 
 @pytest.mark.filterwarnings("error")
@@ -366,11 +444,11 @@ def test_w_pair_is_finite_below_the_upper_ends(zeta, n):
                for v in (wp.w_par, wp.w_z, wp.err_est))
 
 
-@pytest.mark.parametrize("zeta", [1e60, 1e70, 1e76])
+@pytest.mark.parametrize("zeta", [1e60, 1e70, 1e76, 1e200, 1e300])
 def test_w_follows_the_retarded_thin_slab_law_at_large_zeta(zeta):
     # W zeta / lam tends to (n^2-1)(5+9n^2)/(10n^2) and (n^2-1)(4+5n^2)/(5n^2);
-    # the S views W / (8 zeta^4) are subnormal past zeta = 1e61 and 0.0
-    # from 1e66; W must not underflow
+    # the S views W / (8 zeta^4) are subnormal past zeta = 1e61, 0.0 from
+    # 1e66 and raise past 6.9e76; W must not underflow
     n, lam = 2.0, 1.0
     wp = w_pair(ReducedParams(zeta, lam, n))
     n2 = n * n
