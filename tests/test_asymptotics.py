@@ -38,6 +38,10 @@ def test_classify_regime():
     assert rep.lambda_over_zeta == pytest.approx(1.5)
 
 
+def test_halfspace_transparent():
+    assert w_pair(ReducedParams(1.0, math.inf, 1.0)) == WPair(0.0, 0.0)
+
+
 def _retarded_halfspace_series(n):
     """W(zeta, inf, n) = W_inf + c2 / zeta^2 + c4 / zeta^4 + ..., with mpmath.
 

@@ -28,8 +28,7 @@ ZERO = WPair(0.0, 0.0)
 
 
 def test_transparent_slab_is_exact_zero():
-    for lam in (1.0, math.inf):
-        assert w_pair(ReducedParams(zeta=1.0, lam=lam, n=1.0)) == ZERO
+    assert w_pair(ReducedParams(zeta=1.0, lam=1.0, n=1.0)) == ZERO
 
 
 def test_zero_thickness_is_exact_zero():
